@@ -210,8 +210,10 @@ def cmd_measure(args) -> int:
 def cmd_invert(args) -> int:
     r = iolib.read_curve(args.response, "response")
     c = iolib.read_curve(args.autocorr, "sign_autocorr")
+    # by default the tail sum runs as far as the autocorrelation file reaches
+    j_tail = min(4096, int(c.lags[-1])) if args.j_tail is None else args.j_tail
     kern, rep = run_invert(r, c, args.lam, args.psi, args.v,
-                           args.kernel_lags, j_tail=args.j_tail, ridge=args.ridge)
+                           args.kernel_lags, j_tail=j_tail, ridge=args.ridge)
     out = _resolve_out_dir(args)
     se = rep.pop("se_proxy", None)
     kernel_path = os.path.join(out, "kernel.csv")
@@ -476,7 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reference volume scale of the tape")
     p_inv.add_argument("--kernel-lags", type=int, default=64,
                        help="number of kernel lags to solve for")
-    p_inv.add_argument("--j-tail", type=int, default=4096)
+    p_inv.add_argument("--j-tail", type=int, default=None,
+                       help="tail-sum length (default: min(4096, last autocorrelation lag))")
     p_inv.add_argument("--ridge", type=float, default=0.0)
     _add_universal(p_inv)
     p_inv.set_defaults(func=cmd_invert)

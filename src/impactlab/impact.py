@@ -10,7 +10,6 @@ burn_in_length for the measurement-side discard policy.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .exceptions import InputError, ParameterError
 from .orderflow import TradeTape
@@ -141,6 +140,8 @@ class ArPredictor:
         pred[0] = 0.0
         if n > 1:
             if self.order * n > 1 << 14:
+                from scipy.signal import fftconvolve  # here, not at the top: slow to import
+
                 conv = fftconvolve(eps, self.coeffs)
             else:
                 conv = np.convolve(eps, self.coeffs)
@@ -220,6 +221,8 @@ def propagator_path(tape: TradeTape, cfg: ImpactConfig, seed: int = 0) -> np.nda
         g = cfg.kernel.eval(np.arange(1, n + 1))
         if np.min(g) < 0:
             raise ParameterError("kernel values must be >= 0")
+        from scipy.signal import fftconvolve  # here, not at the top: slow to import
+
         s = fftconvolve(u, g)[:n]
     cum = cfg.lam * s
     eta = _noise_increments(n, cfg, seed)

@@ -228,6 +228,21 @@ def test_cli_invert_refuses_mismatched_grids(tmp_path):
     assert rc == 1  # C horizon shorter than j_tail demands
 
 
+def test_cli_invert_default_j_tail_follows_the_autocorrelation(tmp_path):
+    lags = np.arange(1, 9)
+    write_curve(LagCurve(lags, lags**-0.3, np.full(8, 10), "response"),
+                str(tmp_path / "r.csv"))
+    c_lags = np.arange(1, 17)
+    write_curve(LagCurve(c_lags, 0.2 * c_lags**-0.5, np.full(16, 10), "sign_autocorr"),
+                str(tmp_path / "c.csv"))
+    rc = cli.main(["invert", "--response", str(tmp_path / "r.csv"),
+                   "--autocorr", str(tmp_path / "c.csv"),
+                   "--kernel-lags", "8", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    report = json.load(open(tmp_path / "invert_report.json"))
+    assert report["j_tail"] == 16  # min(4096, last autocorrelation lag)
+
+
 def test_cli_manip_writes_the_frontier_grid(tmp_path):
     out = str(tmp_path / "man")
     rc = cli.main(["manip", "--betas", "0,0.8", "--psis", "1,0.3",
