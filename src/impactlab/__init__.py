@@ -72,7 +72,6 @@ from .manipulation import (
 from .experiment import (
     ExperimentConfig,
     expand_seeds,
-    manip_frontier,
     measure,
     provenance,
     simulate,
@@ -105,8 +104,7 @@ __all__ = [
     "Strategy", "CostReport", "strategy_cost", "count_round_trips",
     "search_round_trips", "gatheral_frontier",
     # experiments
-    "ExperimentConfig", "expand_seeds", "simulate", "measure",
-    "manip_frontier", "provenance",
+    "ExperimentConfig", "expand_seeds", "simulate", "measure", "provenance",
     # acceptance
     "CriterionResult", "run_criteria", "ALL_CRITERIA",
 ]

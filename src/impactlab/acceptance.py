@@ -9,7 +9,7 @@ reference simulation (a 2^20-trade long-memory tape priced under the
 decaying-kernel model) is computed once and shared by criteria 4, 5 and 6.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -54,26 +54,7 @@ class CriterionResult:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "number": self.number,
-            "name": self.name,
-            "passed": bool(self.passed),
-            "details": _jsonable(self.details),
-        }
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    return obj
+        return asdict(self)
 
 
 def _unit_volumes(n: int) -> VolumeSeries:
@@ -451,7 +432,7 @@ def criterion_13_determinism_round_trips() -> CriterionResult:
     import os
 
     from . import io as iolib
-    from .experiment import ExperimentConfig, simulate
+    from .experiment import ExperimentConfig, simulate_stage
 
     cfg = ExperimentConfig(
         n=2000,
@@ -464,19 +445,15 @@ def criterion_13_determinism_round_trips() -> CriterionResult:
     )
     details: dict = {}
     with tempfile.TemporaryDirectory() as tmp:
-        paths = []
-        for run in ("a", "b"):
-            tape, meta = simulate(cfg, seed=1)
-            tpath = os.path.join(tmp, f"tape_{run}.csv")
-            mpath = os.path.join(tmp, f"meta_{run}.json")
-            iolib.write_tape(tape, tpath)
-            iolib.write_json(meta, mpath)
-            paths.append((tpath, mpath))
-        same_tape = filecmp.cmp(paths[0][0], paths[1][0], shallow=False)
-        same_meta = filecmp.cmp(paths[0][1], paths[1][1], shallow=False)
-        details["byte_identical"] = bool(same_tape and same_meta)
+        runs = [os.path.join(tmp, run) for run in ("a", "b")]
+        for run in runs:
+            os.mkdir(run)
+            tape, _, files = simulate_stage(cfg, 1, run)
+        details["byte_identical"] = all(
+            filecmp.cmp(os.path.join(runs[0], f), os.path.join(runs[1], f), shallow=False)
+            for f in files.values())
 
-        back = iolib.read_tape(paths[0][0])
+        back = iolib.read_tape(os.path.join(runs[0], files["tape"]))
         tape_rt = (
             np.array_equal(back.eps, tape.eps)
             and np.array_equal(back.v, tape.v)

@@ -16,9 +16,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from . import estimators as est
 from . import io as iolib
 from ._version import __version__
 from .exceptions import (
@@ -32,11 +29,12 @@ from .exceptions import (
 from .experiment import (
     ExperimentConfig,
     expand_seeds,
-    invert as run_invert,
-    manip_frontier,
-    measure as run_measure,
+    invert_stage,
+    manip_stage,
+    measure_stage,
+    pool_stage,
     provenance,
-    simulate as run_simulate,
+    simulate_stage,
 )
 
 ENV_OUT_DIR = "IMPACTLAB_OUT_DIR"
@@ -51,18 +49,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
-
-
 def _parse_seed(text: str):
     try:
         if ":" in text:
@@ -73,11 +59,15 @@ def _parse_seed(text: str):
         raise _UsageError(f"bad --seed '{text}': use an int or first:last") from None
 
 
-def _parse_floats(text: str, flag: str):
+def _float_list(text: str) -> list:
+    """argparse type: one or more comma-separated numbers."""
     try:
-        return [float(t) for t in text.split(",") if t != ""]
+        values = [float(t) for t in text.split(",") if t != ""]
     except ValueError:
-        raise _UsageError(f"bad {flag} '{text}': comma-separated numbers") from None
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"'{text}' is not a list of comma-separated numbers")
+    return values
 
 
 def _resolve_out_dir(args, config: ExperimentConfig | None = None) -> str:
@@ -131,7 +121,7 @@ def _config_from_args(args) -> ExperimentConfig:
         kern["form"] = "power_law"
         model["kernel"] = kern
     if args.ar_coeffs is not None:
-        model["predictor"] = {"coeffs": _parse_floats(args.ar_coeffs, "--ar-coeffs")}
+        model["predictor"] = {"coeffs": args.ar_coeffs}
     d = {"generator": gen, "volumes": vol, "model": model}
     if args.n is not None:
         d["n"] = args.n
@@ -152,40 +142,13 @@ def cmd_simulate(args) -> int:
     seeds = expand_seeds(cfg.seed)
     files = {}
     for s in seeds:
-        tape, meta = run_simulate(cfg, s)
-        tape_path = os.path.join(out, f"tape_seed{s}.csv")
-        meta_path = os.path.join(out, f"meta_seed{s}.json")
-        iolib.write_tape(tape, tape_path)
-        iolib.write_json(_jsonable(meta), meta_path)
-        files[str(s)] = {"tape": tape_path, "meta": meta_path}
+        tape, meta, files[str(s)] = simulate_stage(cfg, s, out)
         print(f"simulate: seed {s}: {tape.n} trades, burn {meta['burn']}, "
-              f"wrote {tape_path}")
+              f"wrote {os.path.join(out, files[str(s)]['tape'])}")
     if len(seeds) > 1:
         summary = {"seeds": seeds, "files": files, "provenance": provenance(cfg)}
         iolib.write_json(summary, os.path.join(out, "simulate_summary.json"))
     return 0
-
-
-def _write_measure_outputs(results, errors, stem: str, out: str, extra: dict):
-    files = {}
-    for name in ("response", "sign_autocorr", "diffusivity"):
-        if name in results:
-            path = os.path.join(out, f"{stem}_{name}.csv")
-            iolib.write_curve(results[name], path)
-            files[name] = path
-    if "conditional" in results:
-        path = os.path.join(out, f"{stem}_conditional.csv")
-        iolib.write_conditional(results["conditional"], path)
-        files["conditional"] = path
-    fits = dict(results.get("fits", {}))
-    fits.update(extra)
-    if "notes" in results:
-        fits["notes"] = results["notes"]
-    fits["errors"] = errors
-    fits_path = os.path.join(out, f"{stem}_fits.json")
-    iolib.write_json(_jsonable(fits), fits_path)
-    files["fits"] = fits_path
-    return files
 
 
 def cmd_measure(args) -> int:
@@ -196,11 +159,11 @@ def cmd_measure(args) -> int:
         ("cond_lag", args.cond_lag), ("n_bins", args.n_bins),
         ("min_count", args.min_count),
     ])
-    results, errors = run_measure(tape, spec, burn=args.burn)
     out = _resolve_out_dir(args)
     stem = os.path.splitext(os.path.basename(args.tape))[0]
-    files = _write_measure_outputs(results, errors, stem, out,
-                                   {"input": args.tape, "burn": args.burn})
+    _, errors, files = measure_stage(
+        tape, spec, out, stem, burn=args.burn,
+        extra={"input": os.path.relpath(args.tape, out), "burn": args.burn})
     for name, msg in errors.items():
         print(f"measure: {name}: {msg}", file=sys.stderr)
     print(f"measure: wrote {len(files)} files under {out}")
@@ -210,52 +173,33 @@ def cmd_measure(args) -> int:
 def cmd_invert(args) -> int:
     r = iolib.read_curve(args.response, "response")
     c = iolib.read_curve(args.autocorr, "sign_autocorr")
-    # by default the tail sum runs as far as the autocorrelation file reaches
-    j_tail = min(4096, int(c.lags[-1])) if args.j_tail is None else args.j_tail
-    kern, rep = run_invert(r, c, args.lam, args.psi, args.v,
-                           args.kernel_lags, j_tail=j_tail, ridge=args.ridge)
     out = _resolve_out_dir(args)
-    se = rep.pop("se_proxy", None)
-    kernel_path = os.path.join(out, "kernel.csv")
-    iolib.write_kernel(kern, kernel_path, se_proxy=se)
-    try:
-        lags = np.arange(1, kern.values.size + 1, dtype=np.float64)
-        fit = est.fit_power_law((lags, kern.values), (1, min(64, kern.values.size)))
-        rep["beta_hat"] = fit.exponent
-        rep["beta_hat_se"] = fit.exponent_se
-    except EstimationError as exc:
-        rep["beta_hat_error"] = str(exc)
-    rep["inputs"] = {"response": args.response, "autocorr": args.autocorr}
+    rep, files = invert_stage(r, c, args.lam, args.psi, args.v, out, args.kernel_lags,
+                              j_tail=args.j_tail, ridge=args.ridge)
+    rep["inputs"] = {"response": os.path.relpath(args.response, out),
+                     "autocorr": os.path.relpath(args.autocorr, out)}
     rep["version"] = __version__
-    report_path = os.path.join(out, "invert_report.json")
-    iolib.write_json(_jsonable(rep), report_path)
+    iolib.write_json(rep, os.path.join(out, "invert_report.json"))
     print(f"invert: residual {rep['residual_norm']:.6g}, "
-          f"condition {rep['condition']:.6g}, wrote {kernel_path}")
+          f"condition {rep['condition']:.6g}, wrote {os.path.join(out, files['kernel'])}")
     if rep.get("ill_conditioned"):
         print(f"invert: {rep['note']}", file=sys.stderr)
     return 0
 
 
 def cmd_manip(args) -> int:
-    betas = _parse_floats(args.betas, "--betas")
-    psis = _parse_floats(args.psis, "--psis")
-    grid = _parse_floats(args.grid, "--grid")
-    if not betas or not psis or not grid:
-        raise _UsageError("--betas, --psis and --grid must be non-empty")
-    rows = manip_frontier(betas, psis, max_len=args.max_len, volume_grid=grid,
-                          lam=args.lam, budget=int(args.budget),
-                          own_impact=args.own_impact)
+    spec = _section_from_flags([
+        ("betas", args.betas), ("psis", args.psis), ("grid", args.grid),
+        ("max_len", args.max_len), ("budget", args.budget), ("lam", args.lam),
+        ("own_impact", args.own_impact)])
     out = _resolve_out_dir(args)
-    frontier_path = os.path.join(out, "frontier.csv")
-    iolib.write_frontier(rows, frontier_path)
-    report = {"rows": _jsonable(rows), "version": __version__,
-              "max_len": args.max_len, "volume_grid": grid, "lam": args.lam,
-              "own_impact": args.own_impact}
+    report, files = manip_stage(spec, out)
+    report["version"] = __version__
     iolib.write_json(report, os.path.join(out, "manip_report.json"))
-    for r in rows:
+    for r in report["rows"]:
         print(f"manip: beta={r['beta']:g} psi={r['psi']:g} "
               f"min_cost={r['min_cost']:.6g}")
-    print(f"manip: wrote {frontier_path}")
+    print(f"manip: wrote {os.path.join(out, files['frontier'])}")
     return 0
 
 
@@ -276,131 +220,58 @@ def _parse_criteria(text: str):
     return numbers
 
 
-def _pipeline(cfg: ExperimentConfig, out: str, bundle: dict) -> int:
-    """simulate -> measure (per seed + pooled) -> invert -> manip.
-
-    Returns the exit code contributed by stage failures (0 if clean);
-    partial outputs are always retained.
-    """
-    rc = 0
-    seeds = expand_seeds(cfg.seed)
-    per_seed = {}
-    tapes = {}
-    for s in seeds:
-        tape, meta = run_simulate(cfg, s)
-        tapes[s] = tape
-        tape_path = os.path.join(out, f"tape_seed{s}.csv")
-        iolib.write_tape(tape, tape_path)
-        iolib.write_json(_jsonable(meta), os.path.join(out, f"meta_seed{s}.json"))
-        results, errors = run_measure(tape, cfg.estimator)
-        files = _write_measure_outputs(results, errors, f"tape_seed{s}", out,
-                                       {"seed": s})
-        per_seed[s] = {"results": results, "errors": errors, "files": files}
-        if errors:
-            rc = 3
-            for name, msg in errors.items():
-                print(f"report: seed {s}: {name}: {msg}", file=sys.stderr)
-    bundle["files"] = {str(s): d["files"] for s, d in per_seed.items()}
-    bundle["measure_errors"] = {str(s): d["errors"] for s, d in per_seed.items()}
-
-    fits_by_seed = {str(s): _jsonable(d["results"].get("fits", {}))
-                    for s, d in per_seed.items()}
-    bundle["fits"] = {"per_seed": fits_by_seed}
-
-    pooled = {}
-    if len(seeds) > 1:
-        for name in ("response", "sign_autocorr", "diffusivity"):
-            curves = [d["results"][name] for d in per_seed.values()
-                      if name in d["results"]]
-            if len(curves) == len(seeds):
-                pooled[name] = est.pool_curves(curves)
-                path = os.path.join(out, f"pooled_{name}.csv")
-                iolib.write_curve(pooled[name], path)
-                bundle["files"][f"pooled_{name}"] = path
-        pooled_fits = {}
-        if "sign_autocorr" in pooled:
-            c = pooled["sign_autocorr"]
-            try:
-                f = est.fit_power_law(c, (8, min(512, int(c.lags[-1]))))
-                pooled_fits["gamma_hat"] = {"exponent": f.exponent,
-                                            "exponent_se": f.exponent_se,
-                                            "r_squared": f.r_squared}
-            except EstimationError as exc:
-                pooled_fits["gamma_hat_error"] = str(exc)
-        rhos = [d["results"]["rho"] for d in per_seed.values()
-                if "rho" in d["results"]]
-        if rhos:
-            pooled_fits["rho_mean"] = float(np.mean(rhos))
-            if len(rhos) > 1:
-                pooled_fits["rho_se"] = float(np.std(rhos, ddof=1) / np.sqrt(len(rhos)))
-        bundle["fits"]["pooled"] = _jsonable(pooled_fits)
-
-    # inversion from the pooled curves when available, else the single seed
-    source = pooled if pooled else per_seed[seeds[0]]["results"]
-    if "response" in source and "sign_autocorr" in source:
-        r_curve, c_curve = source["response"], source["sign_autocorr"]
-        model_cfg = cfg.model
-        invert_lags = min(int(cfg.estimator.get("invert_lags", 64)),
-                          int(r_curve.lags[-1]))
-        j_tail = min(int(cfg.estimator.get("j_tail", 4096)), int(c_curve.lags[-1]))
-        v_ref = float(np.mean(tapes[seeds[0]].v))
-        try:
-            kern, rep = run_invert(
-                r_curve, c_curve, float(model_cfg.get("lam", 1.0)),
-                float(model_cfg.get("psi", 1.0)), v_ref, invert_lags, j_tail=j_tail)
-            se = rep.pop("se_proxy", None)
-            kernel_path = os.path.join(out, "kernel.csv")
-            iolib.write_kernel(kern, kernel_path, se_proxy=se)
-            bundle["files"]["kernel"] = kernel_path
-            try:
-                lags = np.arange(1, kern.values.size + 1, dtype=np.float64)
-                f = est.fit_power_law((lags, kern.values),
-                                      (1, min(64, kern.values.size)))
-                rep["beta_hat"] = f.exponent
-                rep["beta_hat_se"] = f.exponent_se
-            except EstimationError as exc:
-                rep["beta_hat_error"] = str(exc)
-            bundle["invert"] = _jsonable({k: v for k, v in rep.items()})
-        except (ParameterError, EstimationError, NumericError) as exc:
-            bundle["invert"] = {"error": str(exc)}
-            print(f"report: invert: {exc}", file=sys.stderr)
-            rc = rc or 3
-
-    if cfg.manip is not None:
-        m = dict(cfg.manip)
-        try:
-            rows = manip_frontier(
-                m.get("betas", [0.0, 0.5]), m.get("psis", [0.5, 1.0]),
-                max_len=int(m.get("max_len", 8)),
-                volume_grid=m.get("grid", [1.0, 2.0, 4.0, 8.0]),
-                lam=float(m.get("lam", 1.0)), budget=int(m.get("budget", 10**7)),
-                own_impact=m.get("own_impact", "full"))
-            frontier_path = os.path.join(out, "frontier.csv")
-            iolib.write_frontier(rows, frontier_path)
-            bundle["files"]["frontier"] = frontier_path
-            bundle["manip"] = _jsonable(rows)
-        except (ParameterError, SearchBudgetError) as exc:
-            bundle["manip"] = {"error": str(exc)}
-            print(f"report: manip: {exc}", file=sys.stderr)
-            rc = rc or 3
-    return rc
-
-
 def cmd_report(args) -> int:
+    """With --config, runs the stages first; a failing stage records its
+    error in report.json and sets exit code 3, keeping the other outputs."""
     from .acceptance import run_criteria
 
     numbers = _parse_criteria(args.criteria)
-    bundle: dict = {"provenance": {"version": __version__}}
-    cfg = None
-    if args.config:
-        file_cfg = iolib.read_json(args.config)
-        cfg = ExperimentConfig.from_dict(file_cfg)
-        bundle["provenance"]["config_sha256"] = cfg.sha256()
-        bundle["provenance"]["seeds"] = expand_seeds(cfg.seed)
+    cfg = ExperimentConfig.from_dict(iolib.read_json(args.config)) if args.config else None
+    bundle: dict = {"provenance": provenance(cfg)}
     out = _resolve_out_dir(args, cfg)
     stage_rc = 0
     if cfg is not None:
-        stage_rc = _pipeline(cfg, out, bundle)
+        seeds = expand_seeds(cfg.seed)
+        bundle["provenance"]["seeds"] = seeds
+        files, errors, fits, measured = {}, {}, {}, []
+        for s in seeds:
+            tape, _, _ = simulate_stage(cfg, s, out)
+            if s == seeds[0]:
+                v_ref = float(tape.v.mean())  # the inversion's volume scale
+            results, errors[str(s)], files[str(s)] = measure_stage(
+                tape, cfg.estimator, out, f"tape_seed{s}", extra={"seed": s})
+            measured.append(results)
+            fits[str(s)] = results["fits"]
+            for name, msg in errors[str(s)].items():
+                print(f"report: seed {s}: {name}: {msg}", file=sys.stderr)
+                stage_rc = 3
+        bundle.update(files=files, measure_errors=errors, fits={"per_seed": fits})
+        curves = measured[0]
+        if len(seeds) > 1:
+            pooled, bundle["fits"]["pooled"], pooled_files = pool_stage(measured, out)
+            files.update(pooled_files)
+            curves = pooled or curves
+        if "response" in curves and "sign_autocorr" in curves:
+            try:
+                bundle["invert"], inv_files = invert_stage(
+                    curves["response"], curves["sign_autocorr"],
+                    float(cfg.model.get("lam", 1.0)), float(cfg.model.get("psi", 1.0)),
+                    v_ref, out, cfg.estimator.get("invert_lags"),
+                    j_tail=cfg.estimator.get("j_tail"))
+                files.update(inv_files)
+            except (ParameterError, EstimationError, NumericError) as exc:
+                bundle["invert"] = {"error": str(exc)}
+                print(f"report: invert: {exc}", file=sys.stderr)
+                stage_rc = 3
+        if cfg.manip is not None:
+            try:
+                manip, manip_files = manip_stage(cfg.manip, out)
+                bundle["manip"] = manip["rows"]
+                files.update(manip_files)
+            except (ParameterError, SearchBudgetError) as exc:
+                bundle["manip"] = {"error": str(exc)}
+                print(f"report: manip: {exc}", file=sys.stderr)
+                stage_rc = 3
 
     results = run_criteria(numbers)
     bundle["acceptance"] = [r.to_dict() for r in results]
@@ -408,7 +279,7 @@ def cmd_report(args) -> int:
         print(f"{'PASS' if r.passed else 'FAIL'}  criterion {r.number:2d}: {r.name}")
     n_fail = sum(not r.passed for r in results)
     report_path = os.path.join(out, "report.json")
-    iolib.write_json(_jsonable(bundle), report_path)
+    iolib.write_json(bundle, report_path)
     if numbers:
         print(f"report: {len(results) - n_fail}/{len(results)} criteria passed, "
               f"wrote {report_path}")
@@ -451,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--beta", type=float, default=None)
     p_sim.add_argument("--g1", type=float, default=None)
     p_sim.add_argument("--plateau", type=float, default=None)
-    p_sim.add_argument("--ar-coeffs", default=None,
+    p_sim.add_argument("--ar-coeffs", type=_float_list, default=None,
                        help="comma-separated AR coefficients for the surprise model")
     _add_universal(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
@@ -476,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--psi", type=float, default=1.0)
     p_inv.add_argument("--v", type=float, default=1.0,
                        help="reference volume scale of the tape")
-    p_inv.add_argument("--kernel-lags", type=int, default=64,
-                       help="number of kernel lags to solve for")
+    p_inv.add_argument("--kernel-lags", type=int, default=None,
+                       help="number of kernel lags to solve for (default: the last response lag)")
     p_inv.add_argument("--j-tail", type=int, default=None,
                        help="tail-sum length (default: min(4096, last autocorrelation lag))")
     p_inv.add_argument("--ridge", type=float, default=0.0)
@@ -485,14 +356,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.set_defaults(func=cmd_invert)
 
     p_man = sub.add_parser("manip", help="minimum round-trip cost over a (beta,psi) grid")
-    p_man.add_argument("--betas", default="0,0.25,0.5,0.75,1")
-    p_man.add_argument("--psis", default="0.25,0.5,0.75,1")
-    p_man.add_argument("--max-len", type=int, default=8)
-    p_man.add_argument("--grid", default="1,2,4,8", help="volume grid (positive values)")
-    p_man.add_argument("--budget", type=float, default=10**7,
+    # absent flags take experiment._default_manip(), as report's manip section does
+    p_man.add_argument("--betas", type=_float_list, default=None)
+    p_man.add_argument("--psis", type=_float_list, default=None)
+    p_man.add_argument("--max-len", type=int, default=None)
+    p_man.add_argument("--grid", type=_float_list, default=None,
+                       help="volume grid (positive values)")
+    p_man.add_argument("--budget", type=float, default=None,
                        help="maximum number of canonical candidate strategies")
-    p_man.add_argument("--lam", type=float, default=1.0)
-    p_man.add_argument("--own-impact", default="full", choices=["full", "half"])
+    p_man.add_argument("--lam", type=float, default=None)
+    p_man.add_argument("--own-impact", default=None, choices=["full", "half"])
     _add_universal(p_man)
     p_man.set_defaults(func=cmd_manip)
 

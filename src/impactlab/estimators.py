@@ -102,7 +102,8 @@ class LagCurve:
         """Values on contiguous lags 1..upto as a plain array (index l-1).
         Requires the curve to cover exactly those lags from 1."""
         if self.lags[0] != 1 or self.lags.size < upto or np.any(np.diff(self.lags[:upto]) != 1):
-            raise ParameterError(f"curve must cover contiguous lags 1..{upto}")
+            raise ParameterError(f"{self.role_tag} curve must cover contiguous lags 1..{upto}, "
+                                 f"got {self.lags[0]}..{self.lags[-1]} ({self.lags.size} rows)")
         return self.values[:upto]
 
 

@@ -1,26 +1,26 @@
-"""Experiment configuration and the programmatic pipeline behind the CLI.
+"""Experiment configuration and the stages behind the CLI.
 
 An ExperimentConfig bundles order-flow generation, the impact model, and
-estimator settings into one JSON-serializable object. Pipelines:
+estimator settings into one JSON-serializable object. simulate and measure
+work in memory. Each *_stage function is the one implementation of a step
+that its subcommand and `report` both run: it writes its files under an
+output directory and returns its result with their names, relative to that
+directory.
 
-  simulate : generate signs/volumes, price them, return a burned-in tape
-  measure  : response / sign-autocorrelation / diffusivity / rho /
-             volume-binned response, plus power-law fits
-  invert   : recover a kernel table from measured response + autocorrelation
-  manip    : the cost-frontier grid over (beta, psi)
-
-Provenance for every output is the config hash + seed + package version;
-no timestamps, so reruns are byte-identical.
+Provenance is the package and library versions plus the config hash and
+seed; no timestamps, so reruns are byte-identical.
 """
 
 import dataclasses
+import os
+import platform
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import io as iolib
 from ._version import __version__
 from .exceptions import EstimationError, InputError, NumericError, ParameterError
-from .io import config_sha256
 from .impact import (
     ArPredictor,
     ImpactConfig,
@@ -40,6 +40,7 @@ from .orderflow import (
     gen_metaorder_signs,
     gen_volumes,
 )
+from .manipulation import gatheral_frontier
 from . import estimators as est
 
 __all__ = [
@@ -47,11 +48,13 @@ __all__ = [
     "expand_seeds",
     "simulate",
     "measure",
-    "invert",
-    "manip_frontier",
+    "simulate_stage",
+    "measure_stage",
+    "pool_stage",
+    "invert_stage",
+    "manip_stage",
     "provenance",
     "kernel_from_spec",
-    "kernel_to_spec",
 ]
 
 # Offsets deriving independent RNG streams from one experiment seed. Signs
@@ -81,8 +84,18 @@ def _default_estimator():
         "cond_lag": 1,
         "n_bins": 12,
         "min_count": 50,
-        "j_tail": 4096,
-        "invert_lags": 64,
+    }
+
+
+def _default_manip():
+    return {
+        "betas": [0.0, 0.25, 0.5, 0.75, 1.0],
+        "psis": [0.25, 0.5, 0.75, 1.0],
+        "max_len": 8,
+        "grid": [1.0, 2.0, 4.0, 8.0],
+        "budget": 10**7,
+        "lam": 1.0,
+        "own_impact": "full",
     }
 
 
@@ -96,7 +109,7 @@ class ExperimentConfig:
     volumes: dict = field(default_factory=_default_volumes)
     model: dict = field(default_factory=_default_model)
     estimator: dict = field(default_factory=_default_estimator)
-    manip: dict | None = None  # optional frontier stage for `report`
+    manip: dict | None = None  # optional frontier stage for `report`, over _default_manip()
     out_dir: str | None = None  # None: resolved by the CLI
 
     def __post_init__(self):
@@ -121,7 +134,7 @@ class ExperimentConfig:
         return cls(**{k: d[k] for k in known if k in d})
 
     def sha256(self) -> str:
-        return config_sha256(self.to_dict())
+        return iolib.config_sha256(self.to_dict())
 
 
 def expand_seeds(seed) -> list:
@@ -139,8 +152,15 @@ def expand_seeds(seed) -> list:
     raise ParameterError(f"seed must be an int or [first, last], got {seed!r}")
 
 
-def provenance(config: ExperimentConfig, seed: int | None = None) -> dict:
-    out = {"config_sha256": config.sha256(), "version": __version__}
+def provenance(config: ExperimentConfig | None = None, seed: int | None = None) -> dict:
+    """Package and library versions, since outputs are byte-identical only
+    per version, plus the config hash and seed when given."""
+    from importlib.metadata import version  # reads the metadata; scipy stays unloaded
+
+    out = {"version": __version__, "python": platform.python_version(),
+           "numpy": np.__version__, "scipy": version("scipy")}
+    if config is not None:
+        out["config_sha256"] = config.sha256()
     if seed is not None:
         out["seed"] = int(seed)
     return out
@@ -156,17 +176,6 @@ def kernel_from_spec(spec: dict) -> Kernel:
             raise ParameterError("tabulated kernel spec needs 'values'")
         return Kernel.tabulated(np.asarray(d["values"], dtype=np.float64))
     raise ParameterError(f"unknown kernel form {form!r}")
-
-
-def kernel_to_spec(kernel: Kernel) -> dict:
-    if kernel.form == "power_law":
-        return {
-            "form": "power_law",
-            "beta": kernel.beta,
-            "g1": kernel.g1,
-            "plateau": kernel.plateau,
-        }
-    return {"form": "tabulated", "values": [float(v) for v in kernel.values]}
 
 
 def _gen_signs(spec: dict, n: int, seed: int) -> SignSeries:
@@ -304,14 +313,10 @@ def measure(tape: TradeTape, spec: dict | None = None, burn: int = 0):
 
     fits: dict = {}
     if "sign_autocorr" in results:
-        c = results["sign_autocorr"]
-        hi = min(512, int(c.lags[-1]))
-        if hi >= 8 * 2:
-            try:
-                f = est.fit_power_law(c, (8, hi))
-                fits["gamma_hat"] = _fit_dict(f)
-            except (EstimationError, ValueError) as exc:
-                errors["gamma_fit"] = str(exc)
+        try:
+            fits.update(_gamma_fit(results["sign_autocorr"]))
+        except (EstimationError, ValueError) as exc:
+            errors["gamma_fit"] = str(exc)
     if "conditional" in results:
         cond = results["conditional"]
         try:
@@ -338,6 +343,7 @@ def measure(tape: TradeTape, spec: dict | None = None, burn: int = 0):
 def _fit_dict(f) -> dict:
     return {
         "exponent": f.exponent,
+        "exponent_se": f.exponent_se,
         "slope": f.slope,
         "prefactor": f.prefactor,
         "r_squared": f.r_squared,
@@ -345,30 +351,102 @@ def _fit_dict(f) -> dict:
     }
 
 
-def invert(response_curve, sign_curve, lam: float, psi: float, v: float,
-           n_kernel_lags: int, j_tail: int = 4096, ridge: float = 0.0):
-    """CLI-facing wrapper around the response inversion; checks grids."""
-    r_lags = np.asarray(response_curve.lags)
-    if r_lags[0] != 1 or not np.array_equal(r_lags, np.arange(1, r_lags.size + 1)):
-        raise ParameterError(
-            f"response lags must be 1..L contiguous, got {r_lags[0]}..{r_lags[-1]} "
-            f"({r_lags.size} rows)")
-    need = max(int(r_lags[-1]) - 1, j_tail)
-    c_lags = np.asarray(sign_curve.lags)
-    if not np.array_equal(c_lags, np.arange(1, c_lags.size + 1)) or c_lags.size < need:
-        raise ParameterError(
-            f"sign-autocorrelation lags must be 1..{need} contiguous to invert a "
-            f"response on lags 1..{r_lags[-1]} with j_tail={j_tail}; "
-            f"got 1..{c_lags[-1]} ({c_lags.size} rows)")
-    return est.invert_response(response_curve, sign_curve, lam, psi, v,
-                               n_kernel_lags, j_tail=j_tail, ridge=ridge)
+def _gamma_fit(sign_curve) -> dict:
+    """{"gamma_hat": fit} of the tail of a sign autocorrelation on lags
+    8..min(512, last), or {} for a curve that stops before lag 16."""
+    hi = min(512, int(sign_curve.lags[-1]))
+    return {"gamma_hat": _fit_dict(est.fit_power_law(sign_curve, (8, hi)))} if hi >= 16 else {}
 
 
-def manip_frontier(beta_values, psi_values, max_len: int = 8,
-                   volume_grid=(1.0, 2.0, 4.0, 8.0), lam: float = 1.0,
-                   budget: int = 10**7, own_impact: str = "full"):
-    from .manipulation import gatheral_frontier
+def simulate_stage(config: ExperimentConfig, seed: int, out: str):
+    """simulate one seed and write its tape and meta JSON.
+    Returns (tape, meta, files)."""
+    tape, meta = simulate(config, seed)
+    files = {"tape": f"tape_seed{seed}.csv", "meta": f"meta_seed{seed}.json"}
+    iolib.write_tape(tape, os.path.join(out, files["tape"]))
+    iolib.write_json(meta, os.path.join(out, files["meta"]))
+    return tape, meta, files
 
-    return gatheral_frontier(beta_values, psi_values, max_len=max_len,
-                             volume_grid=volume_grid, lam=lam, budget=budget,
-                             own_impact=own_impact)
+
+def measure_stage(tape: TradeTape, spec: dict | None, out: str, stem: str,
+                  burn: int = 0, extra: dict | None = None):
+    """measure a tape and write each curve and the fits JSON, which also
+    holds `extra`, any notes and the per-curve errors.
+    Returns (results, errors, files)."""
+    results, errors = measure(tape, spec, burn=burn)
+    files = {}
+    for name in ("response", "sign_autocorr", "diffusivity", "conditional"):
+        if name in results:
+            files[name] = f"{stem}_{name}.csv"
+            write = iolib.write_conditional if name == "conditional" else iolib.write_curve
+            write(results[name], os.path.join(out, files[name]))
+    fits = {**results["fits"], **(extra or {}), "errors": errors}
+    if "notes" in results:
+        fits["notes"] = results["notes"]
+    files["fits"] = f"{stem}_fits.json"
+    iolib.write_json(fits, os.path.join(out, files["fits"]))
+    return results, errors, files
+
+
+def pool_stage(per_seed: list, out: str):
+    """Pool each curve that every seed's measure results hold, write the
+    pooled curves, fit the pooled sign autocorrelation and average rho.
+    Returns (pooled curves, pooled fits, files)."""
+    pooled, fits, files = {}, {}, {}
+    for name in ("response", "sign_autocorr", "diffusivity"):
+        curves = [r[name] for r in per_seed if name in r]
+        if len(curves) == len(per_seed):
+            pooled[name] = est.pool_curves(curves)
+            files[f"pooled_{name}"] = f"pooled_{name}.csv"
+            iolib.write_curve(pooled[name], os.path.join(out, files[f"pooled_{name}"]))
+    if "sign_autocorr" in pooled:
+        try:
+            fits.update(_gamma_fit(pooled["sign_autocorr"]))
+        except (EstimationError, ValueError) as exc:
+            fits["gamma_hat_error"] = str(exc)
+    rhos = [r["rho"] for r in per_seed if "rho" in r]
+    if rhos:
+        fits["rho_mean"] = float(np.mean(rhos))
+        if len(rhos) > 1:
+            fits["rho_se"] = float(np.std(rhos, ddof=1) / np.sqrt(len(rhos)))
+    return pooled, fits, files
+
+
+def invert_stage(response_curve, sign_curve, lam: float, psi: float, v: float, out: str,
+                 n_kernel_lags: int | None = None, j_tail: int | None = None,
+                 ridge: float = 0.0):
+    """Recover the kernel table G(1..L) from a response and a sign
+    autocorrelation, fit its decay exponent beta_hat on lags 1..min(64, L)
+    and write kernel.csv. Returns (report, files).
+
+    L defaults to the last response lag: the inversion holds G flat past its
+    table, so a shorter kernel misspecifies the fit. j_tail defaults to
+    min(4096, last autocorrelation lag)."""
+    j_tail = int(min(4096, sign_curve.lags[-1]) if j_tail is None else j_tail)
+    n_lags = int(response_curve.lags[-1] if n_kernel_lags is None else n_kernel_lags)
+    kern, rep = est.invert_response(response_curve, sign_curve, lam, psi, v, n_lags,
+                                    j_tail=j_tail, ridge=ridge)
+    files = {"kernel": "kernel.csv"}
+    iolib.write_kernel(kern, os.path.join(out, files["kernel"]), se_proxy=rep.pop("se_proxy"))
+    try:
+        lags = np.arange(1, kern.values.size + 1, dtype=np.float64)
+        fit = est.fit_power_law((lags, kern.values), (1, min(64, kern.values.size)))
+        rep["beta_hat"], rep["beta_hat_se"] = fit.exponent, fit.exponent_se
+    except EstimationError as exc:
+        rep["beta_hat_error"] = str(exc)
+    return rep, files
+
+
+def manip_stage(spec: dict, out: str):
+    """The frontier of minimum round-trip costs over the (beta, psi) grid of
+    `spec` layered over _default_manip(); writes frontier.csv.
+    Returns ({rows, max_len, volume_grid, lam, own_impact}, files)."""
+    m = _default_manip()
+    m.update(spec)
+    max_len, lam = int(m["max_len"]), float(m["lam"])
+    rows = gatheral_frontier(m["betas"], m["psis"], max_len=max_len, volume_grid=m["grid"],
+                             lam=lam, budget=int(m["budget"]), own_impact=m["own_impact"])
+    files = {"frontier": "frontier.csv"}
+    iolib.write_frontier(rows, os.path.join(out, files["frontier"]))
+    return {"rows": rows, "max_len": max_len, "volume_grid": m["grid"], "lam": lam,
+            "own_impact": m["own_impact"]}, files

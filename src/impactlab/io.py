@@ -248,8 +248,15 @@ def write_frontier(rows, path: str):
     _write_columns(path, *_FRONTIER, *cols, args)
 
 
+def _json_default(obj):
+    """numpy scalars and arrays as the Python values they hold."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def write_json(obj, path: str):
-    _atomic_write(path, [json.dumps(obj, sort_keys=True, indent=2) + "\n"])
+    _atomic_write(path, [json.dumps(obj, sort_keys=True, indent=2, default=_json_default) + "\n"])
 
 
 def read_json(path: str) -> dict:

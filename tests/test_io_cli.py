@@ -4,6 +4,8 @@ errors with line numbers, determinism, and the exit-code contract."""
 import filecmp
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -201,6 +203,22 @@ def test_cli_measure_then_invert_recovers_a_rough_kernel(tmp_path):
     kern, se = read_kernel(os.path.join(inv, "kernel.csv"))
     assert kern.values.size == 32 and se is not None
 
+    # default kernel length: one kernel lag per response lag, so the 128
+    # response lags are solved exactly
+    long = str(tmp_path / "long")
+    assert cli.main(["measure", os.path.join(out, "tape_seed2.csv"), "--max-lag", "128",
+                     "--sign-max-lag", "128", "--out-dir", long]) == 0
+    rc = cli.main(["invert",
+                   "--response", os.path.join(long, "tape_seed2_response.csv"),
+                   "--autocorr", os.path.join(long, "tape_seed2_sign_autocorr.csv"),
+                   "--out-dir", long])
+    assert rc == 0
+    report = json.load(open(os.path.join(long, "invert_report.json")))
+    kern, _ = read_kernel(os.path.join(long, "kernel.csv"))
+    assert report["equations"] == kern.values.size == 128
+    r = read_curve(os.path.join(long, "tape_seed2_response.csv"), "response")
+    assert report["residual_norm"] < 1e-9 * np.linalg.norm(r.values)
+
 
 def test_cli_measure_partial_failure_keeps_other_curves(tmp_path):
     out = str(tmp_path / "sim")
@@ -273,28 +291,87 @@ def test_cli_report_runs_a_criterion(tmp_path):
     assert rep["acceptance"][0]["passed"] is True
 
 
-def test_cli_report_full_pipeline_with_config(tmp_path):
-    cfg = {
-        "n": 4096, "seed": [1, 2],
-        "generator": {"kind": "clipped_fractional", "gamma": 0.5},
-        "volumes": {"dist": "lognormal", "mu": 0.0, "sigma": 0.5},
-        "model": {"kind": "propagator", "lam": 1.0, "psi": 0.5,
-                  "kernel": {"form": "power_law", "beta": 0.25}},
-        "estimator": {"max_lag": 16, "sign_max_lag": 32, "rho_window": 8,
-                      "invert_lags": 8, "j_tail": 31},
-    }
+_PIPELINE_CFG = {
+    "n": 4096, "seed": [1, 2],
+    "generator": {"kind": "clipped_fractional", "gamma": 0.5},
+    "volumes": {"dist": "lognormal", "mu": 0.0, "sigma": 0.5},
+    "model": {"kind": "propagator", "lam": 1.0, "psi": 0.5,
+              "kernel": {"form": "power_law", "beta": 0.25}},
+    "estimator": {"max_lag": 16, "sign_max_lag": 32, "rho_window": 8,
+                  "invert_lags": 8, "j_tail": 31},
+    "manip": {"max_len": 6, "grid": [1, 5]},  # betas and psis as manip's defaults
+}
+
+
+def _report_with_config(tmp_path, out: str) -> int:
     cfg_path = str(tmp_path / "cfg.json")
-    write_json(cfg, cfg_path)
+    write_json(_PIPELINE_CFG, cfg_path)
+    return cli.main(["report", "--config", cfg_path, "--criteria", "none", "--out-dir", out])
+
+
+def test_cli_report_full_pipeline_with_config(tmp_path):
     out = str(tmp_path / "pipe")
-    rc = cli.main(["report", "--config", cfg_path, "--criteria", "none",
-                   "--out-dir", out])
-    assert rc == 0
+    assert _report_with_config(tmp_path, out) == 0
     rep = json.load(open(os.path.join(out, "report.json")))
     assert rep["provenance"]["config_sha256"]
     assert rep["provenance"]["seeds"] == [1, 2]
     assert "pooled" in rep["fits"]
     assert os.path.exists(os.path.join(out, "pooled_response.csv"))
     assert os.path.exists(os.path.join(out, "kernel.csv"))
+
+    # report runs the stages the subcommands run: same files from the same inputs
+    alone = str(tmp_path / "alone")
+    assert cli.main(["simulate", "--config", str(tmp_path / "cfg.json"),
+                     "--out-dir", alone]) == 0
+    names = []
+    for s in (1, 2):
+        assert cli.main(["measure", os.path.join(alone, f"tape_seed{s}.csv"),
+                         "--max-lag", "16", "--sign-max-lag", "32", "--rho-window", "8",
+                         "--out-dir", alone]) == 0
+        names += [f"tape_seed{s}.csv", f"meta_seed{s}.json"]
+        names += [f"tape_seed{s}_{c}.csv" for c in
+                  ("response", "sign_autocorr", "diffusivity", "conditional")]
+    assert cli.main(["manip", "--max-len", "6", "--grid", "1,5", "--out-dir", alone]) == 0
+    names.append("frontier.csv")
+    for name in names:
+        assert filecmp.cmp(os.path.join(out, name), os.path.join(alone, name),
+                           shallow=False), name
+
+
+def test_cli_report_bytes_do_not_depend_on_the_output_directory(tmp_path):
+    outs = [str(tmp_path / "a"), str(tmp_path / "elsewhere" / "b")]
+    for out in outs:
+        assert _report_with_config(tmp_path, out) == 0
+    names = sorted(os.listdir(outs[0]))
+    assert names == sorted(os.listdir(outs[1])) and "report.json" in names
+    for name in names:
+        assert filecmp.cmp(os.path.join(outs[0], name), os.path.join(outs[1], name),
+                           shallow=False), name
+
+
+def test_cli_measure_invert_manip_leave_scipy_unloaded(tmp_path):
+    """Only simulate and report convolve; the other commands must not pay
+    for importing scipy."""
+    assert cli.main(["simulate", "--n", "4096", "--generator", "clipped_fractional",
+                     "--gamma", "0.5", "--model", "propagator", "--beta", "0.25",
+                     "--seed", "1", "--out-dir", str(tmp_path)]) == 0
+    stem = str(tmp_path / "tape_seed1")
+    code = "\n".join([
+        "import sys",
+        "import impactlab.cli as cli",
+        f"assert cli.main(['measure', {stem + '.csv'!r}, '--max-lag', '16',"
+        f" '--sign-max-lag', '32', '--out-dir', {str(tmp_path)!r}]) == 0",
+        f"assert cli.main(['invert', '--response', {stem + '_response.csv'!r},"
+        f" '--autocorr', {stem + '_sign_autocorr.csv'!r}, '--out-dir', {str(tmp_path)!r}]) == 0",
+        f"assert cli.main(['manip', '--betas', '0', '--psis', '0.5', '--max-len', '4',"
+        f" '--out-dir', {str(tmp_path)!r}]) == 0",
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)",
+    ])
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_config_file_overrides_flags(tmp_path):
