@@ -93,27 +93,22 @@ def _section_from_flags(pairs) -> dict:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    """Defaults < flags < config file, section by section."""
-    gen_kind = args.generator or "iid"
-    gen = {"kind": gen_kind}
-    gen.update(_section_from_flags([
-        ("p_buy", args.p_buy), ("gamma", args.gamma), ("completion", args.completion),
-        ("alpha", args.alpha), ("fixed_length", args.fixed_length), ("c1", args.c1),
-    ]))
-    if gen_kind == "iid":
-        gen.setdefault("p_buy", 0.5)  # symmetric flow is the iid default
-    vol_dist = args.vol_dist or "constant"
-    vol = {"dist": vol_dist}
-    vol.update(_section_from_flags([
-        ("value", args.vol_value), ("mu", args.vol_mu), ("sigma", args.vol_sigma),
-        ("x_min", args.vol_xmin), ("tail", args.vol_tail),
-    ]))
-    model_kind = args.model or "kyle"
-    model = {"kind": model_kind}
-    model.update(_section_from_flags([
-        ("lam", args.lam), ("psi", args.psi),
+    """Defaults < flags < config file, section by section. Without --config
+    the flag defaults fill each section; with it, a section that no flag
+    sets takes ExperimentConfig's default unless the file gives it."""
+    gen = _section_from_flags([
+        ("kind", args.generator), ("p_buy", args.p_buy), ("gamma", args.gamma),
+        ("completion", args.completion), ("alpha", args.alpha),
+        ("fixed_length", args.fixed_length), ("c1", args.c1),
+    ])
+    vol = _section_from_flags([
+        ("dist", args.vol_dist), ("value", args.vol_value), ("mu", args.vol_mu),
+        ("sigma", args.vol_sigma), ("x_min", args.vol_xmin), ("tail", args.vol_tail),
+    ])
+    model = _section_from_flags([
+        ("kind", args.model), ("lam", args.lam), ("psi", args.psi),
         ("noise_sigma", args.noise_sigma), ("p0", args.p0),
-    ]))
+    ])
     kern = _section_from_flags([
         ("beta", args.beta), ("g1", args.g1), ("plateau", args.plateau)])
     if kern:
@@ -123,12 +118,19 @@ def _config_from_args(args) -> ExperimentConfig:
     if args.ar_coeffs is not None:
         model["predictor"] = {"coeffs": args.ar_coeffs}
     d = {"generator": gen, "volumes": vol, "model": model}
+    file_cfg = iolib.read_json(args.config) if args.config else None
+    if file_cfg is not None:
+        d = {name: section for name, section in d.items() if section}
+    gen.setdefault("kind", "iid")
+    if gen["kind"] == "iid":
+        gen.setdefault("p_buy", 0.5)  # symmetric flow is the iid default
+    vol.setdefault("dist", "constant")
+    model.setdefault("kind", "kyle")
     if args.n is not None:
         d["n"] = args.n
     if args.seed is not None:
         d["seed"] = _parse_seed(args.seed)
-    if args.config:
-        file_cfg = iolib.read_json(args.config)
+    if file_cfg is not None:
         if not file_cfg:
             raise ParameterError("empty config")
         d.update(file_cfg)

@@ -15,7 +15,7 @@ Conventions shared by the lag statistics:
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.fft import fft, ifft
+from numpy.fft import irfft, rfft
 
 from .exceptions import EstimationError, InputError, NumericError, ParameterError
 from .impact import ArPredictor, Kernel
@@ -173,6 +173,52 @@ def _priced(tape: TradeTape) -> np.ndarray:
     return tape.prices
 
 
+# FFT length of one block in _fft_corr, unless the lags need a longer one or
+# the whole series fits a shorter one. Blocks keep the work arrays at a few
+# hundred kB, where one FFT over a 2^20-trade tape needs 16-32 MB arrays.
+_FFT_BLOCK = 1 << 16
+
+
+def _fft_corr(x: np.ndarray, y: np.ndarray, max_lag: int) -> np.ndarray:
+    """sum_k x[k] y[k+d] for d = 0..max_lag (x, y of equal length), by real
+    FFTs over blocks of x, each against the stretch of y that its lags reach.
+    A block of size - max_lag samples padded to size never wraps a lag around,
+    and the work arrays stay at the block's size however long x is."""
+    size = min(1 << int(x.size + max_lag - 1).bit_length(),
+               max(_FFT_BLOCK, 1 << int(2 * max_lag).bit_length()))
+    step = size - max_lag
+    out = np.zeros(max_lag + 1)
+    for s in range(0, x.size, step):
+        fx = rfft(x[s : s + step], size)
+        fy = rfft(y[s : s + step + max_lag], size)
+        out += irfft(fx.conj() * fy, size)[: max_lag + 1]
+    return out
+
+
+def _window_sums(p: np.ndarray, max_lag: int, e: np.ndarray | None = None):
+    """For the moves d_n = p[n+l] - p[n], n = 0..m-l, of a path p_0..p_m and
+    each l = 1..max_lag (index l-1): sum d_n, sum d_n^2 and, given e_0..e_{m-1},
+    sum d_n e_n. Exact identities over the returns r = diff(p), never the
+    levels, in O(m log m + max_lag):
+    - sum d_n = sum_{i<l} (p[m-i] - p[i]);
+    - sum d_n^2 = Q(l), Q(j+1) - Q(j) = A(0) + 2 sum_{0<d<=j} A(d)
+      - (p[j] - p[0])^2 - (p[m] - p[m-j])^2 with A(d) = sum_k r[k] r[k+d];
+    - sum d_n e_n = sum_{d<l} X(d) - sum_{m-l<n<m} e[n] (p[m] - p[n]) with
+      X(d) = sum_k e[k] r[k+d]."""
+    m = p.size - 1
+    r = np.diff(p)
+    j = np.arange(max_lag)
+    head, tail = p[j] - p[0], p[m] - p[m - j]
+    a = _fft_corr(r, r, max_lag - 1)
+    a_cum = np.concatenate(([0.0], np.cumsum(a[1:])))
+    sq = np.cumsum(a[0] + 2.0 * a_cum - head * head - tail * tail)
+    sdp = np.cumsum(p[m - j] - p[j])
+    if e is None:
+        return sdp, sq
+    edge = np.concatenate(([0.0], np.cumsum(e[m - 1 : m - max_lag : -1] * tail[1:])))
+    return sdp, sq, np.cumsum(_fft_corr(e, r, max_lag - 1)) - edge
+
+
 def response(
     tape: TradeTape,
     max_lag: int | None = None,
@@ -184,13 +230,13 @@ def response(
     """Average price move after a trade, signed by that trade:
     R(l) = mean_n[(p_{n+l} - p_n) eps_n] - mean[p_{n+l} - p_n] * mean[eps_n].
 
-    overlap=True uses every start n (naive SE). overlap=False places windows
+    overlap=True uses every start n (naive SE), at O(N log N + max lag) cost
+    through FFT correlations of the returns. overlap=False places windows
     on the non-overlapping grid n = 0, l, 2l, ...; with batches >= 2 the SE
     comes from that many contiguous batch means, which stays honest under
     long-range dependence where the naive SE does not.
     """
-    p_all = _priced(tape)
-    p = p_all[burn:]
+    p = _priced(tape)[burn:]
     e = tape.eps[burn:]
     m = e.size
     if lags is None:
@@ -199,30 +245,38 @@ def response(
         lag_arr = np.arange(1, max_lag + 1, dtype=np.int64)
     else:
         lag_arr = np.asarray(lags, dtype=np.int64)
-    if lag_arr.size == 0 or lag_arr.max() >= m:
-        raise ParameterError("lags must be nonempty and below the (post-burn) tape length")
-    vals = np.empty(lag_arr.size)
-    cnts = np.empty(lag_arr.size, dtype=np.int64)
-    ses = np.empty(lag_arr.size)
-    for i, l in enumerate(lag_arr):
-        if overlap:
-            dp = p[l:] - p[:-l]
-            ee = e[: dp.size]
-        else:
+    if lag_arr.size == 0 or lag_arr.min() < 1 or lag_arr.max() >= m:
+        raise ParameterError(
+            "lags must be nonempty, positive and below the (post-burn) tape length")
+    if overlap:
+        sdp, sq, sprod = _window_sums(p, int(lag_arr.max()), e)
+        i = lag_arr - 1
+        cnts = m + 1 - lag_arr
+        mean = sprod[i] / cnts
+        # sum of e_0..e_{m-l}: all signs but the last l-1
+        e_tail = np.concatenate(([0.0], np.cumsum(e[m - 1 : m - lag_arr.max() : -1])))
+        vals = mean - sdp[i] / cnts * ((e.sum() - e_tail[i]) / cnts)
+        # eps = +-1, so the mean squared product is sq / count
+        ses = np.sqrt(np.maximum(sq[i] / cnts - mean * mean, 0.0)) / np.sqrt(cnts)
+    else:
+        vals = np.empty(lag_arr.size)
+        cnts = np.empty(lag_arr.size, dtype=np.int64)
+        ses = np.empty(lag_arr.size)
+        for i, l in enumerate(lag_arr):
             starts = np.arange(0, m - l, l)
             if starts.size == 0:
                 raise EstimationError(f"no non-overlapping window fits at lag {l}")
             dp = p[starts + l] - p[starts]
             ee = e[starts]
-        prod = dp * ee
-        vals[i] = prod.mean() - dp.mean() * ee.mean()
-        cnts[i] = prod.size
-        if not overlap and batches >= 2 and prod.size >= 2 * batches:
-            bs = prod.size // batches
-            bm = prod[: batches * bs].reshape(batches, bs).mean(axis=1)
-            ses[i] = bm.std(ddof=1) / np.sqrt(batches)
-        else:
-            ses[i] = prod.std() / np.sqrt(prod.size)
+            prod = dp * ee
+            vals[i] = prod.mean() - dp.mean() * ee.mean()
+            cnts[i] = prod.size
+            if batches >= 2 and prod.size >= 2 * batches:
+                bs = prod.size // batches
+                bm = prod[: batches * bs].reshape(batches, bs).mean(axis=1)
+                ses[i] = bm.std(ddof=1) / np.sqrt(batches)
+            else:
+                ses[i] = prod.std() / np.sqrt(prod.size)
     se_method = "batch_means" if (not overlap and batches >= 2) else "naive"
     return LagCurve(
         lag_arr, vals, cnts, "response", ses,
@@ -315,9 +369,7 @@ def sign_autocorr(signs, max_lag: int, centered: bool = True) -> LagCurve:
     if not 1 <= max_lag < n:
         raise ParameterError("max_lag must be in [1, N)")
     mu = eps.mean()
-    m2 = 1 << int(np.ceil(np.log2(2 * n)))
-    f = fft(eps, m2)
-    raw = np.real(ifft(f * np.conj(f)))[: max_lag + 1]
+    raw = _fft_corr(eps, eps, max_lag)
     cnt = n - np.arange(max_lag + 1)
     cov = raw / cnt
     if centered:
@@ -333,18 +385,17 @@ def sign_autocorr(signs, max_lag: int, centered: bool = True) -> LagCurve:
 
 def diffusivity(prices, max_lag: int, burn: int = 0) -> LagCurve:
     """Variance of l-step price changes per unit lag, D(l) = Var(p_{n+l}-p_n)/l,
-    over all sliding windows. Flat D characterizes a random walk."""
+    over all sliding windows, at O(N log N + max_lag) cost through the return
+    autocovariance. Flat D characterizes a random walk."""
     p = np.asarray(prices.prices if isinstance(prices, TradeTape) else prices, dtype=np.float64)
     p = p[burn:]
-    if p.size < max_lag + 2:
-        raise ParameterError("need at least max_lag+2 prices after burn")
+    if max_lag < 1 or p.size < max_lag + 2:
+        raise ParameterError("need max_lag >= 1 and at least max_lag+2 prices after burn")
     lags = np.arange(1, max_lag + 1, dtype=np.int64)
-    vals = np.empty(max_lag)
-    cnts = np.empty(max_lag, dtype=np.int64)
-    for i, l in enumerate(lags):
-        d = p[l:] - p[:-l]
-        vals[i] = d.var() / l
-        cnts[i] = d.size
+    cnts = p.size - lags
+    sdp, sq = _window_sums(p, max_lag)
+    mean = sdp / cnts
+    vals = np.maximum(sq / cnts - mean * mean, 0.0) / lags
     return LagCurve(lags, vals, cnts, "diffusivity", None, {"burn": burn})
 
 
@@ -354,9 +405,7 @@ def normalized_autocorr(x, max_lag: int) -> np.ndarray:
     returns or predictor residuals; not a LagCurve role."""
     x = np.asarray(x, dtype=np.float64)
     xc = x - x.mean()
-    m2 = 1 << int(np.ceil(np.log2(2 * xc.size)))
-    f = fft(xc, m2)
-    raw = np.real(ifft(f * np.conj(f)))[: max_lag + 1]
+    raw = _fft_corr(xc, xc, max_lag)
     if raw[0] == 0:
         raise EstimationError("zero-variance series")
     return raw / raw[0]
@@ -487,7 +536,8 @@ def invert_response(
 
     Returns (Kernel.tabulated, report). The report carries the residual
     norm, the condition estimate (flagged above cond_threshold with a
-    suggestion to use ridge > 0), and the equation count."""
+    suggestion to use ridge > 0), the equation count, and se_proxy (None
+    when L equals the equation count)."""
     if not isinstance(R, LagCurve):
         raise ParameterError("R must be a LagCurve")
     n_eq = int(R.lags.max())
@@ -526,10 +576,13 @@ def invert_response(
     cond = float(sv[0] / sv[-1])
     residual = float(np.linalg.norm(a @ sol - b))
     # per-lag spread proxy: OLS standard errors from the residual scale;
-    # ignores correlation of errors across response lags, hence a proxy
-    dof = max(n_eq - L, 1)
-    gram = a.T @ a + (ridge * np.eye(L) if ridge > 0 else 0.0)
-    se_proxy = np.sqrt(residual**2 / dof * np.abs(np.diag(np.linalg.pinv(gram))))
+    # ignores correlation of errors across response lags, hence a proxy.
+    # A square system has no residual degrees of freedom, hence no proxy.
+    se_proxy = None
+    if n_eq > L:
+        gram = a.T @ a + (ridge * np.eye(L) if ridge > 0 else 0.0)
+        var = residual**2 / (n_eq - L) * np.abs(np.diag(np.linalg.pinv(gram)))
+        se_proxy = np.sqrt(var).tolist()
     report = {
         "residual_norm": residual,
         "condition": cond,
@@ -537,7 +590,7 @@ def invert_response(
         "ridge": ridge,
         "equations": n_eq,
         "j_tail": j_tail,
-        "se_proxy": se_proxy.tolist(),
+        "se_proxy": se_proxy,
     }
     if report["ill_conditioned"]:
         report["note"] = "condition estimate above threshold; ridge regularization suggested"

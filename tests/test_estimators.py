@@ -1,9 +1,15 @@
-"""Estimators: exact values on constructed tapes, error handling, and the
+"""Estimators: exact values on constructed tapes, error handling, the
+FFT lag estimators against the direct per-lag loops they replaced, and the
 forward-predict / invert pair on a known kernel."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from impactlab import estimators
 from impactlab import (
     ConditionalResponse,
     EstimationError,
@@ -18,6 +24,7 @@ from impactlab import (
     diffusivity,
     fit_barra,
     fit_power_law,
+    gen_clipped_fractional_signs,
     gen_iid_signs,
     invert_response,
     kyle_path,
@@ -26,6 +33,7 @@ from impactlab import (
     normalized_autocorr,
     pool_curves,
     predict_response,
+    propagator_path,
     response,
     rho,
     sign_autocorr,
@@ -79,6 +87,185 @@ def test_response_requires_prices_and_a_lag_spec():
         response(tape)
     with pytest.raises(ParameterError):
         response(tape, max_lag=10)
+
+
+# ---- the direct per-lag definitions, kept as oracles of the FFT path ----
+
+def _window_energy(p, l):
+    """Mean over the windows of the squared returns inside each, the
+    magnitude that the FFT identities sum (what the mean squared move would
+    be if the returns were uncorrelated)."""
+    cs = np.concatenate(([0.0], np.cumsum(np.diff(p) ** 2)))
+    return np.mean(cs[l:] - cs[:-l])
+
+
+def _loop_response(tape, lags, burn=0):
+    """(values, counts, SEs, scale) per lag over overlapping windows; the
+    scale is the larger of the mean squared product and the window energy."""
+    p, e = tape.prices[burn:], tape.eps[burn:]
+    rows = []
+    for l in lags:
+        dp = p[l:] - p[:-l]
+        ee = e[: dp.size]
+        prod = dp * ee
+        rows.append((prod.mean() - dp.mean() * ee.mean(), prod.size,
+                     prod.std() / np.sqrt(prod.size),
+                     max(np.mean(prod * prod), _window_energy(p, l))))
+    vals, cnts, ses, second = map(np.array, zip(*rows))
+    return vals, cnts.astype(np.int64), ses, second
+
+
+def _loop_diffusivity(prices, max_lag, burn=0):
+    """(values, counts, scale / lag) per lag, the scale as in _loop_response."""
+    p = np.asarray(prices, dtype=np.float64)[burn:]
+    rows = []
+    for l in range(1, max_lag + 1):
+        d = p[l:] - p[:-l]
+        rows.append((d.var() / l, d.size, max(np.mean(d * d), _window_energy(p, l)) / l))
+    vals, cnts, second = map(np.array, zip(*rows))
+    return vals, cnts.astype(np.int64), second
+
+
+TOL = 1e-12
+
+
+def _assert_near(got, want, scale):
+    """Relative TOL, measured against the larger of the value and the scale
+    of what was summed (a value that cancels to ~0 has no relative digits)."""
+    assert np.all(np.abs(got - want) <= TOL * np.maximum(np.abs(want), scale))
+
+
+def _assert_spread_near(got, want, second):
+    """A spread is a difference of second moments: its error is TOL of their
+    scale, and relative TOL wherever it keeps >= 10% of that scale."""
+    assert np.all(np.abs(got - want) <= TOL * second)
+    kept = want >= 0.1 * second
+    assert np.all(np.abs(got - want)[kept] <= TOL * want[kept])
+
+
+def _assert_response_matches_loop(r, tape, burn=0):
+    vals, cnts, ses, second = _loop_response(tape, r.lags, burn)
+    assert np.array_equal(r.counts, cnts)
+    _assert_near(r.values, vals, np.sqrt(second))
+    _assert_spread_near(r.se**2 * cnts, ses**2 * cnts, second)
+    kept = ses**2 * cnts >= 0.1 * second
+    assert np.all(np.abs(r.se - ses)[kept] <= TOL * ses[kept])
+
+
+nonzero_unit = st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3))
+
+
+@st.composite
+def priced_tapes(draw, max_n=120):
+    """Signs, and prices p0 + cumsum(impact * eps + noise) at a drawn scale."""
+    n = draw(st.integers(3, max_n))
+    eps = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    noise = np.array(draw(st.lists(nonzero_unit, min_size=n, max_size=n)))
+    impact = draw(st.sampled_from([0.0, 0.1, 1.0]))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e4]))
+    p0 = draw(st.floats(-50.0, 50.0))
+    prices = scale * (p0 + np.concatenate(([0.0], np.cumsum(impact * eps + noise))))
+    return _priced_tape(eps, prices)
+
+
+PROPERTY = settings(max_examples=150, deadline=None)
+
+# FFT block length for _fft_corr: the default (one block on these short
+# series) or 1, i.e. as short as the lags allow, so that a series spans
+# many blocks
+BLOCKS = st.sampled_from([estimators._FFT_BLOCK, 1])
+
+
+def _fft_blocks(block):
+    return mock.patch.object(estimators, "_FFT_BLOCK", block)
+
+
+@PROPERTY
+@given(priced_tapes(), st.data())
+def test_response_matches_the_per_lag_loop(tape, data):
+    burn = data.draw(st.integers(0, tape.n - 2))
+    top = tape.n - burn - 1  # the largest lag the post-burn tape admits
+    with _fft_blocks(data.draw(BLOCKS)):
+        if data.draw(st.booleans()):
+            max_lag = data.draw(st.one_of(st.just(top), st.integers(1, top)))
+            r = response(tape, max_lag=max_lag, burn=burn)
+            assert np.array_equal(r.lags, np.arange(1, max_lag + 1))
+        else:
+            lags = sorted(data.draw(st.sets(st.integers(1, top), min_size=1, max_size=8)))
+            r = response(tape, lags=lags, burn=burn)
+            assert np.array_equal(r.lags, lags)
+    _assert_response_matches_loop(r, tape, burn)
+    assert np.all(np.isfinite(r.se)) and np.all(r.se >= 0)
+
+
+@st.composite
+def price_arrays(draw, max_n=120):
+    """Plain price arrays: random walks at a drawn scale, or bounded levels."""
+    n = draw(st.integers(3, max_n))
+    x = np.array(draw(st.lists(nonzero_unit, min_size=n, max_size=n)))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e4]))
+    p0 = draw(st.floats(-50.0, 50.0))
+    return scale * (p0 + (np.cumsum(x) if draw(st.booleans()) else x))
+
+
+@PROPERTY
+@given(price_arrays(), st.data())
+def test_diffusivity_matches_the_per_lag_loop(p, data):
+    burn = data.draw(st.integers(0, p.size - 3))
+    top = p.size - burn - 2
+    max_lag = data.draw(st.one_of(st.just(top), st.integers(1, top)))
+    with _fft_blocks(data.draw(BLOCKS)):
+        d = diffusivity(p, max_lag, burn=burn)
+    vals, cnts, second = _loop_diffusivity(p, max_lag, burn)
+    assert np.array_equal(d.counts, cnts)
+    _assert_spread_near(d.values, vals, second)
+
+
+@pytest.mark.parametrize("block", [estimators._FFT_BLOCK, 2048])
+def test_lag_estimators_match_the_loops_on_a_long_memory_tape(block):
+    # clipped-fractional signs priced by a decaying kernel, levels near 1e3;
+    # a 2048-point FFT block splits the tape into a dozen blocks
+    n = 1 << 14
+    signs = gen_clipped_fractional_signs(n, 0.5, seed=4)
+    vols = VolumeSeries(np.random.default_rng(5).lognormal(0.0, 0.5, n), "lognormal", {})
+    bare = TradeTape(signs, vols)
+    cfg = ImpactConfig(1.0, 1.0, Kernel.power_law(0.25, 1.0, 0.0), 0.0, 1000.0)
+    tape = TradeTape(signs, vols, propagator_path(bare, cfg))
+    with _fft_blocks(block):
+        for burn in (0, 1024):
+            _assert_response_matches_loop(response(tape, max_lag=600, burn=burn), tape, burn)
+            _assert_response_matches_loop(response(tape, lags=[8, 512], burn=burn), tape, burn)
+            d = diffusivity(tape, 600, burn=burn)
+            vals, cnts, second = _loop_diffusivity(tape.prices, 600, burn)
+            assert np.array_equal(d.counts, cnts)
+            _assert_spread_near(d.values, vals, second)
+
+
+@PROPERTY
+@given(st.lists(st.sampled_from([-1.0, 1.0]), min_size=2, max_size=300), st.data())
+def test_autocorrelations_match_the_per_lag_sums(eps, data):
+    eps = np.array(eps)
+    n = eps.size
+    max_lag = data.draw(st.integers(1, n - 1))
+    with _fft_blocks(data.draw(BLOCKS)):
+        c = sign_autocorr(eps, max_lag)
+        raw = estimators._fft_corr(eps, eps, max_lag)
+    want = np.array([eps[: n - d] @ eps[d:] for d in range(max_lag + 1)])
+    assert np.all(np.abs(raw - want) <= TOL * n)  # exact integers, up to rounding
+    mu = eps.mean()
+    assert np.all(np.abs(c.values - (want[1:] / (n - c.lags) - mu * mu)) <= TOL)
+
+
+@PROPERTY
+@given(st.lists(st.sampled_from([-1.0, 1.0]), min_size=3, max_size=200),
+       st.sampled_from([0.1, 0.25, 1.0]), st.floats(-100.0, 100.0))
+def test_response_se_on_a_constant_volume_kyle_tape(eps, lam, p0):
+    # every lag-1 product is lam exactly: no spread, and no NaN from rounding
+    tape = _kyle_tape(np.array(eps), np.ones(len(eps)), lam=lam, p0=p0)
+    r = response(tape, max_lag=len(eps) - 1)
+    assert np.isfinite(r.se[0]) and r.se[0] >= 0
+    assert r.se[0] < 1e-6 * lam  # criterion 1 floors the SE at 1e-5 lam
+    _assert_response_matches_loop(r, tape)
 
 
 def test_conditional_response_is_exact_on_discrete_volumes():

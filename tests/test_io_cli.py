@@ -25,8 +25,9 @@ from impactlab import (
     gen_iid_signs,
     gen_volumes,
     kyle_path,
+    predict_response,
 )
-from impactlab.experiment import ExperimentConfig
+from impactlab.experiment import ExperimentConfig, invert_stage
 from impactlab.io import (
     config_sha256,
     read_curve,
@@ -122,6 +123,27 @@ def test_kernel_round_trip_and_analytic_serialization(tmp_path):
     back2, se2 = read_kernel(str(tmp_path / "p.csv"))
     assert se2 is None
     assert np.allclose(back2.values, power.eval(np.arange(1, 17)), rtol=0, atol=1e-15)
+
+
+def test_kernel_se_proxy_is_blank_for_a_square_inversion(tmp_path):
+    lags = np.arange(1, 129)
+    c = LagCurve(lags, 0.4 * lags**-0.6, np.full(128, 1000), "sign_autocorr")
+    r = predict_response(Kernel.power_law(0.25), c, 1.0, 1.0, 1.0, max_lag=64, j_tail=128)
+    # one kernel lag per equation: no residual degrees of freedom, no proxy
+    square = str(tmp_path / "square")
+    os.makedirs(square)
+    rep, files = invert_stage(r, c, 1.0, 1.0, 1.0, square, j_tail=128)
+    assert rep["equations"] == 64 and "se_proxy" not in rep
+    path = os.path.join(square, files["kernel"])
+    rows = open(path).read().splitlines()[1:]
+    assert len(rows) == 64 and all(row.endswith(",") for row in rows)
+    assert read_kernel(path)[1] is None
+    # over-determined: 64 equations for 32 lags keep a finite proxy per lag
+    over = str(tmp_path / "over")
+    os.makedirs(over)
+    invert_stage(r, c, 1.0, 1.0, 1.0, over, 32, j_tail=128)
+    _, se = read_kernel(os.path.join(over, "kernel.csv"))
+    assert se.size == 32 and np.all(np.isfinite(se)) and np.all(se >= 0)
 
 
 def test_json_round_trip_is_sorted_and_stable(tmp_path):
@@ -385,6 +407,33 @@ def test_cli_config_file_overrides_flags(tmp_path):
     meta = json.load(open(os.path.join(out, "meta_seed1.json")))
     assert meta["generator"]["kind"] == "markov"
     assert meta["n"] == 64
+
+
+def test_cli_simulate_config_leaves_unset_sections_at_the_config_defaults(tmp_path):
+    cfg_path = str(tmp_path / "cfg.json")
+    write_json({"n": 300, "seed": 1}, cfg_path)
+    sim, rep = str(tmp_path / "sim"), str(tmp_path / "rep")
+    assert cli.main(["simulate", "--config", cfg_path, "--out-dir", sim]) == 0
+    # the default estimator lags exceed 300 trades: measure errors, exit 3
+    assert cli.main(["report", "--config", cfg_path, "--criteria", "none",
+                     "--out-dir", rep]) == 3
+    for name in ("tape_seed1.csv", "meta_seed1.json"):
+        assert filecmp.cmp(os.path.join(sim, name), os.path.join(rep, name), shallow=False)
+    meta = json.load(open(os.path.join(sim, "meta_seed1.json")))
+    assert meta["model"] == ExperimentConfig().model
+    # a flag still builds its section, from the flag defaults
+    mixed = str(tmp_path / "mixed")
+    assert cli.main(["simulate", "--config", cfg_path, "--lam", "0.5", "--out-dir", mixed]) == 0
+    meta = json.load(open(os.path.join(mixed, "meta_seed1.json")))
+    assert meta["model"] == {"kind": "kyle", "lam": 0.5}
+    assert meta["volumes"] == ExperimentConfig().volumes
+    # without --config every section comes from the flag defaults, as before
+    flags = str(tmp_path / "flags")
+    assert cli.main(["simulate", "--n", "300", "--seed", "1", "--out-dir", flags]) == 0
+    meta = json.load(open(os.path.join(flags, "meta_seed1.json")))
+    assert meta["model"] == {"kind": "kyle"}
+    assert meta["volumes"] == {"dist": "constant"}
+    assert meta["generator"] == {"kind": "iid", "p_buy": 0.5}
 
 
 def test_cli_out_dir_env_fallback(tmp_path, monkeypatch):
