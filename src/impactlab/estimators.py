@@ -387,7 +387,7 @@ def diffusivity(prices, max_lag: int, burn: int = 0) -> LagCurve:
     """Variance of l-step price changes per unit lag, D(l) = Var(p_{n+l}-p_n)/l,
     over all sliding windows, at O(N log N + max_lag) cost through the return
     autocovariance. Flat D characterizes a random walk."""
-    p = np.asarray(prices.prices if isinstance(prices, TradeTape) else prices, dtype=np.float64)
+    p = np.asarray(_priced(prices) if isinstance(prices, TradeTape) else prices, dtype=np.float64)
     p = p[burn:]
     if max_lag < 1 or p.size < max_lag + 2:
         raise ParameterError("need max_lag >= 1 and at least max_lag+2 prices after burn")

@@ -155,10 +155,16 @@ def expand_seeds(seed) -> list:
 def provenance(config: ExperimentConfig | None = None, seed: int | None = None) -> dict:
     """Package and library versions, since outputs are byte-identical only
     per version, plus the config hash and seed when given."""
-    from importlib.metadata import version  # reads the metadata; scipy stays unloaded
+    from importlib.metadata import PackageNotFoundError, version
 
+    # no output depends on scipy; its installed version stays on record, read
+    # from the metadata without importing it, or None where it is absent
+    try:
+        scipy = version("scipy")
+    except PackageNotFoundError:
+        scipy = None
     out = {"version": __version__, "python": platform.python_version(),
-           "numpy": np.__version__, "scipy": version("scipy")}
+           "numpy": np.__version__, "scipy": scipy}
     if config is not None:
         out["config_sha256"] = config.sha256()
     if seed is not None:

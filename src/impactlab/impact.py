@@ -10,6 +10,7 @@ burn_in_length for the measurement-side discard policy.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import irfft, rfft
 
 from .exceptions import InputError, ParameterError
 from .orderflow import TradeTape
@@ -105,6 +106,15 @@ class Kernel:
         return out if out.ndim else float(out)
 
 
+def _fft_convolve(x: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
+    """First n terms of the full convolution x*h, from one real FFT padded to
+    a power of two at least x.size + h.size - 1 long, so nothing wraps."""
+    size = 1 << (x.size + h.size - 2).bit_length()
+    spec = rfft(x, size)
+    spec *= rfft(h, size)
+    return irfft(spec, size)[:n]
+
+
 @dataclass
 class ArPredictor:
     """Linear sign predictor: hat(eps)_n = sum_{j=1..J} coeffs[j-1] * eps_{n-j},
@@ -135,17 +145,9 @@ class ArPredictor:
     def predict_series(self, eps: np.ndarray) -> np.ndarray:
         """Predicted sign before each trade, pred[n] = sum_j a_j eps[n-j]."""
         eps = np.asarray(eps, dtype=np.float64)
-        n = eps.size
-        pred = np.empty(n)
-        pred[0] = 0.0
-        if n > 1:
-            if self.order * n > 1 << 14:
-                from scipy.signal import fftconvolve  # here, not at the top: slow to import
-
-                conv = fftconvolve(eps, self.coeffs)
-            else:
-                conv = np.convolve(eps, self.coeffs)
-            pred[1:] = conv[: n - 1]
+        pred = np.zeros(eps.size)
+        if eps.size > 1:
+            pred[1:] = _fft_convolve(eps, self.coeffs, eps.size - 1)
         return pred
 
 
@@ -221,9 +223,7 @@ def propagator_path(tape: TradeTape, cfg: ImpactConfig, seed: int = 0) -> np.nda
         g = cfg.kernel.eval(np.arange(1, n + 1))
         if np.min(g) < 0:
             raise ParameterError("kernel values must be >= 0")
-        from scipy.signal import fftconvolve  # here, not at the top: slow to import
-
-        s = fftconvolve(u, g)[:n]
+        s = _fft_convolve(u, g, n)
     cum = cfg.lam * s
     eta = _noise_increments(n, cfg, seed)
     if eta is not None:

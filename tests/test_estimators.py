@@ -14,6 +14,7 @@ from impactlab import (
     ConditionalResponse,
     EstimationError,
     ImpactConfig,
+    InputError,
     Kernel,
     LagCurve,
     ParameterError,
@@ -87,6 +88,20 @@ def test_response_requires_prices_and_a_lag_spec():
         response(tape)
     with pytest.raises(ParameterError):
         response(tape, max_lag=10)
+
+
+@pytest.mark.parametrize("measure", [
+    lambda tape: response(tape, max_lag=2),
+    lambda tape: diffusivity(tape, 2),
+    lambda tape: rho(tape, 2),
+    lambda tape: conditional_response(tape, 2, min_count=1),
+], ids=["response", "diffusivity", "rho", "conditional_response"])
+def test_estimators_reject_an_unpriced_tape(measure):
+    bare = TradeTape(
+        SignSeries(np.ones(10), 0, "t", {}), VolumeSeries(np.ones(10), "c", {})
+    )
+    with pytest.raises(InputError, match="no prices"):
+        measure(bare)
 
 
 # ---- the direct per-lag definitions, kept as oracles of the FFT path ----

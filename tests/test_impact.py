@@ -1,8 +1,11 @@
-"""Price engines: worked examples, cross-engine equivalences, quote
-arithmetic, and the model-config validity rules."""
+"""Price engines: worked examples, cross-engine equivalences, the FFT
+convolution against the direct sums it computes, quote arithmetic, and the
+model-config validity rules."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from impactlab import (
     ArPredictor,
@@ -12,6 +15,7 @@ from impactlab import (
     ParameterError,
     SignSeries,
     TradeTape,
+    VolumeSeries,
     burn_in_length,
     gen_iid_signs,
     gen_markov_signs,
@@ -162,6 +166,60 @@ def test_predict_series_is_the_lagged_convolution():
     ps = ArPredictor([0.5]).predict_series(np.array([1.0, 1.0, -1.0]))
     assert np.array_equal(ps, [0.0, 0.5, 0.5])
     assert ArPredictor([0.5, -0.3]).worst_case_prediction == 0.8
+
+
+# ---- the FFT convolution of both engines against the direct sums ----
+
+PROPERTY = settings(max_examples=150, deadline=None)
+signs = st.sampled_from([-1.0, 1.0])
+
+
+@st.composite
+def kernels(draw, n):
+    """Power laws with and without a plateau; tables shorter and longer than
+    the tape (held at their last value beyond it)."""
+    if draw(st.booleans()):
+        plateau = draw(st.sampled_from([0.0, 0.05, 0.5]))
+        return Kernel.power_law(draw(st.floats(0.0, 1.5)), draw(st.floats(0.1, 10.0)), plateau)
+    size = draw(st.one_of(st.integers(1, max(1, n - 1)), st.integers(n + 1, 2 * n + 8)))
+    return Kernel.tabulated(draw(st.lists(st.floats(0.0, 5.0), min_size=size, max_size=size)))
+
+
+@PROPERTY
+@given(st.integers(1, 300).flatmap(lambda n: st.tuples(
+    st.lists(signs, min_size=n, max_size=n),
+    st.lists(st.floats(0.01, 100.0), min_size=n, max_size=n), kernels(n))),
+    st.floats(0.05, 0.95), st.sampled_from([1e-3, 1.0, 1e3]), st.floats(-50.0, 50.0))
+def test_propagator_path_matches_the_double_loop(drawn, psi, lam, p0):
+    eps, vols, kernel = drawn
+    tape = _tape(eps, VolumeSeries(vols, "test", {}))
+    p = propagator_path(tape, ImpactConfig(lam, psi, kernel, 0.0, p0))
+    u = np.asarray(eps) * np.asarray(vols) ** psi
+    g = kernel.eval(np.arange(1, tape.n + 1))
+    want, scale = np.full(tape.n + 1, p0), abs(p0)
+    for n in range(1, tape.n + 1):
+        terms = [g[n - m - 1] * u[m] for m in range(n)]  # G(n - m) u_m
+        want[n] += lam * sum(terms)
+        scale = max(scale, abs(p0) + lam * sum(map(abs, terms)))
+    assert p[0] == p0
+    assert np.all(np.abs(p - want) <= 1e-12 * scale)
+
+
+@PROPERTY
+@given(st.lists(signs, min_size=0, max_size=300),
+       st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=400))
+def test_predict_series_matches_np_convolve(eps, coeffs):
+    eps = np.array(eps)
+    pred = ArPredictor(coeffs).predict_series(eps)
+    assert pred.shape == eps.shape
+    if eps.size:
+        assert pred[0] == 0.0
+        want = np.convolve(eps, coeffs)[: eps.size - 1]
+        assert np.all(np.abs(pred[1:] - want) <= 1e-12 * max(1.0, np.abs(coeffs).sum()))
+
+
+def test_predict_series_of_no_trades_is_empty():
+    assert ArPredictor([0.5]).predict_series(np.array([])).size == 0
 
 
 def test_quotes_worked_examples():

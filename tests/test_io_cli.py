@@ -2,10 +2,12 @@
 errors with line numbers, determinism, and the exit-code contract."""
 
 import filecmp
+import importlib.metadata
 import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from impactlab import (
     kyle_path,
     predict_response,
 )
-from impactlab.experiment import ExperimentConfig, invert_stage
+from impactlab.experiment import ExperimentConfig, invert_stage, provenance
 from impactlab.io import (
     config_sha256,
     read_curve,
@@ -371,22 +373,38 @@ def test_cli_report_bytes_do_not_depend_on_the_output_directory(tmp_path):
                            shallow=False), name
 
 
-def test_cli_measure_invert_manip_leave_scipy_unloaded(tmp_path):
-    """Only simulate and report convolve; the other commands must not pay
-    for importing scipy."""
-    assert cli.main(["simulate", "--n", "4096", "--generator", "clipped_fractional",
-                     "--gamma", "0.5", "--model", "propagator", "--beta", "0.25",
-                     "--seed", "1", "--out-dir", str(tmp_path)]) == 0
+def test_cli_commands_run_with_scipy_unimportable(tmp_path):
+    """numpy is the only runtime dependency: all five commands, both price
+    engines among them, run where importing scipy fails."""
+    cfg_path = str(tmp_path / "cfg.json")
+    write_json({**_PIPELINE_CFG, "manip": {"betas": [0.0], "psis": [0.5], "max_len": 4}},
+               cfg_path)
+    out, rep = str(tmp_path), str(tmp_path / "rep")
     stem = str(tmp_path / "tape_seed1")
     code = "\n".join([
         "import sys",
+        "class NoScipy:",
+        "    def find_spec(self, name, path=None, target=None):",
+        "        if name.split('.')[0] == 'scipy':",
+        "            raise ImportError('scipy is not importable here: ' + name)",
+        "sys.meta_path.insert(0, NoScipy())",
         "import impactlab.cli as cli",
+        # 5 coefficients x 4096 trades: large enough that no small-size
+        # shortcut would skip the FFT convolution
+        f"assert cli.main(['simulate', '--n', '4096', '--model', 'surprise',"
+        f" '--ar-coeffs', '0.3,0.1,0.05,0.02,0.01', '--seed', '2',"
+        f" '--out-dir', {out!r}]) == 0",
+        f"assert cli.main(['simulate', '--n', '4096', '--generator', 'clipped_fractional',"
+        f" '--gamma', '0.5', '--model', 'propagator', '--beta', '0.25',"
+        f" '--seed', '1', '--out-dir', {out!r}]) == 0",
         f"assert cli.main(['measure', {stem + '.csv'!r}, '--max-lag', '16',"
-        f" '--sign-max-lag', '32', '--out-dir', {str(tmp_path)!r}]) == 0",
+        f" '--sign-max-lag', '32', '--out-dir', {out!r}]) == 0",
         f"assert cli.main(['invert', '--response', {stem + '_response.csv'!r},"
-        f" '--autocorr', {stem + '_sign_autocorr.csv'!r}, '--out-dir', {str(tmp_path)!r}]) == 0",
+        f" '--autocorr', {stem + '_sign_autocorr.csv'!r}, '--out-dir', {out!r}]) == 0",
         f"assert cli.main(['manip', '--betas', '0', '--psis', '0.5', '--max-len', '4',"
-        f" '--out-dir', {str(tmp_path)!r}]) == 0",
+        f" '--out-dir', {out!r}]) == 0",
+        f"assert cli.main(['report', '--config', {cfg_path!r}, '--criteria', 'none',"
+        f" '--out-dir', {rep!r}]) == 0",
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)",
     ])
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -394,6 +412,20 @@ def test_cli_measure_invert_manip_leave_scipy_unloaded(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_provenance_records_a_missing_scipy_as_none():
+    real = importlib.metadata.version
+
+    def version(dist):
+        if dist == "scipy":
+            raise importlib.metadata.PackageNotFoundError(dist)
+        return real(dist)
+
+    with mock.patch.object(importlib.metadata, "version", version):
+        prov = provenance()
+    assert prov["scipy"] is None
+    assert prov["numpy"] == np.__version__
 
 
 def test_cli_config_file_overrides_flags(tmp_path):
