@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.fft import irfft, rfft
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import EstimationError, InputError, NumericError, ParameterError
 from .impact import ArPredictor, Kernel
@@ -485,57 +486,63 @@ def _truncation_bound(kernel: Kernel, c: np.ndarray, lam, psi, v, max_ell: int, 
     return scale * float(np.sum(diff * pref * js ** (-gam)))
 
 
-def predict_response(
-    kernel: Kernel, C, lam: float, psi: float, v: float,
-    max_lag: int | None = None, lags=None, j_tail: int = 4096,
-) -> LagCurve:
-    """Forward response implied by a kernel and a sign autocorrelation:
+def _response_matrix(C, n_lags: int, j_tail: int) -> np.ndarray:
+    """The propagator relation as a matrix: R(l) / (lam*v^psi) =
+    sum_k A[l-1, k-1] G(k) over k = 1..n_lags+j_tail, for l = 1..n_lags and
     R(l) = lam*v^psi * [G(l) + sum_{0<j<l} G(l-j)C(j)
                           + sum_{j=1..j_tail} (G(l+j)-G(j))C(j)].
+    Row l holds C(|k-l|) for k <= l+j_tail, with C(0) = 1, and C(k) is
+    subtracted on the columns k <= j_tail."""
+    if n_lags < 1:
+        raise ParameterError("lags must be >= 1")
+    if j_tail < 0:
+        raise ParameterError("j_tail must be >= 0")
+    c = _dense_C(C, max(n_lags - 1, j_tail))  # raises on insufficient horizon
+    # band[i] = C(|i - (n_lags-1)|) from n_lags-1 lags below the diagonal to
+    # j_tail above it; row l of A is the window of band starting at n_lags-l
+    band = np.zeros(2 * n_lags + j_tail - 1)
+    band[: n_lags - 1] = c[: n_lags - 1][::-1]
+    band[n_lags - 1] = 1.0
+    band[n_lags : n_lags + j_tail] = c[:j_tail]
+    a = sliding_window_view(band, n_lags + j_tail)[::-1].copy()
+    a[:, :j_tail] -= c[:j_tail]
+    return a
+
+
+def predict_response(
+    kernel: Kernel, C, lam: float, psi: float, v: float, max_lag: int, j_tail: int = 4096,
+) -> LagCurve:
+    """Forward response on lags 1..max_lag implied by a kernel and a sign
+    autocorrelation, R = lam*v^psi * A G with A from _response_matrix.
 
     The infinite tail sum is truncated at j_tail; a majorant of the dropped
     part is reported in meta["truncation_bound"]. Derived for constant
     volumes; with fluctuating volumes pass the per-trade reference scale v
     (approximate mode, see invert_response)."""
-    if lags is None:
-        if max_lag is None:
-            raise ParameterError("give max_lag or lags")
-        lag_arr = np.arange(1, max_lag + 1, dtype=np.int64)
-    else:
-        lag_arr = np.asarray(lags, dtype=np.int64)
-    if lag_arr.size == 0 or lag_arr.min() < 1:
-        raise ParameterError("lags must be >= 1")
-    top = int(lag_arr.max())
-    need = max(top - 1, j_tail)
-    c = _dense_C(C, need)  # raises on insufficient horizon
-    scale = lam * v**psi
-    jt = np.arange(1, j_tail + 1)
-    g_jt = kernel.eval(jt)
-    vals = np.empty(lag_arr.size)
-    for i, l in enumerate(lag_arr):
-        mid = 0.0
-        if l > 1:
-            j = np.arange(1, l)
-            mid = np.sum(kernel.eval(l - j) * c[j - 1])
-        tail = np.sum((kernel.eval(l + jt) - g_jt) * c[jt - 1])
-        vals[i] = scale * (float(kernel.eval(l)) + mid + tail)
-    bound = _truncation_bound(kernel, c, lam, psi, v, top, j_tail)
+    c = _dense_C(C, max(max_lag - 1, j_tail))
+    a = _response_matrix(c, max_lag, j_tail)
+    vals = lam * v**psi * (a @ kernel.eval(np.arange(1, a.shape[1] + 1)))
+    bound = _truncation_bound(kernel, c, lam, psi, v, max_lag, j_tail)
     return LagCurve(
-        lag_arr, vals, np.ones(lag_arr.size, dtype=np.int64), "response", None,
+        np.arange(1, max_lag + 1), vals, np.ones(max_lag, dtype=np.int64), "response", None,
         {"predicted": True, "j_tail": j_tail, "truncation_bound": bound},
     )
 
 
+# invert_response flags a system whose condition estimate exceeds this
+_COND_THRESHOLD = 1e10
+
+
 def invert_response(
     R: LagCurve, C, lam: float, psi: float, v: float, L: int,
-    j_tail: int = 4096, ridge: float = 0.0, cond_threshold: float = 1e10,
+    j_tail: int = 4096, ridge: float = 0.0,
 ):
     """Least-squares kernel G(1..L) from measured response and sign
     autocorrelation, inverting the predict_response relation with G held at
     G(L) beyond the table (plateau extrapolation).
 
     Returns (Kernel.tabulated, report). The report carries the residual
-    norm, the condition estimate (flagged above cond_threshold with a
+    norm, the condition estimate (flagged above _COND_THRESHOLD with a
     suggestion to use ridge > 0), the equation count, and se_proxy (None
     when L equals the equation count)."""
     if not isinstance(R, LagCurve):
@@ -544,26 +551,9 @@ def invert_response(
     r_dense = R.dense_values(n_eq)
     if L < 1 or L > n_eq:
         raise ParameterError("need 1 <= L <= max measured response lag")
-    need = max(n_eq - 1, j_tail)
-    c = _dense_C(C, need)
-    c1 = np.concatenate([[0.0], c])  # c1[j] = C(j)
-    a = np.zeros((n_eq, L))
-    for l in range(1, n_eq + 1):
-        row = a[l - 1]
-        row[min(l, L) - 1] += 1.0
-        if l > 1:
-            j = np.arange(1, l)
-            np.add.at(row, np.minimum(l - j, L) - 1, c1[j])
-        j_in = max(0, min(j_tail, L - l))  # lags l+j that stay inside the table
-        if j_in > 0:
-            row[l : l + j_in] += c1[1 : j_in + 1]
-        if j_tail > j_in:
-            row[L - 1] += c1[j_in + 1 : j_tail + 1].sum()
-        j_dia = min(j_tail, L - 1)  # the -G(j)C(j) part of the tail sum
-        if j_dia > 0:
-            row[:j_dia] -= c1[1 : j_dia + 1]
-        if j_tail > j_dia:
-            row[L - 1] -= c1[j_dia + 1 : j_tail + 1].sum()
+    a = _response_matrix(C, n_eq, j_tail)
+    a[:, L - 1] = a[:, L - 1 :].sum(axis=1)  # G(k) = G(L) for k > L
+    a = a[:, :L]
     b = r_dense / (lam * v**psi)
     if ridge > 0:
         gram = a.T @ a + ridge * np.eye(L)
@@ -586,7 +576,7 @@ def invert_response(
     report = {
         "residual_norm": residual,
         "condition": cond,
-        "ill_conditioned": cond > cond_threshold,
+        "ill_conditioned": cond > _COND_THRESHOLD,
         "ridge": ridge,
         "equations": n_eq,
         "j_tail": j_tail,

@@ -26,7 +26,6 @@ from .impact import (
     ImpactConfig,
     Kernel,
     burn_in_length,
-    kyle_path,
     propagator_path,
     surprise_path,
 )
@@ -172,16 +171,27 @@ def provenance(config: ExperimentConfig | None = None, seed: int | None = None) 
     return out
 
 
+# keys of a kernel spec by form: (required, allowed)
+_KERNEL_SPEC_KEYS = {
+    "power_law": ({"beta"}, {"beta", "g1", "plateau"}),
+    "tabulated": ({"values"}, {"values"}),
+}
+
+
 def kernel_from_spec(spec: dict) -> Kernel:
     d = dict(spec)
     form = d.pop("form", None)
+    if form not in _KERNEL_SPEC_KEYS:
+        raise ParameterError(f"unknown kernel form {form!r}")
+    required, allowed = _KERNEL_SPEC_KEYS[form]
+    unknown, missing = set(d) - allowed, required - set(d)
+    if unknown:
+        raise ParameterError(f"unknown keys for kernel form '{form}': {sorted(unknown)}")
+    if missing:
+        raise ParameterError(f"{form} kernel spec needs {sorted(missing)}")
     if form == "power_law":
         return Kernel.power_law(**d)
-    if form == "tabulated":
-        if "values" not in d:
-            raise ParameterError("tabulated kernel spec needs 'values'")
-        return Kernel.tabulated(np.asarray(d["values"], dtype=np.float64))
-    raise ParameterError(f"unknown kernel form {form!r}")
+    return Kernel.tabulated(np.asarray(d["values"], dtype=np.float64))
 
 
 def _gen_signs(spec: dict, n: int, seed: int) -> SignSeries:
@@ -210,26 +220,27 @@ def _gen_volumes(spec: dict, n: int, seed: int) -> VolumeSeries:
 
 
 def _build_model(model: dict):
-    """Returns (ImpactConfig, model kind, predictor or None)."""
+    """Returns (ImpactConfig, predictor or None). A kyle model gets the flat
+    kernel; a section with a kernel or predictor its engine ignores is an
+    error."""
     d = dict(model)
     kind = d.pop("kind", None)
     if kind not in ("kyle", "propagator", "surprise"):
         raise ParameterError(f"unknown model kind {kind!r}")
-    kernel = None
+    kernel_spec, predictor_spec = d.pop("kernel", None), d.pop("predictor", None)
+    for key, spec, owner in (("kernel", kernel_spec, "propagator"),
+                             ("predictor", predictor_spec, "surprise")):
+        if kind == owner and spec is None:
+            raise ParameterError(f"{owner} model needs a {key} spec")
+        if kind != owner and spec is not None:
+            raise ParameterError(f"{kind} model takes no {key} spec")
+    kernel = Kernel.permanent() if kind == "kyle" else None
+    if kernel_spec is not None:
+        kernel = kernel_from_spec(kernel_spec)
     predictor = None
-    if "kernel" in d:
-        spec = d.pop("kernel")
-        if spec is not None:
-            kernel = kernel_from_spec(spec)
-    if "predictor" in d:
-        spec = d.pop("predictor")
-        if spec is not None:
-            predictor = ArPredictor(np.asarray(spec["coeffs"], dtype=np.float64),
-                                    err_var=float(spec.get("err_var", 1.0)))
-    if kind == "propagator" and kernel is None:
-        raise ParameterError("propagator model needs a kernel spec")
-    if kind == "surprise" and predictor is None:
-        raise ParameterError("surprise model needs a predictor spec")
+    if predictor_spec is not None:
+        predictor = ArPredictor(np.asarray(predictor_spec["coeffs"], dtype=np.float64),
+                                err_var=float(predictor_spec.get("err_var", 1.0)))
     cfg = ImpactConfig(
         lam=float(d.pop("lam", 1.0)),
         psi=float(d.pop("psi", 1.0)),
@@ -239,7 +250,7 @@ def _build_model(model: dict):
     )
     if d:
         raise ParameterError(f"unknown model keys: {sorted(d)}")
-    return cfg, kind, predictor
+    return cfg, predictor
 
 
 def simulate(config: ExperimentConfig, seed: int):
@@ -249,24 +260,17 @@ def simulate(config: ExperimentConfig, seed: int):
     is recorded as meta['burn']; the emitted price array is aligned so
     prices[i] is the pre-trade price of emitted trade i.
     """
-    cfg, kind, predictor = _build_model(config.model)
-    if kind == "kyle":
-        burn = 0
-    elif kind == "surprise":
-        burn = burn_in_length(predictor=predictor)
-    else:
-        burn = burn_in_length(kernel=cfg.kernel)
+    cfg, predictor = _build_model(config.model)
+    burn = burn_in_length(kernel=cfg.kernel, predictor=predictor)
     total = config.n + burn
     signs = _gen_signs(config.generator, total, seed)
     vols = _gen_volumes(config.volumes, total, seed)
     full = TradeTape(signs, vols)
     noise_seed = seed + _NOISE_SEED_OFFSET
-    if kind == "kyle":
-        prices = kyle_path(full, cfg, seed=noise_seed)
-    elif kind == "propagator":
-        prices = propagator_path(full, cfg, seed=noise_seed)
-    else:
+    if predictor is not None:
         prices = surprise_path(full, predictor, cfg, seed=noise_seed)
+    else:
+        prices = propagator_path(full, cfg, seed=noise_seed)
     tape = TradeTape(
         SignSeries(signs.signs[burn:], seed=seed, generator_tag=signs.generator_tag),
         VolumeSeries(vols.volumes[burn:], distribution_tag=vols.distribution_tag),

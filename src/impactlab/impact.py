@@ -7,7 +7,7 @@ pre-history of the stationary model is truncated at the first trade; see
 burn_in_length for the measurement-side discard policy.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -193,34 +193,21 @@ def _noise_increments(n: int, cfg: ImpactConfig, seed: int):
     return cfg.noise_sigma * rng.standard_normal(n)
 
 
-def kyle_path(tape: TradeTape, cfg: ImpactConfig, seed: int = 0) -> np.ndarray:
-    """Permanent-impact walk: p_n = p0 + lam * sum_{m<n} u_m + noise walk."""
+def _path(tape: TradeTape, kernel: Kernel | None, cfg: ImpactConfig, seed: int) -> np.ndarray:
+    """p_n = p0 + lam * sum_{m<n} G(n-m) u_m + noise walk; a constant kernel
+    takes a cumulative sum, so no convolution round-off enters."""
     _check_nonempty(tape)
-    u = impact_sizes(tape, cfg.psi)
-    cum = cfg.lam * np.cumsum(u)
-    eta = _noise_increments(tape.n, cfg, seed)
-    if eta is not None:
-        cum = cum + np.cumsum(eta)
-    return np.concatenate([[cfg.p0], cfg.p0 + cum])
-
-
-def propagator_path(tape: TradeTape, cfg: ImpactConfig, seed: int = 0) -> np.ndarray:
-    """Decaying-impact path: p_n = p0 + lam * sum_{m<n} G(n-m) u_m + noise walk.
-
-    A constant kernel reproduces kyle_path bit-for-bit on the same seed
-    (cumulative sum, no convolution round-off)."""
-    _check_nonempty(tape)
-    if cfg.kernel is None:
+    if kernel is None:
         raise ParameterError("propagator_path needs cfg.kernel")
     u = impact_sizes(tape, cfg.psi)
     n = tape.n
-    if cfg.kernel.is_constant:
-        g1 = float(cfg.kernel.eval(1))
+    if kernel.is_constant:
+        g1 = float(kernel.eval(1))
         if g1 < 0:
             raise ParameterError("kernel values must be >= 0")
         s = g1 * np.cumsum(u)
     else:
-        g = cfg.kernel.eval(np.arange(1, n + 1))
+        g = kernel.eval(np.arange(1, n + 1))
         if np.min(g) < 0:
             raise ParameterError("kernel values must be >= 0")
         s = _fft_convolve(u, g, n)
@@ -229,6 +216,19 @@ def propagator_path(tape: TradeTape, cfg: ImpactConfig, seed: int = 0) -> np.nda
     if eta is not None:
         cum = cum + np.cumsum(eta)
     return np.concatenate([[cfg.p0], cfg.p0 + cum])
+
+
+def kyle_path(tape: TradeTape, cfg: ImpactConfig, seed: int = 0) -> np.ndarray:
+    """Permanent-impact walk: p_n = p0 + lam * sum_{m<n} u_m + noise walk,
+    the propagator path of the flat kernel G = 1; cfg.kernel is ignored."""
+    return _path(tape, Kernel.permanent(), cfg, seed)
+
+
+def propagator_path(tape: TradeTape, cfg: ImpactConfig, seed: int = 0) -> np.ndarray:
+    """Decaying-impact path: p_n = p0 + lam * sum_{m<n} G(n-m) u_m + noise walk.
+
+    A constant kernel reproduces kyle_path bit-for-bit on the same seed."""
+    return _path(tape, cfg.kernel, cfg, seed)
 
 
 def surprise_path(
@@ -284,7 +284,7 @@ def quote_series(tape: TradeTape, predictor: ArPredictor, cfg: ImpactConfig):
     surprise-model path. Returns (ask, bid, spread) arrays of length N;
     transacting at ask (buy) or bid (sell) reproduces the path exactly."""
     _check_nonempty(tape)
-    p = surprise_path(tape, predictor, cfg_noiseless(cfg))
+    p = surprise_path(tape, predictor, replace(cfg, noise_sigma=0.0))
     pred = predictor.predict_series(tape.eps)
     if np.any(np.abs(pred) >= 1.0):
         raise ParameterError("predictor value outside (-1, 1) on this tape: predictor blow-up")
@@ -293,10 +293,6 @@ def quote_series(tape: TradeTape, predictor: ArPredictor, cfg: ImpactConfig):
     bid = p[:-1] + half * (-1.0 - pred)
     spread = 2.0 * cfg.lam * tape.v**cfg.psi
     return ask, bid, spread
-
-
-def cfg_noiseless(cfg: ImpactConfig) -> ImpactConfig:
-    return ImpactConfig(cfg.lam, cfg.psi, cfg.kernel, 0.0, cfg.p0)
 
 
 def vol_per_trade_to_per_time(sigma1: float, f: float) -> float:

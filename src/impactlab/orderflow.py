@@ -253,6 +253,10 @@ def gen_markov_signs(n: int, c1: float, seed: int) -> SignSeries:
     return SignSeries(signs, seed, "markov", {"c1": c1})
 
 
+_VOLUME_PARAMS = {"constant": {"value"}, "lognormal": {"mu", "sigma"},
+                  "pareto": {"x_min", "tail"}}
+
+
 def gen_volumes(n: int, dist: str = "constant", seed: int = 0, **params) -> VolumeSeries:
     """Per-trade volumes.
 
@@ -263,6 +267,12 @@ def gen_volumes(n: int, dist: str = "constant", seed: int = 0, **params) -> Volu
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
+    if dist not in _VOLUME_PARAMS:
+        raise ParameterError(f"unknown volume distribution '{dist}'")
+    unknown = set(params) - _VOLUME_PARAMS[dist]
+    if unknown:
+        raise ParameterError(f"unknown parameters for volume distribution '{dist}': "
+                             f"{sorted(unknown)}")
     rng = np.random.default_rng(seed)
     if dist == "constant":
         value = float(params.get("value", 1.0))
@@ -275,7 +285,7 @@ def gen_volumes(n: int, dist: str = "constant", seed: int = 0, **params) -> Volu
         if sigma <= 0:
             raise ParameterError("lognormal sigma must be positive")
         v = rng.lognormal(mu, sigma, n)
-    elif dist == "pareto":
+    else:
         x_min = float(params.get("x_min", 1.0))
         tail = float(params.get("tail", 3.0))
         if x_min <= 0:
@@ -283,8 +293,6 @@ def gen_volumes(n: int, dist: str = "constant", seed: int = 0, **params) -> Volu
         if tail <= 1.0:
             raise ParameterError("pareto tail must exceed 1 for a finite mean")
         v = x_min * rng.random(n) ** (-1.0 / tail)
-    else:
-        raise ParameterError(f"unknown volume distribution '{dist}'")
     return VolumeSeries(v, dist, dict(params))
 
 

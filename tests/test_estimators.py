@@ -378,6 +378,83 @@ def test_predict_then_invert_recovers_the_kernel():
         invert_response(r, c, 1.0, 1.0, 1.0, 64, j_tail=200)  # L above R horizon
 
 
+# ---- the per-lag three-term sum that predict_response computed before its
+# response matrix, kept as its oracle ----
+
+def _loop_predict(kernel, c, lam, psi, v, max_lag, j_tail):
+    """Per lag l = 1..max_lag: lam*v^psi * [G(l) + sum_{0<j<l} G(l-j)C(j)
+    + sum_{j=1..j_tail} (G(l+j)-G(j))C(j)], and the same sum over the
+    magnitudes of its terms, the scale of its rounding error."""
+    scale = lam * v**psi
+    jt = np.arange(1, j_tail + 1)
+    g_jt = kernel.eval(jt)
+    vals, mags = np.empty(max_lag), np.empty(max_lag)
+    for i, l in enumerate(range(1, max_lag + 1)):
+        j = np.arange(1, l)
+        mid = kernel.eval(l - j) * c[j - 1]
+        tail = (kernel.eval(l + jt) - g_jt) * c[jt - 1]
+        vals[i] = scale * (float(kernel.eval(l)) + np.sum(mid) + np.sum(tail))
+        spread = (np.abs(kernel.eval(l + jt)) + np.abs(g_jt)) * np.abs(c[jt - 1])
+        mags[i] = scale * (abs(float(kernel.eval(l))) + np.sum(np.abs(mid)) + np.sum(spread))
+    return vals, mags
+
+
+@st.composite
+def propagator_cases(draw):
+    """(kernel, C as an array or a LagCurve, max_lag, j_tail): power laws with
+    and without a plateau, tables shorter and longer than max_lag + j_tail,
+    j_tail = 0, and random C."""
+    max_lag = draw(st.integers(1, 40))
+    j_tail = draw(st.one_of(st.just(0), st.integers(0, 60)))
+    if draw(st.booleans()):
+        plateau = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+        kernel = Kernel.power_law(draw(st.floats(0.0, 1.5)), draw(st.floats(0.1, 3.0)), plateau)
+    else:
+        size = draw(st.integers(1, max_lag + j_tail + 10))
+        kernel = Kernel.tabulated(draw(st.lists(st.floats(-1.0, 2.0), min_size=size,
+                                                max_size=size)))
+    size = max(max_lag - 1, j_tail) + draw(st.integers(0, 5))
+    c = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size)))
+    if size and draw(st.booleans()):
+        c = LagCurve(np.arange(1, size + 1), c, np.full(size, 10), "sign_autocorr")
+    return kernel, c, max_lag, j_tail
+
+
+@PROPERTY
+@given(propagator_cases(), st.floats(0.1, 2.0), st.floats(0.2, 1.0), st.floats(0.5, 4.0))
+def test_predict_response_matches_the_per_lag_sum(case, lam, psi, v):
+    kernel, c, max_lag, j_tail = case
+    pr = predict_response(kernel, c, lam, psi, v, max_lag=max_lag, j_tail=j_tail)
+    dense = c.values if isinstance(c, LagCurve) else c
+    vals, mags = _loop_predict(kernel, dense, lam, psi, v, max_lag, j_tail)
+    assert np.array_equal(pr.lags, np.arange(1, max_lag + 1))
+    assert np.all(np.abs(pr.values - vals) <= TOL * mags)
+
+
+@pytest.mark.parametrize("n_eq", [16, 40], ids=["square", "overdetermined"])
+@pytest.mark.parametrize("j_tail", [5, 16, 60], ids=["j<L", "j=L", "j>L"])
+def test_invert_recovers_a_predicted_table(n_eq, j_tail):
+    lags = np.arange(1, 101)
+    c = LagCurve(lags, 0.4 * lags**-0.6, np.full(lags.size, 1000), "sign_autocorr")
+    g = 0.2 + np.arange(1, 17) ** -0.4  # L = 16 lags, then flat at G(16)
+    lam, psi, v = 0.7, 0.5, 2.0
+    r = predict_response(Kernel.tabulated(g), c, lam, psi, v, max_lag=n_eq, j_tail=j_tail)
+    k, report = invert_response(r, c, lam, psi, v, g.size, j_tail=j_tail)
+    assert np.max(np.abs(k.values - g) / g) < 1e-10
+    assert report["residual_norm"] < 1e-12
+    assert report["j_tail"] == j_tail and report["equations"] == n_eq
+    assert (report["se_proxy"] is None) == (n_eq == g.size)
+
+
+def test_the_response_relation_rejects_a_negative_j_tail():
+    c = 0.4 * np.arange(1, 65) ** -0.6
+    with pytest.raises(ParameterError, match="j_tail"):
+        predict_response(Kernel.power_law(0.3), c, 1.0, 1.0, 1.0, max_lag=8, j_tail=-7)
+    r = predict_response(Kernel.power_law(0.3), c, 1.0, 1.0, 1.0, max_lag=8, j_tail=8)
+    with pytest.raises(ParameterError, match="j_tail"):
+        invert_response(r, c, 1.0, 1.0, 1.0, 8, j_tail=-5)
+
+
 def test_levinson_durbin_identifies_an_ar1():
     pred = levinson_durbin(0.5 ** np.arange(1, 9), 8)
     assert abs(pred.coeffs[0] - 0.5) <= 1e-12

@@ -2,6 +2,8 @@
 convolution against the direct sums it computes, quote arithmetic, and the
 model-config validity rules."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,6 @@ from impactlab import (
     surprise_path,
     vol_per_trade_to_per_time,
 )
-from impactlab.impact import cfg_noiseless
 
 
 def _tape(eps, vols=None):
@@ -242,7 +243,7 @@ def test_quote_series_reproduces_the_transaction_path():
     pred = ArPredictor([0.5])
     cfg = ImpactConfig(1.0, 1.0, kernel_from_predictor(pred, 6), 0.3, 0.0)
     ask, bid, spread = quote_series(tape, pred, cfg)
-    p = surprise_path(tape, pred, cfg_noiseless(cfg))
+    p = surprise_path(tape, pred, dataclasses.replace(cfg, noise_sigma=0.0))
     buys = tape.eps > 0
     assert np.allclose(ask[buys], p[1:][buys], rtol=0, atol=1e-12)
     assert np.allclose(bid[~buys], p[1:][~buys], rtol=0, atol=1e-12)

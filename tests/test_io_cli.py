@@ -486,6 +486,49 @@ def test_cli_usage_and_config_errors_exit_one(tmp_path):
                      "--out-dir", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("flags", [
+    ["--beta", "0.25"],  # no --model: kyle
+    ["--model", "kyle", "--ar-coeffs", "0.3"],
+    ["--model", "surprise", "--ar-coeffs", "0.3", "--beta", "0.25"],
+    ["--model", "propagator", "--beta", "0.25", "--ar-coeffs", "0.3"],
+], ids=["kyle+kernel", "kyle+predictor", "surprise+kernel", "propagator+predictor"])
+def test_cli_simulate_rejects_a_spec_its_engine_ignores(tmp_path, flags):
+    out = str(tmp_path / "o")
+    assert cli.main(["simulate", "--n", "50", "--seed", "1", *flags, "--out-dir", out]) == 1
+    assert not os.path.exists(os.path.join(out, "meta_seed1.json"))
+
+
+@pytest.mark.parametrize("section, flags", [
+    ({"model": {"kind": "propagator",
+                "kernel": {"form": "power_law", "beta": 0.25, "bta": 1}}}, []),
+    ({"model": {"kind": "propagator",
+                "kernel": {"form": "tabulated", "values": [1.0], "beta": 0.5}}}, []),
+    ({"model": {"kind": "propagator", "kernel": {"form": "power_law", "g1": 2.0}}}, []),
+    ({"volumes": {"dist": "lognormal", "sigam": 0.5}}, []),
+    (None, ["--vol-dist", "lognormal", "--vol-value", "3"]),
+], ids=["kernel-typo", "tabulated-extra", "no-beta", "volume-typo", "volume-flag"])
+def test_cli_simulate_rejects_unknown_or_missing_spec_keys(tmp_path, section, flags):
+    if section is not None:
+        flags = ["--config", str(tmp_path / "cfg.json")]
+        write_json({"n": 50, "seed": 1, **section}, flags[1])
+    assert cli.main(["simulate", "--n", "50", "--seed", "1", *flags,
+                     "--out-dir", str(tmp_path)]) == 1
+    assert not os.path.exists(tmp_path / "meta_seed1.json")
+
+
+def test_cli_invert_rejects_a_negative_j_tail(tmp_path):
+    lags = np.arange(1, 9)
+    write_curve(LagCurve(lags, lags**-0.3, np.full(8, 10), "response"),
+                str(tmp_path / "r.csv"))
+    write_curve(LagCurve(lags, 0.2 * lags**-0.5, np.full(8, 10), "sign_autocorr"),
+                str(tmp_path / "c.csv"))
+    rc = cli.main(["invert", "--response", str(tmp_path / "r.csv"),
+                   "--autocorr", str(tmp_path / "c.csv"), "--j-tail", "-5",
+                   "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert not os.path.exists(tmp_path / "invert_report.json")
+
+
 def test_cli_format_errors_exit_two(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("n,epsilon,volume\n0,0,1.0\n")

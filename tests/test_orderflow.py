@@ -149,3 +149,7 @@ def test_volume_validation():
         gen_volumes(10, "lognormal", sigma=0.0)
     with pytest.raises(ParameterError):
         gen_volumes(10, "uniform")
+    with pytest.raises(ParameterError, match="sigam"):
+        gen_volumes(10, "lognormal", sigam=0.5)
+    with pytest.raises(ParameterError, match="value"):
+        gen_volumes(10, "lognormal", value=3.0)
