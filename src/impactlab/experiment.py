@@ -98,6 +98,26 @@ def _default_manip():
     }
 
 
+# estimator keys that invert_stage reads, not measure
+_INVERT_KEYS = ("invert_lags", "j_tail")
+
+
+def _check_keys(what: str, spec: dict, allowed, required=()) -> None:
+    unknown, missing = set(spec) - set(allowed), set(required) - set(spec)
+    if unknown:
+        raise ParameterError(f"unknown keys for {what}: {sorted(unknown)}")
+    if missing:
+        raise ParameterError(f"{what} needs {sorted(missing)}")
+
+
+def _over_defaults(what: str, defaults: dict, spec: dict | None, extra=()) -> dict:
+    """`defaults` updated by `spec`, whose keys must be among the defaults'
+    and `extra`."""
+    spec = spec or {}
+    _check_keys(what, spec, set(defaults) | set(extra))
+    return {**defaults, **spec}
+
+
 @dataclass
 class ExperimentConfig:
     """Everything a run needs; round-trips losslessly through JSON."""
@@ -116,6 +136,15 @@ class ExperimentConfig:
             raise ParameterError("n must be a positive integer")
         self.n = int(self.n)
         expand_seeds(self.seed)  # validates shape
+        for name in ("generator", "volumes", "model", "estimator", "manip"):
+            section = getattr(self, name)
+            if not isinstance(section, dict) and not (name == "manip" and section is None):
+                raise ParameterError(f"config section '{name}' must be an object")
+        # a mistyped key would otherwise run at its default unnoticed
+        _over_defaults("section 'estimator'", _default_estimator(), self.estimator,
+                       _INVERT_KEYS)
+        if self.manip is not None:
+            _over_defaults("section 'manip'", _default_manip(), self.manip)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -184,11 +213,7 @@ def kernel_from_spec(spec: dict) -> Kernel:
     if form not in _KERNEL_SPEC_KEYS:
         raise ParameterError(f"unknown kernel form {form!r}")
     required, allowed = _KERNEL_SPEC_KEYS[form]
-    unknown, missing = set(d) - allowed, required - set(d)
-    if unknown:
-        raise ParameterError(f"unknown keys for kernel form '{form}': {sorted(unknown)}")
-    if missing:
-        raise ParameterError(f"{form} kernel spec needs {sorted(missing)}")
+    _check_keys(f"kernel form '{form}'", d, allowed, required)
     if form == "power_law":
         return Kernel.power_law(**d)
     return Kernel.tabulated(np.asarray(d["values"], dtype=np.float64))
@@ -239,6 +264,7 @@ def _build_model(model: dict):
         kernel = kernel_from_spec(kernel_spec)
     predictor = None
     if predictor_spec is not None:
+        _check_keys("predictor spec", predictor_spec, {"coeffs", "err_var"}, {"coeffs"})
         predictor = ArPredictor(np.asarray(predictor_spec["coeffs"], dtype=np.float64),
                                 err_var=float(predictor_spec.get("err_var", 1.0)))
     cfg = ImpactConfig(
@@ -293,9 +319,7 @@ def measure(tape: TradeTape, spec: dict | None = None, burn: int = 0):
     Returns (results dict, errors dict). Estimation failures are collected
     per curve; everything that can be computed still is.
     """
-    s = _default_estimator()
-    if spec:
-        s.update(spec)
+    s = _over_defaults("estimator spec", _default_estimator(), spec, _INVERT_KEYS)
     results: dict = {}
     errors: dict = {}
 
@@ -451,8 +475,7 @@ def manip_stage(spec: dict, out: str):
     """The frontier of minimum round-trip costs over the (beta, psi) grid of
     `spec` layered over _default_manip(); writes frontier.csv.
     Returns ({rows, max_len, volume_grid, lam, own_impact}, files)."""
-    m = _default_manip()
-    m.update(spec)
+    m = _over_defaults("manip spec", _default_manip(), spec)
     max_len, lam = int(m["max_len"]), float(m["lam"])
     rows = gatheral_frontier(m["betas"], m["psis"], max_len=max_len, volume_grid=m["grid"],
                              lam=lam, budget=int(m["budget"]), own_impact=m["own_impact"])

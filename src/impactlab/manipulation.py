@@ -162,6 +162,39 @@ def _pattern_w(kernel: Kernel, slots: np.ndarray, own_g1: float):
     return w
 
 
+# Largest cost block one matrix product forms: 2^16 float64 entries (512 KB),
+# small enough to stay in cache between the product and its argmin.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _sum_groups(sums: np.ndarray, partner: np.ndarray):
+    """Left rows sorted stably by `sums`, right rows stably by `-partner`,
+    and the slices (r0, r1, l0, l1) pairing each left sum s, ascending, with
+    the right rows of sum -s. Within a slice rows keep their index order."""
+    lorder = np.argsort(sums, kind="stable")
+    rorder = np.argsort(-partner, kind="stable")
+    ls, rs = sums[lorder], -partner[rorder]
+    keys = np.unique(ls)
+    bounds = np.stack([np.searchsorted(rs, keys, "left"), np.searchsorted(rs, keys, "right"),
+                       np.searchsorted(ls, keys, "left"), np.searchsorted(ls, keys, "right")])
+    return lorder, rorder, [tuple(b) for b in bounds.T.tolist() if b[1] > b[0]]
+
+
+def _tiles(r0: int, r1: int, l0: int, l1: int):
+    """Tiles (r0, r1, l0, l1) of one group's right x left cost matrix, each
+    at most _BLOCK_ENTRIES entries, in the group's row-major order: whole
+    left ranges per tile, or single right rows split across tiles."""
+    width = l1 - l0
+    if width <= _BLOCK_ENTRIES:
+        step = _BLOCK_ENTRIES // width
+        for r in range(r0, r1, step):
+            yield r, min(r + step, r1), l0, l1
+    else:
+        for r in range(r0, r1):
+            for c in range(l0, l1, _BLOCK_ENTRIES):
+                yield r, r + 1, c, min(c + _BLOCK_ENTRIES, l1)
+
+
 def search_round_trips(
     kernel: Kernel,
     lam: float,
@@ -181,8 +214,19 @@ def search_round_trips(
     strategy, report dict). best_cost <= 0 always: the empty strategy is
     admissible at cost 0.
 
-    The enumeration order is deterministic (trade count, then slot pattern,
-    then volume blocks); the first strategy attaining the minimum is kept.
+    A strategy splits into a left half (its first k//2 trades, the first
+    one positive) and a right half whose volumes sum to minus the left's.
+    For a slot pattern with impact matrix W, the cost of a pair is
+    q_r W_x u_l + c_l + c_r, where u = sign(q) |q|^psi, W_x is the block
+    of W by which left trades move right prices, and c_l, c_r are each
+    half's cost on its own. It is evaluated as one matrix product
+    [q_r W_x | c_r | 1] . [u_l | 1 | c_l] over blocks of at most
+    _BLOCK_ENTRIES pairs.
+
+    The enumeration order is deterministic: trade count, then slot pattern,
+    then left sum ascending, then right rows, then left rows. Within a
+    block the first minimum wins; a later block replaces the best only when
+    strictly lower by more than 1e-15.
     """
     if max_len > 12:
         raise ParameterError("max_len above the exhaustive regime (12)")
@@ -209,49 +253,37 @@ def search_round_trips(
         kr = k - kl
         left = _index_tuples(n_sym, kl, True, values)
         right = _index_tuples(n_sym, kr, False, values)
-        if left.size == 0 or right.size == 0:
-            continue
-        sl = values[left].sum(axis=1)
-        sr = values[right].sum(axis=1)
-        ql, ul = values[left], uvals[left]
-        qr, ur = values[right], uvals[right]
-        # group rows by sum once per k; iterate sums in ascending order
-        sums = np.unique(sl)
-        groups = []
-        for ssum in sums:
-            li = np.nonzero(sl == ssum)[0]
-            ri = np.nonzero(sr == -ssum)[0]
-            if li.size and ri.size:
-                groups.append((li, ri))
+        lorder, rorder, groups = _sum_groups(values[left].sum(axis=1),
+                                             values[right].sum(axis=1))
         if not groups:
             continue
+        ql, qr = values[left[lorder]], values[right[rorder]]
+        ul, ur = uvals[left[lorder]], uvals[right[rorder]]
+        tiles = [t for g in groups for t in _tiles(*g)]
+        per_pattern = sum((r1 - r0) * (l1 - l0) for r0, r1, l0, l1 in tiles)
+        # cost[r, l] = R[r] . L[l]: the cross term plus each half's own cost
+        lmat = np.ones((ql.shape[0], kl + 2))
+        lmat[:, :kl] = ul
+        rmat = np.ones((qr.shape[0], kl + 2))
         for pat in combinations(range(2, max_len + 1), k - 1):
             slots = np.array((1,) + pat, dtype=np.float64)
             w = _pattern_w(kernel, slots, own_g1)
-            wl = w[:kl, :kl]
-            wr = w[kl:, kl:]
-            wx = w[kl:, :kl]
-            cl = np.einsum("bi,ij,bj->b", ql, wl, ul)
-            cr = np.einsum("bi,ij,bj->b", qr, wr, ur)
-            xr = qr @ wx
-            for li, ri in groups:
-                report["evaluated"] += li.size * ri.size
-                # chunk the right side to bound the cross-matrix memory
-                chunk = max(1, 4_000_000 // max(1, li.size))
-                for c0 in range(0, ri.size, chunk):
-                    rc = ri[c0 : c0 + chunk]
-                    cross = xr[rc] @ ul[li].T
-                    cost = cross + cl[li][None, :] + cr[rc][:, None]
-                    am = np.unravel_index(np.argmin(cost), cost.shape)
-                    cmin = float(cost[am])
-                    if lam * cmin < best_cost - 1e-15:
-                        lidx, ridx = li[am[1]], rc[am[0]]
-                        q = np.concatenate([values[left[lidx]], values[right[ridx]]])
-                        best_cost = lam * cmin
-                        best = Strategy(
-                            tuple((int(s), float(qq)) for s, qq in zip(slots, q)),
-                            max_len,
-                        )
+            lmat[:, kl + 1] = ((ql @ w[:kl, :kl]) * ul).sum(axis=1)
+            rmat[:, kl] = ((qr @ w[kl:, kl:]) * ur).sum(axis=1)
+            rmat[:, :kl] = qr @ w[kl:, :kl]
+            report["evaluated"] += per_pattern
+            for r0, r1, l0, l1 in tiles:
+                cost = rmat[r0:r1] @ lmat[l0:l1].T
+                am = int(cost.argmin())
+                cmin = float(cost.flat[am])
+                if lam * cmin < best_cost - 1e-15:
+                    ridx, lidx = divmod(am, l1 - l0)
+                    q = np.concatenate([ql[l0 + lidx], qr[r0 + ridx]])
+                    best_cost = lam * cmin
+                    best = Strategy(
+                        tuple((int(s), float(qq)) for s, qq in zip(slots, q)),
+                        max_len,
+                    )
     return best_cost, best, report
 
 

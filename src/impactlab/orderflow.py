@@ -201,6 +201,21 @@ def gen_clipped_fractional_signs(
     return SignSeries(signs, seed, "clipped_fractional", {"gamma": gamma, "completion": completion})
 
 
+def _pareto_lengths(u: np.ndarray, alpha: float, n: int) -> np.ndarray:
+    """ceil(u^(-1/alpha)) clipped at n, as the scalar `float ** float` gives it.
+
+    The vector power may differ from the scalar one in the last bit, which
+    moves the ceiling only where the power lies within a few ulps of an
+    integer; those rare values are recomputed with the scalar power. A draw
+    of exactly 0 gives n."""
+    with np.errstate(divide="ignore"):
+        x = np.minimum(u ** (-1.0 / alpha), n)
+    near = (np.abs(x - np.rint(x)) <= 4 * np.spacing(x)) & (x < n)
+    for i in np.flatnonzero(near):
+        x[i] = min(float(u[i]) ** (-1.0 / alpha), n)
+    return np.ceil(x).astype(np.int64)
+
+
 def gen_metaorder_signs(
     n: int, alpha: float, seed: int, fixed_length: int | None = None
 ) -> SignSeries:
@@ -208,8 +223,14 @@ def gen_metaorder_signs(
     P(L > l) = l^(-alpha), each metaorder emits L equal signs of random
     direction. Tail exponent of the sign autocorrelation is gamma = alpha-1.
 
+    Each metaorder draws two uniforms in turn, its length then its
+    direction (< 0.5 buys), so a block of 2B uniforms holds B metaorders:
+    lengths at even positions, directions at odd ones. Lengths are clipped
+    at n, which leaves the tape unchanged.
+
     fixed_length is a test hook that bypasses the Pareto draw (1 gives
-    independent signs, >= n a single metaorder covering the tape).
+    independent signs, >= n a single metaorder covering the tape); each
+    metaorder then draws its direction only.
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
@@ -218,18 +239,22 @@ def gen_metaorder_signs(
     if fixed_length is not None and fixed_length < 1:
         raise ParameterError("fixed_length must be >= 1")
     rng = np.random.default_rng(seed)
-    out = np.empty(n)
-    pos = 0
-    while pos < n:
-        if fixed_length is not None:
-            length = fixed_length
-        else:
+    per = 1 if fixed_length is not None else 2  # uniforms drawn per metaorder
+    block = n // 2 + 64  # mean lengths exceed 2, so one block mostly covers n
+    lengths, buys, covered = [], [], 0
+    while covered < n:
+        u = rng.random(per * block).reshape(block, per)
+        if fixed_length is None:
             # integer ceiling of the continuous Pareto gives P(L>l) = l^(-alpha) exactly
-            length = int(np.ceil(rng.random() ** (-1.0 / alpha)))
-        direction = 1.0 if rng.random() < 0.5 else -1.0
-        take = min(length, n - pos)
-        out[pos : pos + take] = direction
-        pos += take
+            size = _pareto_lengths(u[:, 0], alpha, n)
+        else:
+            size = np.full(block, min(fixed_length, n))
+        lengths.append(size)
+        buys.append(u[:, -1] < 0.5)
+        covered += int(size.sum())
+    size = np.concatenate(lengths)
+    m = int(np.searchsorted(np.cumsum(size), n)) + 1  # metaorders that reach n
+    out = np.repeat(np.where(np.concatenate(buys)[:m], 1.0, -1.0), size[:m])[:n]
     return SignSeries(out, seed, "metaorder", {"alpha": alpha, "fixed_length": fixed_length})
 
 

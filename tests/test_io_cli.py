@@ -506,7 +506,12 @@ def test_cli_simulate_rejects_a_spec_its_engine_ignores(tmp_path, flags):
     ({"model": {"kind": "propagator", "kernel": {"form": "power_law", "g1": 2.0}}}, []),
     ({"volumes": {"dist": "lognormal", "sigam": 0.5}}, []),
     (None, ["--vol-dist", "lognormal", "--vol-value", "3"]),
-], ids=["kernel-typo", "tabulated-extra", "no-beta", "volume-typo", "volume-flag"])
+    ({"model": {"kind": "surprise", "predictor": {"coefs": [0.3]}}}, []),
+    ({"model": {"kind": "surprise", "predictor": {"coeffs": [0.3], "err_vr": 2}}}, []),
+    ({"estimator": {"max_lga": 16}}, []),
+    ({"model": None}, []),
+], ids=["kernel-typo", "tabulated-extra", "no-beta", "volume-typo", "volume-flag",
+        "predictor-typo", "predictor-extra", "estimator-typo", "model-null"])
 def test_cli_simulate_rejects_unknown_or_missing_spec_keys(tmp_path, section, flags):
     if section is not None:
         flags = ["--config", str(tmp_path / "cfg.json")]
@@ -514,6 +519,23 @@ def test_cli_simulate_rejects_unknown_or_missing_spec_keys(tmp_path, section, fl
     assert cli.main(["simulate", "--n", "50", "--seed", "1", *flags,
                      "--out-dir", str(tmp_path)]) == 1
     assert not os.path.exists(tmp_path / "meta_seed1.json")
+
+
+@pytest.mark.parametrize("section", [
+    {"estimator": {"max_lga": 16}},
+    {"estimator": {"invert_lags": 8, "j_tial": 31}},
+    {"manip": {"max_lne": 3}},
+    {"estimator": None},
+    {"manip": []},
+], ids=["measure-key", "invert-key", "manip-key", "estimator-null", "manip-list"])
+def test_cli_report_rejects_unknown_section_keys(tmp_path, section):
+    cfg = str(tmp_path / "cfg.json")
+    write_json({"n": 600, "seed": 1, **section}, cfg)
+    out = tmp_path / "o"
+    assert cli.main(["report", "--config", cfg, "--criteria", "none",
+                     "--out-dir", str(out)]) == 1
+    assert not os.path.exists(out / "tape_seed1.csv")
+    assert not os.path.exists(out / "frontier.csv")
 
 
 def test_cli_invert_rejects_a_negative_j_tail(tmp_path):

@@ -1,10 +1,14 @@
 """Round-trip cost engine and exhaustive search, cross-checked against a
-direct brute-force enumeration at small scale."""
+direct brute-force enumeration at small scale, against the grouped search
+it replaced, and against the psi = 1 positive-definiteness certificate."""
 
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from impactlab import (
     InputError,
@@ -17,6 +21,7 @@ from impactlab import (
     search_round_trips,
     strategy_cost,
 )
+from impactlab.manipulation import _BLOCK_ENTRIES, _index_tuples, _pattern_w, _symbol_values
 
 
 def _brute_force(kernel, lam, psi, max_len, grid):
@@ -37,6 +42,93 @@ def _brute_force(kernel, lam, psi, max_len, grid):
                 if cost < best - 1e-15:
                     best, best_strategy = cost, tuple(zip(slots, qs))
     return best, best_strategy, n_seen
+
+
+def _grouped_search(kernel, lam, psi, max_len, volume_grid, budget=10**7,
+                    own_impact="full"):
+    """The search before the fused cost product, kept as its oracle: per sum
+    group it gathers both halves' rows and adds the two half costs to their
+    cross term, over blocks of up to 4M candidates."""
+    report = {"evaluated": 0, "budget": budget, "max_len": max_len}
+    if max_len < 2 or not len(volume_grid):
+        return 0.0, None, report
+    n_candidates = count_round_trips(max_len, volume_grid)
+    report["candidates"] = n_candidates
+    if n_candidates > budget:
+        raise SearchBudgetError(n_candidates, budget)
+    values = _symbol_values(volume_grid)
+    n_sym = values.size
+    uvals = np.sign(values) * np.abs(values) ** psi
+    own_g1 = float(kernel.eval(1)) * (1.0 if own_impact == "full" else 0.5)
+
+    best_cost = 0.0
+    best = None
+    for k in range(2, max_len + 1):
+        kl = k // 2
+        kr = k - kl
+        left = _index_tuples(n_sym, kl, True, values)
+        right = _index_tuples(n_sym, kr, False, values)
+        if left.size == 0 or right.size == 0:
+            continue
+        sl = values[left].sum(axis=1)
+        sr = values[right].sum(axis=1)
+        ql, ul = values[left], uvals[left]
+        qr, ur = values[right], uvals[right]
+        sums = np.unique(sl)
+        groups = []
+        for ssum in sums:
+            li = np.nonzero(sl == ssum)[0]
+            ri = np.nonzero(sr == -ssum)[0]
+            if li.size and ri.size:
+                groups.append((li, ri))
+        if not groups:
+            continue
+        for pat in combinations(range(2, max_len + 1), k - 1):
+            slots = np.array((1,) + pat, dtype=np.float64)
+            w = _pattern_w(kernel, slots, own_g1)
+            wl = w[:kl, :kl]
+            wr = w[kl:, kl:]
+            wx = w[kl:, :kl]
+            cl = np.einsum("bi,ij,bj->b", ql, wl, ul)
+            cr = np.einsum("bi,ij,bj->b", qr, wr, ur)
+            xr = qr @ wx
+            for li, ri in groups:
+                report["evaluated"] += li.size * ri.size
+                chunk = max(1, 4_000_000 // max(1, li.size))
+                for c0 in range(0, ri.size, chunk):
+                    rc = ri[c0 : c0 + chunk]
+                    cross = xr[rc] @ ul[li].T
+                    cost = cross + cl[li][None, :] + cr[rc][:, None]
+                    am = np.unravel_index(np.argmin(cost), cost.shape)
+                    cmin = float(cost[am])
+                    if lam * cmin < best_cost - 1e-15:
+                        lidx, ridx = li[am[1]], rc[am[0]]
+                        q = np.concatenate([values[left[lidx]], values[right[ridx]]])
+                        best_cost = lam * cmin
+                        best = Strategy(
+                            tuple((int(s), float(qq)) for s, qq in zip(slots, q)),
+                            max_len,
+                        )
+    return best_cost, best, report
+
+
+def _assert_matches_grouped_search(args, scale, ties=False):
+    """Same evaluated count and argmin as the grouped search, and a minimum
+    within 1e-12 of `scale`, the size of the largest term a cost sums. With
+    `ties`, the argmins may differ where both re-cost alike within that
+    margin: an exact tie that the rounding of each sum order decides."""
+    kernel, lam, psi, _, _, _, own_impact = args
+    cost, strat, rep = search_round_trips(*args)
+    w_cost, w_strat, w_rep = _grouped_search(*args)
+    assert rep == w_rep
+    assert abs(cost - w_cost) <= 1e-12 * scale
+    if ties and strat != w_strat:
+        recost = [0.0 if s is None else
+                  strategy_cost(s, kernel, lam, psi, own_impact).expected_cost
+                  for s in (strat, w_strat)]
+        assert abs(recost[0] - recost[1]) <= 1e-12 * scale
+    else:
+        assert strat == w_strat
 
 
 def test_strategy_validation():
@@ -139,3 +231,106 @@ def test_frontier_rows_follow_the_diagonal_rule():
     assert table[(0.8, 1.0)]["min_cost"] >= 0.0
     assert table[(0.8, 0.3)]["candidates"] == 396
     assert table[(0.0, 0.3)]["argmin"] is not None
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    grid=st.lists(st.integers(1, 9), min_size=1, max_size=3, unique=True),
+    max_len=st.integers(2, 7),
+    beta=st.floats(0.0, 1.5),
+    psi=st.floats(0.0, 1.2, exclude_min=True).filter(lambda p: p >= 0.01),
+    own_impact=st.sampled_from(["full", "half"]),
+)
+def test_search_matches_the_grouped_search(grid, max_len, beta, psi, own_impact):
+    kern = Kernel.power_law(beta)
+    args = (kern, 1.0, psi, max_len, tuple(grid), 10**7, own_impact)
+    # the permanent kernel with half own impact ties many round trips exactly
+    _assert_matches_grouped_search(args, max_len**2 * max(grid) ** (1.0 + psi), ties=True)
+
+
+@pytest.mark.parametrize("values", [
+    (1.0, 0.25, 0.75, 0.5, 0.5, 0.25),
+    (1.0, 0.5, 1.0, 0.25),
+    (1.0, 0.125, 0.5, 0.5, 0.25, 0.25, 0.125),
+])
+@pytest.mark.parametrize("grid", [(1, 2, 3), (1, 2, 4), (1, 3)])
+@pytest.mark.parametrize("own_impact", ["full", "half"])
+def test_exact_ties_keep_the_first_round_trip(values, grid, own_impact):
+    """Dyadic kernel values at psi = 1 make every cost exact in any sum
+    order, so many round trips tie bit for bit; the enumeration order and
+    the first-strictly-better rule alone pick the argmin."""
+    kern = Kernel.tabulated(np.array(values))
+    for max_len in (5, 7):
+        args = (kern, 1.0, 1.0, max_len, grid, 10**7, own_impact)
+        _assert_matches_grouped_search(args, scale=0.0)  # exact
+
+
+def test_default_frontier_matches_the_grouped_search():
+    # the 20 cells `manip` runs with default flags
+    grid = (1.0, 2.0, 4.0, 8.0)
+    for beta in (0.0, 0.25, 0.5, 0.75, 1.0):
+        for psi in (0.25, 0.5, 0.75, 1.0):
+            args = (Kernel.power_law(beta), 1.0, psi, 8, grid, 10**7, "full")
+            _assert_matches_grouped_search(args, 64 * 8.0 ** (1.0 + psi))
+
+
+def _psi1_form(slots, beta, own=1.0):
+    """S with q' S q the psi = 1 cost of volumes q on `slots` under the
+    power law G(l) = l^-beta: own * G(1) on the diagonal, G(|t_i - t_j|) / 2
+    off it."""
+    t = np.asarray(slots, dtype=np.float64)
+    gap = np.abs(t[:, None] - t[None, :])
+    np.fill_diagonal(gap, 1.0)
+    s = 0.5 * gap ** (-beta)
+    np.fill_diagonal(s, own)
+    return s
+
+
+def test_psi1_form_is_the_strategy_cost():
+    slots, q = (1, 2, 5, 6), np.array([2.0, -1.0, 3.0, -4.0])
+    for beta in (0.0, 0.7):
+        s = _psi1_form(slots, beta)
+        cost = strategy_cost(Strategy(tuple(zip(slots, q)), 6), Kernel.power_law(beta),
+                             1.0, 1.0).expected_cost
+        assert abs(cost - q @ s @ q) < 1e-12
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.25, 0.5, 1.0, 1.5])
+def test_psi1_certificate_and_the_search_agree(beta):
+    """Full own impact at psi = 1: S is positive definite on the zero-sum
+    subspace for every pattern of up to 10 slots (Gatheral 2010; Alfonsi,
+    Schied and Slynko 2012), so no round trip profits and the search keeps
+    the empty strategy at exactly 0."""
+    smallest = np.inf
+    for k in range(2, 11):
+        basis = np.linalg.qr((np.eye(k) - 1.0 / k)[:, :-1])[0]  # zero-sum subspace
+        for tail in combinations(range(2, 11), k - 1):
+            s = _psi1_form((1,) + tail, beta)
+            smallest = min(smallest, np.linalg.eigvalsh(basis.T @ s @ basis)[0])
+    assert smallest >= 0.25
+    for grid in ((1,), (1, 2), (1, 3, 5), (2, 7)):
+        cost, strat, _ = search_round_trips(Kernel.power_law(beta), 1.0, 1.0, 6, grid)
+        assert cost == 0.0 and strat is None
+
+
+def test_search_memory_stays_bounded_past_the_block_cap():
+    """A search whose largest zero-sum group holds more candidates than one
+    cost block allocates under 16 MB at its peak: the index tables, the two
+    augmented operands and one block. The grouped search held up to three
+    4M-entry (32 MB) arrays at once."""
+    grid, max_len = (1, 2, 3, 4, 5, 6, 7), 8
+    values = _symbol_values(grid)
+    left = values[_index_tuples(values.size, 4, True, values)].sum(axis=1)
+    right = values[_index_tuples(values.size, 4, False, values)].sum(axis=1)
+    largest = max(int((left == s).sum()) * int((right == -s).sum()) for s in np.unique(left))
+    assert largest > _BLOCK_ENTRIES
+    budget = count_round_trips(max_len, grid)
+    tracemalloc.start()
+    try:
+        _, _, rep = search_round_trips(Kernel.power_law(0.5), 1.0, 0.5, max_len, grid,
+                                       budget=budget)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep["evaluated"] == budget
+    assert peak < 16 * 2**20

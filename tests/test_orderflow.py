@@ -3,6 +3,8 @@ population targets each generator is built around."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from impactlab import (
     ParameterError,
@@ -18,6 +20,7 @@ from impactlab import (
     sign_balance_zscore,
     target_sign_autocorr,
 )
+from impactlab.orderflow import _pareto_lengths
 
 
 def test_sign_series_rejects_values_off_the_unit_alphabet():
@@ -104,6 +107,60 @@ def test_metaorder_fixed_length_floor_makes_one_parent_order():
     assert np.allclose(c.values, 1.0, rtol=0, atol=1e-12)
     # centering a constant series wipes the signal; flagged, not fatal
     assert sign_autocorr(s, 4).meta.get("degenerate") is True
+
+
+def _metaorder_loop(n, alpha, seed, fixed_length=None):
+    """The metaorder generator one metaorder at a time, kept as the oracle
+    of the vectorised one: a length draw, then a direction draw."""
+    rng = np.random.default_rng(seed)
+    out = np.empty(n)
+    pos = 0
+    while pos < n:
+        if fixed_length is not None:
+            length = fixed_length
+        else:
+            length = int(np.ceil(rng.random() ** (-1.0 / alpha)))
+        direction = 1.0 if rng.random() < 0.5 else -1.0
+        take = min(length, n - pos)
+        out[pos : pos + take] = direction
+        pos += take
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 7, 5000, 100_000])
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.9])
+def test_metaorder_signs_repeat_the_loop_exactly(n, alpha):
+    for seed in range(1, 11):
+        got = gen_metaorder_signs(n, alpha, seed=seed).signs
+        assert np.array_equal(got, _metaorder_loop(n, alpha, seed))
+
+
+def test_metaorder_signs_repeat_the_loop_at_full_length():
+    n = 2**20 + 4096  # the chain's tape with its burn-in
+    assert np.array_equal(gen_metaorder_signs(n, 1.5, seed=1).signs,
+                          _metaorder_loop(n, 1.5, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3000), alpha=st.floats(1.01, 1.99), seed=st.integers(0, 2**32),
+       fixed_length=st.one_of(st.none(), st.integers(1, 4000)))
+def test_metaorder_signs_repeat_the_loop(n, alpha, seed, fixed_length):
+    got = gen_metaorder_signs(n, alpha, seed=seed, fixed_length=fixed_length).signs
+    assert np.array_equal(got, _metaorder_loop(n, alpha, seed, fixed_length))
+
+
+def test_pareto_lengths_follow_the_scalar_power_at_integers():
+    # u = k^-alpha puts u^(-1/alpha) within rounding of the integer k, where
+    # a last-bit difference between vector and scalar powers moves the ceiling
+    for alpha in (1.2, 1.5, 1.9):
+        u = np.arange(2.0, 400.0) ** -alpha
+        want = [min(int(np.ceil(x ** (-1.0 / alpha))), 1000) for x in u.tolist()]
+        assert _pareto_lengths(u, alpha, 1000).tolist() == want
+
+
+def test_pareto_lengths_clip_at_the_tape_length():
+    # a zero draw is one metaorder over the rest of the tape
+    assert _pareto_lengths(np.array([0.0, 1e-300, 0.5]), 1.5, 10).tolist() == [10, 10, 2]
 
 
 def test_metaorder_validation():
