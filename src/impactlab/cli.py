@@ -6,9 +6,12 @@ written atomically and reruns are byte-identical. Exit codes: 0 success,
 error (including search-budget refusals and partial measure success),
 4 acceptance-criteria failure.
 
-Flag precedence: built-in defaults, then command-line flags, then --config
-(the config file overrides flags section by section). --out-dir falls back
-to $IMPACTLAB_OUT_DIR, then the working directory.
+Each simulate, measure and manip flag is stored under its config key (its
+dest is `section.key`, e.g. `model.lam`), and the defaults live only in
+experiment.py: a setting no flag and no config gives takes the same default
+whichever way a run starts. A --config file overrides the flags section by
+section. --out-dir falls back to $IMPACTLAB_OUT_DIR, then the working
+directory.
 """
 
 import argparse
@@ -28,6 +31,7 @@ from .exceptions import (
 )
 from .experiment import (
     ExperimentConfig,
+    _build_model,
     expand_seeds,
     invert_stage,
     manip_stage,
@@ -82,59 +86,37 @@ def _resolve_out_dir(args, config: ExperimentConfig | None = None) -> str:
 
 
 def _add_universal(p: argparse.ArgumentParser):
-    p.add_argument("--seed", default=None,
-                   help="seed as an int, or first:last for an inclusive range")
-    p.add_argument("--out-dir", default=None,
-                   help=f"output directory (default ${ENV_OUT_DIR} or '.')")
+    p.add_argument("--seed", help="seed as an int, or first:last for an inclusive range")
+    p.add_argument("--out-dir", help=f"output directory (default ${ENV_OUT_DIR} or '.')")
 
 
-def _section_from_flags(pairs) -> dict:
-    return {k: v for k, v in pairs if v is not None}
+def _flag_sections(args) -> dict:
+    """{section: {key: value}} of the flags given, from their `section.key`
+    dests."""
+    given = [(dest.split(".", 1), value) for dest, value in vars(args).items()
+             if "." in dest and value is not None]
+    return {section: {k: v for (sec, k), v in given if sec == section}
+            for (section, _), _ in given}
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    """Defaults < flags < config file, section by section. Without --config
-    the flag defaults fill each section; with it, a section that no flag
-    sets takes ExperimentConfig's default unless the file gives it."""
-    gen = _section_from_flags([
-        ("kind", args.generator), ("p_buy", args.p_buy), ("gamma", args.gamma),
-        ("completion", args.completion), ("alpha", args.alpha),
-        ("fixed_length", args.fixed_length), ("c1", args.c1),
-    ])
-    vol = _section_from_flags([
-        ("dist", args.vol_dist), ("value", args.vol_value), ("mu", args.vol_mu),
-        ("sigma", args.vol_sigma), ("x_min", args.vol_xmin), ("tail", args.vol_tail),
-    ])
-    model = _section_from_flags([
-        ("kind", args.model), ("lam", args.lam), ("psi", args.psi),
-        ("noise_sigma", args.noise_sigma), ("p0", args.p0),
-    ])
-    kern = _section_from_flags([
-        ("beta", args.beta), ("g1", args.g1), ("plateau", args.plateau)])
-    if kern:
-        kern.setdefault("beta", 0.0)
-        kern["form"] = "power_law"
-        model["kernel"] = kern
-    if args.ar_coeffs is not None:
-        model["predictor"] = {"coeffs": args.ar_coeffs}
-    d = {"generator": gen, "volumes": vol, "model": model}
-    file_cfg = iolib.read_json(args.config) if args.config else None
-    if file_cfg is not None:
-        d = {name: section for name, section in d.items() if section}
-    gen.setdefault("kind", "iid")
-    if gen["kind"] == "iid":
-        gen.setdefault("p_buy", 0.5)  # symmetric flow is the iid default
-    vol.setdefault("dist", "constant")
-    model.setdefault("kind", "kyle")
+    """The flags given, then the --config file over them section by section;
+    ExperimentConfig fills in what neither sets, the same way for both."""
+    d = _flag_sections(args)
+    if "kernel" in d:
+        d["model"] = {**d.get("model", {}), "kernel": {"form": "power_law", **d.pop("kernel")}}
+    if "predictor" in d:
+        d["model"] = {**d.get("model", {}), "predictor": d.pop("predictor")}
     if args.n is not None:
         d["n"] = args.n
     if args.seed is not None:
         d["seed"] = _parse_seed(args.seed)
-    if file_cfg is not None:
+    if args.config:
+        file_cfg = iolib.read_json(args.config)
         if not file_cfg:
             raise ParameterError("empty config")
         d.update(file_cfg)
-    return ExperimentConfig.from_dict(d)
+    return ExperimentConfig.from_dict(d) if d else ExperimentConfig()
 
 
 def cmd_simulate(args) -> int:
@@ -155,16 +137,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_measure(args) -> int:
     tape = iolib.read_tape(args.tape)
-    spec = _section_from_flags([
-        ("max_lag", args.max_lag), ("sign_max_lag", args.sign_max_lag),
-        ("rho_window", args.rho_window), ("rho_psi_weight", args.rho_psi_weight),
-        ("cond_lag", args.cond_lag), ("n_bins", args.n_bins),
-        ("min_count", args.min_count),
-    ])
     out = _resolve_out_dir(args)
     stem = os.path.splitext(os.path.basename(args.tape))[0]
     _, errors, files = measure_stage(
-        tape, spec, out, stem, burn=args.burn,
+        tape, _flag_sections(args).get("estimator"), out, stem, burn=args.burn,
         extra={"input": os.path.relpath(args.tape, out), "burn": args.burn})
     for name, msg in errors.items():
         print(f"measure: {name}: {msg}", file=sys.stderr)
@@ -190,12 +166,8 @@ def cmd_invert(args) -> int:
 
 
 def cmd_manip(args) -> int:
-    spec = _section_from_flags([
-        ("betas", args.betas), ("psis", args.psis), ("grid", args.grid),
-        ("max_len", args.max_len), ("budget", args.budget), ("lam", args.lam),
-        ("own_impact", args.own_impact)])
     out = _resolve_out_dir(args)
-    report, files = manip_stage(spec, out)
+    report, files = manip_stage(_flag_sections(args).get("manip"), out)
     report["version"] = __version__
     iolib.write_json(report, os.path.join(out, "manip_report.json"))
     for r in report["rows"]:
@@ -254,10 +226,10 @@ def cmd_report(args) -> int:
             files.update(pooled_files)
             curves = pooled or curves
         if "response" in curves and "sign_autocorr" in curves:
+            impact, _ = _build_model(cfg.model)
             try:
                 bundle["invert"], inv_files = invert_stage(
-                    curves["response"], curves["sign_autocorr"],
-                    float(cfg.model.get("lam", 1.0)), float(cfg.model.get("psi", 1.0)),
+                    curves["response"], curves["sign_autocorr"], impact.lam, impact.psi,
                     v_ref, out, cfg.estimator.get("invert_lags"),
                     j_tail=cfg.estimator.get("j_tail"))
                 files.update(inv_files)
@@ -299,45 +271,47 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     p_sim = sub.add_parser("simulate", help="generate a priced trade tape")
-    p_sim.add_argument("--config", default=None, help="JSON config file (overrides flags)")
-    p_sim.add_argument("--n", type=int, default=None)
-    p_sim.add_argument("--generator", default=None,
+    p_sim.add_argument("--config", help="JSON config file (overrides flags)")
+    p_sim.add_argument("--n", type=int)
+    p_sim.add_argument("--generator", dest="generator.kind",
                        choices=["iid", "clipped_fractional", "metaorder", "markov"])
-    p_sim.add_argument("--p-buy", type=float, default=None)
-    p_sim.add_argument("--gamma", type=float, default=None)
-    p_sim.add_argument("--completion", default=None, choices=["martingale", "plain"])
-    p_sim.add_argument("--alpha", type=float, default=None)
-    p_sim.add_argument("--fixed-length", type=int, default=None)
-    p_sim.add_argument("--c1", type=float, default=None)
-    p_sim.add_argument("--vol-dist", default=None,
+    p_sim.add_argument("--p-buy", dest="generator.p_buy", type=float)
+    p_sim.add_argument("--gamma", dest="generator.gamma", type=float)
+    p_sim.add_argument("--completion", dest="generator.completion",
+                       choices=["martingale", "plain"])
+    p_sim.add_argument("--alpha", dest="generator.alpha", type=float)
+    p_sim.add_argument("--fixed-length", dest="generator.fixed_length", type=int)
+    p_sim.add_argument("--c1", dest="generator.c1", type=float)
+    p_sim.add_argument("--vol-dist", dest="volumes.dist",
                        choices=["constant", "lognormal", "pareto"])
-    p_sim.add_argument("--vol-value", type=float, default=None)
-    p_sim.add_argument("--vol-mu", type=float, default=None)
-    p_sim.add_argument("--vol-sigma", type=float, default=None)
-    p_sim.add_argument("--vol-xmin", type=float, default=None)
-    p_sim.add_argument("--vol-tail", type=float, default=None)
-    p_sim.add_argument("--model", default=None, choices=["kyle", "propagator", "surprise"])
-    p_sim.add_argument("--lam", type=float, default=None)
-    p_sim.add_argument("--psi", type=float, default=None)
-    p_sim.add_argument("--noise-sigma", type=float, default=None)
-    p_sim.add_argument("--p0", type=float, default=None)
-    p_sim.add_argument("--beta", type=float, default=None)
-    p_sim.add_argument("--g1", type=float, default=None)
-    p_sim.add_argument("--plateau", type=float, default=None)
-    p_sim.add_argument("--ar-coeffs", type=_float_list, default=None,
+    p_sim.add_argument("--vol-value", dest="volumes.value", type=float)
+    p_sim.add_argument("--vol-mu", dest="volumes.mu", type=float)
+    p_sim.add_argument("--vol-sigma", dest="volumes.sigma", type=float)
+    p_sim.add_argument("--vol-xmin", dest="volumes.x_min", type=float)
+    p_sim.add_argument("--vol-tail", dest="volumes.tail", type=float)
+    p_sim.add_argument("--model", dest="model.kind",
+                       choices=["kyle", "propagator", "surprise"])
+    p_sim.add_argument("--lam", dest="model.lam", type=float)
+    p_sim.add_argument("--psi", dest="model.psi", type=float)
+    p_sim.add_argument("--noise-sigma", dest="model.noise_sigma", type=float)
+    p_sim.add_argument("--p0", dest="model.p0", type=float)
+    p_sim.add_argument("--beta", dest="kernel.beta", type=float)
+    p_sim.add_argument("--g1", dest="kernel.g1", type=float)
+    p_sim.add_argument("--plateau", dest="kernel.plateau", type=float)
+    p_sim.add_argument("--ar-coeffs", dest="predictor.coeffs", type=_float_list,
                        help="comma-separated AR coefficients for the surprise model")
     _add_universal(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_meas = sub.add_parser("measure", help="estimate curves and fits from a tape")
     p_meas.add_argument("tape", help="tape CSV with prices")
-    p_meas.add_argument("--max-lag", type=int, default=None)
-    p_meas.add_argument("--sign-max-lag", type=int, default=None)
-    p_meas.add_argument("--rho-window", type=int, default=None)
-    p_meas.add_argument("--rho-psi-weight", type=float, default=None)
-    p_meas.add_argument("--cond-lag", type=int, default=None)
-    p_meas.add_argument("--n-bins", type=int, default=None)
-    p_meas.add_argument("--min-count", type=int, default=None)
+    p_meas.add_argument("--max-lag", dest="estimator.max_lag", type=int)
+    p_meas.add_argument("--sign-max-lag", dest="estimator.sign_max_lag", type=int)
+    p_meas.add_argument("--rho-window", dest="estimator.rho_window", type=int)
+    p_meas.add_argument("--rho-psi-weight", dest="estimator.rho_psi_weight", type=float)
+    p_meas.add_argument("--cond-lag", dest="estimator.cond_lag", type=int)
+    p_meas.add_argument("--n-bins", dest="estimator.n_bins", type=int)
+    p_meas.add_argument("--min-count", dest="estimator.min_count", type=int)
     p_meas.add_argument("--burn", type=int, default=0)
     _add_universal(p_meas)
     p_meas.set_defaults(func=cmd_measure)
@@ -349,30 +323,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--psi", type=float, default=1.0)
     p_inv.add_argument("--v", type=float, default=1.0,
                        help="reference volume scale of the tape")
-    p_inv.add_argument("--kernel-lags", type=int, default=None,
+    p_inv.add_argument("--kernel-lags", type=int,
                        help="number of kernel lags to solve for (default: the last response lag)")
-    p_inv.add_argument("--j-tail", type=int, default=None,
+    p_inv.add_argument("--j-tail", type=int,
                        help="tail-sum length (default: min(4096, last autocorrelation lag))")
     p_inv.add_argument("--ridge", type=float, default=0.0)
     _add_universal(p_inv)
     p_inv.set_defaults(func=cmd_invert)
 
     p_man = sub.add_parser("manip", help="minimum round-trip cost over a (beta,psi) grid")
-    # absent flags take experiment._default_manip(), as report's manip section does
-    p_man.add_argument("--betas", type=_float_list, default=None)
-    p_man.add_argument("--psis", type=_float_list, default=None)
-    p_man.add_argument("--max-len", type=int, default=None)
-    p_man.add_argument("--grid", type=_float_list, default=None,
+    p_man.add_argument("--betas", dest="manip.betas", type=_float_list)
+    p_man.add_argument("--psis", dest="manip.psis", type=_float_list)
+    p_man.add_argument("--max-len", dest="manip.max_len", type=int)
+    p_man.add_argument("--grid", dest="manip.grid", type=_float_list,
                        help="volume grid (positive values)")
-    p_man.add_argument("--budget", type=float, default=None,
+    p_man.add_argument("--budget", dest="manip.budget", type=float,
                        help="maximum number of canonical candidate strategies")
-    p_man.add_argument("--lam", type=float, default=None)
-    p_man.add_argument("--own-impact", default=None, choices=["full", "half"])
+    p_man.add_argument("--lam", dest="manip.lam", type=float)
+    p_man.add_argument("--own-impact", dest="manip.own_impact", choices=["full", "half"])
     _add_universal(p_man)
     p_man.set_defaults(func=cmd_manip)
 
     p_rep = sub.add_parser("report", help="run the pipeline and the acceptance table")
-    p_rep.add_argument("--config", default=None,
+    p_rep.add_argument("--config",
                        help="JSON experiment config; omitted runs criteria only")
     p_rep.add_argument("--criteria", default="all",
                        help="all, none, or comma-separated criterion numbers")

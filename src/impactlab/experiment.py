@@ -67,11 +67,11 @@ def _default_generator():
 
 
 def _default_volumes():
-    return {"dist": "constant", "value": 1.0}
+    return {"dist": "constant"}
 
 
 def _default_model():
-    return {"kind": "kyle", "lam": 0.1, "psi": 1.0, "noise_sigma": 0.0, "p0": 0.0}
+    return {"kind": "kyle"}
 
 
 def _default_estimator():
@@ -101,6 +101,19 @@ def _default_manip():
 # estimator keys that invert_stage reads, not measure
 _INVERT_KEYS = ("invert_lags", "j_tail")
 
+# settings that must hold exact integers: 300.7 trades or lags would
+# otherwise be truncated silently
+_ESTIMATOR_INTS = ("max_lag", "sign_max_lag", "rho_window", "cond_lag", "n_bins",
+                   "min_count") + _INVERT_KEYS
+_MANIP_INTS = ("max_len", "budget")
+
+# sections that name a kind: (default, the key naming it)
+_KINDED_SECTIONS = {
+    "generator": (_default_generator, "kind"),
+    "volumes": (_default_volumes, "dist"),
+    "model": (_default_model, "kind"),
+}
+
 
 def _check_keys(what: str, spec: dict, allowed, required=()) -> None:
     unknown, missing = set(spec) - set(allowed), set(required) - set(spec)
@@ -110,12 +123,25 @@ def _check_keys(what: str, spec: dict, allowed, required=()) -> None:
         raise ParameterError(f"{what} needs {sorted(missing)}")
 
 
-def _over_defaults(what: str, defaults: dict, spec: dict | None, extra=()) -> dict:
+def _is_integer(x) -> bool:
+    """True for an int, or a float holding an exact integer (1e7); a bool
+    is not a number here."""
+    return (isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+            and float(x).is_integer())
+
+
+def _over_defaults(what: str, defaults: dict, spec: dict | None, extra=(), ints=()) -> dict:
     """`defaults` updated by `spec`, whose keys must be among the defaults'
-    and `extra`."""
+    and `extra`. The keys in `ints` must hold exact integers; an `extra` key
+    may also be None, which stands for its absence."""
     spec = spec or {}
     _check_keys(what, spec, set(defaults) | set(extra))
-    return {**defaults, **spec}
+    out = {**defaults, **spec}
+    for key in ints:
+        value = out.get(key)
+        if not (_is_integer(value) or value is None and key not in defaults):
+            raise ParameterError(f"{what}: '{key}' must be an integer, got {value!r}")
+    return out
 
 
 @dataclass
@@ -132,19 +158,24 @@ class ExperimentConfig:
     out_dir: str | None = None  # None: resolved by the CLI
 
     def __post_init__(self):
-        if int(self.n) < 1:
-            raise ParameterError("n must be a positive integer")
+        if not _is_integer(self.n) or self.n < 1:
+            raise ParameterError(f"n must be a positive integer, got {self.n!r}")
         self.n = int(self.n)
         expand_seeds(self.seed)  # validates shape
         for name in ("generator", "volumes", "model", "estimator", "manip"):
             section = getattr(self, name)
             if not isinstance(section, dict) and not (name == "manip" and section is None):
                 raise ParameterError(f"config section '{name}' must be an object")
+        # a section that names no other kind fills its gaps from the default
+        for name, (default, tag) in _KINDED_SECTIONS.items():
+            base, section = default(), getattr(self, name)
+            if section.get(tag, base[tag]) == base[tag]:
+                setattr(self, name, {**base, **section})
         # a mistyped key would otherwise run at its default unnoticed
         _over_defaults("section 'estimator'", _default_estimator(), self.estimator,
-                       _INVERT_KEYS)
+                       _INVERT_KEYS, _ESTIMATOR_INTS)
         if self.manip is not None:
-            _over_defaults("section 'manip'", _default_manip(), self.manip)
+            _over_defaults("section 'manip'", _default_manip(), self.manip, ints=_MANIP_INTS)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -157,27 +188,32 @@ class ExperimentConfig:
         unknown = set(d) - known
         if unknown:
             raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-        # sections are taken verbatim (absent ones get the defaults), so a
-        # config round-trips to exactly the dict it was built from
+        # absent sections get the defaults and a section naming no other
+        # kind is layered over its default, so to_dict() gives a config that
+        # builds the same dict again
         return cls(**{k: d[k] for k in known if k in d})
 
     def sha256(self) -> str:
         return iolib.config_sha256(self.to_dict())
 
 
+def _is_seed(s) -> bool:
+    return isinstance(s, (int, np.integer)) and not isinstance(s, bool) and s >= 0
+
+
 def expand_seeds(seed) -> list:
-    """int -> [int]; [first, last] -> inclusive range; list -> as given."""
-    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool):
+    """int -> [int]; [first, last] -> inclusive range; list -> as given.
+    Seeds are non-negative ints, as numpy's generators require."""
+    if _is_seed(seed):
         return [int(seed)]
-    if isinstance(seed, (list, tuple)):
-        if len(seed) == 2 and all(isinstance(s, (int, np.integer)) for s in seed):
+    if isinstance(seed, (list, tuple)) and seed and all(_is_seed(s) for s in seed):
+        if len(seed) == 2:
             first, last = int(seed[0]), int(seed[1])
             if last < first:
                 raise ParameterError(f"seed range [{first}, {last}] is empty")
             return list(range(first, last + 1))
-        if seed and all(isinstance(s, (int, np.integer)) for s in seed):
-            return [int(s) for s in seed]
-    raise ParameterError(f"seed must be an int or [first, last], got {seed!r}")
+        return [int(s) for s in seed]
+    raise ParameterError(f"seed must be a non-negative int or [first, last], got {seed!r}")
 
 
 def provenance(config: ExperimentConfig | None = None, seed: int | None = None) -> dict:
@@ -219,29 +255,28 @@ def kernel_from_spec(spec: dict) -> Kernel:
     return Kernel.tabulated(np.asarray(d["values"], dtype=np.float64))
 
 
+_GENERATORS = {
+    "iid": gen_iid_signs,
+    "clipped_fractional": gen_clipped_fractional_signs,
+    "metaorder": gen_metaorder_signs,
+    "markov": gen_markov_signs,
+}
+
+# the keys of a model section that set ImpactConfig fields, and those of a
+# predictor spec; a key left out keeps the field's default
+_IMPACT_KEYS = {f.name for f in dataclasses.fields(ImpactConfig)} - {"kernel"}
+_PREDICTOR_KEYS = {f.name for f in dataclasses.fields(ArPredictor)}
+
+
 def _gen_signs(spec: dict, n: int, seed: int) -> SignSeries:
     d = dict(spec)
-    kind = d.pop("kind", None)
-    gens = {
-        "iid": gen_iid_signs,
-        "clipped_fractional": gen_clipped_fractional_signs,
-        "metaorder": gen_metaorder_signs,
-        "markov": gen_markov_signs,
-    }
-    if kind not in gens:
-        raise ParameterError(f"unknown generator kind {spec.get('kind')!r}")
+    kind = d.pop("kind")
+    if kind not in _GENERATORS:
+        raise ParameterError(f"unknown generator kind {kind!r}")
     try:
-        return gens[kind](n, seed=seed, **d)
+        return _GENERATORS[kind](n, seed=seed, **d)
     except TypeError as exc:
         raise ParameterError(f"bad parameters for generator '{kind}': {exc}") from None
-
-
-def _gen_volumes(spec: dict, n: int, seed: int) -> VolumeSeries:
-    d = dict(spec)
-    dist = d.pop("dist", None)
-    if dist is None:
-        raise ParameterError("volume spec needs 'dist'")
-    return gen_volumes(n, dist, seed=seed + _VOLUME_SEED_OFFSET, **d)
 
 
 def _build_model(model: dict):
@@ -249,7 +284,7 @@ def _build_model(model: dict):
     kernel; a section with a kernel or predictor its engine ignores is an
     error."""
     d = dict(model)
-    kind = d.pop("kind", None)
+    kind = d.pop("kind")
     if kind not in ("kyle", "propagator", "surprise"):
         raise ParameterError(f"unknown model kind {kind!r}")
     kernel_spec, predictor_spec = d.pop("kernel", None), d.pop("predictor", None)
@@ -264,19 +299,11 @@ def _build_model(model: dict):
         kernel = kernel_from_spec(kernel_spec)
     predictor = None
     if predictor_spec is not None:
-        _check_keys("predictor spec", predictor_spec, {"coeffs", "err_var"}, {"coeffs"})
-        predictor = ArPredictor(np.asarray(predictor_spec["coeffs"], dtype=np.float64),
-                                err_var=float(predictor_spec.get("err_var", 1.0)))
-    cfg = ImpactConfig(
-        lam=float(d.pop("lam", 1.0)),
-        psi=float(d.pop("psi", 1.0)),
-        kernel=kernel,
-        noise_sigma=float(d.pop("noise_sigma", 0.0)),
-        p0=float(d.pop("p0", 0.0)),
-    )
-    if d:
-        raise ParameterError(f"unknown model keys: {sorted(d)}")
-    return cfg, predictor
+        _check_keys("predictor spec", predictor_spec, _PREDICTOR_KEYS, {"coeffs"})
+        predictor = ArPredictor(**{k: v if k == "coeffs" else float(v)
+                                   for k, v in predictor_spec.items()})
+    _check_keys("model", d, _IMPACT_KEYS)
+    return ImpactConfig(kernel=kernel, **{k: float(v) for k, v in d.items()}), predictor
 
 
 def simulate(config: ExperimentConfig, seed: int):
@@ -290,7 +317,7 @@ def simulate(config: ExperimentConfig, seed: int):
     burn = burn_in_length(kernel=cfg.kernel, predictor=predictor)
     total = config.n + burn
     signs = _gen_signs(config.generator, total, seed)
-    vols = _gen_volumes(config.volumes, total, seed)
+    vols = gen_volumes(total, seed=seed + _VOLUME_SEED_OFFSET, **config.volumes)
     full = TradeTape(signs, vols)
     noise_seed = seed + _NOISE_SEED_OFFSET
     if predictor is not None:
@@ -319,7 +346,8 @@ def measure(tape: TradeTape, spec: dict | None = None, burn: int = 0):
     Returns (results dict, errors dict). Estimation failures are collected
     per curve; everything that can be computed still is.
     """
-    s = _over_defaults("estimator spec", _default_estimator(), spec, _INVERT_KEYS)
+    s = _over_defaults("estimator spec", _default_estimator(), spec, _INVERT_KEYS,
+                       _ESTIMATOR_INTS)
     results: dict = {}
     errors: dict = {}
 
@@ -475,7 +503,7 @@ def manip_stage(spec: dict, out: str):
     """The frontier of minimum round-trip costs over the (beta, psi) grid of
     `spec` layered over _default_manip(); writes frontier.csv.
     Returns ({rows, max_len, volume_grid, lam, own_impact}, files)."""
-    m = _over_defaults("manip spec", _default_manip(), spec)
+    m = _over_defaults("manip spec", _default_manip(), spec, ints=_MANIP_INTS)
     max_len, lam = int(m["max_len"]), float(m["lam"])
     rows = gatheral_frontier(m["betas"], m["psis"], max_len=max_len, volume_grid=m["grid"],
                              lam=lam, budget=int(m["budget"]), own_impact=m["own_impact"])

@@ -71,18 +71,6 @@ class CostReport:
     meta: dict = field(default_factory=dict)
 
 
-def _exec_prices(slots, u, kernel: Kernel, lam: float, own: float) -> np.ndarray:
-    k = len(slots)
-    prices = np.empty(k)
-    g1 = float(kernel.eval(1))
-    for i in range(k):
-        past = 0.0
-        if i > 0:
-            past = float(np.sum(kernel.eval(slots[i] - slots[:i]) * u[:i]))
-        prices[i] = lam * (past + own * g1 * u[i])
-    return prices
-
-
 def strategy_cost(
     strategy: Strategy, kernel: Kernel, lam: float, psi: float, own_impact: str = "full"
 ) -> CostReport:
@@ -103,7 +91,7 @@ def strategy_cost(
     slots = np.array([s for s, _ in strategy.trades], dtype=np.float64)
     q = np.array([qq for _, qq in strategy.trades])
     u = np.sign(q) * np.abs(q) ** psi
-    prices = _exec_prices(slots, u, kernel, lam, own)
+    prices = lam * (_pattern_w(kernel, slots, own * float(kernel.eval(1))) @ u)
     return CostReport(float(np.dot(q, prices)), prices, strategy, lam, psi, own_impact)
 
 

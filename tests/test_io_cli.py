@@ -1,8 +1,10 @@
 """File formats and the command-line surface: lossless round-trips, format
 errors with line numbers, determinism, and the exit-code contract."""
 
+import argparse
 import filecmp
 import importlib.metadata
+import inspect
 import json
 import os
 import subprocess
@@ -29,7 +31,8 @@ from impactlab import (
     kyle_path,
     predict_response,
 )
-from impactlab.experiment import ExperimentConfig, invert_stage, provenance
+from impactlab import experiment, orderflow
+from impactlab.experiment import ExperimentConfig, expand_seeds, invert_stage, provenance
 from impactlab.io import (
     config_sha256,
     read_curve,
@@ -468,6 +471,109 @@ def test_cli_simulate_config_leaves_unset_sections_at_the_config_defaults(tmp_pa
     assert meta["generator"] == {"kind": "iid", "p_buy": 0.5}
 
 
+def test_cli_flags_and_config_share_one_set_of_defaults(tmp_path):
+    """The same settings as flags, as a config for simulate, and as a config
+    for report write the same tape and meta bytes."""
+    cfg_path = str(tmp_path / "cfg.json")
+    write_json({"n": 300, "seed": 1}, cfg_path)
+    dirs = {name: str(tmp_path / name) for name in ("flags", "config", "report")}
+    assert cli.main(["simulate", "--n", "300", "--seed", "1", "--out-dir", dirs["flags"]]) == 0
+    assert cli.main(["simulate", "--config", cfg_path, "--out-dir", dirs["config"]]) == 0
+    # the default estimator lags exceed 300 trades: measure errors, exit 3
+    assert cli.main(["report", "--config", cfg_path, "--criteria", "none",
+                     "--out-dir", dirs["report"]]) == 3
+    for name in ("tape_seed1.csv", "meta_seed1.json"):
+        for other in ("config", "report"):
+            assert filecmp.cmp(os.path.join(dirs["flags"], name),
+                               os.path.join(dirs[other], name), shallow=False), (name, other)
+
+
+def test_a_section_naming_no_other_kind_is_layered_over_its_default():
+    cfg = ExperimentConfig(generator={"p_buy": 0.6}, volumes={"value": 2.0},
+                           model={"lam": 0.5})
+    assert cfg.generator == {"kind": "iid", "p_buy": 0.6}
+    assert cfg.volumes == {"dist": "constant", "value": 2.0}
+    assert cfg.model == {"kind": "kyle", "lam": 0.5}
+    assert ExperimentConfig(generator={"kind": "iid"}).generator == {"kind": "iid", "p_buy": 0.5}
+    markov = {"kind": "markov", "c1": 0.3}
+    assert ExperimentConfig(generator=markov).generator == markov
+
+
+@pytest.mark.parametrize("section, key", [
+    ({"n": 300.7}, "n"),
+    ({"n": True}, "n"),
+    ({"estimator": {"max_lag": 16.9}}, "max_lag"),
+    ({"estimator": {"n_bins": True}}, "n_bins"),
+    ({"estimator": {"invert_lags": 2.5}}, "invert_lags"),
+    ({"estimator": {"j_tail": False}}, "j_tail"),
+    ({"manip": {"max_len": 3.9}}, "max_len"),
+    ({"manip": {"budget": True}}, "budget"),
+])
+def test_cli_integer_settings_must_be_exact_integers(tmp_path, capsys, section, key):
+    cfg = str(tmp_path / "cfg.json")
+    write_json({"n": 600, "seed": 1, **section}, cfg)
+    out = tmp_path / "o"
+    assert cli.main(["report", "--config", cfg, "--criteria", "none",
+                     "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "ParameterError" in err and key in err and "integer" in err
+    assert not os.path.exists(out / "tape_seed1.csv")
+
+
+def test_integer_settings_accept_integral_floats(tmp_path):
+    cfg = ExperimentConfig(n=300.0, estimator={"max_lag": 16.0, "j_tail": None},
+                           manip={"budget": 1e7, "max_len": 2.0})
+    assert cfg.n == 300 and isinstance(cfg.n, int)
+    out = str(tmp_path / "o")
+    assert cli.main(["manip", "--betas", "0.5", "--psis", "1", "--max-len", "2",
+                     "--budget", "1e7", "--out-dir", out]) == 0
+
+
+@pytest.mark.parametrize("seed", [-1, True, [True, 2], [-2, 3], [1, 2, -3], []])
+def test_expand_seeds_rejects_negative_and_bool_seeds(seed):
+    with pytest.raises(ParameterError):
+        expand_seeds(seed)
+
+
+def test_cli_rejects_a_negative_or_bool_seed(tmp_path, capsys):
+    out = str(tmp_path / "o")
+    assert cli.main(["simulate", "--n", "50", "--seed", "-1", "--out-dir", out]) == 1
+    cfg = str(tmp_path / "cfg.json")
+    write_json({"n": 50, "seed": [True, 2]}, cfg)
+    assert cli.main(["simulate", "--config", cfg, "--out-dir", out]) == 1
+    assert capsys.readouterr().err.count("ParameterError") == 2
+    assert not os.path.exists(out)
+
+
+def _config_dests(command: str) -> list:
+    """The `section.key` dests of one subcommand's flags."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [a.dest for a in sub.choices[command]._actions if "." in a.dest]
+
+
+def test_every_flag_dest_is_a_key_its_section_accepts():
+    gen_params = {p for g in experiment._GENERATORS.values()
+                  for p in inspect.signature(g).parameters}
+    accepted = {
+        "generator": {"kind"} | gen_params - {"n", "seed"},
+        "volumes": {"dist"} | set().union(*orderflow._VOLUME_PARAMS.values()),
+        "model": {"kind"} | experiment._IMPACT_KEYS,
+        "kernel": experiment._KERNEL_SPEC_KEYS["power_law"][1],
+        "predictor": experiment._PREDICTOR_KEYS,
+    }
+    simulate = _config_dests("simulate")
+    assert len(simulate) == 22
+    for dest in simulate:
+        section, key = dest.split(".")
+        assert key in accepted[section], dest
+    assert (sorted(_config_dests("measure"))
+            == sorted(f"estimator.{k}" for k in experiment._default_estimator()))
+    assert (sorted(_config_dests("manip"))
+            == sorted(f"manip.{k}" for k in experiment._default_manip()))
+    assert _config_dests("invert") == _config_dests("report") == []
+
+
 def test_cli_out_dir_env_fallback(tmp_path, monkeypatch):
     env_dir = str(tmp_path / "from_env")
     monkeypatch.setenv("IMPACTLAB_OUT_DIR", env_dir)
@@ -510,8 +616,11 @@ def test_cli_simulate_rejects_a_spec_its_engine_ignores(tmp_path, flags):
     ({"model": {"kind": "surprise", "predictor": {"coeffs": [0.3], "err_vr": 2}}}, []),
     ({"estimator": {"max_lga": 16}}, []),
     ({"model": None}, []),
+    (None, ["--model", "propagator", "--g1", "2"]),
+    (None, ["--model", "propagator", "--plateau", "0.5"]),
 ], ids=["kernel-typo", "tabulated-extra", "no-beta", "volume-typo", "volume-flag",
-        "predictor-typo", "predictor-extra", "estimator-typo", "model-null"])
+        "predictor-typo", "predictor-extra", "estimator-typo", "model-null",
+        "g1-without-beta", "plateau-without-beta"])
 def test_cli_simulate_rejects_unknown_or_missing_spec_keys(tmp_path, section, flags):
     if section is not None:
         flags = ["--config", str(tmp_path / "cfg.json")]
