@@ -58,7 +58,7 @@ class CriterionResult:
 
 
 def _unit_volumes(n: int) -> VolumeSeries:
-    return VolumeSeries(np.ones(n), distribution_tag="constant")
+    return VolumeSeries(np.ones(n))
 
 
 @lru_cache(maxsize=1)
@@ -195,8 +195,8 @@ def criterion_05_response_decomposition() -> CriterionResult:
     meas = est.response(tape, max_lag=128, overlap=False, batches=32, burn=BURN)
     dev = np.abs(meas.values - pred.values) / meas.se
     ok_point = bool(np.all(dev <= 3.0))
-    wide = est.response(tape, lags=[8, 512], burn=BURN)
-    ratio = float(wide.values[1] / wide.values[0])
+    wide = est.response(tape, max_lag=512, burn=BURN)
+    ratio = wide.value_at(512) / wide.value_at(8)
     ok_limit = 0.5 <= ratio <= 2.0
     return CriterionResult(
         5, "response matches its kernel decomposition and keeps a floor",
@@ -355,24 +355,20 @@ def criterion_11_manipulation_frontier() -> CriterionResult:
     grid = (1.0, 2.0, 4.0, 8.0, 9.0)
     max_len = 10
     n_candidates = count_round_trips(max_len, grid)
-    details: dict = {"candidates": int(n_candidates), "default_budget": 10**7}
-    if n_candidates > 10**7:
-        # the default budget refuses a grid this large; confirm, then raise
-        # the budget to exactly the candidate count as the error suggests
-        try:
-            search_round_trips(Kernel.permanent(), 1.0, 1.0, max_len, grid)
-            details["default_budget_refused"] = False
-        except SearchBudgetError:
-            details["default_budget_refused"] = True
-        budget = n_candidates
-    else:
-        details["default_budget_refused"] = None
-        budget = 10**7
-    details["budget_used"] = int(budget)
+    # the grid has over 10^7 candidates, so the default budget refuses it;
+    # confirm, then raise the budget to exactly the candidate count as the
+    # error suggests
+    try:
+        search_round_trips(Kernel.permanent(), 1.0, 1.0, max_len, grid)
+        refused = False
+    except SearchBudgetError:
+        refused = True
+    details: dict = {"candidates": int(n_candidates), "default_budget": 10**7,
+                     "default_budget_refused": refused, "budget_used": int(n_candidates)}
 
     def cell(beta, psi):
         cost, strat, _ = search_round_trips(
-            Kernel.power_law(beta), 1.0, psi, max_len, grid, budget=budget
+            Kernel.power_law(beta), 1.0, psi, max_len, grid, budget=n_candidates
         )
         return cost, strat
 

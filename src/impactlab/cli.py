@@ -10,8 +10,8 @@ Each simulate, measure and manip flag is stored under its config key (its
 dest is `section.key`, e.g. `model.lam`), and the defaults live only in
 experiment.py: a setting no flag and no config gives takes the same default
 whichever way a run starts. A --config file overrides the flags section by
-section. --out-dir falls back to $IMPACTLAB_OUT_DIR, then the working
-directory.
+section. Only simulate takes --seed; report reads its seeds from its config.
+--out-dir falls back to $IMPACTLAB_OUT_DIR, then the working directory.
 """
 
 import argparse
@@ -86,7 +86,6 @@ def _resolve_out_dir(args, config: ExperimentConfig | None = None) -> str:
 
 
 def _add_universal(p: argparse.ArgumentParser):
-    p.add_argument("--seed", help="seed as an int, or first:last for an inclusive range")
     p.add_argument("--out-dir", help=f"output directory (default ${ENV_OUT_DIR} or '.')")
 
 
@@ -300,6 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--plateau", dest="kernel.plateau", type=float)
     p_sim.add_argument("--ar-coeffs", dest="predictor.coeffs", type=_float_list,
                        help="comma-separated AR coefficients for the surprise model")
+    p_sim.add_argument("--seed", help="seed as an int, or first:last for an inclusive range")
     _add_universal(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -223,13 +223,13 @@ def _window_sums(p: np.ndarray, max_lag: int, e: np.ndarray | None = None):
 def response(
     tape: TradeTape,
     max_lag: int | None = None,
-    lags=None,
     overlap: bool = True,
     batches: int = 0,
     burn: int = 0,
 ) -> LagCurve:
     """Average price move after a trade, signed by that trade:
-    R(l) = mean_n[(p_{n+l} - p_n) eps_n] - mean[p_{n+l} - p_n] * mean[eps_n].
+    R(l) = mean_n[(p_{n+l} - p_n) eps_n] - mean[p_{n+l} - p_n] * mean[eps_n]
+    on lags 1..max_lag.
 
     overlap=True uses every start n (naive SE), at O(N log N + max lag) cost
     through FFT correlations of the returns. overlap=False places windows
@@ -240,25 +240,19 @@ def response(
     p = _priced(tape)[burn:]
     e = tape.eps[burn:]
     m = e.size
-    if lags is None:
-        if max_lag is None:
-            raise ParameterError("give max_lag or lags")
-        lag_arr = np.arange(1, max_lag + 1, dtype=np.int64)
-    else:
-        lag_arr = np.asarray(lags, dtype=np.int64)
-    if lag_arr.size == 0 or lag_arr.min() < 1 or lag_arr.max() >= m:
-        raise ParameterError(
-            "lags must be nonempty, positive and below the (post-burn) tape length")
+    if max_lag is None or not 1 <= max_lag < m:
+        raise ParameterError("max_lag must be given, positive and below the (post-burn) "
+                             "tape length")
+    lag_arr = np.arange(1, max_lag + 1, dtype=np.int64)
     if overlap:
-        sdp, sq, sprod = _window_sums(p, int(lag_arr.max()), e)
-        i = lag_arr - 1
+        sdp, sq, sprod = _window_sums(p, max_lag, e)
         cnts = m + 1 - lag_arr
-        mean = sprod[i] / cnts
+        mean = sprod / cnts
         # sum of e_0..e_{m-l}: all signs but the last l-1
-        e_tail = np.concatenate(([0.0], np.cumsum(e[m - 1 : m - lag_arr.max() : -1])))
-        vals = mean - sdp[i] / cnts * ((e.sum() - e_tail[i]) / cnts)
+        e_tail = np.concatenate(([0.0], np.cumsum(e[m - 1 : m - max_lag : -1])))
+        vals = mean - sdp / cnts * ((e.sum() - e_tail) / cnts)
         # eps = +-1, so the mean squared product is sq / count
-        ses = np.sqrt(np.maximum(sq[i] / cnts - mean * mean, 0.0)) / np.sqrt(cnts)
+        ses = np.sqrt(np.maximum(sq / cnts - mean * mean, 0.0)) / np.sqrt(cnts)
     else:
         vals = np.empty(lag_arr.size)
         cnts = np.empty(lag_arr.size, dtype=np.int64)
@@ -290,14 +284,12 @@ def conditional_response(
     T: int,
     bins=None,
     n_bins: int = 12,
-    q_lo: float = 0.001,
-    q_hi: float = 0.999,
     min_count: int = 50,
     burn: int = 0,
 ) -> ConditionalResponse:
     """Volume-conditioned response: per-bin mean of (p_{n+T}-p_n)*eps_n over
     trades with v_n in the bin. Default bins are logarithmic between the
-    q_lo and q_hi volume quantiles; bins under min_count are dropped."""
+    0.001 and 0.999 volume quantiles; bins under min_count are dropped."""
     p = _priced(tape)[burn:]
     e = tape.eps[burn:]
     v = tape.v[burn:]
@@ -308,7 +300,7 @@ def conditional_response(
     y = dp * e[: dp.size]
     vv = v[: dp.size]
     if bins is None:
-        lo, hi = np.quantile(vv, q_lo), np.quantile(vv, q_hi)
+        lo, hi = np.quantile(vv, 0.001), np.quantile(vv, 0.999)
         if not 0 < lo < hi:
             raise EstimationError("volume quantiles do not span a positive range")
         edges = np.exp(np.linspace(np.log(lo), np.log(hi), n_bins + 1))
@@ -358,12 +350,12 @@ def rho(tape: TradeTape, T: int, psi_weight: float = 1.0, burn: int = 0) -> floa
     return float((dp * q).mean() / denom)
 
 
-def sign_autocorr(signs, max_lag: int, centered: bool = True) -> LagCurve:
+def sign_autocorr(signs, max_lag: int) -> LagCurve:
     """Sample sign autocorrelation on lags 1..max_lag:
-    C(l) = mean_n[eps_n eps_{n+l}] - (mean eps)^2 (centering optional).
+    C(l) = mean_n[eps_n eps_{n+l}] - (mean eps)^2.
 
     Computed by FFT; per-lag counts are N-l. A (near-)constant series makes
-    the centered estimator 0 at every lag; flagged as degenerate in meta.
+    the estimator 0 at every lag; flagged as degenerate in meta.
     """
     eps = _eps_of(signs)
     n = eps.size
@@ -372,11 +364,9 @@ def sign_autocorr(signs, max_lag: int, centered: bool = True) -> LagCurve:
     mu = eps.mean()
     raw = _fft_corr(eps, eps, max_lag)
     cnt = n - np.arange(max_lag + 1)
-    cov = raw / cnt
-    if centered:
-        cov = cov - mu * mu
+    cov = raw / cnt - mu * mu
     lag0 = float(cov[0])
-    meta = {"mean": float(mu), "lag0": lag0, "centered": centered}
+    meta = {"mean": float(mu), "lag0": lag0}
     if abs(lag0) < 1e-12:
         meta["degenerate"] = True
     return LagCurve(
@@ -587,18 +577,17 @@ def invert_response(
     return Kernel.tabulated(sol), report
 
 
-def levinson_durbin(C, order: int, gamma0: float = 1.0) -> ArPredictor:
+def levinson_durbin(C, order: int) -> ArPredictor:
     """AR(order) coefficients solving the Yule-Walker equations for the
-    autocovariance sequence (gamma0, C(1), C(2), ...), by the standard
-    recursion. Returns the predictor with its one-step error variance."""
+    normalized autocorrelation sequence (1, C(1), C(2), ...), by the
+    standard recursion. Returns the predictor with its one-step error
+    variance."""
     if order < 1:
         raise ParameterError("order must be >= 1")
     c = _dense_C(C, order)
-    r = np.concatenate([[gamma0], c])
-    if gamma0 <= 0:
-        raise NumericError("lag-0 autocovariance must be positive")
+    r = np.concatenate([[1.0], c])
     a = np.zeros(order)
-    e = float(gamma0)
+    e = 1.0
     for k in range(1, order + 1):
         acc = r[k] - np.dot(a[: k - 1], r[1:k][::-1])
         kappa = acc / e
@@ -629,11 +618,11 @@ class CollapseResult:
     delta: float
 
 
-def master_curve_rescale(stocks, delta: float = 0.3, grid_points: int = 50) -> CollapseResult:
+def master_curve_rescale(stocks, delta: float = 0.3) -> CollapseResult:
     """Capitalization rescaling of per-stock impact curves: each (M, vbar,
     curve) maps to x = M^delta * v / vbar, y = M^delta * R(v). Curves are
-    compared on a common log grid spanning the overlap of their x-supports
-    (log-log interpolation, exact on power laws)."""
+    compared on a common log grid of 50 points spanning the overlap of their
+    x-supports (log-log interpolation, exact on power laws)."""
     if len(stocks) < 2:
         raise ParameterError("need at least 2 stocks")
     xs, ys = [], []
@@ -650,7 +639,7 @@ def master_curve_rescale(stocks, delta: float = 0.3, grid_points: int = 50) -> C
     hi = min(x.max() for x in xs)
     if not lo < hi:
         raise EstimationError("no overlapping x-support across stocks")
-    grid = np.exp(np.linspace(np.log(lo), np.log(hi), grid_points))
+    grid = np.exp(np.linspace(np.log(lo), np.log(hi), 50))
     interp = [
         np.exp(np.interp(np.log(grid), np.log(x), np.log(y))) for x, y in zip(xs, ys)
     ]

@@ -262,10 +262,10 @@ _GENERATORS = {
     "markov": gen_markov_signs,
 }
 
-# the keys of a model section that set ImpactConfig fields, and those of a
-# predictor spec; a key left out keeps the field's default
+# the keys of a model section that set ImpactConfig fields (a key left out
+# keeps the field's default), and those of a predictor spec
 _IMPACT_KEYS = {f.name for f in dataclasses.fields(ImpactConfig)} - {"kernel"}
-_PREDICTOR_KEYS = {f.name for f in dataclasses.fields(ArPredictor)}
+_PREDICTOR_KEYS = {"coeffs"}
 
 
 def _gen_signs(spec: dict, n: int, seed: int) -> SignSeries:
@@ -299,9 +299,8 @@ def _build_model(model: dict):
         kernel = kernel_from_spec(kernel_spec)
     predictor = None
     if predictor_spec is not None:
-        _check_keys("predictor spec", predictor_spec, _PREDICTOR_KEYS, {"coeffs"})
-        predictor = ArPredictor(**{k: v if k == "coeffs" else float(v)
-                                   for k, v in predictor_spec.items()})
+        _check_keys("predictor spec", predictor_spec, _PREDICTOR_KEYS, _PREDICTOR_KEYS)
+        predictor = ArPredictor(predictor_spec["coeffs"])
     _check_keys("model", d, _IMPACT_KEYS)
     return ImpactConfig(kernel=kernel, **{k: float(v) for k, v in d.items()}), predictor
 
@@ -324,11 +323,8 @@ def simulate(config: ExperimentConfig, seed: int):
         prices = surprise_path(full, predictor, cfg, seed=noise_seed)
     else:
         prices = propagator_path(full, cfg, seed=noise_seed)
-    tape = TradeTape(
-        SignSeries(signs.signs[burn:], seed=seed, generator_tag=signs.generator_tag),
-        VolumeSeries(vols.volumes[burn:], distribution_tag=vols.distribution_tag),
-        prices=prices[burn:],
-    )
+    tape = TradeTape(SignSeries(signs.signs[burn:]), VolumeSeries(vols.volumes[burn:]),
+                     prices=prices[burn:])
     meta = {
         "burn": int(burn),
         "n": int(config.n),

@@ -74,8 +74,8 @@ class Kernel:
         return cls(form="power_law", beta=beta, g1=g1, plateau=plateau)
 
     @classmethod
-    def permanent(cls, g1: float = 1.0) -> "Kernel":
-        return cls(form="power_law", beta=0.0, g1=g1)
+    def permanent(cls) -> "Kernel":
+        return cls(form="power_law", beta=0.0)
 
     @classmethod
     def tabulated(cls, values) -> "Kernel":
@@ -139,7 +139,8 @@ class ArPredictor:
     @property
     def worst_case_prediction(self) -> float:
         """Largest |prediction| over +-1 histories, sum of |a_j|. Values >= 1
-        mean some history predicts outside (-1, 1); flagged by quotes()."""
+        mean some history predicts outside (-1, 1); quotes() and
+        quote_series() reject each such prediction where it occurs."""
         return float(np.abs(self.coeffs).sum())
 
     def predict_series(self, eps: np.ndarray) -> np.ndarray:

@@ -154,8 +154,7 @@ def read_tape(path: str) -> TradeTape:
             fh.seek(0)
             cols = None
         eps, vol, prices = cols if cols is not None else _read_tape_rows(fh)
-    return TradeTape(SignSeries(eps, seed=-1, generator_tag="file"),
-                     VolumeSeries(vol, distribution_tag="file"), prices=prices)
+    return TradeTape(SignSeries(eps), VolumeSeries(vol), prices=prices)
 
 
 # The small formats, one (header, kinds) spec each for writer and reader.
@@ -225,13 +224,12 @@ def read_conditional(path: str, T: int = 1) -> ConditionalResponse:
     return ConditionalResponse(lo, hi, vals, cnts, T, se)
 
 
-def write_kernel(kernel: Kernel, path: str, max_lag: int | None = None, se_proxy=None):
-    """Kernel CSV `lag,G,se_proxy`. Tabulated kernels write their table,
-    analytic forms need max_lag."""
-    if max_lag is None and kernel.form != "tabulated":
-        raise ParameterError("analytic kernel needs max_lag to serialize")
-    lags = np.arange(1, (kernel.values.size if max_lag is None else max_lag) + 1)
-    _write_columns(path, *_KERNEL, lags, kernel.eval(lags), se_proxy)
+def write_kernel(kernel: Kernel, path: str, se_proxy=None):
+    """Kernel CSV `lag,G,se_proxy` of a tabulated kernel's table."""
+    if kernel.form != "tabulated":
+        raise ParameterError("only a tabulated kernel can be written")
+    _write_columns(path, *_KERNEL, np.arange(1, kernel.values.size + 1), kernel.values,
+                   se_proxy)
 
 
 def read_kernel(path: str):

@@ -6,7 +6,7 @@ memory from metaorder splitting. All generators are pure functions of
 (parameters, seed).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -31,12 +31,9 @@ __all__ = [
 
 @dataclass
 class SignSeries:
-    """A +-1 trade-sign sequence with its generation provenance."""
+    """A +-1 trade-sign sequence."""
 
     signs: np.ndarray
-    seed: int
-    generator_tag: str
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.signs = np.asarray(self.signs, dtype=np.float64)
@@ -53,8 +50,6 @@ class VolumeSeries:
     """Per-trade volumes, strictly positive."""
 
     volumes: np.ndarray
-    distribution_tag: str
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.volumes = np.asarray(self.volumes, dtype=np.float64)
@@ -76,7 +71,6 @@ class TradeTape:
     signs: SignSeries
     volumes: VolumeSeries
     prices: np.ndarray | None = None
-    dt_tag: str = "trade"
 
     def __post_init__(self):
         if len(self.signs) != len(self.volumes):
@@ -107,7 +101,7 @@ def gen_iid_signs(n: int, p_buy: float, seed: int) -> SignSeries:
         raise ParameterError("p_buy must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     signs = np.where(rng.random(n) < p_buy, 1.0, -1.0)
-    return SignSeries(signs, seed, "iid", {"p_buy": p_buy})
+    return SignSeries(signs)
 
 
 def _whitening_autocorr(gamma: float, n_lags: int, grid: int) -> np.ndarray:
@@ -198,7 +192,7 @@ def gen_clipped_fractional_signs(
     z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     latent = np.real(ifft(np.sqrt(ev) * z)) * np.sqrt(m)
     signs = np.where(latent[:n] >= 0.0, 1.0, -1.0)
-    return SignSeries(signs, seed, "clipped_fractional", {"gamma": gamma, "completion": completion})
+    return SignSeries(signs)
 
 
 def _pareto_lengths(u: np.ndarray, alpha: float, n: int) -> np.ndarray:
@@ -255,7 +249,7 @@ def gen_metaorder_signs(
     size = np.concatenate(lengths)
     m = int(np.searchsorted(np.cumsum(size), n)) + 1  # metaorders that reach n
     out = np.repeat(np.where(np.concatenate(buys)[:m], 1.0, -1.0), size[:m])[:n]
-    return SignSeries(out, seed, "metaorder", {"alpha": alpha, "fixed_length": fixed_length})
+    return SignSeries(out)
 
 
 def gen_markov_signs(n: int, c1: float, seed: int) -> SignSeries:
@@ -275,7 +269,7 @@ def gen_markov_signs(n: int, c1: float, seed: int) -> SignSeries:
     signs = np.empty(n)
     signs[0] = start
     signs[1:] = start * np.where(parity == 1, -1.0, 1.0)
-    return SignSeries(signs, seed, "markov", {"c1": c1})
+    return SignSeries(signs)
 
 
 _VOLUME_PARAMS = {"constant": {"value"}, "lognormal": {"mu", "sigma"},
@@ -318,7 +312,7 @@ def gen_volumes(n: int, dist: str = "constant", seed: int = 0, **params) -> Volu
         if tail <= 1.0:
             raise ParameterError("pareto tail must exceed 1 for a finite mean")
         v = x_min * rng.random(n) ** (-1.0 / tail)
-    return VolumeSeries(v, dist, dict(params))
+    return VolumeSeries(v)
 
 
 def sign_balance_zscore(signs) -> float:

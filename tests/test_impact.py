@@ -37,7 +37,7 @@ from impactlab import (
 def _tape(eps, vols=None):
     eps = np.asarray(eps, dtype=np.float64)
     v = gen_volumes(eps.size) if vols is None else vols
-    return TradeTape(SignSeries(eps, 0, "test", {}), v)
+    return TradeTape(SignSeries(eps), v)
 
 
 def test_kyle_path_worked_example():
@@ -193,7 +193,7 @@ def kernels(draw, n):
     st.floats(0.05, 0.95), st.sampled_from([1e-3, 1.0, 1e3]), st.floats(-50.0, 50.0))
 def test_propagator_path_matches_the_double_loop(drawn, psi, lam, p0):
     eps, vols, kernel = drawn
-    tape = _tape(eps, VolumeSeries(vols, "test", {}))
+    tape = _tape(eps, VolumeSeries(vols))
     p = propagator_path(tape, ImpactConfig(lam, psi, kernel, 0.0, p0))
     u = np.asarray(eps) * np.asarray(vols) ** psi
     g = kernel.eval(np.arange(1, tape.n + 1))

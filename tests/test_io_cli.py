@@ -121,13 +121,8 @@ def test_kernel_round_trip_and_analytic_serialization(tmp_path):
     back, se = read_kernel(path)
     assert np.array_equal(back.values, tab.values)
     assert np.allclose(se, 0.01)
-    power = Kernel.power_law(0.3)
     with pytest.raises(ParameterError):
-        write_kernel(power, str(tmp_path / "p.csv"))  # needs max_lag
-    write_kernel(power, str(tmp_path / "p.csv"), max_lag=16)
-    back2, se2 = read_kernel(str(tmp_path / "p.csv"))
-    assert se2 is None
-    assert np.allclose(back2.values, power.eval(np.arange(1, 17)), rtol=0, atol=1e-15)
+        write_kernel(Kernel.power_law(0.3), str(tmp_path / "p.csv"))  # not tabulated
 
 
 def test_kernel_se_proxy_is_blank_for_a_square_inversion(tmp_path):
@@ -614,12 +609,14 @@ def test_cli_simulate_rejects_a_spec_its_engine_ignores(tmp_path, flags):
     (None, ["--vol-dist", "lognormal", "--vol-value", "3"]),
     ({"model": {"kind": "surprise", "predictor": {"coefs": [0.3]}}}, []),
     ({"model": {"kind": "surprise", "predictor": {"coeffs": [0.3], "err_vr": 2}}}, []),
+    ({"model": {"kind": "surprise", "predictor": {"coeffs": [0.3], "err_var": 2}}}, []),
     ({"estimator": {"max_lga": 16}}, []),
     ({"model": None}, []),
     (None, ["--model", "propagator", "--g1", "2"]),
     (None, ["--model", "propagator", "--plateau", "0.5"]),
 ], ids=["kernel-typo", "tabulated-extra", "no-beta", "volume-typo", "volume-flag",
-        "predictor-typo", "predictor-extra", "estimator-typo", "model-null",
+        "predictor-typo", "predictor-extra", "predictor-err-var", "estimator-typo",
+        "model-null",
         "g1-without-beta", "plateau-without-beta"])
 def test_cli_simulate_rejects_unknown_or_missing_spec_keys(tmp_path, section, flags):
     if section is not None:
@@ -628,6 +625,26 @@ def test_cli_simulate_rejects_unknown_or_missing_spec_keys(tmp_path, section, fl
     assert cli.main(["simulate", "--n", "50", "--seed", "1", *flags,
                      "--out-dir", str(tmp_path)]) == 1
     assert not os.path.exists(tmp_path / "meta_seed1.json")
+
+
+@pytest.mark.parametrize("command", ["measure", "invert", "manip", "report"])
+def test_cli_seed_is_a_simulate_flag_only(tmp_path, command):
+    """Only simulate reads --seed (report takes its seeds from its config);
+    any other command refuses it before writing anything."""
+    src = str(tmp_path / "src")
+    stem = os.path.join(src, "tape_seed1")
+    measure = ["measure", stem + ".csv", "--max-lag", "8", "--sign-max-lag", "15"]
+    assert cli.main(["simulate", "--n", "300", "--seed", "1", "--out-dir", src]) == 0
+    assert cli.main([*measure, "--out-dir", src]) == 0
+    argv = {"measure": measure,
+            "invert": ["invert", "--response", stem + "_response.csv",
+                       "--autocorr", stem + "_sign_autocorr.csv"],
+            "manip": ["manip", "--betas", "0.5", "--psis", "1", "--max-len", "2"],
+            "report": ["report", "--criteria", "none"]}[command]
+    assert cli.main([*argv, "--out-dir", str(tmp_path / "plain")]) == 0
+    seeded = tmp_path / "seeded"
+    assert cli.main([*argv, "--seed", "1", "--out-dir", str(seeded)]) == 1
+    assert not seeded.exists()
 
 
 @pytest.mark.parametrize("section", [

@@ -43,8 +43,7 @@ def tapes(draw, priced=st.booleans()):
     eps = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
     vol = draw(st.lists(positive, min_size=n, max_size=n))
     prices = draw(st.lists(finite, min_size=n + 1, max_size=n + 1)) if draw(priced) else None
-    return TradeTape(SignSeries(eps, seed=-1, generator_tag="t"),
-                     VolumeSeries(vol, distribution_tag="t"), prices=prices)
+    return TradeTape(SignSeries(eps), VolumeSeries(vol), prices=prices)
 
 
 def _optional_se(draw, n):
