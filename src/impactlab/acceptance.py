@@ -443,7 +443,6 @@ def criterion_13_determinism_round_trips() -> CriterionResult:
     with tempfile.TemporaryDirectory() as tmp:
         runs = [os.path.join(tmp, run) for run in ("a", "b")]
         for run in runs:
-            os.mkdir(run)
             tape, _, files = simulate_stage(cfg, 1, run)
         details["byte_identical"] = all(
             filecmp.cmp(os.path.join(runs[0], f), os.path.join(runs[1], f), shallow=False)

@@ -1,17 +1,19 @@
 """Command-line surface: simulate / measure / invert / manip / report.
 
 Every command is a pure function of its config and input files: outputs are
-written atomically and reruns are byte-identical. Exit codes: 0 success,
-1 usage or config error, 2 input-format error, 3 estimation or numeric
-error (including search-budget refusals and partial measure success),
-4 acceptance-criteria failure.
+written atomically, the first one creating the output directory, so a
+command whose config or inputs are rejected leaves nothing behind; reruns
+are byte-identical. Exit codes: 0 success, 1 usage or config error, 2
+input-format error, 3 estimation or numeric error (including search-budget
+refusals and partial measure success), 4 acceptance-criteria failure.
 
 Each simulate, measure and manip flag is stored under its config key (its
 dest is `section.key`, e.g. `model.lam`), and the defaults live only in
 experiment.py: a setting no flag and no config gives takes the same default
 whichever way a run starts. A --config file overrides the flags section by
-section. Only simulate takes --seed; report reads its seeds from its config.
---out-dir falls back to $IMPACTLAB_OUT_DIR, then the working directory.
+section. Only simulate takes --seed: report runs its config's seeds, and
+every stage, through experiment.run_config. --out-dir falls back to
+$IMPACTLAB_OUT_DIR, then the working directory.
 """
 
 import argparse
@@ -31,13 +33,12 @@ from .exceptions import (
 )
 from .experiment import (
     ExperimentConfig,
-    _build_model,
     expand_seeds,
     invert_stage,
     manip_stage,
     measure_stage,
-    pool_stage,
     provenance,
+    run_config,
     simulate_stage,
 )
 
@@ -75,14 +76,7 @@ def _float_list(text: str) -> list:
 
 
 def _resolve_out_dir(args, config: ExperimentConfig | None = None) -> str:
-    if getattr(args, "out_dir", None):
-        out = args.out_dir
-    elif config is not None and config.out_dir:
-        out = config.out_dir
-    else:
-        out = os.environ.get(ENV_OUT_DIR, ".")
-    os.makedirs(out, exist_ok=True)
-    return out
+    return args.out_dir or (config and config.out_dir) or os.environ.get(ENV_OUT_DIR, ".")
 
 
 def _add_universal(p: argparse.ArgumentParser):
@@ -194,58 +188,17 @@ def _parse_criteria(text: str):
 
 
 def cmd_report(args) -> int:
-    """With --config, runs the stages first; a failing stage records its
-    error in report.json and sets exit code 3, keeping the other outputs."""
+    """With --config, runs its stages first (experiment.run_config); a failing
+    stage records its error in report.json and sets exit code 3, keeping the
+    other outputs."""
     from .acceptance import run_criteria
 
     numbers = _parse_criteria(args.criteria)
     cfg = ExperimentConfig.from_dict(iolib.read_json(args.config)) if args.config else None
-    bundle: dict = {"provenance": provenance(cfg)}
     out = _resolve_out_dir(args, cfg)
-    stage_rc = 0
-    if cfg is not None:
-        seeds = expand_seeds(cfg.seed)
-        bundle["provenance"]["seeds"] = seeds
-        files, errors, fits, measured = {}, {}, {}, []
-        for s in seeds:
-            tape, _, _ = simulate_stage(cfg, s, out)
-            if s == seeds[0]:
-                v_ref = float(tape.v.mean())  # the inversion's volume scale
-            results, errors[str(s)], files[str(s)] = measure_stage(
-                tape, cfg.estimator, out, f"tape_seed{s}", extra={"seed": s})
-            measured.append(results)
-            fits[str(s)] = results["fits"]
-            for name, msg in errors[str(s)].items():
-                print(f"report: seed {s}: {name}: {msg}", file=sys.stderr)
-                stage_rc = 3
-        bundle.update(files=files, measure_errors=errors, fits={"per_seed": fits})
-        curves = measured[0]
-        if len(seeds) > 1:
-            pooled, bundle["fits"]["pooled"], pooled_files = pool_stage(measured, out)
-            files.update(pooled_files)
-            curves = pooled or curves
-        if "response" in curves and "sign_autocorr" in curves:
-            impact, _ = _build_model(cfg.model)
-            try:
-                bundle["invert"], inv_files = invert_stage(
-                    curves["response"], curves["sign_autocorr"], impact.lam, impact.psi,
-                    v_ref, out, cfg.estimator.get("invert_lags"),
-                    j_tail=cfg.estimator.get("j_tail"))
-                files.update(inv_files)
-            except (ParameterError, EstimationError, NumericError) as exc:
-                bundle["invert"] = {"error": str(exc)}
-                print(f"report: invert: {exc}", file=sys.stderr)
-                stage_rc = 3
-        if cfg.manip is not None:
-            try:
-                manip, manip_files = manip_stage(cfg.manip, out)
-                bundle["manip"] = manip["rows"]
-                files.update(manip_files)
-            except (ParameterError, SearchBudgetError) as exc:
-                bundle["manip"] = {"error": str(exc)}
-                print(f"report: manip: {exc}", file=sys.stderr)
-                stage_rc = 3
-
+    bundle, messages = run_config(cfg, out) if cfg else ({"provenance": provenance()}, [])
+    for msg in messages:
+        print(f"report: {msg}", file=sys.stderr)
     results = run_criteria(numbers)
     bundle["acceptance"] = [r.to_dict() for r in results]
     for r in results:
@@ -258,9 +211,7 @@ def cmd_report(args) -> int:
               f"wrote {report_path}")
     else:
         print(f"report: wrote {report_path}")
-    if n_fail:
-        return 4
-    return stage_rc
+    return 4 if n_fail else 3 if messages else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -534,9 +534,15 @@ def invert_response(
     Returns (Kernel.tabulated, report). The report carries the residual
     norm, the condition estimate (flagged above _COND_THRESHOLD with a
     suggestion to use ridge > 0), the equation count, and se_proxy (None
-    when L equals the equation count)."""
+    when L equals the equation count). It needs lam > 0, v > 0,
+    0 < psi <= 1 (as ImpactConfig) and ridge >= 0."""
     if not isinstance(R, LagCurve):
         raise ParameterError("R must be a LagCurve")
+    for name, value, rule, ok in (("lam", lam, "> 0", lam > 0), ("v", v, "> 0", v > 0),
+                                  ("psi", psi, "in (0, 1]", 0 < psi <= 1),
+                                  ("ridge", ridge, ">= 0", ridge >= 0)):
+        if not ok:
+            raise ParameterError(f"{name} must be {rule}, got {value!r}")
     n_eq = int(R.lags.max())
     r_dense = R.dense_values(n_eq)
     if L < 1 or L > n_eq:

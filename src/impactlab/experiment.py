@@ -1,11 +1,11 @@
 """Experiment configuration and the stages behind the CLI.
 
 An ExperimentConfig bundles order-flow generation, the impact model, and
-estimator settings into one JSON-serializable object. simulate and measure
-work in memory. Each *_stage function is the one implementation of a step
-that its subcommand and `report` both run: it writes its files under an
-output directory and returns its result with their names, relative to that
-directory.
+estimator settings into one JSON-serializable object, checked when built.
+simulate and measure work in memory. Each *_stage function is the one
+implementation of a step that its subcommand and `report` both run: it
+writes its files under an output directory and returns its result with
+their names, relative to that directory; run_config runs them for a config.
 
 Provenance is the package and library versions plus the config hash and
 seed; no timestamps, so reruns are byte-identical.
@@ -14,13 +14,13 @@ seed; no timestamps, so reruns are byte-identical.
 import dataclasses
 import os
 import platform
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import io as iolib
 from ._version import __version__
-from .exceptions import EstimationError, InputError, NumericError, ParameterError
+from .exceptions import EstimationError, InputError, NumericError, ParameterError, SearchBudgetError
 from .impact import (
     ArPredictor,
     ImpactConfig,
@@ -52,6 +52,7 @@ __all__ = [
     "pool_stage",
     "invert_stage",
     "manip_stage",
+    "run_config",
     "provenance",
     "kernel_from_spec",
 ]
@@ -146,7 +147,8 @@ def _over_defaults(what: str, defaults: dict, spec: dict | None, extra=(), ints=
 
 @dataclass
 class ExperimentConfig:
-    """Everything a run needs; round-trips losslessly through JSON."""
+    """Everything a run needs; round-trips losslessly through JSON. Building
+    one checks every section and resolves the model into `impact` and `predictor`."""
 
     n: int = 100_000
     seed: object = 1  # int, or [first, last] inclusive for a seed range
@@ -176,6 +178,9 @@ class ExperimentConfig:
                        _INVERT_KEYS, _ESTIMATOR_INTS)
         if self.manip is not None:
             _over_defaults("section 'manip'", _default_manip(), self.manip, ints=_MANIP_INTS)
+        # the resolved model: attributes, not fields, so to_dict() and the hash skip them
+        self.impact, self.predictor = _build_model(self.model)
+        _draw(self, 1, 0)  # the generators check their own parameters, on one trade
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -268,15 +273,17 @@ _IMPACT_KEYS = {f.name for f in dataclasses.fields(ImpactConfig)} - {"kernel"}
 _PREDICTOR_KEYS = {"coeffs"}
 
 
-def _gen_signs(spec: dict, n: int, seed: int) -> SignSeries:
-    d = dict(spec)
+def _draw(config: ExperimentConfig, n: int, seed: int) -> TradeTape:
+    """n trades of the config's signs and volumes, each generator checking its parameters."""
+    d = dict(config.generator)
     kind = d.pop("kind")
     if kind not in _GENERATORS:
         raise ParameterError(f"unknown generator kind {kind!r}")
     try:
-        return _GENERATORS[kind](n, seed=seed, **d)
+        return TradeTape(_GENERATORS[kind](n, seed=seed, **d),
+                         gen_volumes(n, seed=seed + _VOLUME_SEED_OFFSET, **config.volumes))
     except TypeError as exc:
-        raise ParameterError(f"bad parameters for generator '{kind}': {exc}") from None
+        raise ParameterError(f"bad generator or volume parameters: {exc}") from None
 
 
 def _build_model(model: dict):
@@ -312,18 +319,15 @@ def simulate(config: ExperimentConfig, seed: int):
     is recorded as meta['burn']; the emitted price array is aligned so
     prices[i] is the pre-trade price of emitted trade i.
     """
-    cfg, predictor = _build_model(config.model)
-    burn = burn_in_length(kernel=cfg.kernel, predictor=predictor)
+    burn = burn_in_length(kernel=config.impact.kernel, predictor=config.predictor)
     total = config.n + burn
-    signs = _gen_signs(config.generator, total, seed)
-    vols = gen_volumes(total, seed=seed + _VOLUME_SEED_OFFSET, **config.volumes)
-    full = TradeTape(signs, vols)
+    full = _draw(config, total, seed)
     noise_seed = seed + _NOISE_SEED_OFFSET
-    if predictor is not None:
-        prices = surprise_path(full, predictor, cfg, seed=noise_seed)
+    if config.predictor is not None:
+        prices = surprise_path(full, config.predictor, config.impact, seed=noise_seed)
     else:
-        prices = propagator_path(full, cfg, seed=noise_seed)
-    tape = TradeTape(SignSeries(signs.signs[burn:]), VolumeSeries(vols.volumes[burn:]),
+        prices = propagator_path(full, config.impact, seed=noise_seed)
+    tape = TradeTape(SignSeries(full.eps[burn:]), VolumeSeries(full.v[burn:]),
                      prices=prices[burn:])
     meta = {
         "burn": int(burn),
@@ -344,6 +348,8 @@ def measure(tape: TradeTape, spec: dict | None = None, burn: int = 0):
     """
     s = _over_defaults("estimator spec", _default_estimator(), spec, _INVERT_KEYS,
                        _ESTIMATOR_INTS)
+    if burn < 0:
+        raise ParameterError(f"burn must be >= 0, got {burn}")
     results: dict = {}
     errors: dict = {}
 
@@ -380,7 +386,7 @@ def measure(tape: TradeTape, spec: dict | None = None, burn: int = 0):
         try:
             centers = cond.centers
             f = est.fit_power_law(cond, (float(centers[0]), float(centers[-1])))
-            fits["psi_hat"] = _fit_dict(f)
+            fits["psi_hat"] = asdict(f)
         except (EstimationError, ValueError) as exc:
             errors["psi_fit"] = str(exc)
     if "diffusivity" in results:
@@ -398,22 +404,11 @@ def measure(tape: TradeTape, spec: dict | None = None, burn: int = 0):
     return results, errors
 
 
-def _fit_dict(f) -> dict:
-    return {
-        "exponent": f.exponent,
-        "exponent_se": f.exponent_se,
-        "slope": f.slope,
-        "prefactor": f.prefactor,
-        "r_squared": f.r_squared,
-        "fit_range": list(f.fit_range),
-    }
-
-
 def _gamma_fit(sign_curve) -> dict:
     """{"gamma_hat": fit} of the tail of a sign autocorrelation on lags
     8..min(512, last), or {} for a curve that stops before lag 16."""
     hi = min(512, int(sign_curve.lags[-1]))
-    return {"gamma_hat": _fit_dict(est.fit_power_law(sign_curve, (8, hi)))} if hi >= 16 else {}
+    return {"gamma_hat": asdict(est.fit_power_law(sign_curve, (8, hi)))} if hi >= 16 else {}
 
 
 def simulate_stage(config: ExperimentConfig, seed: int, out: str):
@@ -507,3 +502,47 @@ def manip_stage(spec: dict, out: str):
     iolib.write_frontier(rows, os.path.join(out, files["frontier"]))
     return {"rows": rows, "max_len": max_len, "volume_grid": m["grid"], "lam": lam,
             "own_impact": m["own_impact"]}, files
+
+
+def run_config(config: ExperimentConfig, out: str):
+    """The stages of `report --config` in order: simulate and measure each seed,
+    pool across seeds, invert the pooled curves (one seed's, alone) at the model's
+    lam and psi, then the manip frontier if configured. A failing curve, inversion
+    or frontier is recorded in the bundle. Returns (bundle, stage error messages)."""
+    seeds = expand_seeds(config.seed)
+    bundle: dict = {"provenance": {**provenance(config), "seeds": seeds}}
+    files, errors, fits, measured, messages = {}, {}, {}, [], []
+    for s in seeds:
+        tape, _, _ = simulate_stage(config, s, out)
+        if s == seeds[0]:
+            v_ref = float(tape.v.mean())  # the inversion's volume scale
+        results, errors[str(s)], files[str(s)] = measure_stage(
+            tape, config.estimator, out, f"tape_seed{s}", extra={"seed": s})
+        measured.append(results)
+        fits[str(s)] = results["fits"]
+        messages += [f"seed {s}: {name}: {msg}" for name, msg in errors[str(s)].items()]
+    bundle.update(files=files, measure_errors=errors, fits={"per_seed": fits})
+    curves = measured[0]
+    if len(seeds) > 1:
+        pooled, bundle["fits"]["pooled"], pooled_files = pool_stage(measured, out)
+        files.update(pooled_files)
+        curves = pooled or curves
+    if "response" in curves and "sign_autocorr" in curves:
+        try:
+            bundle["invert"], inv_files = invert_stage(
+                curves["response"], curves["sign_autocorr"], config.impact.lam,
+                config.impact.psi, v_ref, out, config.estimator.get("invert_lags"),
+                j_tail=config.estimator.get("j_tail"))
+            files.update(inv_files)
+        except (ParameterError, EstimationError, NumericError) as exc:
+            bundle["invert"] = {"error": str(exc)}
+            messages.append(f"invert: {exc}")
+    if config.manip is not None:
+        try:
+            manip, manip_files = manip_stage(config.manip, out)
+            bundle["manip"] = manip["rows"]
+            files.update(manip_files)
+        except (ParameterError, SearchBudgetError) as exc:
+            bundle["manip"] = {"error": str(exc)}
+            messages.append(f"manip: {exc}")
+    return bundle, messages

@@ -1,10 +1,11 @@
 """File formats: tape/curve/kernel/frontier CSV and config/report JSON.
 
-Every writer is atomic (unique temp file in the target directory + rename)
-and serializes floats with 17 significant digits, so identical inputs
-produce byte-identical files and every format round-trips losslessly. Tape
-CSV carries columns `n,epsilon,volume[,price]`; when prices are present the
-final price p_N rides on a trailing row with empty epsilon and volume.
+Every writer is atomic (unique temp file in the target directory + rename),
+creates that directory when it is missing, and serializes floats with 17
+significant digits, so identical inputs produce byte-identical files and
+every format round-trips losslessly. Tape CSV carries columns
+`n,epsilon,volume[,price]`; when prices are present the final price p_N
+rides on a trailing row with empty epsilon and volume.
 """
 
 import csv
@@ -27,9 +28,10 @@ __all__ = ["write_tape", "read_tape", "write_curve", "read_curve", "write_condit
 
 
 def _atomic_write(path: str, chunks):
-    """Write the text chunks to a fresh temp file beside `path`, then rename
-    it over `path`; on any failure the temp file is removed and an existing
-    target keeps its old bytes."""
+    """Write the text chunks to a fresh temp file beside `path`, creating its
+    directory, then rename it over `path`; on any failure the temp file is
+    removed and an existing target keeps its old bytes."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=os.path.basename(path) + ".")
     try:
         with open(fd, "w", newline="") as fh:

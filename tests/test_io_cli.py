@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -135,7 +136,7 @@ def test_kernel_se_proxy_is_blank_for_a_square_inversion(tmp_path):
     rep, files = invert_stage(r, c, 1.0, 1.0, 1.0, square, j_tail=128)
     assert rep["equations"] == 64 and "se_proxy" not in rep
     path = os.path.join(square, files["kernel"])
-    rows = open(path).read().splitlines()[1:]
+    rows = Path(path).read_text().splitlines()[1:]
     assert len(rows) == 64 and all(row.endswith(",") for row in rows)
     assert read_kernel(path)[1] is None
     # over-determined: 64 equations for 32 lags keep a finite proxy per lag
@@ -150,7 +151,7 @@ def test_json_round_trip_is_sorted_and_stable(tmp_path):
     p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     write_json({"b": 1, "a": [1, 2]}, p1)
     write_json({"a": [1, 2], "b": 1}, p2)
-    assert open(p1).read() == open(p2).read()
+    assert Path(p1).read_text() == Path(p2).read_text()
     assert read_json(p1) == {"a": [1, 2], "b": 1}
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
@@ -209,7 +210,7 @@ def test_cli_measure_then_invert_recovers_a_rough_kernel(tmp_path):
     rc = cli.main(["measure", os.path.join(out, "tape_seed2.csv"),
                    "--max-lag", "64", "--sign-max-lag", "128", "--out-dir", meas])
     assert rc == 0
-    fits = json.load(open(os.path.join(meas, "tape_seed2_fits.json")))
+    fits = read_json(os.path.join(meas, "tape_seed2_fits.json"))
     assert fits["errors"] == {}
     assert fits["notes"]["conditional"] == "skipped: constant volumes"
     assert 0.2 < fits["gamma_hat"]["exponent"] < 0.7
@@ -220,7 +221,7 @@ def test_cli_measure_then_invert_recovers_a_rough_kernel(tmp_path):
                    "--lam", "1", "--psi", "1", "--v", "1",
                    "--kernel-lags", "32", "--j-tail", "128", "--out-dir", inv])
     assert rc == 0
-    report = json.load(open(os.path.join(inv, "invert_report.json")))
+    report = read_json(os.path.join(inv, "invert_report.json"))
     assert 0.1 < report["beta_hat"] < 0.4
     kern, se = read_kernel(os.path.join(inv, "kernel.csv"))
     assert kern.values.size == 32 and se is not None
@@ -235,7 +236,7 @@ def test_cli_measure_then_invert_recovers_a_rough_kernel(tmp_path):
                    "--autocorr", os.path.join(long, "tape_seed2_sign_autocorr.csv"),
                    "--out-dir", long])
     assert rc == 0
-    report = json.load(open(os.path.join(long, "invert_report.json")))
+    report = read_json(os.path.join(long, "invert_report.json"))
     kern, _ = read_kernel(os.path.join(long, "kernel.csv"))
     assert report["equations"] == kern.values.size == 128
     r = read_curve(os.path.join(long, "tape_seed2_response.csv"), "response")
@@ -250,7 +251,7 @@ def test_cli_measure_partial_failure_keeps_other_curves(tmp_path):
     rc = cli.main(["measure", os.path.join(out, "tape_seed1.csv"),
                    "--max-lag", "200", "--sign-max-lag", "16", "--out-dir", meas])
     assert rc == 3  # response lag range exceeds the tape; partial success
-    fits = json.load(open(os.path.join(meas, "tape_seed1_fits.json")))
+    fits = read_json(os.path.join(meas, "tape_seed1_fits.json"))
     assert "response" in fits["errors"]
     assert os.path.exists(os.path.join(meas, "tape_seed1_sign_autocorr.csv"))
 
@@ -279,7 +280,7 @@ def test_cli_invert_default_j_tail_follows_the_autocorrelation(tmp_path):
                    "--autocorr", str(tmp_path / "c.csv"),
                    "--kernel-lags", "8", "--out-dir", str(tmp_path)])
     assert rc == 0
-    report = json.load(open(tmp_path / "invert_report.json"))
+    report = read_json(tmp_path / "invert_report.json")
     assert report["j_tail"] == 16  # min(4096, last autocorrelation lag)
 
 
@@ -288,7 +289,7 @@ def test_cli_manip_writes_the_frontier_grid(tmp_path):
     rc = cli.main(["manip", "--betas", "0,0.8", "--psis", "1,0.3",
                    "--max-len", "6", "--grid", "1,5", "--out-dir", out])
     assert rc == 0
-    rows = open(os.path.join(out, "frontier.csv")).read().splitlines()
+    rows = Path(out, "frontier.csv").read_text().splitlines()
     assert rows[0] == "beta,psi,min_cost,argmin_strategy"
     assert len(rows) == 5
     cells = [r.split(",") for r in rows[1:]]
@@ -308,7 +309,7 @@ def test_cli_report_runs_a_criterion(tmp_path):
     out = str(tmp_path / "rep")
     rc = cli.main(["report", "--criteria", "10", "--out-dir", out])
     assert rc == 0
-    rep = json.load(open(os.path.join(out, "report.json")))
+    rep = read_json(os.path.join(out, "report.json"))
     assert rep["acceptance"][0]["number"] == 10
     assert rep["acceptance"][0]["passed"] is True
 
@@ -334,7 +335,7 @@ def _report_with_config(tmp_path, out: str) -> int:
 def test_cli_report_full_pipeline_with_config(tmp_path):
     out = str(tmp_path / "pipe")
     assert _report_with_config(tmp_path, out) == 0
-    rep = json.load(open(os.path.join(out, "report.json")))
+    rep = read_json(os.path.join(out, "report.json"))
     assert rep["provenance"]["config_sha256"]
     assert rep["provenance"]["seeds"] == [1, 2]
     assert "pooled" in rep["fits"]
@@ -434,7 +435,7 @@ def test_cli_config_file_overrides_flags(tmp_path):
                    "--n", "999", "--config", cfg_path, "--seed", "1",
                    "--out-dir", out])
     assert rc == 0
-    meta = json.load(open(os.path.join(out, "meta_seed1.json")))
+    meta = read_json(os.path.join(out, "meta_seed1.json"))
     assert meta["generator"]["kind"] == "markov"
     assert meta["n"] == 64
 
@@ -449,18 +450,18 @@ def test_cli_simulate_config_leaves_unset_sections_at_the_config_defaults(tmp_pa
                      "--out-dir", rep]) == 3
     for name in ("tape_seed1.csv", "meta_seed1.json"):
         assert filecmp.cmp(os.path.join(sim, name), os.path.join(rep, name), shallow=False)
-    meta = json.load(open(os.path.join(sim, "meta_seed1.json")))
+    meta = read_json(os.path.join(sim, "meta_seed1.json"))
     assert meta["model"] == ExperimentConfig().model
     # a flag still builds its section, from the flag defaults
     mixed = str(tmp_path / "mixed")
     assert cli.main(["simulate", "--config", cfg_path, "--lam", "0.5", "--out-dir", mixed]) == 0
-    meta = json.load(open(os.path.join(mixed, "meta_seed1.json")))
+    meta = read_json(os.path.join(mixed, "meta_seed1.json"))
     assert meta["model"] == {"kind": "kyle", "lam": 0.5}
     assert meta["volumes"] == ExperimentConfig().volumes
     # without --config every section comes from the flag defaults, as before
     flags = str(tmp_path / "flags")
     assert cli.main(["simulate", "--n", "300", "--seed", "1", "--out-dir", flags]) == 0
-    meta = json.load(open(os.path.join(flags, "meta_seed1.json")))
+    meta = read_json(os.path.join(flags, "meta_seed1.json"))
     assert meta["model"] == {"kind": "kyle"}
     assert meta["volumes"] == {"dist": "constant"}
     assert meta["generator"] == {"kind": "iid", "p_buy": 0.5}
@@ -675,6 +676,132 @@ def test_cli_invert_rejects_a_negative_j_tail(tmp_path):
                    "--out-dir", str(tmp_path)])
     assert rc == 1
     assert not os.path.exists(tmp_path / "invert_report.json")
+
+
+_POWER_LAW = {"form": "power_law", "beta": 0.25}
+
+# Configs that simulate and report refuse, each as sections over n 50 and
+# seed 1 and, where flags can say the same, as simulate flags: the cases of
+# the tests above.
+_REFUSED = {
+    "kyle+kernel": ({"model": {"kind": "kyle", "kernel": _POWER_LAW}}, ["--beta", "0.25"]),
+    "kyle+predictor": ({"model": {"kind": "kyle", "predictor": {"coeffs": [0.3]}}},
+                       ["--model", "kyle", "--ar-coeffs", "0.3"]),
+    "surprise+kernel": (
+        {"model": {"kind": "surprise", "predictor": {"coeffs": [0.3]}, "kernel": _POWER_LAW}},
+        ["--model", "surprise", "--ar-coeffs", "0.3", "--beta", "0.25"]),
+    "propagator+predictor": (
+        {"model": {"kind": "propagator", "kernel": _POWER_LAW, "predictor": {"coeffs": [0.3]}}},
+        ["--model", "propagator", "--beta", "0.25", "--ar-coeffs", "0.3"]),
+    "kernel-typo": ({"model": {"kind": "propagator", "kernel": {**_POWER_LAW, "bta": 1}}}, None),
+    "tabulated-extra": ({"model": {"kind": "propagator", "kernel": {
+        "form": "tabulated", "values": [1.0], "beta": 0.5}}}, None),
+    "g1-without-beta": ({"model": {"kind": "propagator", "kernel": {
+        "form": "power_law", "g1": 2.0}}}, ["--model", "propagator", "--g1", "2"]),
+    "plateau-without-beta": ({"model": {"kind": "propagator", "kernel": {
+        "form": "power_law", "plateau": 0.5}}}, ["--model", "propagator", "--plateau", "0.5"]),
+    "volume-typo": ({"volumes": {"dist": "lognormal", "sigam": 0.5}}, None),
+    "volume-seed": ({"volumes": {"dist": "constant", "seed": 3}}, None),
+    "volume-flag": ({"volumes": {"dist": "lognormal", "value": 3.0}},
+                    ["--vol-dist", "lognormal", "--vol-value", "3"]),
+    "predictor-typo": ({"model": {"kind": "surprise", "predictor": {"coefs": [0.3]}}}, None),
+    "predictor-err-var": (
+        {"model": {"kind": "surprise", "predictor": {"coeffs": [0.3], "err_var": 2}}}, None),
+    "model-null": ({"model": None}, None),
+    "estimator-typo": ({"estimator": {"max_lga": 16}}, None),
+    "invert-key": ({"estimator": {"invert_lags": 8, "j_tial": 31}}, None),
+    "manip-key": ({"manip": {"max_lne": 3}}, None),
+    "manip-list": ({"manip": []}, None),
+    "fractional-n": ({"n": 300.7}, None),
+    "fractional-lag": ({"estimator": {"max_lag": 16.9}}, None),
+    "bool-budget": ({"manip": {"budget": True}}, None),
+    "zero-n": ({"n": 0}, ["--n", "0"]),
+    "negative-seed": ({"seed": -1}, ["--seed", "-1"]),
+    "bool-seed": ({"seed": [True, 2]}, None),
+}
+
+
+@pytest.mark.parametrize("command, case", [
+    (command, case) for case, (_, flags) in _REFUSED.items()
+    for command in ["simulate-flags"] * (flags is not None) + ["simulate", "report"]])
+def test_a_refused_config_writes_nothing(tmp_path, capsys, command, case):
+    """The config is checked in full before anything is written: no output
+    directory, nothing on stdout."""
+    section, flags = _REFUSED[case]
+    if command == "simulate-flags":
+        argv = ["simulate", "--n", "50", "--seed", "1", *flags]
+    else:
+        write_json({"n": 50, "seed": 1, **section}, str(tmp_path / "cfg.json"))
+        argv = [command, "--config", str(tmp_path / "cfg.json")]
+        argv += ["--criteria", "none"] if command == "report" else []
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "impactlab: ParameterError" in captured.err
+    assert not out.exists()
+
+
+def _curve_files(tmp_path):
+    """A response on lags 1..8 and a sign autocorrelation on lags 1..16."""
+    r_lags, c_lags = np.arange(1, 9), np.arange(1, 17)
+    r, c = str(tmp_path / "r.csv"), str(tmp_path / "c.csv")
+    write_curve(LagCurve(r_lags, r_lags**-0.3, np.full(8, 10), "response"), r)
+    write_curve(LagCurve(c_lags, 0.2 * c_lags**-0.5, np.full(16, 10), "sign_autocorr"), c)
+    return r, c
+
+
+@pytest.mark.parametrize("command, rc", [("manip", 3), ("invert", 1), ("measure", 1)])
+def test_a_refused_command_writes_nothing(tmp_path, capsys, command, rc):
+    r, c = _curve_files(tmp_path)
+    tape = str(tmp_path / "tape.csv")
+    write_tape(_priced_tape(), tape)
+    argv = {"manip": ["manip", "--budget", "1"],
+            "invert": ["invert", "--response", r, "--autocorr", c, "--j-tail", "-5"],
+            "measure": ["measure", tape, "--max-lag", "8", "--burn", "-1"]}[command]
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out-dir", str(out)]) == rc
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("impactlab: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("lam", "-1"), ("lam", "0"), ("v", "-2"), ("v", "0"), ("psi", "0"), ("psi", "1.5"),
+    ("ridge", "-1")])
+def test_cli_invert_rejects_out_of_range_inputs(tmp_path, capsys, flag, value):
+    r, c = _curve_files(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["invert", "--response", r, "--autocorr", c, f"--{flag}", value,
+                     "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "ParameterError" in err and f"{flag} must be" in err and repr(float(value)) in err
+    assert not out.exists()
+
+
+def test_cli_report_records_stage_errors_and_keeps_every_file(tmp_path, capsys):
+    """An inversion asking for more kernel lags than the response has and a
+    frontier over its budget each record an error; report exits 3 and still
+    writes every per-seed and pooled file."""
+    cfg = {**_PIPELINE_CFG, "estimator": {**_PIPELINE_CFG["estimator"], "invert_lags": 17},
+           "manip": {"max_len": 10, "grid": [1, 2, 4, 8, 9], "budget": 100}}
+    write_json(cfg, str(tmp_path / "cfg.json"))
+    out = tmp_path / "out"
+    assert cli.main(["report", "--config", str(tmp_path / "cfg.json"), "--criteria", "none",
+                     "--out-dir", str(out)]) == 3
+    rep = read_json(str(out / "report.json"))
+    assert list(rep["invert"]) == ["error"] and "L <=" in rep["invert"]["error"]
+    assert list(rep["manip"]) == ["error"] and "budget" in rep["manip"]["error"]
+    # four curves and the fits per seed, besides its tape and meta
+    per_seed = [name for s in (1, 2) for name in [f"tape_seed{s}.csv", f"meta_seed{s}.json",
+                                                   *rep["files"].pop(str(s)).values()]]
+    assert len(per_seed) == 2 * 7
+    assert sorted(rep["files"]) == [f"pooled_{c}" for c in
+                                    ("diffusivity", "response", "sign_autocorr")]
+    assert sorted(os.listdir(out)) == sorted(
+        per_seed + list(rep["files"].values()) + ["report.json"])
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[:2] for line in lines] == [["report", " invert"],
+                                                         ["report", " manip"]]
 
 
 def test_cli_format_errors_exit_two(tmp_path):

@@ -37,6 +37,12 @@ def _same(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _text(path) -> str:
+    """A file's text, line ends as written."""
+    with open(path, newline="") as fh:
+        return fh.read()
+
+
 @st.composite
 def tapes(draw, priced=st.booleans()):
     n = draw(st.integers(1, 30))
@@ -84,9 +90,7 @@ def _old_se(se, i) -> str:
 def test_tape_round_trip_and_oracle(tmp_path_factory, tape):
     path = str(tmp_path_factory.mktemp("t") / "tape.csv")
     iolib.write_tape(tape, path)
-    with open(path, newline="") as fh:
-        text = fh.read()
-    assert text == _old_tape_text(tape)
+    assert _text(path) == _old_tape_text(tape)
     with open(path, newline="") as fh:
         eps, vol, prices = iolib._read_tape_bulk(fh)  # the fast path takes every written tape
     back = iolib.read_tape(path)
@@ -109,7 +113,7 @@ def test_curve_round_trip_and_oracle(tmp_path_factory, data):
     iolib.write_curve(curve, path)
     rows = [[str(int(lags[i])), _old_fmt(values[i]), str(int(counts[i])), _old_se(se, i)]
             for i in range(n)]
-    assert open(path, newline="").read() == _old_text(["lag", "value", "count", "se"], rows)
+    assert _text(path) == _old_text(["lag", "value", "count", "se"], rows)
     back = iolib.read_curve(path, "response")
     assert np.array_equal(back.lags, lags) and np.array_equal(back.counts, counts)
     assert _same(back.values, values)
@@ -130,7 +134,7 @@ def test_conditional_round_trip_and_oracle(tmp_path_factory, data):
     iolib.write_conditional(ConditionalResponse(lo, hi, vals, counts, 3, se), path)
     rows = [[_old_fmt(lo[i]), _old_fmt(hi[i]), _old_fmt(vals[i]), str(int(counts[i])),
              _old_se(se, i)] for i in range(n)]
-    assert open(path, newline="").read() == _old_text(["v_lo", "v_hi", "value", "count", "se"], rows)
+    assert _text(path) == _old_text(["v_lo", "v_hi", "value", "count", "se"], rows)
     back = iolib.read_conditional(path, T=3)
     assert _same(back.bin_lo, lo) and _same(back.bin_hi, hi) and _same(back.values, vals)
     assert np.array_equal(back.counts, counts) and back.T == 3
@@ -146,7 +150,7 @@ def test_kernel_round_trip_and_oracle(tmp_path_factory, data):
     path = str(tmp_path_factory.mktemp("g") / "kernel.csv")
     iolib.write_kernel(Kernel.tabulated(g), path, se_proxy=se)
     rows = [[str(i + 1), _old_fmt(g[i]), _old_se(se, i)] for i in range(n)]
-    assert open(path, newline="").read() == _old_text(["lag", "G", "se_proxy"], rows)
+    assert _text(path) == _old_text(["lag", "G", "se_proxy"], rows)
     back, back_se = iolib.read_kernel(path)
     assert _same(back.values, g)
     assert (back_se is None) == (se is None) and (se is None or _same(back_se, se))
@@ -162,7 +166,7 @@ def test_frontier_round_trip_and_oracle(tmp_path_factory, cells):
     old = [[_old_fmt(r["beta"]), _old_fmt(r["psi"]), _old_fmt(r["min_cost"]),
             "" if r["argmin"] is None else ";".join(f"{int(s)}:{_old_fmt(q)}" for s, q in r["argmin"])]
            for r in rows]
-    text = open(path, newline="").read()
+    text = _text(path)
     assert text == _old_text(["beta", "psi", "min_cost", "argmin_strategy"], old)
     for line, (b, p, c, a) in zip(text.splitlines()[1:], cells):
         fb, fp, fc, fa = line.split(",")
@@ -309,5 +313,5 @@ def test_concurrent_writers_to_one_target_do_not_collide(tmp_path):
         yield "outer second half\n"
 
     iolib._atomic_write(target, outer())
-    assert open(target).read() == "outer first half, outer second half\n"
+    assert _text(target) == "outer first half, outer second half\n"
     assert os.listdir(tmp_path) == ["out.txt"]
