@@ -33,7 +33,6 @@ from .impact import (
     burn_in_length,
     impact_sizes,
     kernel_from_predictor,
-    kyle_path,
     predictor_from_kernel,
     propagator_path,
     quote_series,
@@ -90,7 +89,7 @@ __all__ = [
     "latent_autocorr", "target_sign_autocorr", "sign_balance_zscore",
     # impact models
     "Kernel", "ArPredictor", "ImpactConfig", "QuotePair",
-    "impact_sizes", "kyle_path", "propagator_path", "surprise_path",
+    "impact_sizes", "propagator_path", "surprise_path",
     "quotes", "quote_series", "vol_per_trade_to_per_time",
     "kernel_from_predictor", "predictor_from_kernel", "burn_in_length",
     # estimators

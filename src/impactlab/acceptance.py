@@ -20,7 +20,6 @@ from .impact import (
     ImpactConfig,
     Kernel,
     kernel_from_predictor,
-    kyle_path,
     propagator_path,
     quotes,
     surprise_path,
@@ -89,7 +88,7 @@ def criterion_01_permanent_flat_response() -> CriterionResult:
     n, lam = 10**5, 0.1
     signs = gen_iid_signs(n, 0.5, seed=1)
     tape = TradeTape(signs, _unit_volumes(n))
-    prices = kyle_path(tape, ImpactConfig(lam=lam, psi=1.0))
+    prices = propagator_path(tape, ImpactConfig(lam=lam, psi=1.0))
     tape = TradeTape(signs, _unit_volumes(n), prices=prices)
     r = est.response(tape, max_lag=64)
     # constant volumes make the lag-1 products deterministic, so the naive
@@ -113,10 +112,10 @@ def criterion_02_rho_unity_and_dilution() -> CriterionResult:
     vols = _unit_volumes(n)
     tape = TradeTape(signs, vols)
     cfg = ImpactConfig(lam=1.0, psi=1.0)
-    clean = TradeTape(signs, vols, prices=kyle_path(tape, cfg))
+    clean = TradeTape(signs, vols, prices=propagator_path(tape, cfg))
     rho_clean = est.rho(clean, T)
     noisy_cfg = ImpactConfig(lam=1.0, psi=1.0, noise_sigma=1.0)
-    noisy = TradeTape(signs, vols, prices=kyle_path(tape, noisy_cfg, seed=902))
+    noisy = TradeTape(signs, vols, prices=propagator_path(tape, noisy_cfg, seed=902))
     rho_noisy = est.rho(noisy, T)
     target = 1.0 / np.sqrt(2.0)
     ok_clean = abs(rho_clean - 1.0) <= 1e-9

@@ -149,7 +149,7 @@ def cmd_invert(args) -> int:
                               j_tail=args.j_tail, ridge=args.ridge)
     rep["inputs"] = {"response": os.path.relpath(args.response, out),
                      "autocorr": os.path.relpath(args.autocorr, out)}
-    rep["version"] = __version__
+    rep["provenance"] = provenance()
     iolib.write_json(rep, os.path.join(out, "invert_report.json"))
     print(f"invert: residual {rep['residual_norm']:.6g}, "
           f"condition {rep['condition']:.6g}, wrote {os.path.join(out, files['kernel'])}")
@@ -161,7 +161,7 @@ def cmd_invert(args) -> int:
 def cmd_manip(args) -> int:
     out = _resolve_out_dir(args)
     report, files = manip_stage(_flag_sections(args).get("manip"), out)
-    report["version"] = __version__
+    report["provenance"] = provenance()
     iolib.write_json(report, os.path.join(out, "manip_report.json"))
     for r in report["rows"]:
         print(f"manip: beta={r['beta']:g} psi={r['psi']:g} "

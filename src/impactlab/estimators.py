@@ -119,7 +119,6 @@ class ConditionalResponse:
     counts: np.ndarray
     T: int
     se: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.bin_lo = np.asarray(self.bin_lo, dtype=np.float64)
@@ -272,11 +271,7 @@ def response(
                 ses[i] = bm.std(ddof=1) / np.sqrt(batches)
             else:
                 ses[i] = prod.std() / np.sqrt(prod.size)
-    se_method = "batch_means" if (not overlap and batches >= 2) else "naive"
-    return LagCurve(
-        lag_arr, vals, cnts, "response", ses,
-        {"overlap": overlap, "batches": batches, "se_method": se_method, "burn": burn},
-    )
+    return LagCurve(lag_arr, vals, cnts, "response", ses)
 
 
 def conditional_response(
@@ -323,10 +318,8 @@ def conditional_response(
         ses.append(yb.std() / np.sqrt(c))
     if not vals:
         raise EstimationError(f"all volume bins under the occupancy floor {min_count}")
-    return ConditionalResponse(
-        np.array(blo), np.array(bhi), np.array(vals), np.array(cnts, dtype=np.int64),
-        T, np.array(ses), {"min_count": min_count, "burn": burn},
-    )
+    return ConditionalResponse(np.array(blo), np.array(bhi), np.array(vals),
+                               np.array(cnts, dtype=np.int64), T, np.array(ses))
 
 
 def rho(tape: TradeTape, T: int, psi_weight: float = 1.0, burn: int = 0) -> float:
@@ -365,10 +358,7 @@ def sign_autocorr(signs, max_lag: int) -> LagCurve:
     raw = _fft_corr(eps, eps, max_lag)
     cnt = n - np.arange(max_lag + 1)
     cov = raw / cnt - mu * mu
-    lag0 = float(cov[0])
-    meta = {"mean": float(mu), "lag0": lag0}
-    if abs(lag0) < 1e-12:
-        meta["degenerate"] = True
+    meta = {"degenerate": True} if abs(cov[0]) < 1e-12 else {}
     return LagCurve(
         np.arange(1, max_lag + 1), cov[1:], cnt[1:], "sign_autocorr", None, meta
     )
@@ -387,7 +377,7 @@ def diffusivity(prices, max_lag: int, burn: int = 0) -> LagCurve:
     sdp, sq = _window_sums(p, max_lag)
     mean = sdp / cnts
     vals = np.maximum(sq / cnts - mean * mean, 0.0) / lags
-    return LagCurve(lags, vals, cnts, "diffusivity", None, {"burn": burn})
+    return LagCurve(lags, vals, cnts, "diffusivity")
 
 
 def normalized_autocorr(x, max_lag: int) -> np.ndarray:
@@ -515,7 +505,7 @@ def predict_response(
     bound = _truncation_bound(kernel, c, lam, psi, v, max_lag, j_tail)
     return LagCurve(
         np.arange(1, max_lag + 1), vals, np.ones(max_lag, dtype=np.int64), "response", None,
-        {"predicted": True, "j_tail": j_tail, "truncation_bound": bound},
+        {"truncation_bound": bound},
     )
 
 
@@ -529,7 +519,8 @@ def invert_response(
 ):
     """Least-squares kernel G(1..L) from measured response and sign
     autocorrelation, inverting the predict_response relation with G held at
-    G(L) beyond the table (plateau extrapolation).
+    G(L) beyond the table (plateau extrapolation): G minimizes
+    ||A G - b||^2 + ridge * ||G||^2.
 
     Returns (Kernel.tabulated, report). The report carries the residual
     norm, the condition estimate (flagged above _COND_THRESHOLD with a
@@ -551,23 +542,23 @@ def invert_response(
     a[:, L - 1] = a[:, L - 1 :].sum(axis=1)  # G(k) = G(L) for k > L
     a = a[:, :L]
     b = r_dense / (lam * v**psi)
-    if ridge > 0:
-        gram = a.T @ a + ridge * np.eye(L)
-        sol = np.linalg.solve(gram, a.T @ b)
-        sv = np.linalg.svd(a, compute_uv=False)
-    else:
-        sol, _res, _rank, sv = np.linalg.lstsq(a, b, rcond=None)
+    # one thin SVD a = u diag(sv) vt gives the solution, the condition and the
+    # proxy; singular values at or below lstsq's default cutoff count as 0
+    u, sv, vt = np.linalg.svd(a, full_matrices=False)
     if sv[-1] == 0:
         raise NumericError("inversion matrix is singular")
+    k = int(np.count_nonzero(sv > np.finfo(np.float64).eps * max(a.shape) * sv[0]))
+    u, s, vt = u[:, :k], sv[:k], vt[:k]
+    sol = vt.T @ (s / (s * s + ridge) * (u.T @ b))
     cond = float(sv[0] / sv[-1])
     residual = float(np.linalg.norm(a @ sol - b))
-    # per-lag spread proxy: OLS standard errors from the residual scale;
-    # ignores correlation of errors across response lags, hence a proxy.
+    # per-lag spread proxy: OLS standard errors from the residual scale,
+    # diag((a^T a + ridge I)^-1) = sum_j vt[j]^2 / (s_j^2 + ridge); ignores
+    # correlation of errors across response lags, hence a proxy.
     # A square system has no residual degrees of freedom, hence no proxy.
     se_proxy = None
     if n_eq > L:
-        gram = a.T @ a + (ridge * np.eye(L) if ridge > 0 else 0.0)
-        var = residual**2 / (n_eq - L) * np.abs(np.diag(np.linalg.pinv(gram)))
+        var = residual**2 / (n_eq - L) * (1.0 / (s * s + ridge) @ (vt * vt))
         se_proxy = np.sqrt(var).tolist()
     report = {
         "residual_norm": residual,
@@ -686,7 +677,4 @@ def pool_curves(curves) -> LagCurve:
     v = np.vstack([c.values for c in curves])
     tot = w.sum(axis=0)
     vals = (v * w).sum(axis=0) / tot
-    return LagCurve(
-        first.lags, vals, tot.astype(np.int64), first.role_tag, None,
-        {"pooled_from": len(curves)},
-    )
+    return LagCurve(first.lags, vals, tot.astype(np.int64), first.role_tag)

@@ -287,9 +287,9 @@ def _draw(config: ExperimentConfig, n: int, seed: int) -> TradeTape:
 
 
 def _build_model(model: dict):
-    """Returns (ImpactConfig, predictor or None). A kyle model gets the flat
-    kernel; a section with a kernel or predictor its engine ignores is an
-    error."""
+    """Returns (ImpactConfig, predictor or None). A model without a kernel
+    spec keeps ImpactConfig's flat kernel; a section with a kernel or
+    predictor its engine ignores is an error."""
     d = dict(model)
     kind = d.pop("kind")
     if kind not in ("kyle", "propagator", "surprise"):
@@ -301,15 +301,13 @@ def _build_model(model: dict):
             raise ParameterError(f"{owner} model needs a {key} spec")
         if kind != owner and spec is not None:
             raise ParameterError(f"{kind} model takes no {key} spec")
-    kernel = Kernel.permanent() if kind == "kyle" else None
-    if kernel_spec is not None:
-        kernel = kernel_from_spec(kernel_spec)
+    kernel_kw = {} if kernel_spec is None else {"kernel": kernel_from_spec(kernel_spec)}
     predictor = None
     if predictor_spec is not None:
         _check_keys("predictor spec", predictor_spec, _PREDICTOR_KEYS, _PREDICTOR_KEYS)
         predictor = ArPredictor(predictor_spec["coeffs"])
     _check_keys("model", d, _IMPACT_KEYS)
-    return ImpactConfig(kernel=kernel, **{k: float(v) for k, v in d.items()}), predictor
+    return ImpactConfig(**kernel_kw, **{k: float(v) for k, v in d.items()}), predictor
 
 
 def simulate(config: ExperimentConfig, seed: int):
@@ -391,13 +389,16 @@ def measure(tape: TradeTape, spec: dict | None = None, burn: int = 0):
             errors["psi_fit"] = str(exc)
     if "diffusivity" in results:
         d = results["diffusivity"]
-        ratio = float(d.values[-1] / d.values[0])
-        fits["diffusion_ratio"] = ratio
-        fits["diffusion_flag"] = (
-            "superdiffusive" if ratio > 2.0
-            else "subdiffusive" if ratio < 0.5
-            else "diffusive"
-        )
+        if d.values[0] == 0:
+            errors["diffusion_ratio"] = "D(1) is 0: the prices never move"
+        else:
+            ratio = float(d.values[-1] / d.values[0])
+            fits["diffusion_ratio"] = ratio
+            fits["diffusion_flag"] = (
+                "superdiffusive" if ratio > 2.0
+                else "subdiffusive" if ratio < 0.5
+                else "diffusive"
+            )
     if "rho" in results:
         fits["rho"] = float(results["rho"])
     results["fits"] = fits

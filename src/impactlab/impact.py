@@ -7,7 +7,7 @@ pre-history of the stationary model is truncated at the first trade; see
 burn_in_length for the measurement-side discard policy.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -21,7 +21,6 @@ __all__ = [
     "ImpactConfig",
     "QuotePair",
     "impact_sizes",
-    "kyle_path",
     "propagator_path",
     "surprise_path",
     "quotes",
@@ -155,8 +154,9 @@ class ArPredictor:
 @dataclass
 class ImpactConfig:
     """Shared knobs of every price engine: scale lam (price per volume^psi),
-    volume exponent psi, decay kernel (ignored by the permanent engine),
-    additive noise level, and starting price.
+    volume exponent psi, decay kernel (the flat kernel G = 1 of permanent,
+    Kyle-type impact unless given; the surprise engine ignores it), additive
+    noise level, and starting price.
 
     lam=0 is admitted for the degenerate noise-only model used in control
     experiments, although the impact models proper assume lam > 0.
@@ -164,13 +164,15 @@ class ImpactConfig:
 
     lam: float = 1.0
     psi: float = 1.0
-    kernel: Kernel | None = None
+    kernel: Kernel = field(default_factory=Kernel.permanent)
     noise_sigma: float = 0.0
     p0: float = 0.0
 
     def __post_init__(self):
         if self.lam < 0:
             raise ParameterError("lam must be >= 0")
+        if not isinstance(self.kernel, Kernel):
+            raise ParameterError(f"kernel must be a Kernel, got {self.kernel!r}")
         if not 0.0 < self.psi <= 1.0:
             raise ParameterError("psi must lie in (0, 1]")
         if self.noise_sigma < 0:
@@ -194,12 +196,13 @@ def _noise_increments(n: int, cfg: ImpactConfig, seed: int):
     return cfg.noise_sigma * rng.standard_normal(n)
 
 
-def _path(tape: TradeTape, kernel: Kernel | None, cfg: ImpactConfig, seed: int) -> np.ndarray:
-    """p_n = p0 + lam * sum_{m<n} G(n-m) u_m + noise walk; a constant kernel
-    takes a cumulative sum, so no convolution round-off enters."""
+def propagator_path(tape: TradeTape, cfg: ImpactConfig, seed: int = 0) -> np.ndarray:
+    """Decaying-impact path: p_n = p0 + lam * sum_{m<n} G(n-m) u_m + noise walk.
+
+    A constant kernel, such as the default flat one (permanent impact), takes
+    a cumulative sum, so no convolution round-off enters."""
     _check_nonempty(tape)
-    if kernel is None:
-        raise ParameterError("propagator_path needs cfg.kernel")
+    kernel = cfg.kernel
     u = impact_sizes(tape, cfg.psi)
     n = tape.n
     if kernel.is_constant:
@@ -219,28 +222,15 @@ def _path(tape: TradeTape, kernel: Kernel | None, cfg: ImpactConfig, seed: int) 
     return np.concatenate([[cfg.p0], cfg.p0 + cum])
 
 
-def kyle_path(tape: TradeTape, cfg: ImpactConfig, seed: int = 0) -> np.ndarray:
-    """Permanent-impact walk: p_n = p0 + lam * sum_{m<n} u_m + noise walk,
-    the propagator path of the flat kernel G = 1; cfg.kernel is ignored."""
-    return _path(tape, Kernel.permanent(), cfg, seed)
-
-
-def propagator_path(tape: TradeTape, cfg: ImpactConfig, seed: int = 0) -> np.ndarray:
-    """Decaying-impact path: p_n = p0 + lam * sum_{m<n} G(n-m) u_m + noise walk.
-
-    A constant kernel reproduces kyle_path bit-for-bit on the same seed."""
-    return _path(tape, cfg.kernel, cfg, seed)
-
-
 def surprise_path(
     tape: TradeTape, predictor: ArPredictor, cfg: ImpactConfig, seed: int = 0
 ) -> np.ndarray:
     """Surprise-form path: price moves only on the unpredicted part of the sign,
     dp_n = lam * v_n^psi * (eps_n - hat(eps)_n) + eta_n.
 
-    An all-zero predictor reproduces kyle_path; the predictor implied by a
-    kernel (predictor_from_kernel) reproduces propagator_path on unit
-    volumes."""
+    An all-zero predictor reproduces propagator_path on the flat kernel; the
+    predictor implied by a kernel (predictor_from_kernel) reproduces
+    propagator_path with that kernel on unit volumes."""
     _check_nonempty(tape)
     pred = predictor.predict_series(tape.eps)
     inc = cfg.lam * tape.v**cfg.psi * (tape.eps - pred)

@@ -7,7 +7,7 @@ every round trip on a slot grid with volumes from a finite grid, exactly,
 under an explicit candidate budget.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
@@ -60,15 +60,10 @@ class Strategy:
 @dataclass
 class CostReport:
     """Expected cost of a strategy with its per-trade execution prices
-    (relative to p0 = 0) and the model parameters echoed."""
+    (relative to p0 = 0)."""
 
     expected_cost: float
     exec_prices: np.ndarray
-    strategy: Strategy
-    lam: float
-    psi: float
-    own_impact: str
-    meta: dict = field(default_factory=dict)
 
 
 def strategy_cost(
@@ -87,12 +82,12 @@ def strategy_cost(
         raise ParameterError("own_impact must be 'full' or 'half'")
     own = 1.0 if own_impact == "full" else 0.5
     if not strategy.trades:
-        return CostReport(0.0, np.empty(0), strategy, lam, psi, own_impact)
+        return CostReport(0.0, np.empty(0))
     slots = np.array([s for s, _ in strategy.trades], dtype=np.float64)
     q = np.array([qq for _, qq in strategy.trades])
     u = np.sign(q) * np.abs(q) ** psi
     prices = lam * (_pattern_w(kernel, slots, own * float(kernel.eval(1))) @ u)
-    return CostReport(float(np.dot(q, prices)), prices, strategy, lam, psi, own_impact)
+    return CostReport(float(np.dot(q, prices)), prices)
 
 
 def _symbol_values(volume_grid) -> np.ndarray:
@@ -199,8 +194,9 @@ def search_round_trips(
     1; sign orbits are counted once (mirror a result for the other sign).
     The candidate count is computed exactly first and the search refuses
     above `budget`. Returns (best_cost, best_strategy or None for the empty
-    strategy, report dict). best_cost <= 0 always: the empty strategy is
-    admissible at cost 0.
+    strategy, report dict of the pairs `evaluated` and, past the trivial
+    cases, the `candidates` counted). best_cost <= 0 always: the empty
+    strategy is admissible at cost 0.
 
     A strategy splits into a left half (its first k//2 trades, the first
     one positive) and a right half whose volumes sum to minus the left's.
@@ -222,7 +218,7 @@ def search_round_trips(
         raise ParameterError("lam must be >= 0 and psi positive")
     if own_impact not in ("full", "half"):
         raise ParameterError("own_impact must be 'full' or 'half'")
-    report = {"evaluated": 0, "budget": budget, "max_len": max_len}
+    report = {"evaluated": 0}
     if max_len < 2 or not len(volume_grid):
         return 0.0, None, report
     n_candidates = count_round_trips(max_len, volume_grid)

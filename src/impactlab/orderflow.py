@@ -129,8 +129,7 @@ def _next_pow2(n: int) -> int:
     return 1 << int(np.ceil(np.log2(max(n, 2))))
 
 
-@lru_cache(maxsize=8)
-def _latent_autocorr_cached(gamma: float, n_lags: int, completion: str) -> np.ndarray:
+def _latent_autocorr(gamma: float, n_lags: int, completion: str) -> np.ndarray:
     if completion == "martingale":
         grid = 8 * _next_pow2(max(n_lags, 1024))
         c_target = _whitening_autocorr(gamma, n_lags, grid)
@@ -152,7 +151,7 @@ def latent_autocorr(gamma: float, n_lags: int, completion: str = "martingale") -
     """
     if not 0.0 < gamma < 1.0:
         raise ParameterError("gamma must lie in (0, 1)")
-    return _latent_autocorr_cached(float(gamma), int(n_lags), completion).copy()
+    return _latent_autocorr(float(gamma), int(n_lags), completion)
 
 
 def target_sign_autocorr(gamma: float, n_lags: int, completion: str = "martingale") -> np.ndarray:
@@ -166,7 +165,7 @@ def target_sign_autocorr(gamma: float, n_lags: int, completion: str = "martingal
 def _embedding_eigenvalues(gamma: float, n: int, completion: str) -> np.ndarray:
     # circulant embedding of the latent covariance; tiny negative eigenvalues
     # from the embedding are clipped to zero
-    rho = _latent_autocorr_cached(gamma, n, completion)
+    rho = _latent_autocorr(gamma, n, completion)
     emb = np.concatenate([rho, rho[-2:0:-1]])
     ev = np.real(fft(emb))
     return np.clip(ev, 0.0, None)

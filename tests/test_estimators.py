@@ -28,7 +28,6 @@ from impactlab import (
     gen_clipped_fractional_signs,
     gen_iid_signs,
     invert_response,
-    kyle_path,
     levinson_durbin,
     master_curve_rescale,
     normalized_autocorr,
@@ -53,7 +52,7 @@ def _priced_tape(eps, prices, vols=None):
 
 def _kyle_tape(eps, v, lam=0.25, psi=1.0, p0=10.0):
     tape = TradeTape(SignSeries(eps), VolumeSeries(v))
-    p = kyle_path(tape, ImpactConfig(lam, psi, None, 0.0, p0))
+    p = propagator_path(tape, ImpactConfig(lam=lam, psi=psi, p0=p0))
     return TradeTape(tape.signs, tape.volumes, p)
 
 
@@ -438,6 +437,44 @@ def test_invert_recovers_a_predicted_table(n_eq, j_tail):
     assert report["residual_norm"] < 1e-12
     assert report["j_tail"] == j_tail and report["equations"] == n_eq
     assert (report["se_proxy"] is None) == (n_eq == g.size)
+
+
+@pytest.mark.parametrize("ridge", [0.0, 1e-6, 1e-2])
+def test_invert_reads_every_result_from_one_svd(ridge):
+    """The kernel minimizes ||A G - b||^2 + ridge ||G||^2: lstsq's solution at
+    ridge 0, else the solution of (A^T A + ridge I) G = A^T b; se_proxy is
+    residual^2 / (n - L) * diag((A^T A + ridge I)^-1). One SVD, no other
+    factorization."""
+    lags = np.arange(1, 201)
+    c = LagCurve(lags, 0.4 * lags**-0.6, np.full(lags.size, 1000), "sign_autocorr")
+    lam, psi, v, n_eq, big_l, j_tail = 0.7, 0.5, 2.0, 48, 16, 100
+    # a power law is not flat past L, so the fit leaves a residual
+    r = predict_response(Kernel.power_law(0.4), c, lam, psi, v, max_lag=n_eq, j_tail=j_tail)
+    refuse = {"side_effect": AssertionError("a second factorization")}
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd, \
+            mock.patch.object(np.linalg, "lstsq", **refuse), \
+            mock.patch.object(np.linalg, "solve", **refuse), \
+            mock.patch.object(np.linalg, "pinv", **refuse):
+        k, report = invert_response(r, c, lam, psi, v, big_l, j_tail=j_tail, ridge=ridge)
+    assert svd.call_count == 1
+    a = estimators._response_matrix(c, n_eq, j_tail)
+    a[:, big_l - 1] = a[:, big_l - 1 :].sum(axis=1)
+    a = a[:, :big_l]
+    b = r.values / (lam * v**psi)
+    g = k.values
+    if ridge == 0:
+        want = np.linalg.lstsq(a, b, rcond=None)[0]
+        assert np.max(np.abs(g - want)) <= 1e-10 * np.max(np.abs(want))
+    else:
+        lhs, rhs = (a.T @ a + ridge * np.eye(big_l)) @ g, a.T @ b
+        assert np.max(np.abs(lhs - rhs)) <= 1e-10 * np.max(np.abs(rhs))
+    residual = np.linalg.norm(a @ g - b)
+    assert residual > 0 and report["residual_norm"] == pytest.approx(residual, rel=1e-12)
+    var = residual**2 / (n_eq - big_l) * np.diag(np.linalg.inv(a.T @ a + ridge * np.eye(big_l)))
+    assert np.allclose(report["se_proxy"], np.sqrt(var), rtol=1e-9, atol=0)
+    sv = np.linalg.svd(a, compute_uv=False)
+    assert report["condition"] == pytest.approx(sv[0] / sv[-1], rel=1e-12)
+    assert report["ridge"] == ridge
 
 
 def test_the_response_relation_rejects_a_negative_j_tail():

@@ -24,7 +24,6 @@ from impactlab import (
     gen_volumes,
     impact_sizes,
     kernel_from_predictor,
-    kyle_path,
     predictor_from_kernel,
     propagator_path,
     quote_series,
@@ -41,27 +40,28 @@ def _tape(eps, vols=None):
 
 
 def test_kyle_path_worked_example():
-    # eps (+1,-1,+1), v=1, lam=0.1: walk 100 -> 100.1 -> 100.0 -> 100.1
-    p = kyle_path(_tape([1, -1, 1]), ImpactConfig(0.1, 1.0, None, 0.0, 100.0))
+    # default flat kernel, eps (+1,-1,+1), v=1, lam=0.1: 100 -> 100.1 -> 100.0 -> 100.1
+    p = propagator_path(_tape([1, -1, 1]), ImpactConfig(lam=0.1, p0=100.0))
     assert np.allclose(p, [100.0, 100.1, 100.0, 100.1], rtol=0, atol=1e-12)
 
 
 def test_null_model_is_a_constant_price():
-    p = kyle_path(_tape([1, -1, 1, 1]), ImpactConfig(0.0, 1.0, None, 0.0, 5.0))
+    p = propagator_path(_tape([1, -1, 1, 1]), ImpactConfig(lam=0.0, p0=5.0))
     assert np.all(p == 5.0)
 
 
 def test_noise_only_path_diffuses_at_unit_rate():
     tape = _tape(gen_iid_signs(100_000, 0.5, 1).signs)
-    p = kyle_path(tape, ImpactConfig(0.0, 1.0, None, 1.0, 0.0), seed=7)
+    p = propagator_path(tape, ImpactConfig(lam=0.0, noise_sigma=1.0), seed=7)
     assert abs(np.var(np.diff(p)) - 1.0) < 0.05
 
 
 def test_noise_is_reproducible_per_seed():
     tape = _tape(gen_iid_signs(100, 0.5, 1).signs)
-    cfg = ImpactConfig(0.1, 1.0, None, 0.5, 0.0)
-    assert np.array_equal(kyle_path(tape, cfg, seed=3), kyle_path(tape, cfg, seed=3))
-    assert not np.array_equal(kyle_path(tape, cfg, seed=3), kyle_path(tape, cfg, seed=4))
+    cfg = ImpactConfig(lam=0.1, noise_sigma=0.5)
+    assert np.array_equal(propagator_path(tape, cfg, seed=3), propagator_path(tape, cfg, seed=3))
+    assert not np.array_equal(propagator_path(tape, cfg, seed=3),
+                              propagator_path(tape, cfg, seed=4))
 
 
 def test_propagator_tabulated_worked_example():
@@ -71,9 +71,15 @@ def test_propagator_tabulated_worked_example():
 
 
 def test_permanent_propagator_reproduces_kyle_bitwise():
+    # the default kernel and any constant table price by the Kyle walk
+    # p0 + lam * cumsum(u) + cumsum(noise), bit for bit
     tape = _tape(gen_markov_signs(2000, 0.5, 11).signs)
-    cfg = ImpactConfig(0.3, 0.7, Kernel.permanent(), 0.5, 5.0)
-    assert np.array_equal(kyle_path(tape, cfg, seed=3), propagator_path(tape, cfg, seed=3))
+    cfg = ImpactConfig(lam=0.3, psi=0.7, noise_sigma=0.5, p0=5.0)
+    eta = 0.5 * np.random.default_rng(3).standard_normal(tape.n)
+    walk = 5.0 + (0.3 * np.cumsum(impact_sizes(tape, 0.7)) + np.cumsum(eta))
+    assert np.array_equal(propagator_path(tape, cfg, seed=3), np.concatenate([[5.0], walk]))
+    flat = dataclasses.replace(cfg, kernel=Kernel.tabulated([1.0, 1.0, 1.0]))
+    assert np.array_equal(propagator_path(tape, flat, seed=3), propagator_path(tape, cfg, seed=3))
 
 
 def test_paths_are_translation_invariant_and_sign_odd():
@@ -98,9 +104,9 @@ def test_surprise_path_with_matched_kernel_equals_propagator():
 
 def test_surprise_path_with_zero_predictor_equals_kyle():
     tape = _tape(gen_iid_signs(300, 0.5, 2).signs)
-    cfg = ImpactConfig(0.2, 0.8, None, 0.0, 1.0)
+    cfg = ImpactConfig(lam=0.2, psi=0.8, p0=1.0)
     ps = surprise_path(tape, ArPredictor([0.0]), cfg)
-    assert np.allclose(ps, kyle_path(tape, cfg), rtol=0, atol=1e-14)
+    assert np.allclose(ps, propagator_path(tape, cfg), rtol=0, atol=1e-14)
 
 
 def test_kernel_eval_forms():
@@ -128,20 +134,23 @@ def test_kernel_validation():
 
 
 def test_impact_config_validation():
-    assert ImpactConfig(0.0, 1.0, None, 0.0, 0.0).lam == 0.0  # lam=0 legal
+    assert ImpactConfig(lam=0.0).lam == 0.0  # lam=0 legal
+    assert ImpactConfig().kernel == Kernel.permanent()
     with pytest.raises(ParameterError):
-        ImpactConfig(-1.0, 1.0, None, 0.0, 0.0)
+        ImpactConfig(lam=-1.0)
     with pytest.raises(ParameterError):
-        ImpactConfig(1.0, 0.0, None, 0.0, 0.0)
+        ImpactConfig(psi=0.0)
     with pytest.raises(ParameterError):
-        ImpactConfig(1.0, 1.2, None, 0.0, 0.0)
+        ImpactConfig(psi=1.2)
     with pytest.raises(ParameterError):
-        ImpactConfig(1.0, 1.0, None, -0.5, 0.0)
+        ImpactConfig(noise_sigma=-0.5)
+    with pytest.raises(ParameterError, match="kernel"):
+        ImpactConfig(kernel=None)
 
 
 def test_empty_tape_is_an_input_error():
     with pytest.raises((InputError, ParameterError)):
-        kyle_path(_tape([]), ImpactConfig(0.1, 1.0, None, 0.0, 0.0))
+        propagator_path(_tape([]), ImpactConfig(lam=0.1))
 
 
 def test_impact_sizes_are_signed_powers_of_volume():
@@ -224,18 +233,18 @@ def test_predict_series_of_no_trades_is_empty():
 
 
 def test_quotes_worked_examples():
-    q = quotes(100.0, 0.5, ImpactConfig(1.0, 1.0, None, 0.0, 0.0), 1.0)
+    q = quotes(100.0, 0.5, ImpactConfig(), 1.0)
     assert (q.ask, q.bid, q.spread) == (100.5, 98.5, 2.0)
-    q2 = quotes(50.0, -0.25, ImpactConfig(1.0, 0.5, None, 0.0, 0.0), 4.0)
+    q2 = quotes(50.0, -0.25, ImpactConfig(psi=0.5), 4.0)
     assert q2.spread == 4.0
     assert abs((q2.ask - q2.bid) - q2.spread) < 1e-12
 
 
 def test_quotes_raise_on_predictor_blow_up():
     with pytest.raises(ParameterError, match="blow-up"):
-        quotes(100.0, 1.0, ImpactConfig(1.0, 1.0, None, 0.0, 0.0), 1.0)
+        quotes(100.0, 1.0, ImpactConfig(), 1.0)
     with pytest.raises(ParameterError):
-        quotes(100.0, 0.5, ImpactConfig(1.0, 1.0, None, 0.0, 0.0), 0.0)
+        quotes(100.0, 0.5, ImpactConfig(), 0.0)
 
 
 def test_quote_series_reproduces_the_transaction_path():

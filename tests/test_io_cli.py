@@ -29,8 +29,8 @@ from impactlab import (
     cli,
     gen_iid_signs,
     gen_volumes,
-    kyle_path,
     predict_response,
+    propagator_path,
 )
 from impactlab import experiment, orderflow
 from impactlab.experiment import ExperimentConfig, expand_seeds, invert_stage, provenance
@@ -49,7 +49,7 @@ from impactlab.io import (
 
 def _priced_tape(n=50, seed=3):
     tape = TradeTape(gen_iid_signs(n, 0.5, seed), gen_volumes(n, "lognormal", seed=seed + 1))
-    p = kyle_path(tape, ImpactConfig(0.1, 1.0, None, 0.2, 100.0), seed=seed + 2)
+    p = propagator_path(tape, ImpactConfig(lam=0.1, noise_sigma=0.2, p0=100.0), seed=seed + 2)
     return TradeTape(tape.signs, tape.volumes, p)
 
 
@@ -256,6 +256,25 @@ def test_cli_measure_partial_failure_keeps_other_curves(tmp_path):
     assert os.path.exists(os.path.join(meas, "tape_seed1_sign_autocorr.csv"))
 
 
+def test_cli_report_on_prices_that_never_move_writes_valid_json(tmp_path):
+    """D(1) = 0 leaves no diffusion ratio to take: an error, not a NaN (which
+    JSON cannot hold) and not a 'diffusive' flag."""
+    write_json({"n": 2000, "seed": 4, "model": {"kind": "kyle", "lam": 0.0},
+                "estimator": {"max_lag": 16, "sign_max_lag": 32}}, str(tmp_path / "cfg.json"))
+    out = tmp_path / "out"
+    assert cli.main(["report", "--config", str(tmp_path / "cfg.json"), "--criteria", "none",
+                     "--out-dir", str(out)]) == 3
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    fits = json.loads((out / "tape_seed4_fits.json").read_text(), parse_constant=refuse)
+    report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+    assert "D(1) is 0" in fits["errors"]["diffusion_ratio"] and "rho" in fits["errors"]
+    for written in (fits, report["fits"]["per_seed"]["4"]):
+        assert "diffusion_ratio" not in written and "diffusion_flag" not in written
+
+
 def test_cli_invert_refuses_mismatched_grids(tmp_path):
     lags = np.arange(1, 9)
     write_curve(LagCurve(lags, lags**-0.3, np.full(8, 10), "response"),
@@ -282,6 +301,23 @@ def test_cli_invert_default_j_tail_follows_the_autocorrelation(tmp_path):
     assert rc == 0
     report = read_json(tmp_path / "invert_report.json")
     assert report["j_tail"] == 16  # min(4096, last autocorrelation lag)
+
+
+def test_cli_invert_and_manip_reports_record_provenance(tmp_path):
+    """Both reports carry the versions their bytes depend on, as every other
+    JSON output does."""
+    lags = np.arange(1, 9)
+    write_curve(LagCurve(lags, lags**-0.3, np.full(8, 10), "response"),
+                str(tmp_path / "r.csv"))
+    write_curve(LagCurve(lags, 0.2 * lags**-0.5, np.full(8, 10), "sign_autocorr"),
+                str(tmp_path / "c.csv"))
+    assert cli.main(["invert", "--response", str(tmp_path / "r.csv"),
+                     "--autocorr", str(tmp_path / "c.csv"), "--out-dir", str(tmp_path)]) == 0
+    assert cli.main(["manip", "--betas", "0", "--psis", "0.5", "--max-len", "3",
+                     "--out-dir", str(tmp_path)]) == 0
+    for name in ("invert_report.json", "manip_report.json"):
+        rep = read_json(tmp_path / name)
+        assert rep["provenance"] == provenance() and "version" not in rep, name
 
 
 def test_cli_manip_writes_the_frontier_grid(tmp_path):

@@ -49,7 +49,7 @@ def _grouped_search(kernel, lam, psi, max_len, volume_grid, budget=10**7,
     """The search before the fused cost product, kept as its oracle: per sum
     group it gathers both halves' rows and adds the two half costs to their
     cross term, over blocks of up to 4M candidates."""
-    report = {"evaluated": 0, "budget": budget, "max_len": max_len}
+    report = {"evaluated": 0}
     if max_len < 2 or not len(volume_grid):
         return 0.0, None, report
     n_candidates = count_round_trips(max_len, volume_grid)
