@@ -43,14 +43,14 @@ __all__ = [
     "pool_curves",
 ]
 
-ROLES = ("response", "sign_autocorr", "diffusivity", "rho")
+ROLES = ("response", "sign_autocorr", "diffusivity")
 
 
 @dataclass
 class LagCurve:
     """A per-lag statistic with sample counts and optional standard errors.
 
-    role_tag is one of "response", "sign_autocorr", "diffusivity", "rho".
+    role_tag is one of "response", "sign_autocorr", "diffusivity".
     Sign-autocorrelation values outside [-1, 1] (possible for degenerate
     inputs, e.g. odd-length alternating series exceed -1 by O(1/N^2)) are
     flagged in meta rather than rejected.

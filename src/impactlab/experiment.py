@@ -106,6 +106,10 @@ _INVERT_KEYS = ("invert_lags", "j_tail")
 # otherwise be truncated silently
 _ESTIMATOR_INTS = ("max_lag", "sign_max_lag", "rho_window", "cond_lag", "n_bins",
                    "min_count") + _INVERT_KEYS
+# the least value of each estimator setting that has one; a max_lag at or
+# past the tape's length is the estimators' to refuse, as it depends on the data
+_ESTIMATOR_LEAST = {"max_lag": 1, "sign_max_lag": 1, "rho_window": 1, "cond_lag": 1,
+                    "n_bins": 1, "invert_lags": 1, "j_tail": 0}
 _MANIP_INTS = ("max_len", "budget")
 
 # sections that name a kind: (default, the key naming it)
@@ -145,6 +149,18 @@ def _over_defaults(what: str, defaults: dict, spec: dict | None, extra=(), ints=
     return out
 
 
+def _estimator_spec(what: str, spec: dict | None) -> dict:
+    """The estimator settings: `spec` over the defaults, each in its range."""
+    s = _over_defaults(what, _default_estimator(), spec, _INVERT_KEYS, _ESTIMATOR_INTS)
+    for key, least in _ESTIMATOR_LEAST.items():
+        if s.get(key) is not None and s[key] < least:
+            raise ParameterError(f"{what}: '{key}' must be >= {least}, got {s[key]!r}")
+    w = s["rho_psi_weight"]
+    if isinstance(w, bool) or not isinstance(w, (int, float)) or not np.isfinite(w):
+        raise ParameterError(f"{what}: 'rho_psi_weight' must be a finite number, got {w!r}")
+    return s
+
+
 @dataclass
 class ExperimentConfig:
     """Everything a run needs; round-trips losslessly through JSON. Building
@@ -174,8 +190,7 @@ class ExperimentConfig:
             if section.get(tag, base[tag]) == base[tag]:
                 setattr(self, name, {**base, **section})
         # a mistyped key would otherwise run at its default unnoticed
-        _over_defaults("section 'estimator'", _default_estimator(), self.estimator,
-                       _INVERT_KEYS, _ESTIMATOR_INTS)
+        _estimator_spec("section 'estimator'", self.estimator)
         if self.manip is not None:
             _over_defaults("section 'manip'", _default_manip(), self.manip, ints=_MANIP_INTS)
         # the resolved model: attributes, not fields, so to_dict() and the hash skip them
@@ -344,8 +359,7 @@ def measure(tape: TradeTape, spec: dict | None = None, burn: int = 0):
     Returns (results dict, errors dict). Estimation failures are collected
     per curve; everything that can be computed still is.
     """
-    s = _over_defaults("estimator spec", _default_estimator(), spec, _INVERT_KEYS,
-                       _ESTIMATOR_INTS)
+    s = _estimator_spec("estimator spec", spec)
     if burn < 0:
         raise ParameterError(f"burn must be >= 0, got {burn}")
     results: dict = {}

@@ -50,12 +50,12 @@ class Kernel:
 
     def __post_init__(self):
         if self.form == "power_law":
-            if self.beta < 0:
-                raise ParameterError("beta must be >= 0")
-            if self.g1 <= 0:
-                raise ParameterError("g1 must be positive")
-            if self.plateau < 0:
-                raise ParameterError("plateau must be >= 0")
+            if not 0 <= self.beta < np.inf:
+                raise ParameterError("beta must be finite and >= 0")
+            if not 0 < self.g1 < np.inf:
+                raise ParameterError("g1 must be finite and positive")
+            if not 0 <= self.plateau < np.inf:
+                raise ParameterError("plateau must be finite and >= 0")
         elif self.form == "tabulated":
             if self.values is None:
                 raise ParameterError("tabulated kernel needs values")
@@ -169,14 +169,16 @@ class ImpactConfig:
     p0: float = 0.0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ParameterError("lam must be >= 0")
+        if not 0 <= self.lam < np.inf:
+            raise ParameterError("lam must be finite and >= 0")
         if not isinstance(self.kernel, Kernel):
             raise ParameterError(f"kernel must be a Kernel, got {self.kernel!r}")
         if not 0.0 < self.psi <= 1.0:
             raise ParameterError("psi must lie in (0, 1]")
-        if self.noise_sigma < 0:
-            raise ParameterError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ParameterError("noise_sigma must be finite and >= 0")
+        if not np.isfinite(self.p0):
+            raise ParameterError("p0 must be finite")
 
 
 def impact_sizes(tape: TradeTape, psi: float) -> np.ndarray:
@@ -326,13 +328,11 @@ def predictor_from_kernel(kernel: Kernel, order: int) -> ArPredictor:
     return ArPredictor(a)
 
 
-def burn_in_length(kernel: Kernel | None = None, predictor: ArPredictor | None = None) -> int:
+def burn_in_length(kernel: Kernel, predictor: ArPredictor | None = None) -> int:
     """Measurement-side burn-in: number of leading steps to discard from
     statistics so the truncated pre-history is immaterial. Permanent-impact
     paths need none; decaying kernels and predictors ramp up over their
     horizon, floored at 4096 for unbounded-support forms."""
-    if kernel is None and predictor is None:
-        return 0
     if predictor is not None:
         return max(4096, 2 * predictor.order)
     if kernel.is_constant:

@@ -53,176 +53,161 @@ def _open_read(path: str):
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
+def _require(ok, rule: str, first: int = 2):
+    """FormatError naming the first line where `ok` fails; row i of `ok`
+    stands on line first + i."""
+    if not np.all(ok):
+        raise FormatError(f"line {first + int(np.argmin(ok))}: {rule}")
+
+
+# The CSV formats, one (header, kinds) spec each for writer and reader.
+# Kinds: i exact integer, f float, o float or blank (NaN) where blank on
+# every row reads as absent, t text (written only); d a number written as an
+# integer and F a float, either blank or not, which the tape's rules check.
+_TAPES = ((("n", "epsilon", "volume"), "ddF"),  # unpriced, priced
+          (("n", "epsilon", "volume", "price"), "ddFf"))
+_CURVE = (("lag", "value", "count", "se"), "ifio")
+_CONDITIONAL = (("v_lo", "v_hi", "value", "count", "se"), "fffio")
+_KERNEL = (("lag", "G", "se_proxy"), "ifo")
+_FRONTIER = (("beta", "psi", "min_cost", "argmin_strategy"), "ffft")
+
+
+def _write_csv(path: str, header, kinds, columns, tail: str = ""):
+    """CSV of equally long columns, then `tail`; a None column is left blank.
+    One row format serves every row, 2**16 rows per chunk, which bounds the
+    memory used."""
+    row = ",".join("" if col is None else "%d" if kind in "id" else "%s" if kind == "t"
+                   else "%.17g" for kind, col in zip(kinds, columns)) + "\n"
+    cols = [np.asarray(col, dtype=np.float64 if kind in "fFo" else None)
+            for kind, col in zip(kinds, columns) if col is not None]
+    step = 1 << 16
+    chunks = ("".join(row % r for r in zip(*(c[lo:lo + step].tolist() for c in cols)))
+              for lo in range(0, len(cols[0]), step))
+    _atomic_write(path, itertools.chain([",".join(header) + "\n"], chunks, [tail]))
+
+
+def _cell(s: str, name: str, kind: str, lineno: int) -> float:
+    if s == "" and kind in "dFo":
+        return np.nan
+    try:
+        x = float(s)
+    except ValueError:
+        raise FormatError(f"line {lineno}: {name} '{s}' is not a number") from None
+    # beyond 2**53 a float is not exact
+    if kind == "i" and not (x.is_integer() and abs(x) <= 2**53):
+        raise FormatError(f"line {lineno}: {name} '{s}' is not an exact integer")
+    return x
+
+
+def _read_columns(path: str, what: str, *specs):
+    """The rows of a CSV in the spec its header names: one array per column,
+    every cell checked per its kind, and the mask of blank cells, kept apart
+    from cells that hold the text `nan`. An `i` column is int64; an `o`
+    column blank on every row is None."""
+    with _open_read(path) as fh:
+        reader = csv.reader(fh)
+        got = next(reader, None)
+        header, kinds = next((spec for spec in specs if got == list(spec[0])), (got, None))
+        if kinds is None:
+            raise FormatError(f"line 1: bad header {got!r}")
+        cells, blanks = [], []  # the cells row after row, the rows with blank cells
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise FormatError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+            cells.extend(map(_cell, row, header, kinds, itertools.repeat(lineno)))
+            if "" in row:  # few rows: the tape's final-price row, or an optional column
+                blanks.append((lineno - 2, [s == "" for s in row]))
+    if not cells:
+        raise FormatError(f"line 2: {what} has no rows")
+    cells = np.array(cells).reshape(-1, len(header))
+    blank = np.zeros(cells.shape, dtype=bool)
+    for i, row_blank in blanks:
+        blank[i] = row_blank
+    return [c.astype(np.int64) if kind == "i" else None if kind == "o" and b.all() else c.copy()
+            for c, b, kind in zip(cells.T, blank.T, kinds)], blank
+
+
 def write_tape(tape: TradeTape, path: str):
     """Tape CSV `n,epsilon,volume[,price]`; the trailing row holds p_N."""
     priced = tape.prices is not None
-    cols = [tape.eps, tape.v] + ([tape.prices] if priced else [])
-    row = "%d,%d" + ",%.17g" * (len(cols) - 1) + "\n"
-    step = 1 << 16  # rows formatted per chunk, which bounds the memory used
-    chunks = ("".join(row % r for r in zip(range(lo, min(lo + step, tape.n)),
-                                           *(c[lo:lo + step].tolist() for c in cols)))
-              for lo in range(0, tape.n, step))
-    head = "n,epsilon,volume" + (",price" if priced else "") + "\n"
-    tail = ["%d,,,%.17g\n" % (tape.n, tape.prices[-1])] if priced else []
-    _atomic_write(path, itertools.chain([head], chunks, tail))
-
-
-def _parse_float(s: str, lineno: int, what: str) -> float:
-    try:
-        return float(s)
-    except ValueError:
-        raise FormatError(f"line {lineno}: {what} '{s}' is not a number") from None
-
-
-def _parse_int(s: str, lineno: int, what: str) -> int:
-    x = _parse_float(s, lineno, what)
-    if not x.is_integer() or abs(x) > 2**53:  # beyond 2**53 a float is not exact
-        raise FormatError(f"line {lineno}: {what} '{s}' is not an exact integer")
-    return int(x)
+    cols = [np.arange(tape.n), tape.eps, tape.v] + ([tape.prices[:-1]] if priced else [])
+    tail = "%d,,,%.17g\n" % (tape.n, tape.prices[-1]) if priced else ""
+    _write_csv(path, *_TAPES[priced], cols, tail)
 
 
 def _read_tape_bulk(fh):
-    """Parse a tape in bulk, raising ValueError for any file it cannot vouch
-    for. It accepts only files the row validator accepts, with bit-equal
-    arrays: both parse with the interpreter's float conversion."""
+    """What the row parser returns for a tape in canonical text, bit for
+    bit, parsed in bulk: both convert with the interpreter's float parsing.
+    ValueError for any other text, which it cannot vouch for."""
     header = fh.readline()
-    has_price = header == "n,epsilon,volume,price\n"
+    priced = header == "n,epsilon,volume,price\n"
     start, body = fh.tell(), fh.read()
-    n = body.count("\n") - has_price
+    last = body[body.rfind("\n", 0, -1) + 1:-1].split(",")
+    final = priced and len(last) == 4 and last[1] == last[2] == ""  # the final-price row
+    rows = body.count("\n")
     # csv also ends lines at '\r' and reads empty lines, which loadtxt skips
-    if (not has_price and header != "n,epsilon,volume\n") or n < 1 or "\r" in body \
+    if (not priced and header != "n,epsilon,volume\n") or rows - final < 1 or "\r" in body \
             or "\n\n" in body or body[0] == "\n" or body[-1] != "\n":
         raise ValueError("not a canonical tape")
     del body  # free the text before parsing
     fh.seek(start)
-    cols = np.loadtxt(fh, delimiter=",", comments=None, max_rows=n, ndmin=2)
-    final = fh.read()[:-1].split(",")  # the final-price row, if any
-    if not (cols.shape == (n, 3 + has_price)
-            and final == ([str(n), "", "", final[-1]] if has_price else [""])
-            and np.array_equal(cols[:, 0], np.arange(n)) and np.all(np.abs(cols[:, 1]) == 1.0)
-            and np.all((cols[:, 2] > 0) & np.isfinite(cols[:, 2]))):
-        raise ValueError("tape fails a check")
-    prices = np.append(cols[:, 3], float(final[3])) if has_price else None
-    return cols[:, 1].copy(), cols[:, 2].copy(), prices
+    cells = np.loadtxt(fh, delimiter=",", comments=None, max_rows=rows - final, ndmin=2)
+    if cells.shape != (rows - final, 3 + priced):
+        raise ValueError("not a canonical tape")
+    tail = [[float(last[0])], [np.nan], [np.nan], [float(last[3])]] if final else [[]] * 4
+    blank = np.zeros((rows, 3 + priced), dtype=bool)
+    blank[-1, 1:3] = final
+    return [np.append(c, t) for c, t in zip(cells.T, tail)], blank
 
 
-def _read_tape_rows(fh):
-    """Row-by-row validator: the reference reader, and the one that names
-    the offending line of a malformed tape."""
-    reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise FormatError("line 1: empty file") from None
-    if header[:3] != ["n", "epsilon", "volume"] or header[3:] not in ([], ["price"]):
-        raise FormatError(f"line 1: bad header {header!r}")
-    has_price = len(header) == 4
-    eps, vol, prices = [], [], []
-    final_price_seen = False
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) != len(header):
-            raise FormatError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
-        if final_price_seen:
-            raise FormatError(f"line {lineno}: rows after the final-price row")
-        n_val = _parse_float(row[0], lineno, "n")
-        if n_val != len(eps):
-            raise FormatError(f"line {lineno}: n must be consecutive from 0, got {row[0]}")
-        if has_price and row[1] == "" and row[2] == "":
-            prices.append(_parse_float(row[3], lineno, "price"))
-            final_price_seen = True
-            continue
-        e = _parse_float(row[1], lineno, "epsilon")
-        if e not in (-1.0, 1.0):
-            raise FormatError(f"line {lineno}: epsilon must be -1 or 1, got {row[1]}")
-        v = _parse_float(row[2], lineno, "volume")
-        if not v > 0 or not np.isfinite(v):
-            raise FormatError(f"line {lineno}: volume must be positive and finite")
-        eps.append(e)
-        vol.append(v)
-        if has_price:
-            prices.append(_parse_float(row[3], lineno, "price"))
-    if not eps:
+def _tape(cols, blank) -> TradeTape:
+    """The tape of parsed columns, checked against the format's rules, each
+    naming the first line that breaks it."""
+    n, eps, vol, *price = cols
+    m = n.size - len(price)  # trades: a priced tape ends in its final-price row
+    _require(n == np.arange(n.size), "n must be consecutive from 0")
+    if price:
+        final = blank[:, 1] & blank[:, 2]  # epsilon and volume blank
+        _require(~final[:-1], "rows after the final-price row", 3)
+        _require(final[-1:], "missing trailing final-price row", n.size + 2)
+    if m < 1:
         raise FormatError("line 2: tape has no trades")
-    if has_price and not final_price_seen:
-        raise FormatError(f"line {len(eps) + 2}: missing trailing final-price row")
-    return np.array(eps), np.array(vol), np.array(prices) if has_price else None
+    _require(np.abs(eps[:m]) == 1, "epsilon must be -1 or 1")
+    _require((vol[:m] > 0) & np.isfinite(vol[:m]), "volume must be positive and finite")
+    return TradeTape(SignSeries(eps[:m]), VolumeSeries(vol[:m]), prices=price[0] if price else None)
 
 
 def read_tape(path: str) -> TradeTape:
+    """Canonical text is parsed in bulk, any other row by row; the same
+    rules check the columns of either."""
     with _open_read(path) as fh:
         try:
-            cols = _read_tape_bulk(fh)
-        except ValueError:  # the row validator reads it, naming any bad line
-            fh.seek(0)
-            cols = None
-        eps, vol, prices = cols if cols is not None else _read_tape_rows(fh)
-    return TradeTape(SignSeries(eps), VolumeSeries(vol), prices=prices)
-
-
-# The small formats, one (header, kinds) spec each for writer and reader.
-# Kinds: i exact integer, s integer consecutive from 1, f float, o float or
-# blank (NaN; all blank reads as absent), t text (written only).
-_CURVE = (("lag", "value", "count", "se"), "ifio")
-_CONDITIONAL = (("v_lo", "v_hi", "value", "count", "se"), "fffio")
-_KERNEL = (("lag", "G", "se_proxy"), "sfo")
-_FRONTIER = (("beta", "psi", "min_cost", "argmin_strategy"), "ffft")
-
-
-def _write_columns(path: str, header, kinds, *columns):
-    """CSV of equally long columns; None writes a blank optional column."""
-    cells = [[""] * len(columns[0]) if col is None else col if kind == "t"
-             else [str(int(x)) for x in col] if kind in "is"
-             else ["%.17g" % x for x in np.asarray(col, dtype=np.float64).tolist()]
-             for kind, col in zip(kinds, columns)]
-    lines = [",".join(header), *map(",".join, zip(*cells, strict=True))]
-    _atomic_write(path, ["\n".join(lines) + "\n"])
-
-
-def _read_columns(path: str, header, kinds, what: str) -> list:
-    """One array per column, every value checked per its kind; the last
-    (optional) column is None when every row leaves it blank."""
-    cols = [[] for _ in header]
-    with _open_read(path) as fh:
-        reader = csv.reader(fh)
-        got = next(reader, None)
-        if got != list(header):
-            raise FormatError(f"line 1: bad header {got!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise FormatError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
-            for col, name, kind, s in zip(cols, header, kinds, row):
-                if kind in "fo":
-                    col.append(np.nan if kind == "o" and s == "" else _parse_float(s, lineno, name))
-                    continue
-                col.append(_parse_int(s, lineno, name))
-                if kind == "s" and col[-1] != len(col):
-                    raise FormatError(f"line {lineno}: lags must be consecutive from 1")
-    if not cols[0]:
-        raise FormatError(f"line 2: {what} has no rows")
-    arrays = [np.array(c) for c in cols]
-    return arrays[:-1] + [None if np.all(np.isnan(arrays[-1])) else arrays[-1]]
+            parsed = _read_tape_bulk(fh)
+        except ValueError:
+            parsed = None
+    return _tape(*(parsed or _read_columns(path, "tape", *_TAPES)))
 
 
 def write_curve(curve: LagCurve, path: str):
     """Lag-curve CSV `lag,value,count,se` (se blank when absent)."""
-    _write_columns(path, *_CURVE, curve.lags, curve.values, curve.counts, curve.se)
+    _write_csv(path, *_CURVE, [curve.lags, curve.values, curve.counts, curve.se])
 
 
 def read_curve(path: str, role_tag: str) -> LagCurve:
-    lags, vals, cnts, se = _read_columns(path, *_CURVE, "curve")
+    (lags, vals, cnts, se), _ = _read_columns(path, "curve", _CURVE)
     return LagCurve(lags, vals, cnts, role_tag, se)
 
 
 def write_conditional(curve: ConditionalResponse, path: str):
     """Volume-binned response CSV `v_lo,v_hi,value,count,se`."""
-    _write_columns(path, *_CONDITIONAL, curve.bin_lo, curve.bin_hi, curve.values,
-                   curve.counts, curve.se)
+    _write_csv(path, *_CONDITIONAL, [curve.bin_lo, curve.bin_hi, curve.values, curve.counts,
+                                     curve.se])
 
 
 def read_conditional(path: str, T: int = 1) -> ConditionalResponse:
     """The lag T is not part of the CSV; pass the value recorded alongside
     (fits/meta JSON) when it matters."""
-    lo, hi, vals, cnts, se = _read_columns(path, *_CONDITIONAL, "curve")
+    (lo, hi, vals, cnts, se), _ = _read_columns(path, "curve", _CONDITIONAL)
     return ConditionalResponse(lo, hi, vals, cnts, T, se)
 
 
@@ -230,13 +215,13 @@ def write_kernel(kernel: Kernel, path: str, se_proxy=None):
     """Kernel CSV `lag,G,se_proxy` of a tabulated kernel's table."""
     if kernel.form != "tabulated":
         raise ParameterError("only a tabulated kernel can be written")
-    _write_columns(path, *_KERNEL, np.arange(1, kernel.values.size + 1), kernel.values,
-                   se_proxy)
+    _write_csv(path, *_KERNEL, [np.arange(1, kernel.values.size + 1), kernel.values, se_proxy])
 
 
 def read_kernel(path: str):
     """Returns (Kernel.tabulated, se_proxy array or None)."""
-    _, g, se = _read_columns(path, *_KERNEL, "kernel")
+    (lags, g, se), _ = _read_columns(path, "kernel", _KERNEL)
+    _require(lags == np.arange(1, lags.size + 1), "lags must be consecutive from 1")
     return Kernel.tabulated(g), se
 
 
@@ -244,8 +229,8 @@ def write_frontier(rows, path: str):
     """Frontier CSV `beta,psi,min_cost,argmin_strategy`; the strategy is
     slot:volume pairs joined by ';' (empty for the empty strategy)."""
     args = [";".join("%d:%.17g" % (s, q) for s, q in r["argmin"] or ()) for r in rows]
-    cols = ([r[k] for r in rows] for k in ("beta", "psi", "min_cost"))
-    _write_columns(path, *_FRONTIER, *cols, args)
+    _write_csv(path, *_FRONTIER, [[r[k] for r in rows] for k in ("beta", "psi", "min_cost")]
+               + [args])
 
 
 def _json_default(obj):

@@ -74,10 +74,10 @@ def strategy_cost(
     |q|^psi. Charging the full own immediate impact is the conservative
     convention; own_impact="half" charges half of it for sensitivity
     analysis. Noise is zero-mean and excluded."""
-    if lam < 0:
-        raise ParameterError("lam must be >= 0")
-    if psi <= 0:
-        raise ParameterError("psi must be positive")
+    if not 0 <= lam < np.inf:
+        raise ParameterError("lam must be finite and >= 0")
+    if not 0 < psi < np.inf:
+        raise ParameterError("psi must be finite and positive")
     if own_impact not in ("full", "half"):
         raise ParameterError("own_impact must be 'full' or 'half'")
     own = 1.0 if own_impact == "full" else 0.5
@@ -214,8 +214,8 @@ def search_round_trips(
     """
     if max_len > 12:
         raise ParameterError("max_len above the exhaustive regime (12)")
-    if lam < 0 or psi <= 0:
-        raise ParameterError("lam must be >= 0 and psi positive")
+    if not (0 <= lam < np.inf and 0 < psi < np.inf):
+        raise ParameterError("lam must be finite and >= 0, and psi finite and positive")
     if own_impact not in ("full", "half"):
         raise ParameterError("own_impact must be 'full' or 'half'")
     report = {"evaluated": 0}

@@ -129,7 +129,14 @@ def _next_pow2(n: int) -> int:
     return 1 << int(np.ceil(np.log2(max(n, 2))))
 
 
-def _latent_autocorr(gamma: float, n_lags: int, completion: str) -> np.ndarray:
+def latent_autocorr(gamma: float, n_lags: int, completion: str = "martingale") -> np.ndarray:
+    """Latent Gaussian autocorrelation at lags 0..n_lags used by the clipped
+    generator. completion="martingale" makes the clipped signs' correlation
+    equal that of the flow exactly whitened by the matched power-law kernel;
+    completion="plain" is the simple (1+l)^(-gamma) profile.
+    """
+    if not 0.0 < gamma < 1.0:
+        raise ParameterError("gamma must lie in (0, 1)")
     if completion == "martingale":
         grid = 8 * _next_pow2(max(n_lags, 1024))
         c_target = _whitening_autocorr(gamma, n_lags, grid)
@@ -143,17 +150,6 @@ def _latent_autocorr(gamma: float, n_lags: int, completion: str) -> np.ndarray:
     raise ParameterError(f"unknown completion '{completion}'")
 
 
-def latent_autocorr(gamma: float, n_lags: int, completion: str = "martingale") -> np.ndarray:
-    """Latent Gaussian autocorrelation at lags 0..n_lags used by the clipped
-    generator. completion="martingale" makes the clipped signs' correlation
-    equal that of the flow exactly whitened by the matched power-law kernel;
-    completion="plain" is the simple (1+l)^(-gamma) profile.
-    """
-    if not 0.0 < gamma < 1.0:
-        raise ParameterError("gamma must lie in (0, 1)")
-    return _latent_autocorr(float(gamma), int(n_lags), completion)
-
-
 def target_sign_autocorr(gamma: float, n_lags: int, completion: str = "martingale") -> np.ndarray:
     """Population sign autocorrelation of the clipped generator, via the
     arcsine clipping map C(l) = (2/pi) arcsin(rho_latent(l))."""
@@ -165,7 +161,7 @@ def target_sign_autocorr(gamma: float, n_lags: int, completion: str = "martingal
 def _embedding_eigenvalues(gamma: float, n: int, completion: str) -> np.ndarray:
     # circulant embedding of the latent covariance; tiny negative eigenvalues
     # from the embedding are clipped to zero
-    rho = _latent_autocorr(gamma, n, completion)
+    rho = latent_autocorr(gamma, n, completion)
     emb = np.concatenate([rho, rho[-2:0:-1]])
     ev = np.real(fft(emb))
     return np.clip(ev, 0.0, None)

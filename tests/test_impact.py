@@ -131,6 +131,10 @@ def test_kernel_validation():
         Kernel.tabulated([])
     with pytest.raises(ParameterError):
         Kernel.tabulated([1.0, np.nan])
+    for bad in ({"beta": np.nan}, {"beta": np.inf}, {"beta": 0.3, "g1": np.nan},
+                {"beta": 0.3, "g1": np.inf}, {"beta": 0.3, "plateau": np.nan}):
+        with pytest.raises(ParameterError, match="finite"):
+            Kernel.power_law(**bad)
 
 
 def test_impact_config_validation():
@@ -146,6 +150,10 @@ def test_impact_config_validation():
         ImpactConfig(noise_sigma=-0.5)
     with pytest.raises(ParameterError, match="kernel"):
         ImpactConfig(kernel=None)
+    for bad in ({"lam": np.nan}, {"lam": np.inf}, {"noise_sigma": np.nan},
+                {"noise_sigma": np.inf}, {"p0": np.nan}, {"p0": -np.inf}):
+        with pytest.raises(ParameterError, match="finite"):
+            ImpactConfig(**bad)
 
 
 def test_empty_tape_is_an_input_error():
@@ -266,9 +274,8 @@ def test_volatility_per_time_scales_with_root_frequency():
 
 
 def test_burn_in_lengths_by_model_memory():
-    assert burn_in_length() == 0
     assert burn_in_length(kernel=Kernel.permanent()) == 0
-    assert burn_in_length(predictor=ArPredictor([0.5])) == 4096
+    assert burn_in_length(Kernel.permanent(), ArPredictor([0.5])) == 4096
     assert burn_in_length(kernel=Kernel.power_law(0.3)) == 4096
     long_table = Kernel.tabulated(np.arange(1, 3001.0) ** -0.3)
     assert burn_in_length(kernel=long_table) == 6000

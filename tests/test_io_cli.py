@@ -754,6 +754,18 @@ _REFUSED = {
     "zero-n": ({"n": 0}, ["--n", "0"]),
     "negative-seed": ({"seed": -1}, ["--seed", "-1"]),
     "bool-seed": ({"seed": [True, 2]}, None),
+    "nan-lam": ({"model": {"kind": "kyle", "lam": float("nan")}}, ["--lam", "nan"]),
+    "inf-lam": ({"model": {"kind": "kyle", "lam": float("inf")}}, ["--lam", "inf"]),
+    "nan-noise-sigma": ({"model": {"kind": "kyle", "noise_sigma": float("nan")}},
+                        ["--noise-sigma", "nan"]),
+    "nan-p0": ({"model": {"kind": "kyle", "p0": float("nan")}}, ["--p0", "nan"]),
+    "nan-beta": ({"model": {"kind": "propagator", "kernel": {"form": "power_law",
+                                                            "beta": float("nan")}}},
+                 ["--model", "propagator", "--beta", "nan"]),
+    "zero-max-lag": ({"estimator": {"max_lag": 0}}, None),
+    "zero-invert-lags": ({"estimator": {"invert_lags": 0}}, None),
+    "negative-j-tail": ({"estimator": {"j_tail": -1}}, None),
+    "nan-rho-psi-weight": ({"estimator": {"rho_psi_weight": float("nan")}}, None),
 }
 
 
@@ -786,14 +798,34 @@ def _curve_files(tmp_path):
     return r, c
 
 
-@pytest.mark.parametrize("command, rc", [("manip", 3), ("invert", 1), ("measure", 1)])
-def test_a_refused_command_writes_nothing(tmp_path, capsys, command, rc):
+# Commands refused before they write: the argv, with {r}, {c} and {tape} for
+# the input files, and the exit code. Estimator settings out of range and
+# non-finite model or search parameters are config errors, not estimation
+# errors.
+_REFUSED_COMMANDS = {
+    "manip-3": (["manip", "--budget", "1"], 3),
+    "invert-1": (["invert", "--response", "{r}", "--autocorr", "{c}", "--j-tail", "-5"], 1),
+    "measure-1": (["measure", "{tape}", "--max-lag", "8", "--burn", "-1"], 1),
+    "manip-nan-psi": (["manip", "--psis", "nan"], 1),
+    "manip-nan-beta": (["manip", "--betas", "nan"], 1),
+    "measure-zero-max-lag": (["measure", "{tape}", "--max-lag", "0"], 1),
+    "measure-zero-rho-window": (["measure", "{tape}", "--max-lag", "8", "--rho-window", "0"], 1),
+    "measure-zero-cond-lag": (["measure", "{tape}", "--max-lag", "8", "--cond-lag", "0"], 1),
+    "measure-zero-n-bins": (["measure", "{tape}", "--max-lag", "8", "--n-bins", "0"], 1),
+    "measure-nan-rho-psi-weight": (
+        ["measure", "{tape}", "--max-lag", "8", "--rho-psi-weight", "nan"], 1),
+    "measure-inf-rho-psi-weight": (
+        ["measure", "{tape}", "--max-lag", "8", "--rho-psi-weight", "inf"], 1),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED_COMMANDS))
+def test_a_refused_command_writes_nothing(tmp_path, capsys, case):
     r, c = _curve_files(tmp_path)
     tape = str(tmp_path / "tape.csv")
     write_tape(_priced_tape(), tape)
-    argv = {"manip": ["manip", "--budget", "1"],
-            "invert": ["invert", "--response", r, "--autocorr", c, "--j-tail", "-5"],
-            "measure": ["measure", tape, "--max-lag", "8", "--burn", "-1"]}[command]
+    argv, rc = _REFUSED_COMMANDS[case]
+    argv = [a.format(r=r, c=c, tape=tape) for a in argv]
     out = tmp_path / "out"
     assert cli.main([*argv, "--out-dir", str(out)]) == rc
     captured = capsys.readouterr()

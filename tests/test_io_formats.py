@@ -1,7 +1,8 @@
 """Property tests for the file formats: exact round trips of adversarial
-floats, the chunked writers against the per-row formatting they replaced,
-the bulk tape parser against the row validator, strict integer columns, and
-atomic writes that leave no temp file or partial target behind."""
+floats, the chunked writer against the per-row formatting it replaced, the
+bulk tape parser against the row parser under the same tape rules, strict
+integer columns, and atomic writes that leave no temp file or partial
+target behind."""
 
 import os
 
@@ -91,10 +92,9 @@ def test_tape_round_trip_and_oracle(tmp_path_factory, tape):
     path = str(tmp_path_factory.mktemp("t") / "tape.csv")
     iolib.write_tape(tape, path)
     assert _text(path) == _old_tape_text(tape)
-    with open(path, newline="") as fh:
-        eps, vol, prices = iolib._read_tape_bulk(fh)  # the fast path takes every written tape
+    bulk = iolib._tape(*_bulk(path))  # the fast path takes every written tape
     back = iolib.read_tape(path)
-    for got in ((back.eps, back.v, back.prices), (eps, vol, prices)):
+    for got in ((back.eps, back.v, back.prices), (bulk.eps, bulk.v, bulk.prices)):
         assert _same(got[0], tape.eps) and _same(got[1], tape.v)
         assert (got[2] is None) == (tape.prices is None)
         assert tape.prices is None or _same(got[2], tape.prices)
@@ -228,11 +228,20 @@ MUTATIONS = ["none", "bad_eps", "not_a_number", "neg_volume", "nan_volume", "gap
              "no_trailing_newline"]
 
 
-def _outcome(read, path):
-    """(arrays, None) when `read` accepts the file, (None, error) when not."""
+def _bulk(path):
+    with open(path, newline="") as fh:
+        return iolib._read_tape_bulk(fh)
+
+
+def _rows(path):
+    return iolib._read_columns(path, "tape", *iolib._TAPES)
+
+
+def _outcome(parse, path):
+    """(columns and blank mask, None) when `parse` reads the file, (None,
+    error) when not."""
     try:
-        with open(path, newline="") as fh:
-            return read(fh), None
+        return parse(path), None
     except ValueError as exc:  # FormatError, or the bulk parser declining
         return None, f"{type(exc).__name__}: {exc}"
 
@@ -246,19 +255,65 @@ def test_bulk_reader_agrees_with_row_validator(tmp_path_factory, tape, kind, i):
         text = fh.read()
     with open(path, "w", newline="") as fh:
         fh.write(_mutate(text, kind, i))
-    rows, rows_error = _outcome(iolib._read_tape_rows, path)
-    bulk, _ = _outcome(iolib._read_tape_bulk, path)
+    rows, rows_error = _outcome(_rows, path)
+    bulk, _ = _outcome(_bulk, path)
     assert bulk is not None or kind != "none"
-    if bulk is not None:  # what the fast path accepts, the validator accepts alike
+    if bulk is not None:  # what the fast path parses, the row parser parses alike
         assert rows is not None, rows_error
-        assert all(_same(a, b) for a, b in zip(bulk, rows))
+        assert all(_same(a, b) for a, b in zip(bulk[0], rows[0]))
+        assert np.array_equal(bulk[1], rows[1])
+    if rows is not None:  # the tape's rules, on the row parser's columns
+        rows, rows_error = _outcome(lambda _: iolib._tape(*rows), path)
     try:
         public = iolib.read_tape(path)
     except FormatError as exc:
         assert rows_error == f"FormatError: {exc}"
     else:
         assert rows is not None, rows_error
-        assert all(_same(a, b) for a, b in zip((public.eps, public.v, public.prices), rows))
+        assert all(_same(a, b) for a, b in zip((public.eps, public.v, public.prices),
+                                               (rows.eps, rows.v, rows.prices)))
+
+
+def _priced_text(n: int) -> str:
+    rows = "".join(f"{k},{(-1) ** k},{k + 1.5},{100 + k}\n" for k in range(n))
+    return f"n,epsilon,volume,price\n{rows}{n},,,{100 + n}\n"
+
+
+def test_a_canonical_tape_that_breaks_a_rule_is_rejected_from_the_bulk_parse(tmp_path,
+                                                                              monkeypatch):
+    lines = _priced_text(40).split("\n")
+    lines[18] = "17,0,18.5,117"  # trade 17, on line 19
+    path = tmp_path / "tape.csv"
+    path.write_text("\n".join(lines))
+
+    def no_row_parse(*args):
+        raise AssertionError("the row parser was called")
+
+    monkeypatch.setattr(iolib.csv, "reader", no_row_parse)
+    with pytest.raises(FormatError, match="line 19: epsilon must be -1 or 1"):
+        iolib.read_tape(str(path))
+
+
+def test_nan_epsilon_and_volume_do_not_make_a_final_price_row(tmp_path):
+    path = tmp_path / "tape.csv"
+    path.write_text(_priced_text(3).replace("3,,,103", "3,nan,nan,103"))
+    for parse in (_bulk, _rows):
+        cols, blank = parse(str(path))
+        assert np.isnan(cols[1][-1]) and np.isnan(cols[2][-1]) and not blank.any()
+        with pytest.raises(FormatError, match="line 6: missing trailing final-price row"):
+            iolib._tape(cols, blank)
+    with pytest.raises(FormatError, match="line 6: missing trailing final-price row"):
+        iolib.read_tape(str(path))
+
+
+def test_a_curve_whose_se_is_nan_text_reads_back_as_nan(tmp_path):
+    lags = np.arange(1, 5)
+    curve = LagCurve(lags, lags * 0.5, np.full(4, 7), "response", np.full(4, np.nan))
+    path = str(tmp_path / "curve.csv")
+    iolib.write_curve(curve, path)
+    assert _text(path).splitlines()[1] == "1,0.5,7,nan"
+    back = iolib.read_curve(path, "response")
+    assert back.se is not None and back.se.shape == (4,) and np.all(np.isnan(back.se))
 
 
 # ---- strict integers ----

@@ -220,6 +220,12 @@ def test_search_guards():
         search_round_trips(Kernel.permanent(), 1.0, 0.5, 13, (1,))
     with pytest.raises(ParameterError):
         search_round_trips(Kernel.permanent(), -1.0, 0.5, 4, (1,))
+    s = Strategy(((1, 2.0), (2, -2.0)), 2)
+    for lam, psi in ((np.nan, 0.5), (np.inf, 0.5), (1.0, np.nan), (1.0, np.inf)):
+        with pytest.raises(ParameterError, match="finite"):
+            search_round_trips(Kernel.permanent(), lam, psi, 4, (1,))
+        with pytest.raises(ParameterError, match="finite"):
+            strategy_cost(s, Kernel.permanent(), lam, psi)
 
 
 def test_frontier_rows_follow_the_diagonal_rule():
