@@ -39,7 +39,7 @@ from .orderflow import (
     gen_metaorder_signs,
     gen_volumes,
 )
-from .manipulation import gatheral_frontier
+from .manipulation import _check_search, gatheral_frontier
 from . import estimators as est
 
 __all__ = [
@@ -128,11 +128,14 @@ def _check_keys(what: str, spec: dict, allowed, required=()) -> None:
         raise ParameterError(f"{what} needs {sorted(missing)}")
 
 
+def _is_number(x) -> bool:
+    """True for an int or a float; a bool is not a number here."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
 def _is_integer(x) -> bool:
-    """True for an int, or a float holding an exact integer (1e7); a bool
-    is not a number here."""
-    return (isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
-            and float(x).is_integer())
+    """True for an int, or a float holding an exact integer (1e7)."""
+    return _is_number(x) and float(x).is_integer()
 
 
 def _over_defaults(what: str, defaults: dict, spec: dict | None, extra=(), ints=()) -> dict:
@@ -156,9 +159,25 @@ def _estimator_spec(what: str, spec: dict | None) -> dict:
         if s.get(key) is not None and s[key] < least:
             raise ParameterError(f"{what}: '{key}' must be >= {least}, got {s[key]!r}")
     w = s["rho_psi_weight"]
-    if isinstance(w, bool) or not isinstance(w, (int, float)) or not np.isfinite(w):
+    if not _is_number(w) or not np.isfinite(w):
         raise ParameterError(f"{what}: 'rho_psi_weight' must be a finite number, got {w!r}")
     return s
+
+
+def _manip_spec(what: str, spec: dict | None) -> dict:
+    """The frontier settings: `spec` over the defaults, each value one that the
+    kernel and the search accept, so no frontier is refused after its tapes."""
+    m = _over_defaults(what, _default_manip(), spec, ints=_MANIP_INTS)
+    for key in ("betas", "psis", "grid"):
+        if not isinstance(m[key], (list, tuple)) or not all(map(_is_number, m[key])):
+            raise ParameterError(f"{what}: '{key}' must be a list of numbers, got {m[key]!r}")
+    if not _is_number(m["lam"]):
+        raise ParameterError(f"{what}: 'lam' must be a number, got {m['lam']!r}")
+    for beta in m["betas"]:
+        Kernel.power_law(beta)
+    for psi in m["psis"]:
+        _check_search(m["lam"], psi, m["max_len"], m["grid"], m["own_impact"])
+    return m
 
 
 @dataclass
@@ -192,7 +211,7 @@ class ExperimentConfig:
         # a mistyped key would otherwise run at its default unnoticed
         _estimator_spec("section 'estimator'", self.estimator)
         if self.manip is not None:
-            _over_defaults("section 'manip'", _default_manip(), self.manip, ints=_MANIP_INTS)
+            _manip_spec("section 'manip'", self.manip)
         # the resolved model: attributes, not fields, so to_dict() and the hash skip them
         self.impact, self.predictor = _build_model(self.model)
         _draw(self, 1, 0)  # the generators check their own parameters, on one trade
@@ -509,7 +528,7 @@ def manip_stage(spec: dict, out: str):
     """The frontier of minimum round-trip costs over the (beta, psi) grid of
     `spec` layered over _default_manip(); writes frontier.csv.
     Returns ({rows, max_len, volume_grid, lam, own_impact}, files)."""
-    m = _over_defaults("manip spec", _default_manip(), spec, ints=_MANIP_INTS)
+    m = _manip_spec("manip spec", spec)
     max_len, lam = int(m["max_len"]), float(m["lam"])
     rows = gatheral_frontier(m["betas"], m["psis"], max_len=max_len, volume_grid=m["grid"],
                              lam=lam, budget=int(m["budget"]), own_impact=m["own_impact"])

@@ -178,6 +178,17 @@ def _tiles(r0: int, r1: int, l0: int, l1: int):
                 yield r, r + 1, c, min(c + _BLOCK_ENTRIES, l1)
 
 
+def _check_search(lam: float, psi: float, max_len: int, volume_grid, own_impact: str) -> None:
+    """Refuse the settings search_round_trips cannot search, without searching."""
+    if max_len > 12:
+        raise ParameterError("max_len above the exhaustive regime (12)")
+    if not (0 <= lam < np.inf and 0 < psi < np.inf):
+        raise ParameterError("lam must be finite and >= 0, and psi finite and positive")
+    if own_impact not in ("full", "half"):
+        raise ParameterError("own_impact must be 'full' or 'half'")
+    _symbol_values(volume_grid)
+
+
 def search_round_trips(
     kernel: Kernel,
     lam: float,
@@ -212,12 +223,7 @@ def search_round_trips(
     block the first minimum wins; a later block replaces the best only when
     strictly lower by more than 1e-15.
     """
-    if max_len > 12:
-        raise ParameterError("max_len above the exhaustive regime (12)")
-    if not (0 <= lam < np.inf and 0 < psi < np.inf):
-        raise ParameterError("lam must be finite and >= 0, and psi finite and positive")
-    if own_impact not in ("full", "half"):
-        raise ParameterError("own_impact must be 'full' or 'half'")
+    _check_search(lam, psi, max_len, volume_grid, own_impact)
     report = {"evaluated": 0}
     if max_len < 2 or not len(volume_grid):
         return 0.0, None, report

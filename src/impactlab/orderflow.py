@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.fft import fft, ifft, irfft, rfft
+from numpy.fft import irfft, rfft
 
 from .exceptions import ParameterError
 
@@ -111,22 +111,31 @@ def _whitening_autocorr(gamma: float, n_lags: int, grid: int) -> np.ndarray:
 
     Computed spectrally: S(w) = 1/|1 - A(e^-iw)|^2 on a fine grid, then an
     inverse transform. The coefficient sum is 1 - J^(-b) < 1 at truncation
-    J, so the spectrum stays finite at w = 0.
+    J, so the spectrum stays finite at w = 0. Each grid-sized temporary is
+    freed once used: the grid is 8x the lags, so they set the generator's
+    peak memory.
     """
     beta = (1.0 - gamma) / 2.0
     half = grid // 2
-    j = np.arange(1, half + 1, dtype=np.float64)
-    a = j ** (-beta) - (j + 1) ** (-beta)
+    power = np.arange(1, half + 2, dtype=np.float64) ** (-beta)
     coef = np.zeros(grid)
     coef[0] = 1.0
-    coef[1 : half + 1] = -a
-    spectrum = 1.0 / np.abs(rfft(coef)) ** 2
+    np.subtract(power[1:], power[:-1], out=coef[1 : half + 1])  # -a_j, j = 1..half
+    del power
+    spectrum = rfft(coef)
+    del coef
+    density = np.abs(spectrum)
+    np.square(density, out=density)
+    np.divide(1.0, density, out=density)
+    # written over the transform, so irfft makes no complex copy of a real input
+    spectrum.real, spectrum.imag = density, 0.0
+    del density
     acov = irfft(spectrum, grid)
     return acov[: n_lags + 1] / acov[0]
 
 
 def _next_pow2(n: int) -> int:
-    return 1 << int(np.ceil(np.log2(max(n, 2))))
+    return 1 << (max(n, 2) - 1).bit_length()
 
 
 def latent_autocorr(gamma: float, n_lags: int, completion: str = "martingale") -> np.ndarray:
@@ -159,12 +168,28 @@ def target_sign_autocorr(gamma: float, n_lags: int, completion: str = "martingal
 
 @lru_cache(maxsize=8)
 def _embedding_eigenvalues(gamma: float, n: int, completion: str) -> np.ndarray:
-    # circulant embedding of the latent covariance; tiny negative eigenvalues
-    # from the embedding are clipped to zero
+    """Eigenvalues 0..m/2 of the circulant embedding, m = 2n, of the latent
+    covariance at lags 0..n; the rest mirror them. The embedding is symmetric,
+    so they are real. Tiny negative ones from the embedding are clipped to zero."""
     rho = latent_autocorr(gamma, n, completion)
-    emb = np.concatenate([rho, rho[-2:0:-1]])
-    ev = np.real(fft(emb))
-    return np.clip(ev, 0.0, None)
+    return np.clip(rfft(np.concatenate([rho, rho[-2:0:-1]])).real, 0.0, None)
+
+
+def _circulant_latent(ev: np.ndarray, seed: int) -> np.ndarray:
+    """The m = 2(ev.size - 1) values of a Gaussian series with the circulant
+    covariance of eigenvalues ev (Davies & Harte 1987; Wood & Chan 1994).
+
+    It is the real part of ifft(sqrt(ev) * (x + iy)) * sqrt(m) over the full
+    spectrum, for two standard_normal(m) draws x then y, computed as one
+    irfft of that spectrum's Hermitian part
+    H_k = sqrt(ev_k) ((x_k + x_{m-k})/2 + i (y_k - y_{m-k})/2), k = 0..m/2.
+    """
+    m = 2 * (ev.size - 1)
+    rng = np.random.default_rng(seed)
+    x, y = rng.standard_normal(m), rng.standard_normal(m)
+    mirror = -np.arange(ev.size)  # index m - k, taken mod m
+    fold = (x[: ev.size] + x[mirror]) / 2 + 1j * ((y[: ev.size] - y[mirror]) / 2)
+    return irfft(np.sqrt(ev) * fold, m) * np.sqrt(m)
 
 
 def gen_clipped_fractional_signs(
@@ -174,20 +199,16 @@ def gen_clipped_fractional_signs(
     tail proportional to l^(-gamma).
 
     The latent series is synthesized exactly by circulant-embedding spectral
-    synthesis; the clipping map C_sign(l) = (2/pi) arcsin(rho_latent(l))
-    preserves the tail exponent.
+    synthesis, as one real inverse FFT of the Hermitian fold of the complex
+    Gaussian spectrum (see _circulant_latent); the clipping map
+    C_sign(l) = (2/pi) arcsin(rho_latent(l)) preserves the tail exponent.
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
     if not 0.0 < gamma < 1.0:
         raise ParameterError("gamma must lie in (0, 1); the long-memory regime")
-    ev = _embedding_eigenvalues(float(gamma), int(n), completion)
-    m = ev.size
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    latent = np.real(ifft(np.sqrt(ev) * z)) * np.sqrt(m)
-    signs = np.where(latent[:n] >= 0.0, 1.0, -1.0)
-    return SignSeries(signs)
+    latent = _circulant_latent(_embedding_eigenvalues(float(gamma), int(n), completion), seed)
+    return SignSeries(np.where(latent[:n] >= 0.0, 1.0, -1.0))
 
 
 def _pareto_lengths(u: np.ndarray, alpha: float, n: int) -> np.ndarray:

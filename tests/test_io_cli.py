@@ -766,6 +766,15 @@ _REFUSED = {
     "zero-invert-lags": ({"estimator": {"invert_lags": 0}}, None),
     "negative-j-tail": ({"estimator": {"j_tail": -1}}, None),
     "nan-rho-psi-weight": ({"estimator": {"rho_psi_weight": float("nan")}}, None),
+    "nan-manip-psi": ({"manip": {"psis": [float("nan")], "betas": [0.5], "max_len": 2}}, None),
+    "zero-manip-psi": ({"manip": {"psis": [0.5, 0.0]}}, None),
+    "negative-manip-lam": ({"manip": {"lam": -1.0}}, None),
+    "nan-manip-beta": ({"manip": {"betas": [0.5, float("nan")]}}, None),
+    "manip-max-len": ({"manip": {"max_len": 13}}, None),
+    "fractional-manip-grid": ({"manip": {"grid": [1.0, 2.5]}}, None),
+    "manip-own-impact": ({"manip": {"own_impact": "none"}}, None),
+    "manip-psis-not-a-list": ({"manip": {"psis": 0.5}}, None),
+    "manip-text-lam": ({"manip": {"lam": "1"}}, None),
 }
 
 

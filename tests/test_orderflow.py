@@ -20,6 +20,7 @@ from impactlab import (
     sign_balance_zscore,
     target_sign_autocorr,
 )
+from impactlab import orderflow
 from impactlab.orderflow import _pareto_lengths
 
 
@@ -98,6 +99,48 @@ def test_clipped_generator_is_deterministic_per_seed():
     a = gen_clipped_fractional_signs(4096, 0.5, seed=1)
     b = gen_clipped_fractional_signs(4096, 0.5, seed=1)
     assert np.array_equal(a.signs, b.signs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1000, 4097, 2**20, 2**20 + 4096])
+def test_clipped_signs_match_the_complex_fft_synthesis(monkeypatch, n):
+    """The oracle is the synthesis as first written: complex fft eigenvalues of
+    the embedding, and the real part of one complex ifft of both draws."""
+    rho = latent_autocorr(0.5, n)
+    # the whitening is computed once per n; the generator reads the same rho
+    monkeypatch.setattr(orderflow, "latent_autocorr", lambda *args: rho)
+    emb = np.concatenate([rho, rho[-2:0:-1]])
+    m = emb.size
+    scale = np.sqrt(np.clip(np.real(np.fft.fft(emb)), 0.0, None))
+    ev = orderflow._embedding_eigenvalues(0.5, n, "martingale")
+    assert ev.size == m // 2 + 1
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        old = np.real(np.fft.ifft(scale * z)) * np.sqrt(m)
+        new = orderflow._circulant_latent(ev, seed)
+        assert new.size == m and np.max(np.abs(new - old)) <= 1e-13
+        signs = gen_clipped_fractional_signs(n, 0.5, seed).signs
+        assert np.array_equal(signs, np.where(old[:n] >= 0.0, 1.0, -1.0))
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("grid", [8, 64, 1024, 2**14])
+def test_whitening_autocorr_is_the_two_power_formula_bitwise(gamma, grid):
+    b, half = (1.0 - gamma) / 2.0, grid // 2
+    j = np.arange(1, half + 1, dtype=np.float64)
+    coef = np.zeros(grid)
+    coef[0] = 1.0
+    coef[1 : half + 1] = -(j ** (-b) - (j + 1) ** (-b))
+    acov = np.fft.irfft(1.0 / np.abs(np.fft.rfft(coef)) ** 2, grid)
+    n_lags = grid // 4
+    assert np.array_equal(orderflow._whitening_autocorr(gamma, n_lags, grid),
+                          acov[: n_lags + 1] / acov[0])
+
+
+def test_next_pow2_is_the_float_formula_up_to_2_pow_21():
+    n = np.arange(1, 2**21 + 1)
+    old = 1 << np.ceil(np.log2(np.maximum(n, 2))).astype(np.int64)
+    assert [orderflow._next_pow2(k) for k in range(1, 2**21 + 1)] == old.tolist()
 
 
 def test_metaorder_fixed_length_floor_makes_one_parent_order():
