@@ -44,6 +44,10 @@ from .experiment import (
 
 ENV_OUT_DIR = "IMPACTLAB_OUT_DIR"
 
+# the exit code of each error category
+_EXIT_CODES = {ParameterError: 1, InputError: 1, FormatError: 2,
+               EstimationError: 3, NumericError: 3, SearchBudgetError: 3}
+
 
 class _UsageError(Exception):
     pass
@@ -309,26 +313,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"impactlab: error: {exc}", file=sys.stderr)
-        return 1
-    if getattr(args, "command", None) is None:
-        parser.print_help()
-        return 1
-    try:
+        if getattr(args, "command", None) is None:
+            parser.print_help()
+            return 1
         return args.func(args)
     except _UsageError as exc:
         print(f"impactlab: error: {exc}", file=sys.stderr)
         return 1
-    except (ParameterError, InputError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"impactlab: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except FormatError as exc:
-        print(f"impactlab: FormatError: {exc}", file=sys.stderr)
-        return 2
-    except (EstimationError, NumericError, SearchBudgetError) as exc:
-        print(f"impactlab: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))
     except OSError as exc:
         # unreadable input or unwritable output directory
         print(f"impactlab: {exc}", file=sys.stderr)

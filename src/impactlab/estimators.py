@@ -46,6 +46,14 @@ __all__ = [
 ROLES = ("response", "sign_autocorr", "diffusivity")
 
 
+def _check_rows(counts: np.ndarray, values: np.ndarray) -> None:
+    """Every row of a curve averages at least one sample to a finite value."""
+    if np.any(counts < 1):
+        raise ParameterError("counts must be >= 1")
+    if not np.all(np.isfinite(values)):
+        raise ParameterError("values must be finite")
+
+
 @dataclass
 class LagCurve:
     """A per-lag statistic with sample counts and optional standard errors.
@@ -79,10 +87,7 @@ class LagCurve:
             raise ParameterError("curve must be nonempty")
         if np.any(self.lags < 1) or np.any(np.diff(self.lags) <= 0):
             raise ParameterError("lags must be positive and strictly increasing")
-        if np.any(self.counts < 1):
-            raise ParameterError("counts must be >= 1")
-        if not np.all(np.isfinite(self.values)):
-            raise ParameterError("values must be finite")
+        _check_rows(self.counts, self.values)
         if self.role_tag == "diffusivity" and np.any(self.values < 0):
             raise ParameterError("diffusivity values must be >= 0")
         if self.role_tag == "sign_autocorr" and (
@@ -130,6 +135,7 @@ class ConditionalResponse:
             raise ParameterError("bins, values, counts must be nonempty and equal length")
         if np.any(self.bin_hi <= self.bin_lo) or np.any(np.diff(self.bin_lo) <= 0):
             raise ParameterError("bin edges must be positive-width and increasing")
+        _check_rows(self.counts, self.values)
         if self.T < 1:
             raise ParameterError("T must be >= 1")
 
@@ -291,6 +297,8 @@ def conditional_response(
     m = e.size
     if T < 1 or T >= m:
         raise ParameterError("T must be in [1, post-burn tape length)")
+    if min_count < 1:
+        raise ParameterError(f"min_count must be >= 1, got {min_count!r}")
     dp = p[T:] - p[:-T]
     y = dp * e[: dp.size]
     vv = v[: dp.size]
@@ -525,13 +533,14 @@ def invert_response(
     Returns (Kernel.tabulated, report). The report carries the residual
     norm, the condition estimate (flagged above _COND_THRESHOLD with a
     suggestion to use ridge > 0), the equation count, and se_proxy (None
-    when L equals the equation count). It needs lam > 0, v > 0,
-    0 < psi <= 1 (as ImpactConfig) and ridge >= 0."""
+    when L equals the equation count). It needs finite lam > 0 and v > 0,
+    0 < psi <= 1 (as ImpactConfig) and a finite ridge >= 0."""
     if not isinstance(R, LagCurve):
         raise ParameterError("R must be a LagCurve")
-    for name, value, rule, ok in (("lam", lam, "> 0", lam > 0), ("v", v, "> 0", v > 0),
+    for name, value, rule, ok in (("lam", lam, "finite and > 0", 0 < lam < np.inf),
+                                  ("v", v, "finite and > 0", 0 < v < np.inf),
                                   ("psi", psi, "in (0, 1]", 0 < psi <= 1),
-                                  ("ridge", ridge, ">= 0", ridge >= 0)):
+                                  ("ridge", ridge, "finite and >= 0", 0 <= ridge < np.inf)):
         if not ok:
             raise ParameterError(f"{name} must be {rule}, got {value!r}")
     n_eq = int(R.lags.max())

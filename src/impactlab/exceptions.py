@@ -4,6 +4,9 @@ The CLI maps these onto its exit-code contract, so raising the right
 category matters more than the message text.
 """
 
+__all__ = ["ParameterError", "InputError", "FormatError",
+           "EstimationError", "NumericError", "SearchBudgetError"]
+
 
 class ParameterError(ValueError):
     """A parameter is outside its validity range."""

@@ -99,18 +99,14 @@ def _default_manip():
     }
 
 
-# estimator keys that invert_stage reads, not measure
-_INVERT_KEYS = ("invert_lags", "j_tail")
-
-# settings that must hold exact integers: 300.7 trades or lags would
-# otherwise be truncated silently
-_ESTIMATOR_INTS = ("max_lag", "sign_max_lag", "rho_window", "cond_lag", "n_bins",
-                   "min_count") + _INVERT_KEYS
-# the least value of each estimator setting that has one; a max_lag at or
-# past the tape's length is the estimators' to refuse, as it depends on the data
-_ESTIMATOR_LEAST = {"max_lag": 1, "sign_max_lag": 1, "rho_window": 1, "cond_lag": 1,
-                    "n_bins": 1, "invert_lags": 1, "j_tail": 0}
-_MANIP_INTS = ("max_len", "budget")
+# Each integer setting of a section and its least value, or None where it has
+# none: settings must hold exact integers, as 300.7 trades or lags would
+# otherwise be truncated silently. A max_lag at or past the tape's length is
+# the estimators' to refuse, as it depends on the data. invert_lags and j_tail
+# have no default: invert_stage reads them, not measure.
+_ESTIMATOR_INTS = {"max_lag": 1, "sign_max_lag": 1, "rho_window": 1, "cond_lag": 1,
+                   "n_bins": 1, "min_count": 1, "invert_lags": 1, "j_tail": 0}
+_MANIP_INTS = {"max_len": None, "budget": None}
 
 # sections that name a kind: (default, the key naming it)
 _KINDED_SECTIONS = {
@@ -138,26 +134,27 @@ def _is_integer(x) -> bool:
     return _is_number(x) and float(x).is_integer()
 
 
-def _over_defaults(what: str, defaults: dict, spec: dict | None, extra=(), ints=()) -> dict:
-    """`defaults` updated by `spec`, whose keys must be among the defaults'
-    and `extra`. The keys in `ints` must hold exact integers; an `extra` key
-    may also be None, which stands for its absence."""
-    spec = spec or {}
-    _check_keys(what, spec, set(defaults) | set(extra))
-    out = {**defaults, **spec}
-    for key in ints:
+def _over_defaults(what: str, defaults: dict, spec: dict | None, ints: dict) -> dict:
+    """`defaults` updated by `spec`, whose keys must be among those of the
+    defaults and `ints`. Each key of `ints` must hold an exact integer, no
+    less than its least value; one without a default may also be None, which
+    stands for its absence."""
+    out = {**defaults, **(spec or {})}
+    _check_keys(what, out, set(defaults) | set(ints))
+    for key, least in ints.items():
         value = out.get(key)
-        if not (_is_integer(value) or value is None and key not in defaults):
+        if value is None and key not in defaults:
+            continue
+        if not _is_integer(value):
             raise ParameterError(f"{what}: '{key}' must be an integer, got {value!r}")
+        if least is not None and value < least:
+            raise ParameterError(f"{what}: '{key}' must be >= {least}, got {value!r}")
     return out
 
 
 def _estimator_spec(what: str, spec: dict | None) -> dict:
     """The estimator settings: `spec` over the defaults, each in its range."""
-    s = _over_defaults(what, _default_estimator(), spec, _INVERT_KEYS, _ESTIMATOR_INTS)
-    for key, least in _ESTIMATOR_LEAST.items():
-        if s.get(key) is not None and s[key] < least:
-            raise ParameterError(f"{what}: '{key}' must be >= {least}, got {s[key]!r}")
+    s = _over_defaults(what, _default_estimator(), spec, _ESTIMATOR_INTS)
     w = s["rho_psi_weight"]
     if not _is_number(w) or not np.isfinite(w):
         raise ParameterError(f"{what}: 'rho_psi_weight' must be a finite number, got {w!r}")
@@ -167,7 +164,7 @@ def _estimator_spec(what: str, spec: dict | None) -> dict:
 def _manip_spec(what: str, spec: dict | None) -> dict:
     """The frontier settings: `spec` over the defaults, each value one that the
     kernel and the search accept, so no frontier is refused after its tapes."""
-    m = _over_defaults(what, _default_manip(), spec, ints=_MANIP_INTS)
+    m = _over_defaults(what, _default_manip(), spec, _MANIP_INTS)
     for key in ("betas", "psis", "grid"):
         if not isinstance(m[key], (list, tuple)) or not all(map(_is_number, m[key])):
             raise ParameterError(f"{what}: '{key}' must be a list of numbers, got {m[key]!r}")
@@ -176,7 +173,7 @@ def _manip_spec(what: str, spec: dict | None) -> dict:
     for beta in m["betas"]:
         Kernel.power_law(beta)
     for psi in m["psis"]:
-        _check_search(m["lam"], psi, m["max_len"], m["grid"], m["own_impact"])
+        _check_search(m["lam"], psi, m["own_impact"], m["max_len"], m["grid"])
     return m
 
 

@@ -240,8 +240,13 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+def _dumps(obj, **layout) -> str:
+    """The JSON of every file written and of the config hash."""
+    return json.dumps(obj, sort_keys=True, default=_json_default, **layout)
+
+
 def write_json(obj, path: str):
-    _atomic_write(path, [json.dumps(obj, sort_keys=True, indent=2, default=_json_default) + "\n"])
+    _atomic_write(path, [_dumps(obj, indent=2) + "\n"])
 
 
 def read_json(path: str) -> dict:
@@ -258,5 +263,5 @@ def read_json(path: str) -> dict:
 def config_sha256(config_dict: dict) -> str:
     """Hash of the canonical JSON encoding; the provenance key tying every
     numeric output back to its configuration."""
-    blob = json.dumps(config_dict, sort_keys=True, separators=(",", ":")).encode()
+    blob = _dumps(config_dict, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()

@@ -74,13 +74,7 @@ def strategy_cost(
     |q|^psi. Charging the full own immediate impact is the conservative
     convention; own_impact="half" charges half of it for sensitivity
     analysis. Noise is zero-mean and excluded."""
-    if not 0 <= lam < np.inf:
-        raise ParameterError("lam must be finite and >= 0")
-    if not 0 < psi < np.inf:
-        raise ParameterError("psi must be finite and positive")
-    if own_impact not in ("full", "half"):
-        raise ParameterError("own_impact must be 'full' or 'half'")
-    own = 1.0 if own_impact == "full" else 0.5
+    own = _check_search(lam, psi, own_impact)
     if not strategy.trades:
         return CostReport(0.0, np.empty(0))
     slots = np.array([s for s, _ in strategy.trades], dtype=np.float64)
@@ -178,15 +172,22 @@ def _tiles(r0: int, r1: int, l0: int, l1: int):
                 yield r, r + 1, c, min(c + _BLOCK_ENTRIES, l1)
 
 
-def _check_search(lam: float, psi: float, max_len: int, volume_grid, own_impact: str) -> None:
-    """Refuse the settings search_round_trips cannot search, without searching."""
+# the share of its own immediate impact a trade pays, by own_impact
+_OWN_SHARES = {"full": 1.0, "half": 0.5}
+
+
+def _check_search(lam: float, psi: float, own_impact: str, max_len: int = 0,
+                  volume_grid=()) -> float:
+    """Refuse a cost, or given max_len and volume_grid a search, that no model
+    takes, without searching; returns the own-impact share."""
     if max_len > 12:
         raise ParameterError("max_len above the exhaustive regime (12)")
     if not (0 <= lam < np.inf and 0 < psi < np.inf):
         raise ParameterError("lam must be finite and >= 0, and psi finite and positive")
-    if own_impact not in ("full", "half"):
+    if not isinstance(own_impact, str) or own_impact not in _OWN_SHARES:
         raise ParameterError("own_impact must be 'full' or 'half'")
     _symbol_values(volume_grid)
+    return _OWN_SHARES[own_impact]
 
 
 def search_round_trips(
@@ -223,7 +224,7 @@ def search_round_trips(
     block the first minimum wins; a later block replaces the best only when
     strictly lower by more than 1e-15.
     """
-    _check_search(lam, psi, max_len, volume_grid, own_impact)
+    own = _check_search(lam, psi, own_impact, max_len, volume_grid)
     report = {"evaluated": 0}
     if max_len < 2 or not len(volume_grid):
         return 0.0, None, report
@@ -234,7 +235,7 @@ def search_round_trips(
     values = _symbol_values(volume_grid)
     n_sym = values.size
     uvals = np.sign(values) * np.abs(values) ** psi
-    own_g1 = float(kernel.eval(1)) * (1.0 if own_impact == "full" else 0.5)
+    own_g1 = float(kernel.eval(1)) * own
 
     best_cost = 0.0
     best = None

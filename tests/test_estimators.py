@@ -295,6 +295,19 @@ def test_conditional_response_occupancy_floor():
         conditional_response(tape, 1, bins=[0.5, 1.5], min_count=1000)
 
 
+def test_conditional_response_refuses_an_empty_bin_floor():
+    tape = _kyle_tape(np.array([1.0, -1.0] * 50), np.linspace(1.0, 2.0, 100))
+    with pytest.raises(ParameterError, match="min_count"):
+        conditional_response(tape, 1, n_bins=40, min_count=0)
+
+
+@pytest.mark.parametrize("counts, values", [([5, 0], [1.0, 2.0]), ([5, 5], [1.0, np.nan])])
+def test_conditional_response_holds_occupied_finite_bins(counts, values):
+    with pytest.raises(ParameterError):
+        ConditionalResponse(np.array([1.0, 2.0]), np.array([2.0, 3.0]), np.array(values),
+                            np.array(counts), 1)
+
+
 def test_rho_is_unity_for_noiseless_linear_impact():
     rng = np.random.default_rng(1)
     eps = np.where(rng.random(5000) < 0.5, 1.0, -1.0)

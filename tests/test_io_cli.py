@@ -9,12 +9,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
+import impactlab
 from impactlab import (
     ConditionalResponse,
     FormatError,
@@ -162,6 +164,23 @@ def test_json_round_trip_is_sorted_and_stable(tmp_path):
 def test_config_hash_ignores_key_order():
     assert config_sha256({"x": 1, "y": 2}) == config_sha256({"y": 2, "x": 1})
     assert config_sha256({"x": 1}) != config_sha256({"x": 2})
+
+
+@pytest.mark.parametrize("seed", [3, [1, 2]])
+def test_numpy_seeds_hash_and_simulate_like_their_int_twins(tmp_path, seed):
+    """A config may hold numpy integer seeds: its hash, tapes and meta JSON
+    are those of the same config with Python ints."""
+    numpy_seed = np.int64(seed) if isinstance(seed, int) else [np.int64(s) for s in seed]
+    cfg, twin = ExperimentConfig(n=64, seed=numpy_seed), ExperimentConfig(n=64, seed=seed)
+    assert cfg.sha256() == twin.sha256()
+    for s in expand_seeds(seed):
+        (tape, meta), (twin_tape, twin_meta) = (experiment.simulate(cfg, np.int64(s)),
+                                                experiment.simulate(twin, s))
+        assert np.array_equal(tape.eps, twin_tape.eps) and np.array_equal(tape.v, twin_tape.v)
+        assert np.array_equal(tape.prices, twin_tape.prices)
+        write_json(meta, str(tmp_path / "meta.json"))
+        write_json(twin_meta, str(tmp_path / "twin.json"))
+        assert filecmp.cmp(tmp_path / "meta.json", tmp_path / "twin.json", shallow=False)
 
 
 def test_experiment_config_round_trips_losslessly():
@@ -449,6 +468,27 @@ def test_cli_commands_run_with_scipy_unimportable(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_the_package_exports_each_module_list_once():
+    modules = [importlib.import_module(f"impactlab.{name}") for name in (
+        "exceptions", "orderflow", "impact", "estimators", "manipulation", "experiment",
+        "acceptance")]
+    names = [name for module in modules for name in module.__all__]
+    assert len(set(names)) == len(names) == len(impactlab.__all__) - 1
+    assert set(impactlab.__all__) == {"__version__", *names}
+    assert all(getattr(impactlab, name) is getattr(module, name)
+               for module in modules for name in module.__all__)
+
+
+def test_the_build_reads_the_package_version():
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # setuptools calls its own table a beta
+        config = pyprojecttoml.read_configuration(
+            str(Path(__file__).parents[1] / "pyproject.toml"), expand=True)
+    assert "version" in config["project"]["dynamic"]
+    assert config["project"]["version"] == impactlab.__version__
+
+
 def test_provenance_records_a_missing_scipy_as_none():
     real = importlib.metadata.version
 
@@ -550,6 +590,17 @@ def test_cli_integer_settings_must_be_exact_integers(tmp_path, capsys, section, 
     err = capsys.readouterr().err
     assert "ParameterError" in err and key in err and "integer" in err
     assert not os.path.exists(out / "tape_seed1.csv")
+
+
+def test_every_integer_setting_has_one_range_entry():
+    """Each section's range table holds its integer settings: the defaults
+    that are ints, and the inversion keys, which have no default."""
+    estimator = (experiment._default_estimator(), experiment._ESTIMATOR_INTS,
+                 {"invert_lags", "j_tail"})
+    manip = (experiment._default_manip(), experiment._MANIP_INTS, set())
+    for defaults, ints, no_default in (estimator, manip):
+        assert set(ints) == {k for k, v in defaults.items() if isinstance(v, int)} | no_default
+        assert all(least is None or isinstance(least, int) for least in ints.values())
 
 
 def test_integer_settings_accept_integral_floats(tmp_path):
@@ -763,6 +814,7 @@ _REFUSED = {
                                                             "beta": float("nan")}}},
                  ["--model", "propagator", "--beta", "nan"]),
     "zero-max-lag": ({"estimator": {"max_lag": 0}}, None),
+    "zero-min-count": ({"estimator": {"min_count": 0}}, None),
     "zero-invert-lags": ({"estimator": {"invert_lags": 0}}, None),
     "negative-j-tail": ({"estimator": {"j_tail": -1}}, None),
     "nan-rho-psi-weight": ({"estimator": {"rho_psi_weight": float("nan")}}, None),
@@ -773,6 +825,7 @@ _REFUSED = {
     "manip-max-len": ({"manip": {"max_len": 13}}, None),
     "fractional-manip-grid": ({"manip": {"grid": [1.0, 2.5]}}, None),
     "manip-own-impact": ({"manip": {"own_impact": "none"}}, None),
+    "manip-own-impact-list": ({"manip": {"own_impact": ["full"]}}, None),
     "manip-psis-not-a-list": ({"manip": {"psis": 0.5}}, None),
     "manip-text-lam": ({"manip": {"lam": "1"}}, None),
 }
@@ -821,6 +874,7 @@ _REFUSED_COMMANDS = {
     "measure-zero-rho-window": (["measure", "{tape}", "--max-lag", "8", "--rho-window", "0"], 1),
     "measure-zero-cond-lag": (["measure", "{tape}", "--max-lag", "8", "--cond-lag", "0"], 1),
     "measure-zero-n-bins": (["measure", "{tape}", "--max-lag", "8", "--n-bins", "0"], 1),
+    "measure-zero-min-count": (["measure", "{tape}", "--max-lag", "8", "--min-count", "0"], 1),
     "measure-nan-rho-psi-weight": (
         ["measure", "{tape}", "--max-lag", "8", "--rho-psi-weight", "nan"], 1),
     "measure-inf-rho-psi-weight": (
@@ -843,8 +897,8 @@ def test_a_refused_command_writes_nothing(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("lam", "-1"), ("lam", "0"), ("v", "-2"), ("v", "0"), ("psi", "0"), ("psi", "1.5"),
-    ("ridge", "-1")])
+    ("lam", "-1"), ("lam", "0"), ("lam", "inf"), ("v", "-2"), ("v", "0"), ("v", "inf"),
+    ("psi", "0"), ("psi", "1.5"), ("ridge", "-1"), ("ridge", "inf")])
 def test_cli_invert_rejects_out_of_range_inputs(tmp_path, capsys, flag, value):
     r, c = _curve_files(tmp_path)
     out = tmp_path / "out"

@@ -21,6 +21,7 @@ from impactlab import (
     search_round_trips,
     strategy_cost,
 )
+from impactlab import manipulation
 from impactlab.manipulation import _BLOCK_ENTRIES, _index_tuples, _pattern_w, _symbol_values
 
 
@@ -278,6 +279,33 @@ def test_default_frontier_matches_the_grouped_search():
         for psi in (0.25, 0.5, 0.75, 1.0):
             args = (Kernel.power_law(beta), 1.0, psi, 8, grid, 10**7, "full")
             _assert_matches_grouped_search(args, 64 * 8.0 ** (1.0 + psi))
+
+
+def test_search_splits_groups_wider_than_a_block(monkeypatch):
+    """At a block of 4 entries, a group of at most 4 left rows is tiled by
+    whole rows and a wider one by pieces of single right rows; either way the
+    tiles cover the group in row-major order and the search still matches the
+    grouped search."""
+    monkeypatch.setattr(manipulation, "_BLOCK_ENTRIES", 4)
+    tiles, made = manipulation._tiles, []
+
+    def recording(*group):
+        made.append((group, list(tiles(*group))))
+        return made[-1][1]
+
+    monkeypatch.setattr(manipulation, "_tiles", recording)
+    for beta, psi in ((0.5, 0.5), (0.25, 0.3), (1.0, 1.0)):
+        args = (Kernel.power_law(beta), 1.0, psi, 6, (1, 2, 3), 10**7, "full")
+        _assert_matches_grouped_search(args, 36 * 3.0 ** (1.0 + psi), ties=True)
+    widths = {l1 - l0 for (_, _, l0, l1), _ in made}
+    assert min(widths) <= 4 < max(widths)
+    for (r0, r1, l0, l1), group_tiles in made:
+        cells = [(r, c) for t0, t1, c0, c1 in group_tiles
+                 for r in range(t0, t1) for c in range(c0, c1)]
+        assert cells == [(r, c) for r in range(r0, r1) for c in range(l0, l1)]
+        assert all((t1 - t0) * (c1 - c0) <= 4 for t0, t1, c0, c1 in group_tiles)
+        if l1 - l0 > 4:
+            assert all(t1 - t0 == 1 for t0, t1, _, _ in group_tiles)
 
 
 def _psi1_form(slots, beta, own=1.0):
