@@ -173,10 +173,14 @@ def _eps_of(signs) -> np.ndarray:
     return np.asarray(signs, dtype=np.float64)
 
 
-def _priced(tape: TradeTape) -> np.ndarray:
-    if tape.prices is None:
+def _priced(tape, burn: int) -> np.ndarray:
+    """The prices of a priced tape, or a price array, after the first `burn`."""
+    prices = tape.prices if isinstance(tape, TradeTape) else tape
+    if prices is None:
         raise InputError("tape has no prices; run a price engine or load a priced tape")
-    return tape.prices
+    if burn < 0:
+        raise ParameterError(f"burn must be >= 0, got {burn!r}")
+    return np.asarray(prices, np.float64)[burn:]
 
 
 # FFT length of one block in _fft_corr, unless the lags need a longer one or
@@ -242,7 +246,7 @@ def response(
     comes from that many contiguous batch means, which stays honest under
     long-range dependence where the naive SE does not.
     """
-    p = _priced(tape)[burn:]
+    p = _priced(tape, burn)
     e = tape.eps[burn:]
     m = e.size
     if max_lag is None or not 1 <= max_lag < m:
@@ -291,7 +295,7 @@ def conditional_response(
     """Volume-conditioned response: per-bin mean of (p_{n+T}-p_n)*eps_n over
     trades with v_n in the bin. Default bins are logarithmic between the
     0.001 and 0.999 volume quantiles; bins under min_count are dropped."""
-    p = _priced(tape)[burn:]
+    p = _priced(tape, burn)
     e = tape.eps[burn:]
     v = tape.v[burn:]
     m = e.size
@@ -334,12 +338,12 @@ def rho(tape: TradeTape, T: int, psi_weight: float = 1.0, burn: int = 0) -> floa
     """Correlation between the window price change and the psi-weighted
     signed flow over non-overlapping windows of length T:
     E[dp * Q] / sqrt(E[dp^2] * E[Q^2]) with Q = sum eps * v^psi_weight."""
-    p = _priced(tape)[burn:]
+    p = _priced(tape, burn)
     e = tape.eps[burn:]
     v = tape.v[burn:]
     m = e.size
-    if T < 1:
-        raise ParameterError("T must be >= 1")
+    if T < 1 or not np.isfinite(psi_weight):
+        raise ParameterError(f"T must be >= 1 and psi_weight finite, got {T!r}, {psi_weight!r}")
     w = m // T
     if w < 2:
         raise EstimationError(f"fewer than 2 non-overlapping windows of length {T}")
@@ -376,8 +380,7 @@ def diffusivity(prices, max_lag: int, burn: int = 0) -> LagCurve:
     """Variance of l-step price changes per unit lag, D(l) = Var(p_{n+l}-p_n)/l,
     over all sliding windows, at O(N log N + max_lag) cost through the return
     autocovariance. Flat D characterizes a random walk."""
-    p = np.asarray(_priced(prices) if isinstance(prices, TradeTape) else prices, dtype=np.float64)
-    p = p[burn:]
+    p = _priced(prices, burn)
     if max_lag < 1 or p.size < max_lag + 2:
         raise ParameterError("need max_lag >= 1 and at least max_lag+2 prices after burn")
     lags = np.arange(1, max_lag + 1, dtype=np.int64)
@@ -629,8 +632,8 @@ def master_curve_rescale(stocks, delta: float = 0.3) -> CollapseResult:
     curve) maps to x = M^delta * v / vbar, y = M^delta * R(v). Curves are
     compared on a common log grid of 50 points spanning the overlap of their
     x-supports (log-log interpolation, exact on power laws)."""
-    if len(stocks) < 2:
-        raise ParameterError("need at least 2 stocks")
+    if len(stocks) < 2 or not np.isfinite(delta):
+        raise ParameterError(f"need at least 2 stocks and a finite delta, got {delta!r}")
     xs, ys = [], []
     for m_cap, vbar, curve in stocks:
         if m_cap <= 0 or vbar <= 0:
@@ -658,8 +661,8 @@ def fit_barra(curve: ConditionalResponse, sigma: float, V: float) -> BarraFit:
     """Least-squares amplitude of the square-root impact family against a
     volume-conditioned response curve: minimizes sum (R(v) - A sigma
     sqrt(v/V))^2 over the occupied bins."""
-    if sigma <= 0 or V <= 0:
-        raise ParameterError("sigma and V must be positive")
+    if not (0 < sigma < np.inf and 0 < V < np.inf):
+        raise ParameterError("sigma and V must be finite and positive")
     s = sigma * np.sqrt(curve.centers / V)
     denom = float(np.sum(s * s))
     if denom == 0:

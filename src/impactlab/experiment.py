@@ -99,14 +99,14 @@ def _default_manip():
     }
 
 
-# Each integer setting of a section and its least value, or None where it has
-# none: settings must hold exact integers, as 300.7 trades or lags would
-# otherwise be truncated silently. A max_lag at or past the tape's length is
-# the estimators' to refuse, as it depends on the data. invert_lags and j_tail
-# have no default: invert_stage reads them, not measure.
+# Each integer setting of a section and its least value: settings must hold
+# exact integers, as 300.7 trades or lags would otherwise be truncated
+# silently. A max_lag at or past the tape's length is the estimators' to
+# refuse, as it depends on the data. invert_lags and j_tail have no default:
+# invert_stage reads them, not measure.
 _ESTIMATOR_INTS = {"max_lag": 1, "sign_max_lag": 1, "rho_window": 1, "cond_lag": 1,
                    "n_bins": 1, "min_count": 1, "invert_lags": 1, "j_tail": 0}
-_MANIP_INTS = {"max_len": None, "budget": None}
+_MANIP_INTS = {"max_len": 0, "budget": 0}
 
 # sections that name a kind: (default, the key naming it)
 _KINDED_SECTIONS = {
@@ -147,7 +147,7 @@ def _over_defaults(what: str, defaults: dict, spec: dict | None, ints: dict) -> 
             continue
         if not _is_integer(value):
             raise ParameterError(f"{what}: '{key}' must be an integer, got {value!r}")
-        if least is not None and value < least:
+        if value < least:
             raise ParameterError(f"{what}: '{key}' must be >= {least}, got {value!r}")
     return out
 

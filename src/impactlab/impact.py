@@ -128,8 +128,8 @@ class ArPredictor:
             raise ParameterError("predictor coefficients must be 1-d")
         if not np.all(np.isfinite(self.coeffs)):
             raise ParameterError("predictor coefficients must be finite")
-        if self.err_var <= 0:
-            raise ParameterError("predictor err_var must be positive")
+        if not 0 < self.err_var < np.inf:
+            raise ParameterError("predictor err_var must be finite and positive")
 
     @property
     def order(self) -> int:
@@ -291,10 +291,8 @@ def quote_series(tape: TradeTape, predictor: ArPredictor, cfg: ImpactConfig):
 def vol_per_trade_to_per_time(sigma1: float, f: float) -> float:
     """Volatility per unit time from volatility per trade and trade
     frequency: sigma = sigma1 * sqrt(f)."""
-    if sigma1 < 0:
-        raise ParameterError("sigma1 must be >= 0")
-    if f <= 0:
-        raise ParameterError("trade frequency must be positive")
+    if not (0 <= sigma1 < np.inf and 0 < f < np.inf):
+        raise ParameterError("sigma1 must be finite and >= 0, and f finite and positive")
     return sigma1 * float(np.sqrt(f))
 
 

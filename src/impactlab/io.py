@@ -6,6 +6,12 @@ significant digits, so identical inputs produce byte-identical files and
 every format round-trips losslessly. Tape CSV carries columns
 `n,epsilon,volume[,price]`; when prices are present the final price p_N
 rides on a trailing row with empty epsilon and volume.
+
+CSV text is `"%.17g" % x` (`"%d" % v` in an integer column) byte for byte,
+made a column at a time in numpy: Dekker's two-product gives a double's 17
+digits exactly. `%` itself formats the rest, from the original value: zeros,
+NaN, infinities, exponents outside -4..16 or an ulp or so from a power of
+ten, and integers that are zero, inexact or of magnitude 2**53 or more.
 """
 
 import csv
@@ -72,18 +78,108 @@ _KERNEL = (("lag", "G", "se_proxy"), "ifo")
 _FRONTIER = (("beta", "psi", "min_cost", "argmin_strategy"), "ffft")
 
 
+def _split(v):
+    """Dekker's split of doubles into high and low halves of 26 bits."""
+    hi = v * 134217729.0  # 2**27 + 1
+    hi -= hi - v
+    return hi, v - hi
+
+
+# "0000".."9999" as little-endian words: a word shifted right by 8j bits
+# holds its digit j in its low byte
+_QUADS = np.uint8(np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10 + 48).view("<u4")[:, 0]
+_BYTE_SHIFTS = np.arange(0, 32, 8, dtype=np.uint32)[:, None]
+_POW4 = 10 ** np.arange(16, -1, -4, dtype=np.int64)
+_TENS = 10.0 ** np.arange(21)  # exact doubles
+
+
+def _digit_cells(neg, d, e):
+    """NUL-padded text, a row of bytes per position and a column per value:
+    a minus where neg, the digits of d >= 0 from the first nonzero one, a point
+    before the last e ("0." when it leads) and no zeros or point ending it."""
+    width = len(str(d.max())) + 3 & -4  # the largest d's digits, in whole 4-digit words
+    quads = _QUADS[d // _POW4[5 - width // 4:, None] % 10000]
+    digits = (quads[:, None] >> _BYTE_SHIFTS).astype(np.uint8).reshape(width, -1)
+    at = np.arange(width + 1, dtype=np.uint8)[:, None]  # byte indices: cheap masks
+    nonzero = digits != 48
+    first = width - (nonzero * (width - at[:-1])).max(axis=0)
+    last = (nonzero * at[:-1]).max(axis=0)
+    pt = np.asarray(width - e, np.uint8)  # the point's position
+    cells = np.zeros((width + 3, d.size), np.uint8)
+    cells[0] = np.where(neg, 45, 0)
+    cells[1] = np.where(pt <= first, 48, 0)
+    text = cells[2:]
+    text[1:] = digits  # digits behind the point move one position on
+    np.copyto(text[:-1], digits, where=at[:-1] < pt)
+    text *= (at >= np.minimum(first, pt)) & (at <= np.maximum(last + 1, pt))
+    text[pt, np.arange(d.size)] = np.where(last >= pt, 46, 0)
+    return cells
+
+
+def _float_cells(x):
+    """`%.17g` text of the doubles x where %g writes fixed notation, and the
+    mask of the rest: zeros, NaN, inf and exponents outside -4..16."""
+    a = np.abs(x)
+    with np.errstate(divide="ignore"):  # log10(0): zeros are masked out
+        k = np.floor(np.log10(a))
+    slow = ~((k >= -4) & (k <= 16))
+    a[slow], k[slow] = 1.0, 0.0  # stand-ins for the masked-out values
+    e = 16 - k.astype(np.intp)
+    # The 17 digits D of a * 10**e, rounded as % rounds, ties to even:
+    # 10**e <= 10**20 is a double, Dekker's two-product gives the rounding
+    # error err of the product p exactly, and p >= 2**53 is an even integer,
+    # so p + rint(err) is p + err rounded.
+    p = a * _TENS[e]
+    (ah, al), (th, tl) = _split(a), _split(_TENS[e])
+    err = ((ah * th - p) + ah * tl + al * th) + al * tl
+    d = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    # k is one off where log10 rounds across a power of ten, and D rounds up
+    # to 10**17 only for such a k: % writes these few
+    slow |= (d < 10**16) | (d >= 10**17)
+    d[slow], e[slow] = 10**16, 16
+    return _digit_cells(x < 0, d, e), slow
+
+
+def _int_cells(v):
+    """`%d` text of nonzero integers of magnitude below 2**53, and the mask of the rest."""
+    slow = ~((v > -2**53) & (v < 2**53) & (v == np.trunc(v)) & (v != 0))
+    u = np.abs(np.where(slow, 1, v)).astype(np.int64)
+    return _digit_cells(v < 0, u, 0), slow
+
+
+def _cells(kind, col):
+    """A column's text in its kind's format, laid out as by _digit_cells;
+    what the array path leaves is formatted by `%`, from the original value."""
+    fmt = "%d" if kind in "id" else "%s" if kind == "t" else "%.17g"
+    cells, slow = ((np.zeros((0, col.size), np.uint8), np.ones(col.size, bool)) if kind == "t"
+                   else _int_cells(col) if kind in "id" else _float_cells(col))
+    rows = np.flatnonzero(slow)
+    if rows.size:
+        text = np.array([(fmt % v).encode() for v in col[rows].tolist()])
+        text = text.view(np.uint8).reshape(rows.size, -1).T
+        cells = np.pad(cells, ((0, max(len(text) - len(cells), 0)), (0, 0)))
+        cells[:, rows] = 0
+        cells[:len(text), rows] = text
+    return cells
+
+
 def _write_csv(path: str, header, kinds, columns, tail: str = ""):
     """CSV of equally long columns, then `tail`; a None column is left blank.
-    One row format serves every row, 2**16 rows per chunk, which bounds the
-    memory used."""
-    row = ",".join("" if col is None else "%d" if kind in "id" else "%s" if kind == "t"
-                   else "%.17g" for kind, col in zip(kinds, columns)) + "\n"
-    cols = [np.asarray(col, dtype=np.float64 if kind in "fFo" else None)
-            for kind, col in zip(kinds, columns) if col is not None]
-    step = 1 << 16
-    chunks = ("".join(row % r for r in zip(*(c[lo:lo + step].tolist() for c in cols)))
-              for lo in range(0, len(cols[0]), step))
-    _atomic_write(path, itertools.chain([",".join(header) + "\n"], chunks, [tail]))
+    Columns are formatted in bulk, 2**16 rows a chunk, which bounds the memory
+    used; the text of a chunk is its byte matrix without the NUL padding."""
+    cols = [(kind, None if col is None else np.asarray(col, np.float64 if kind in "fFo" else None))
+            for kind, col in zip(kinds, columns)]
+    n, step = len(next(col for _, col in cols if col is not None)), 1 << 16
+
+    def chunk(lo):
+        sep = np.full((1, min(step, n - lo)), 44, np.uint8)
+        fields = [sep[:0] if col is None else _cells(kind, col[lo:lo + step]) for kind, col in cols]
+        text = np.concatenate([f for field in fields for f in (field, sep)])
+        text[-1] = 10
+        return text.T.tobytes().translate(None, b"\0").decode()  # row after row
+
+    _atomic_write(path, itertools.chain([",".join(header) + "\n"], map(chunk, range(0, n, step)),
+                                        [tail]))
 
 
 def _cell(s: str, name: str, kind: str, lineno: int) -> float:
@@ -193,8 +289,14 @@ def write_curve(curve: LagCurve, path: str):
     _write_csv(path, *_CURVE, [curve.lags, curve.values, curve.counts, curve.se])
 
 
+def _curve_rows(vals, cnts):
+    _require(np.isfinite(vals), "value must be finite")
+    _require(cnts >= 1, "count must be >= 1")
+
+
 def read_curve(path: str, role_tag: str) -> LagCurve:
     (lags, vals, cnts, se), _ = _read_columns(path, "curve", _CURVE)
+    _curve_rows(vals, cnts)
     return LagCurve(lags, vals, cnts, role_tag, se)
 
 
@@ -208,6 +310,7 @@ def read_conditional(path: str, T: int = 1) -> ConditionalResponse:
     """The lag T is not part of the CSV; pass the value recorded alongside
     (fits/meta JSON) when it matters."""
     (lo, hi, vals, cnts, se), _ = _read_columns(path, "curve", _CONDITIONAL)
+    _curve_rows(vals, cnts)
     return ConditionalResponse(lo, hi, vals, cnts, T, se)
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from impactlab import estimators
 from impactlab import (
+    ArPredictor,
     ConditionalResponse,
     EstimationError,
     ImpactConfig,
@@ -37,6 +38,7 @@ from impactlab import (
     response,
     rho,
     sign_autocorr,
+    vol_per_trade_to_per_time,
 )
 
 
@@ -101,6 +103,41 @@ def test_estimators_reject_an_unpriced_tape(measure):
     )
     with pytest.raises(InputError, match="no prices"):
         measure(bare)
+
+
+def _small_tape():
+    eps = np.tile([1.0, -1.0, -1.0, 1.0], 8)
+    return _kyle_tape(eps, np.linspace(1.0, 2.0, eps.size))
+
+
+def _binned():
+    edges = np.geomspace(1.0, 8.0, 4)
+    return ConditionalResponse(edges[:-1], edges[1:], np.array([1.0, 2.0, 3.0]), np.full(3, 10), 1)
+
+
+# Each public float parameter, as the call that takes it, and the burn of
+# the lag estimators: what each must refuse, and the message that says so.
+_NUMBERS = {
+    "sigma1": lambda x: vol_per_trade_to_per_time(x, 1.0),
+    "f": lambda x: vol_per_trade_to_per_time(1.0, x),
+    "sigma": lambda x: fit_barra(_binned(), x, 1.0),
+    "psi_weight": lambda x: rho(_small_tape(), 4, psi_weight=x),
+    "delta": lambda x: master_curve_rescale([(1.0, 1.0, _binned()), (2.0, 1.0, _binned())], x),
+    "err_var": lambda x: ArPredictor([0.3], err_var=x),
+}
+_REFUSED_NUMBERS = [(f"{name}={x}", call, x, "finite") for name, call in _NUMBERS.items()
+                    for x in (np.nan, np.inf, -np.inf)] + [
+    ("response-burn", lambda b: response(_small_tape(), max_lag=2, burn=b), -1,
+     "burn must be >= 0"),
+    ("diffusivity-burn", lambda b: diffusivity(_small_tape().prices, 2, burn=b), -1,
+     "burn must be >= 0")]
+
+
+@pytest.mark.parametrize("call, value, match", [case[1:] for case in _REFUSED_NUMBERS],
+                         ids=[case[0] for case in _REFUSED_NUMBERS])
+def test_public_numbers_are_checked_on_both_sides(call, value, match):
+    with pytest.raises(ParameterError, match=match):
+        call(value)
 
 
 # ---- the direct per-lag definitions, kept as oracles of the FFT path ----

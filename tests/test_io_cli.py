@@ -823,6 +823,8 @@ _REFUSED = {
     "negative-manip-lam": ({"manip": {"lam": -1.0}}, None),
     "nan-manip-beta": ({"manip": {"betas": [0.5, float("nan")]}}, None),
     "manip-max-len": ({"manip": {"max_len": 13}}, None),
+    "negative-manip-max-len": ({"manip": {"max_len": -5}}, None),
+    "negative-manip-budget": ({"manip": {"budget": -1}}, None),
     "fractional-manip-grid": ({"manip": {"grid": [1.0, 2.5]}}, None),
     "manip-own-impact": ({"manip": {"own_impact": "none"}}, None),
     "manip-own-impact-list": ({"manip": {"own_impact": ["full"]}}, None),
@@ -870,6 +872,8 @@ _REFUSED_COMMANDS = {
     "measure-1": (["measure", "{tape}", "--max-lag", "8", "--burn", "-1"], 1),
     "manip-nan-psi": (["manip", "--psis", "nan"], 1),
     "manip-nan-beta": (["manip", "--betas", "nan"], 1),
+    "manip-negative-max-len": (["manip", "--max-len", "-5"], 1),
+    "manip-negative-budget": (["manip", "--budget", "-1"], 1),
     "measure-zero-max-lag": (["measure", "{tape}", "--max-lag", "0"], 1),
     "measure-zero-rho-window": (["measure", "{tape}", "--max-lag", "8", "--rho-window", "0"], 1),
     "measure-zero-cond-lag": (["measure", "{tape}", "--max-lag", "8", "--cond-lag", "0"], 1),

@@ -1,8 +1,8 @@
 """Property tests for the file formats: exact round trips of adversarial
-floats, the chunked writer against the per-row formatting it replaced, the
-bulk tape parser against the row parser under the same tape rules, strict
-integer columns, and atomic writes that leave no temp file or partial
-target behind."""
+floats, the array formatter and the chunked writer against the per-row `%`
+formatting they replaced, the bulk tape parser against the row parser under
+the same tape rules, strict integer columns, and atomic writes that leave no
+temp file or partial target behind."""
 
 import os
 
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from impactlab import (
     ConditionalResponse,
+    ExperimentConfig,
     FormatError,
     Kernel,
     LagCurve,
@@ -20,6 +21,7 @@ from impactlab import (
     TradeTape,
     VolumeSeries,
     cli,
+    simulate,
 )
 from impactlab import io as iolib
 
@@ -82,6 +84,93 @@ def _old_tape_text(tape) -> str:
 
 def _old_se(se, i) -> str:
     return "" if se is None else _old_fmt(se[i])
+
+
+def _old_csv(header, kinds, columns, tail: str = "") -> str:
+    """The CSV text of the writer's row-`%` path: one row format for every
+    row, applied to the values of each row."""
+    row = ",".join("" if col is None else "%d" if kind in "id" else "%s" if kind == "t"
+                   else "%.17g" for kind, col in zip(kinds, columns)) + "\n"
+    cols = [np.asarray(col, dtype=np.float64 if kind in "fFo" else None)
+            for kind, col in zip(kinds, columns) if col is not None]
+    rows = "".join(row % r for r in zip(*(c.tolist() for c in cols)))
+    return ",".join(header) + "\n" + rows + tail
+
+
+def _csv(tmp_path_factory, header, kinds, columns) -> str:
+    path = str(tmp_path_factory.mktemp("w") / "table.csv")
+    iolib._write_csv(path, header, kinds, columns)
+    return _text(path)
+
+
+# ---- the array formatter against `%` ----
+
+@SETTINGS
+@given(st.lists(st.floats(), min_size=1, max_size=80))
+def test_float_columns_match_the_row_format(tmp_path_factory, xs):
+    """Every double, NaN and the infinities as `%.17g` writes it."""
+    assert _csv(tmp_path_factory, ["x"], "f", [xs]) == _old_csv(["x"], "f", [xs])
+
+
+@SETTINGS
+@given(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=40),
+       st.lists(st.floats(-2.0**64, 2.0**64), min_size=40, max_size=40))
+def test_integer_columns_match_the_row_format(tmp_path_factory, ints, floats):
+    """`%d` of int64 values, and of doubles: exact integers and the
+    fractions it truncates."""
+    floats = floats[:len(ints)]
+    cols = [np.array(ints, dtype=np.int64), floats]
+    assert _csv(tmp_path_factory, ["i", "d"], "id", cols) == _old_csv(["i", "d"], "id", cols)
+
+
+def _adversarial() -> np.ndarray:
+    """Values at the edges of the array path: exact decimal ties at the 17th
+    digit, powers of ten and their neighbours, where log10 may be one off
+    and the digits may round up to the next power, the bounds of fixed
+    notation, subnormals and the values left to `%`."""
+    n = np.arange(2000.0)[:, None]
+    ties = [1000000000000000.25, 1000000000000000.75, ((1e15 + n) * 4 + [1, 3]) / 4,
+            ((1e14 + n) * 8 + [1, 3, 5, 7]) / 8, ((1e13 + n) * 16 + [1, 3, 13, 15]) / 16]
+    tens = 10.0 ** np.arange(-330, 309, dtype=np.float64)
+    near = np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf),
+                           np.nextafter(np.nextafter(tens, 0), 0)])
+    edges = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-5, 1e-4, 9.9999999999999999e-5, 1e16,
+             1e17, 99999999999999999.0, 99999999999999984.0, 9.999999999999999e16,
+             0.99999999999999999, 0.9999999999999999, 1e300, 5e-324, 2.2250738585072014e-308,
+             1.7976931348623157e308, 0.1, 1 / 3, 2.0**53, 2.0**53 + 2]
+    quarters = np.arange(-4000, 4000) / 4.0 * 10.0 ** np.arange(-6, 18)[:, None]
+    x = np.concatenate([*(np.ravel(t) for t in ties), near, edges, quarters.ravel()])
+    return np.concatenate([x, -x])
+
+
+def test_adversarial_floats_match_the_row_format(tmp_path_factory):
+    x = _adversarial()
+    assert _csv(tmp_path_factory, ["x"], "f", [x]) == _old_csv(["x"], "f", [x])
+
+
+def _tape_oracle(tape) -> str:
+    priced = tape.prices is not None
+    cols = [np.arange(tape.n), tape.eps, tape.v] + ([tape.prices[:-1]] if priced else [])
+    tail = "%d,,,%.17g\n" % (tape.n, tape.prices[-1]) if priced else ""
+    return _old_csv(*iolib._TAPES[priced], cols, tail)
+
+
+@pytest.mark.parametrize("spec", [
+    {"generator": {"kind": "iid"}, "volumes": {"dist": "lognormal", "sigma": 2.0},
+     "model": {"kind": "propagator", "kernel": {"form": "power_law", "beta": 0.4}}},
+    {"generator": {"kind": "metaorder", "alpha": 1.5},
+     "volumes": {"dist": "pareto", "x_min": 1, "tail": 1.5},
+     "model": {"kind": "propagator", "kernel": {"form": "power_law", "beta": 0.25}}}],
+    ids=["lognormal-iid", "pareto-metaorder"])
+def test_written_tapes_match_the_row_format(tmp_path, spec):
+    """Over more than one chunk of rows."""
+    tape, _ = simulate(ExperimentConfig(n=(1 << 16) + 4099, seed=7, **spec), 7)
+    path = str(tmp_path / "tape.csv")
+    iolib.write_tape(tape, path)
+    assert _text(path) == _tape_oracle(tape)
+    unpriced = TradeTape(SignSeries(tape.eps), VolumeSeries(tape.v))
+    iolib.write_tape(unpriced, path)
+    assert _text(path) == _tape_oracle(unpriced)
 
 
 # ---- round trips and writer oracles ----
@@ -331,6 +420,33 @@ def test_curve_reader_rejects_inexact_integers(tmp_path, row, what):
     rc = cli.main(["invert", "--response", str(path), "--autocorr", str(ok),
                    "--kernel-lags", "1", "--out-dir", str(tmp_path)])
     assert rc == 2
+
+
+def _read_response(path):
+    return iolib.read_curve(path, "response")
+
+
+@pytest.mark.parametrize("read, text, error", [
+    (_read_response, "lag,value,count,se\n1,0.5,10,\n2,nan,10,\n3,0.2,0,\n",
+     "line 3: value must be finite"),
+    (_read_response, "lag,value,count,se\n1,0.5,10,0.1\n2,0.4,0,0.1\n",
+     "line 3: count must be >= 1"),
+    (iolib.read_conditional, "v_lo,v_hi,value,count,se\n1,2,0.5,10,\n2,3,-inf,10,\n",
+     "line 3: value must be finite"),
+    (iolib.read_conditional, "v_lo,v_hi,value,count,se\n1,2,0.5,0,\n",
+     "line 2: count must be >= 1")],
+    ids=["curve-nan", "curve-zero-count", "conditional-inf", "conditional-zero-count"])
+def test_curve_readers_name_the_line_that_breaks_a_row_rule(tmp_path, read, text, error):
+    path = tmp_path / "curve.csv"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=error):
+        read(str(path))
+    if read is _read_response:  # a format error: invert exits 2
+        ok = tmp_path / "ok.csv"
+        ok.write_text("lag,value,count,se\n1,0.5,10,\n")
+        assert cli.main(["invert", "--response", str(path), "--autocorr", str(ok),
+                         "--kernel-lags", "1", "--out-dir", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
 
 
 # ---- atomic writes ----
