@@ -30,6 +30,7 @@ from .exceptions import (
     NumericError,
     ParameterError,
     SearchBudgetError,
+    ensure,
 )
 from .experiment import (
     ExperimentConfig,
@@ -110,8 +111,7 @@ def _config_from_args(args) -> ExperimentConfig:
         d["seed"] = _parse_seed(args.seed)
     if args.config:
         file_cfg = iolib.read_json(args.config)
-        if not file_cfg:
-            raise ParameterError("empty config")
+        ensure(len(file_cfg) > 0, "empty config")
         d.update(file_cfg)
     return ExperimentConfig.from_dict(d) if d else ExperimentConfig()
 

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.fft import irfft, rfft
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .exceptions import EstimationError, InputError, NumericError, ParameterError
+from .exceptions import EstimationError, InputError, NumericError, ensure
 from .impact import ArPredictor, Kernel
 from .orderflow import SignSeries, TradeTape
 
@@ -48,10 +48,8 @@ ROLES = ("response", "sign_autocorr", "diffusivity")
 
 def _check_rows(counts: np.ndarray, values: np.ndarray) -> None:
     """Every row of a curve averages at least one sample to a finite value."""
-    if np.any(counts < 1):
-        raise ParameterError("counts must be >= 1")
-    if not np.all(np.isfinite(values)):
-        raise ParameterError("values must be finite")
+    ensure(counts >= 1, "counts must be >= 1")
+    ensure(np.isfinite(values), "values must be finite")
 
 
 @dataclass
@@ -77,19 +75,16 @@ class LagCurve:
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if self.se is not None:
             self.se = np.asarray(self.se, dtype=np.float64)
-            if self.se.shape != self.values.shape:
-                raise ParameterError("se must match values in shape")
-        if self.role_tag not in ROLES:
-            raise ParameterError(f"unknown role_tag '{self.role_tag}'")
-        if self.lags.size != self.values.size or self.lags.size != self.counts.size:
-            raise ParameterError("lags, values, counts must have equal length")
-        if self.lags.size == 0:
-            raise ParameterError("curve must be nonempty")
-        if np.any(self.lags < 1) or np.any(np.diff(self.lags) <= 0):
-            raise ParameterError("lags must be positive and strictly increasing")
+            ensure(self.se.shape == self.values.shape, "se must match values in shape")
+        ensure(self.role_tag in ROLES, f"unknown role_tag '{self.role_tag}'")
+        ensure(self.lags.size == self.values.size == self.counts.size,
+               "lags, values, counts must have equal length")
+        ensure(self.lags.size > 0, "curve must be nonempty")
+        ensure(np.all(self.lags >= 1) and np.all(np.diff(self.lags) > 0),
+               "lags must be positive and strictly increasing")
         _check_rows(self.counts, self.values)
-        if self.role_tag == "diffusivity" and np.any(self.values < 0):
-            raise ParameterError("diffusivity values must be >= 0")
+        ensure(self.role_tag != "diffusivity" or np.all(self.values >= 0),
+               "diffusivity values must be >= 0")
         if self.role_tag == "sign_autocorr" and (
             np.any(self.values > 1.0) or np.any(self.values < -1.0)
         ):
@@ -100,16 +95,16 @@ class LagCurve:
 
     def value_at(self, lag: int) -> float:
         idx = np.searchsorted(self.lags, lag)
-        if idx >= self.lags.size or self.lags[idx] != lag:
-            raise ParameterError(f"lag {lag} not in curve")
+        ensure(idx < self.lags.size and self.lags[idx] == lag, f"lag {lag} not in curve")
         return float(self.values[idx])
 
     def dense_values(self, upto: int) -> np.ndarray:
         """Values on contiguous lags 1..upto as a plain array (index l-1).
         Requires the curve to cover exactly those lags from 1."""
-        if self.lags[0] != 1 or self.lags.size < upto or np.any(np.diff(self.lags[:upto]) != 1):
-            raise ParameterError(f"{self.role_tag} curve must cover contiguous lags 1..{upto}, "
-                                 f"got {self.lags[0]}..{self.lags[-1]} ({self.lags.size} rows)")
+        ensure(self.lags[0] == 1 and self.lags.size >= upto
+               and np.all(np.diff(self.lags[:upto]) == 1),
+               f"{self.role_tag} curve must cover contiguous lags 1..{upto}, "
+               f"got {self.lags[0]}..{self.lags[-1]} ({self.lags.size} rows)")
         return self.values[:upto]
 
 
@@ -131,13 +126,13 @@ class ConditionalResponse:
         self.values = np.asarray(self.values, dtype=np.float64)
         self.counts = np.asarray(self.counts, dtype=np.int64)
         sizes = {self.bin_lo.size, self.bin_hi.size, self.values.size, self.counts.size}
-        if len(sizes) != 1 or self.bin_lo.size == 0:
-            raise ParameterError("bins, values, counts must be nonempty and equal length")
-        if np.any(self.bin_hi <= self.bin_lo) or np.any(np.diff(self.bin_lo) <= 0):
-            raise ParameterError("bin edges must be positive-width and increasing")
+        ensure(len(sizes) == 1 and self.bin_lo.size > 0,
+               "bins, values, counts must be nonempty and equal length")
+        ensure(np.all((0 < self.bin_lo) & (self.bin_lo < self.bin_hi) & (self.bin_hi < np.inf))
+               and np.all(np.diff(self.bin_lo) > 0),
+               "bin edges must be finite, positive, positive-width and increasing")
         _check_rows(self.counts, self.values)
-        if self.T < 1:
-            raise ParameterError("T must be >= 1")
+        ensure(self.T >= 1, "T must be >= 1")
 
     @property
     def centers(self) -> np.ndarray:
@@ -178,8 +173,7 @@ def _priced(tape, burn: int) -> np.ndarray:
     prices = tape.prices if isinstance(tape, TradeTape) else tape
     if prices is None:
         raise InputError("tape has no prices; run a price engine or load a priced tape")
-    if burn < 0:
-        raise ParameterError(f"burn must be >= 0, got {burn!r}")
+    ensure(burn >= 0, f"burn must be >= 0, got {burn!r}")
     return np.asarray(prices, np.float64)[burn:]
 
 
@@ -249,9 +243,8 @@ def response(
     p = _priced(tape, burn)
     e = tape.eps[burn:]
     m = e.size
-    if max_lag is None or not 1 <= max_lag < m:
-        raise ParameterError("max_lag must be given, positive and below the (post-burn) "
-                             "tape length")
+    ensure(max_lag is not None and 1 <= max_lag < m,
+           "max_lag must be given, positive and below the (post-burn) tape length")
     lag_arr = np.arange(1, max_lag + 1, dtype=np.int64)
     if overlap:
         sdp, sq, sprod = _window_sums(p, max_lag, e)
@@ -267,11 +260,8 @@ def response(
         cnts = np.empty(lag_arr.size, dtype=np.int64)
         ses = np.empty(lag_arr.size)
         for i, l in enumerate(lag_arr):
-            starts = np.arange(0, m - l, l)
-            if starts.size == 0:
-                raise EstimationError(f"no non-overlapping window fits at lag {l}")
-            dp = p[starts + l] - p[starts]
-            ee = e[starts]
+            dp = np.diff(p[::l])  # the m // l windows that end at or before p[m]
+            ee = e[: dp.size * l : l]
             prod = dp * ee
             vals[i] = prod.mean() - dp.mean() * ee.mean()
             cnts[i] = prod.size
@@ -299,10 +289,8 @@ def conditional_response(
     e = tape.eps[burn:]
     v = tape.v[burn:]
     m = e.size
-    if T < 1 or T >= m:
-        raise ParameterError("T must be in [1, post-burn tape length)")
-    if min_count < 1:
-        raise ParameterError(f"min_count must be >= 1, got {min_count!r}")
+    ensure(1 <= T < m, "T must be in [1, post-burn tape length)")
+    ensure(min_count >= 1, f"min_count must be >= 1, got {min_count!r}")
     dp = p[T:] - p[:-T]
     y = dp * e[: dp.size]
     vv = v[: dp.size]
@@ -313,8 +301,9 @@ def conditional_response(
         edges = np.exp(np.linspace(np.log(lo), np.log(hi), n_bins + 1))
     else:
         edges = np.asarray(bins, dtype=np.float64)
-        if edges.size < 2 or np.any(np.diff(edges) <= 0) or edges[0] <= 0:
-            raise ParameterError("bins must be >= 2 increasing positive edges")
+        ensure(edges.ndim == 1 and edges.size >= 2 and 0 < edges[0]
+               and np.all(np.diff(edges) > 0) and edges[-1] < np.inf,
+               "bins must be >= 2 increasing positive finite edges")
     idx = np.digitize(vv, edges)
     blo, bhi, vals, cnts, ses = [], [], [], [], []
     for b in range(1, edges.size):
@@ -342,8 +331,8 @@ def rho(tape: TradeTape, T: int, psi_weight: float = 1.0, burn: int = 0) -> floa
     e = tape.eps[burn:]
     v = tape.v[burn:]
     m = e.size
-    if T < 1 or not np.isfinite(psi_weight):
-        raise ParameterError(f"T must be >= 1 and psi_weight finite, got {T!r}, {psi_weight!r}")
+    ensure(T >= 1 and np.isfinite(psi_weight),
+           f"T must be >= 1 and psi_weight finite, got {T!r}, {psi_weight!r}")
     w = m // T
     if w < 2:
         raise EstimationError(f"fewer than 2 non-overlapping windows of length {T}")
@@ -364,8 +353,7 @@ def sign_autocorr(signs, max_lag: int) -> LagCurve:
     """
     eps = _eps_of(signs)
     n = eps.size
-    if not 1 <= max_lag < n:
-        raise ParameterError("max_lag must be in [1, N)")
+    ensure(1 <= max_lag < n, "max_lag must be in [1, N)")
     mu = eps.mean()
     raw = _fft_corr(eps, eps, max_lag)
     cnt = n - np.arange(max_lag + 1)
@@ -381,8 +369,8 @@ def diffusivity(prices, max_lag: int, burn: int = 0) -> LagCurve:
     over all sliding windows, at O(N log N + max_lag) cost through the return
     autocovariance. Flat D characterizes a random walk."""
     p = _priced(prices, burn)
-    if max_lag < 1 or p.size < max_lag + 2:
-        raise ParameterError("need max_lag >= 1 and at least max_lag+2 prices after burn")
+    ensure(max_lag >= 1 and p.size >= max_lag + 2,
+           "need max_lag >= 1 and at least max_lag+2 prices after burn")
     lags = np.arange(1, max_lag + 1, dtype=np.int64)
     cnts = p.size - lags
     sdp, sq = _window_sums(p, max_lag)
@@ -443,8 +431,7 @@ def _dense_C(C, upto: int) -> np.ndarray:
     if isinstance(C, LagCurve):
         return C.dense_values(upto)
     c = np.asarray(C, dtype=np.float64)
-    if c.size < upto:
-        raise ParameterError(f"need C on lags 1..{upto}, got {c.size}")
+    ensure(c.size >= upto, f"need C on lags 1..{upto}, got {c.size}")
     return c[:upto]
 
 
@@ -484,10 +471,8 @@ def _response_matrix(C, n_lags: int, j_tail: int) -> np.ndarray:
                           + sum_{j=1..j_tail} (G(l+j)-G(j))C(j)].
     Row l holds C(|k-l|) for k <= l+j_tail, with C(0) = 1, and C(k) is
     subtracted on the columns k <= j_tail."""
-    if n_lags < 1:
-        raise ParameterError("lags must be >= 1")
-    if j_tail < 0:
-        raise ParameterError("j_tail must be >= 0")
+    ensure(n_lags >= 1, "lags must be >= 1")
+    ensure(j_tail >= 0, "j_tail must be >= 0")
     c = _dense_C(C, max(n_lags - 1, j_tail))  # raises on insufficient horizon
     # band[i] = C(|i - (n_lags-1)|) from n_lags-1 lags below the diagonal to
     # j_tail above it; row l of A is the window of band starting at n_lags-l
@@ -538,18 +523,14 @@ def invert_response(
     suggestion to use ridge > 0), the equation count, and se_proxy (None
     when L equals the equation count). It needs finite lam > 0 and v > 0,
     0 < psi <= 1 (as ImpactConfig) and a finite ridge >= 0."""
-    if not isinstance(R, LagCurve):
-        raise ParameterError("R must be a LagCurve")
-    for name, value, rule, ok in (("lam", lam, "finite and > 0", 0 < lam < np.inf),
-                                  ("v", v, "finite and > 0", 0 < v < np.inf),
-                                  ("psi", psi, "in (0, 1]", 0 < psi <= 1),
-                                  ("ridge", ridge, "finite and >= 0", 0 <= ridge < np.inf)):
-        if not ok:
-            raise ParameterError(f"{name} must be {rule}, got {value!r}")
+    ensure(isinstance(R, LagCurve), "R must be a LagCurve")
+    ensure(0 < lam < np.inf, f"lam must be finite and > 0, got {lam!r}")
+    ensure(0 < v < np.inf, f"v must be finite and > 0, got {v!r}")
+    ensure(0 < psi <= 1, f"psi must be in (0, 1], got {psi!r}")
+    ensure(0 <= ridge < np.inf, f"ridge must be finite and >= 0, got {ridge!r}")
     n_eq = int(R.lags.max())
     r_dense = R.dense_values(n_eq)
-    if L < 1 or L > n_eq:
-        raise ParameterError("need 1 <= L <= max measured response lag")
+    ensure(1 <= L <= n_eq, "need 1 <= L <= max measured response lag")
     a = _response_matrix(C, n_eq, j_tail)
     a[:, L - 1] = a[:, L - 1 :].sum(axis=1)  # G(k) = G(L) for k > L
     a = a[:, :L]
@@ -591,8 +572,7 @@ def levinson_durbin(C, order: int) -> ArPredictor:
     normalized autocorrelation sequence (1, C(1), C(2), ...), by the
     standard recursion. Returns the predictor with its one-step error
     variance."""
-    if order < 1:
-        raise ParameterError("order must be >= 1")
+    ensure(order >= 1, "order must be >= 1")
     c = _dense_C(C, order)
     r = np.concatenate([[1.0], c])
     a = np.zeros(order)
@@ -632,12 +612,12 @@ def master_curve_rescale(stocks, delta: float = 0.3) -> CollapseResult:
     curve) maps to x = M^delta * v / vbar, y = M^delta * R(v). Curves are
     compared on a common log grid of 50 points spanning the overlap of their
     x-supports (log-log interpolation, exact on power laws)."""
-    if len(stocks) < 2 or not np.isfinite(delta):
-        raise ParameterError(f"need at least 2 stocks and a finite delta, got {delta!r}")
+    ensure(len(stocks) >= 2 and np.isfinite(delta),
+           f"need at least 2 stocks and a finite delta, got {delta!r}")
     xs, ys = [], []
     for m_cap, vbar, curve in stocks:
-        if m_cap <= 0 or vbar <= 0:
-            raise ParameterError("capitalization and mean volume must be positive")
+        ensure(0 < m_cap < np.inf and 0 < vbar < np.inf,
+               "capitalization and mean volume must be positive and finite")
         x = m_cap**delta * curve.centers / vbar
         y = m_cap**delta * curve.values
         if np.any(y <= 0):
@@ -661,8 +641,7 @@ def fit_barra(curve: ConditionalResponse, sigma: float, V: float) -> BarraFit:
     """Least-squares amplitude of the square-root impact family against a
     volume-conditioned response curve: minimizes sum (R(v) - A sigma
     sqrt(v/V))^2 over the occupied bins."""
-    if not (0 < sigma < np.inf and 0 < V < np.inf):
-        raise ParameterError("sigma and V must be finite and positive")
+    ensure(0 < sigma < np.inf and 0 < V < np.inf, "sigma and V must be finite and positive")
     s = sigma * np.sqrt(curve.centers / V)
     denom = float(np.sum(s * s))
     if denom == 0:
@@ -679,12 +658,11 @@ def pool_curves(curves) -> LagCurve:
     """Count-weighted pooling of per-seed curves measured on identical lag
     grids; the pooled curve is what acceptance bands are checked against
     when a single seed is too noisy."""
-    if len(curves) < 1:
-        raise ParameterError("need at least one curve")
+    ensure(len(curves) >= 1, "need at least one curve")
     first = curves[0]
     for c in curves[1:]:
-        if not np.array_equal(c.lags, first.lags) or c.role_tag != first.role_tag:
-            raise ParameterError("curves must share lags and role")
+        ensure(np.array_equal(c.lags, first.lags) and c.role_tag == first.role_tag,
+               "curves must share lags and role")
     w = np.vstack([c.counts for c in curves]).astype(np.float64)
     v = np.vstack([c.values for c in curves])
     tot = w.sum(axis=0)

@@ -4,12 +4,21 @@ The CLI maps these onto its exit-code contract, so raising the right
 category matters more than the message text.
 """
 
+import numpy as np
+
 __all__ = ["ParameterError", "InputError", "FormatError",
            "EstimationError", "NumericError", "SearchBudgetError"]
 
 
 class ParameterError(ValueError):
     """A parameter is outside its validity range."""
+
+
+def ensure(ok, message: str) -> None:
+    """ParameterError(message) unless `ok` holds, at every element of an
+    array. State the rule, not its breach: NaN then fails every check."""
+    if not np.all(ok):
+        raise ParameterError(message)
 
 
 class InputError(ValueError):

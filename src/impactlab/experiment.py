@@ -20,7 +20,8 @@ import numpy as np
 
 from . import io as iolib
 from ._version import __version__
-from .exceptions import EstimationError, InputError, NumericError, ParameterError, SearchBudgetError
+from .exceptions import (EstimationError, InputError, NumericError, ParameterError,
+                         SearchBudgetError, ensure)
 from .impact import (
     ArPredictor,
     ImpactConfig,
@@ -118,10 +119,8 @@ _KINDED_SECTIONS = {
 
 def _check_keys(what: str, spec: dict, allowed, required=()) -> None:
     unknown, missing = set(spec) - set(allowed), set(required) - set(spec)
-    if unknown:
-        raise ParameterError(f"unknown keys for {what}: {sorted(unknown)}")
-    if missing:
-        raise ParameterError(f"{what} needs {sorted(missing)}")
+    ensure(not unknown, f"unknown keys for {what}: {sorted(unknown)}")
+    ensure(not missing, f"{what} needs {sorted(missing)}")
 
 
 def _is_number(x) -> bool:
@@ -145,10 +144,8 @@ def _over_defaults(what: str, defaults: dict, spec: dict | None, ints: dict) -> 
         value = out.get(key)
         if value is None and key not in defaults:
             continue
-        if not _is_integer(value):
-            raise ParameterError(f"{what}: '{key}' must be an integer, got {value!r}")
-        if value < least:
-            raise ParameterError(f"{what}: '{key}' must be >= {least}, got {value!r}")
+        ensure(_is_integer(value), f"{what}: '{key}' must be an integer, got {value!r}")
+        ensure(value >= least, f"{what}: '{key}' must be >= {least}, got {value!r}")
     return out
 
 
@@ -156,8 +153,8 @@ def _estimator_spec(what: str, spec: dict | None) -> dict:
     """The estimator settings: `spec` over the defaults, each in its range."""
     s = _over_defaults(what, _default_estimator(), spec, _ESTIMATOR_INTS)
     w = s["rho_psi_weight"]
-    if not _is_number(w) or not np.isfinite(w):
-        raise ParameterError(f"{what}: 'rho_psi_weight' must be a finite number, got {w!r}")
+    ensure(_is_number(w) and np.isfinite(w),
+           f"{what}: 'rho_psi_weight' must be a finite number, got {w!r}")
     return s
 
 
@@ -166,10 +163,9 @@ def _manip_spec(what: str, spec: dict | None) -> dict:
     kernel and the search accept, so no frontier is refused after its tapes."""
     m = _over_defaults(what, _default_manip(), spec, _MANIP_INTS)
     for key in ("betas", "psis", "grid"):
-        if not isinstance(m[key], (list, tuple)) or not all(map(_is_number, m[key])):
-            raise ParameterError(f"{what}: '{key}' must be a list of numbers, got {m[key]!r}")
-    if not _is_number(m["lam"]):
-        raise ParameterError(f"{what}: 'lam' must be a number, got {m['lam']!r}")
+        ensure(isinstance(m[key], (list, tuple)) and all(map(_is_number, m[key])),
+               f"{what}: '{key}' must be a list of numbers, got {m[key]!r}")
+    ensure(_is_number(m["lam"]), f"{what}: 'lam' must be a number, got {m['lam']!r}")
     for beta in m["betas"]:
         Kernel.power_law(beta)
     for psi in m["psis"]:
@@ -192,14 +188,13 @@ class ExperimentConfig:
     out_dir: str | None = None  # None: resolved by the CLI
 
     def __post_init__(self):
-        if not _is_integer(self.n) or self.n < 1:
-            raise ParameterError(f"n must be a positive integer, got {self.n!r}")
+        ensure(_is_integer(self.n) and self.n >= 1, f"n must be a positive integer, got {self.n!r}")
         self.n = int(self.n)
         expand_seeds(self.seed)  # validates shape
         for name in ("generator", "volumes", "model", "estimator", "manip"):
             section = getattr(self, name)
-            if not isinstance(section, dict) and not (name == "manip" and section is None):
-                raise ParameterError(f"config section '{name}' must be an object")
+            ensure(isinstance(section, dict) or (name == "manip" and section is None),
+                   f"config section '{name}' must be an object")
         # a section that names no other kind fills its gaps from the default
         for name, (default, tag) in _KINDED_SECTIONS.items():
             base, section = default(), getattr(self, name)
@@ -218,12 +213,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        if not d:
-            raise ParameterError("empty config")
+        ensure(len(d) > 0, "empty config")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(d) - known
-        if unknown:
-            raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+        ensure(not unknown, f"unknown config keys: {sorted(unknown)}")
         # absent sections get the defaults and a section naming no other
         # kind is layered over its default, so to_dict() gives a config that
         # builds the same dict again
@@ -245,8 +238,7 @@ def expand_seeds(seed) -> list:
     if isinstance(seed, (list, tuple)) and seed and all(_is_seed(s) for s in seed):
         if len(seed) == 2:
             first, last = int(seed[0]), int(seed[1])
-            if last < first:
-                raise ParameterError(f"seed range [{first}, {last}] is empty")
+            ensure(first <= last, f"seed range [{first}, {last}] is empty")
             return list(range(first, last + 1))
         return [int(s) for s in seed]
     raise ParameterError(f"seed must be a non-negative int or [first, last], got {seed!r}")
@@ -282,8 +274,7 @@ _KERNEL_SPEC_KEYS = {
 def kernel_from_spec(spec: dict) -> Kernel:
     d = dict(spec)
     form = d.pop("form", None)
-    if form not in _KERNEL_SPEC_KEYS:
-        raise ParameterError(f"unknown kernel form {form!r}")
+    ensure(form in _KERNEL_SPEC_KEYS, f"unknown kernel form {form!r}")
     required, allowed = _KERNEL_SPEC_KEYS[form]
     _check_keys(f"kernel form '{form}'", d, allowed, required)
     if form == "power_law":
@@ -308,8 +299,7 @@ def _draw(config: ExperimentConfig, n: int, seed: int) -> TradeTape:
     """n trades of the config's signs and volumes, each generator checking its parameters."""
     d = dict(config.generator)
     kind = d.pop("kind")
-    if kind not in _GENERATORS:
-        raise ParameterError(f"unknown generator kind {kind!r}")
+    ensure(kind in _GENERATORS, f"unknown generator kind {kind!r}")
     try:
         return TradeTape(_GENERATORS[kind](n, seed=seed, **d),
                          gen_volumes(n, seed=seed + _VOLUME_SEED_OFFSET, **config.volumes))
@@ -323,15 +313,12 @@ def _build_model(model: dict):
     predictor its engine ignores is an error."""
     d = dict(model)
     kind = d.pop("kind")
-    if kind not in ("kyle", "propagator", "surprise"):
-        raise ParameterError(f"unknown model kind {kind!r}")
+    ensure(kind in ("kyle", "propagator", "surprise"), f"unknown model kind {kind!r}")
     kernel_spec, predictor_spec = d.pop("kernel", None), d.pop("predictor", None)
     for key, spec, owner in (("kernel", kernel_spec, "propagator"),
                              ("predictor", predictor_spec, "surprise")):
-        if kind == owner and spec is None:
-            raise ParameterError(f"{owner} model needs a {key} spec")
-        if kind != owner and spec is not None:
-            raise ParameterError(f"{kind} model takes no {key} spec")
+        ensure(kind != owner or spec is not None, f"{owner} model needs a {key} spec")
+        ensure(kind == owner or spec is None, f"{kind} model takes no {key} spec")
     kernel_kw = {} if kernel_spec is None else {"kernel": kernel_from_spec(kernel_spec)}
     predictor = None
     if predictor_spec is not None:
@@ -376,8 +363,7 @@ def measure(tape: TradeTape, spec: dict | None = None, burn: int = 0):
     per curve; everything that can be computed still is.
     """
     s = _estimator_spec("estimator spec", spec)
-    if burn < 0:
-        raise ParameterError(f"burn must be >= 0, got {burn}")
+    ensure(burn >= 0, f"burn must be >= 0, got {burn}")
     results: dict = {}
     errors: dict = {}
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .exceptions import InputError, ParameterError
+from .exceptions import InputError, ParameterError, ensure
 from .orderflow import TradeTape
 
 __all__ = [
@@ -50,20 +50,15 @@ class Kernel:
 
     def __post_init__(self):
         if self.form == "power_law":
-            if not 0 <= self.beta < np.inf:
-                raise ParameterError("beta must be finite and >= 0")
-            if not 0 < self.g1 < np.inf:
-                raise ParameterError("g1 must be finite and positive")
-            if not 0 <= self.plateau < np.inf:
-                raise ParameterError("plateau must be finite and >= 0")
+            ensure(0 <= self.beta < np.inf, "beta must be finite and >= 0")
+            ensure(0 < self.g1 < np.inf, "g1 must be finite and positive")
+            ensure(0 <= self.plateau < np.inf, "plateau must be finite and >= 0")
         elif self.form == "tabulated":
-            if self.values is None:
-                raise ParameterError("tabulated kernel needs values")
+            ensure(self.values is not None, "tabulated kernel needs values")
             self.values = np.asarray(self.values, dtype=np.float64)
-            if self.values.ndim != 1 or self.values.size < 1:
-                raise ParameterError("tabulated kernel values must be a nonempty 1-d array")
-            if not np.all(np.isfinite(self.values)):
-                raise ParameterError("tabulated kernel values must be finite")
+            ensure(self.values.ndim == 1 and self.values.size >= 1,
+                   "tabulated kernel values must be a nonempty 1-d array")
+            ensure(np.isfinite(self.values), "tabulated kernel values must be finite")
             self.plateau = float(self.values[-1])
         else:
             raise ParameterError(f"unknown kernel form '{self.form}'")
@@ -95,8 +90,7 @@ class Kernel:
     def eval(self, lags):
         """G at integer lags >= 1 (scalar or array)."""
         ell = np.asarray(lags, dtype=np.float64)
-        if np.any(ell < 1):
-            raise ParameterError("kernel lags must be >= 1")
+        ensure((1 <= ell) & (ell < np.inf), "kernel lags must be finite and >= 1")
         if self.form == "power_law":
             out = self.g1 * ell ** (-self.beta) + self.plateau
         else:
@@ -124,12 +118,9 @@ class ArPredictor:
 
     def __post_init__(self):
         self.coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=np.float64))
-        if self.coeffs.ndim != 1:
-            raise ParameterError("predictor coefficients must be 1-d")
-        if not np.all(np.isfinite(self.coeffs)):
-            raise ParameterError("predictor coefficients must be finite")
-        if not 0 < self.err_var < np.inf:
-            raise ParameterError("predictor err_var must be finite and positive")
+        ensure(self.coeffs.ndim == 1, "predictor coefficients must be 1-d")
+        ensure(np.isfinite(self.coeffs), "predictor coefficients must be finite")
+        ensure(0 < self.err_var < np.inf, "predictor err_var must be finite and positive")
 
     @property
     def order(self) -> int:
@@ -169,16 +160,12 @@ class ImpactConfig:
     p0: float = 0.0
 
     def __post_init__(self):
-        if not 0 <= self.lam < np.inf:
-            raise ParameterError("lam must be finite and >= 0")
-        if not isinstance(self.kernel, Kernel):
-            raise ParameterError(f"kernel must be a Kernel, got {self.kernel!r}")
-        if not 0.0 < self.psi <= 1.0:
-            raise ParameterError("psi must lie in (0, 1]")
-        if not 0 <= self.noise_sigma < np.inf:
-            raise ParameterError("noise_sigma must be finite and >= 0")
-        if not np.isfinite(self.p0):
-            raise ParameterError("p0 must be finite")
+        ensure(0 <= self.lam < np.inf, "lam must be finite and >= 0")
+        ensure(isinstance(self.kernel, Kernel),
+               f"kernel must be a Kernel, got {type(self.kernel).__name__}")
+        ensure(0.0 < self.psi <= 1.0, "psi must lie in (0, 1]")
+        ensure(0 <= self.noise_sigma < np.inf, "noise_sigma must be finite and >= 0")
+        ensure(np.isfinite(self.p0), "p0 must be finite")
 
 
 def impact_sizes(tape: TradeTape, psi: float) -> np.ndarray:
@@ -209,13 +196,11 @@ def propagator_path(tape: TradeTape, cfg: ImpactConfig, seed: int = 0) -> np.nda
     n = tape.n
     if kernel.is_constant:
         g1 = float(kernel.eval(1))
-        if g1 < 0:
-            raise ParameterError("kernel values must be >= 0")
+        ensure(g1 >= 0, "kernel values must be >= 0")
         s = g1 * np.cumsum(u)
     else:
         g = kernel.eval(np.arange(1, n + 1))
-        if np.min(g) < 0:
-            raise ParameterError("kernel values must be >= 0")
+        ensure(g >= 0, "kernel values must be >= 0")
         s = _fft_convolve(u, g, n)
     cum = cfg.lam * s
     eta = _noise_increments(n, cfg, seed)
@@ -252,20 +237,16 @@ class QuotePair:
     spread: float
 
     def __post_init__(self):
-        if not self.ask > self.bid:
-            raise ParameterError("ask must exceed bid")
+        ensure(-np.inf < self.bid < self.ask < np.inf, "ask must exceed bid, both finite")
 
 
 def quotes(prev_price: float, predictor_value: float, cfg: ImpactConfig, v: float) -> QuotePair:
     """Quotes around prev_price given the one-step sign prediction: the
     market maker concedes exactly the surprise-model move to either side, so
     trading at the quote leaves no ex-post regret. Noise never enters."""
-    if not abs(predictor_value) < 1.0:
-        raise ParameterError(
-            f"predictor value {predictor_value} outside (-1, 1): predictor blow-up"
-        )
-    if v <= 0:
-        raise ParameterError("volume must be positive")
+    ensure(abs(predictor_value) < 1.0,
+           f"predictor value {predictor_value} outside (-1, 1): predictor blow-up")
+    ensure(0 < v < np.inf, "volume must be positive and finite")
     half = cfg.lam * v**cfg.psi
     ask = prev_price + half * (1.0 - predictor_value)
     bid = prev_price + half * (-1.0 - predictor_value)
@@ -279,8 +260,7 @@ def quote_series(tape: TradeTape, predictor: ArPredictor, cfg: ImpactConfig):
     _check_nonempty(tape)
     p = surprise_path(tape, predictor, replace(cfg, noise_sigma=0.0))
     pred = predictor.predict_series(tape.eps)
-    if np.any(np.abs(pred) >= 1.0):
-        raise ParameterError("predictor value outside (-1, 1) on this tape: predictor blow-up")
+    ensure(np.abs(pred) < 1.0, "predictor value outside (-1, 1) on this tape: predictor blow-up")
     half = cfg.lam * tape.v**cfg.psi
     ask = p[:-1] + half * (1.0 - pred)
     bid = p[:-1] + half * (-1.0 - pred)
@@ -291,8 +271,8 @@ def quote_series(tape: TradeTape, predictor: ArPredictor, cfg: ImpactConfig):
 def vol_per_trade_to_per_time(sigma1: float, f: float) -> float:
     """Volatility per unit time from volatility per trade and trade
     frequency: sigma = sigma1 * sqrt(f)."""
-    if not (0 <= sigma1 < np.inf and 0 < f < np.inf):
-        raise ParameterError("sigma1 must be finite and >= 0, and f finite and positive")
+    ensure(0 <= sigma1 < np.inf and 0 < f < np.inf,
+           "sigma1 must be finite and >= 0, and f finite and positive")
     return sigma1 * float(np.sqrt(f))
 
 
@@ -301,8 +281,7 @@ def kernel_from_predictor(predictor: ArPredictor, max_lag: int) -> Kernel:
 
     With max_lag covering the whole tape, the surprise path and the
     propagator path with this kernel coincide exactly on unit volumes."""
-    if max_lag < 1:
-        raise ParameterError("max_lag must be >= 1")
+    ensure(max_lag >= 1, "max_lag must be >= 1")
     a = predictor.coeffs
     partial = np.zeros(max_lag)
     upto = min(max_lag - 1, a.size)
@@ -316,12 +295,10 @@ def kernel_from_predictor(predictor: ArPredictor, max_lag: int) -> Kernel:
 def predictor_from_kernel(kernel: Kernel, order: int) -> ArPredictor:
     """Sign predictor implied by a decay kernel via a_j = G(j) - G(j+1),
     normalized by G(1). Inverse of kernel_from_predictor."""
-    if order < 1:
-        raise ParameterError("order must be >= 1")
+    ensure(order >= 1, "order must be >= 1")
     lags = np.arange(1, order + 2)
     g = np.asarray(kernel.eval(lags), dtype=np.float64)
-    if g[0] == 0:
-        raise ParameterError("kernel must have G(1) != 0")
+    ensure(g[0] != 0, "kernel must have G(1) != 0")
     a = (g[:-1] - g[1:]) / g[0]
     return ArPredictor(a)
 

@@ -23,7 +23,7 @@ import tempfile
 
 import numpy as np
 
-from .exceptions import FormatError, InputError, ParameterError
+from .exceptions import FormatError, InputError, ParameterError, ensure
 from .impact import Kernel
 from .estimators import ConditionalResponse, LagCurve
 from .orderflow import SignSeries, TradeTape, VolumeSeries
@@ -310,14 +310,14 @@ def read_conditional(path: str, T: int = 1) -> ConditionalResponse:
     """The lag T is not part of the CSV; pass the value recorded alongside
     (fits/meta JSON) when it matters."""
     (lo, hi, vals, cnts, se), _ = _read_columns(path, "curve", _CONDITIONAL)
+    _require((0 < lo) & (lo < hi) & (hi < np.inf), "bin edges must be finite, 0 < v_lo < v_hi")
     _curve_rows(vals, cnts)
     return ConditionalResponse(lo, hi, vals, cnts, T, se)
 
 
 def write_kernel(kernel: Kernel, path: str, se_proxy=None):
     """Kernel CSV `lag,G,se_proxy` of a tabulated kernel's table."""
-    if kernel.form != "tabulated":
-        raise ParameterError("only a tabulated kernel can be written")
+    ensure(kernel.form == "tabulated", "only a tabulated kernel can be written")
     _write_csv(path, *_KERNEL, [np.arange(1, kernel.values.size + 1), kernel.values, se_proxy])
 
 
@@ -358,8 +358,7 @@ def read_json(path: str) -> dict:
             obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParameterError(f"invalid JSON in {path}: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ParameterError(f"{path}: top-level JSON must be an object")
+    ensure(isinstance(obj, dict), f"{path}: top-level JSON must be an object")
     return obj
 
 

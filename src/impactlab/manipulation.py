@@ -13,7 +13,7 @@ from math import comb
 
 import numpy as np
 
-from .exceptions import InputError, ParameterError, SearchBudgetError
+from .exceptions import InputError, SearchBudgetError, ensure
 from .impact import Kernel
 
 __all__ = [
@@ -38,12 +38,11 @@ class Strategy:
         trades = tuple((int(s), float(q)) for s, q in self.trades)
         self.trades = trades
         slots = [s for s, _ in trades]
-        if any(q == 0 or not np.isfinite(q) for _, q in trades):
-            raise ParameterError("trade volumes must be nonzero and finite")
+        ensure(all(q != 0 and np.isfinite(q) for _, q in trades),
+               "trade volumes must be nonzero and finite")
         if any(s < 1 or s > self.horizon for s in slots):
             raise InputError("trade slots must lie in 1..horizon")
-        if any(b <= a for a, b in zip(slots, slots[1:])):
-            raise ParameterError("slots must be strictly increasing")
+        ensure(all(a < b for a, b in zip(slots, slots[1:])), "slots must be strictly increasing")
 
     @property
     def round_trip(self) -> bool:
@@ -86,10 +85,9 @@ def strategy_cost(
 
 def _symbol_values(volume_grid) -> np.ndarray:
     grid = sorted(set(float(g) for g in volume_grid))
-    if any(g <= 0 or not np.isfinite(g) for g in grid):
-        raise ParameterError("volume grid entries must be positive and finite")
-    if any(g != int(g) for g in grid):
-        raise ParameterError("volume grid entries must be integers (exact zero-sum tests)")
+    ensure(all(0 < g < np.inf for g in grid), "volume grid entries must be positive and finite")
+    ensure(all(g == int(g) for g in grid),
+           "volume grid entries must be integers (exact zero-sum tests)")
     return np.array([-g for g in reversed(grid)] + grid)
 
 
@@ -102,8 +100,7 @@ def count_round_trips(max_len: int, volume_grid) -> int:
         return 0
     vals = [int(v) for v in _symbol_values(volume_grid) if v > 0]
     span = max_len * max(vals)
-    if span > 10**6:
-        raise ParameterError("volume grid too wide for exact zero-sum counting")
+    ensure(span <= 10**6, "volume grid too wide for exact zero-sum counting")
     # dp over achievable sums, arbitrary-precision counts
     dp = np.zeros(2 * span + 1, dtype=object)
     dp[span] = 1
@@ -180,12 +177,11 @@ def _check_search(lam: float, psi: float, own_impact: str, max_len: int = 0,
                   volume_grid=()) -> float:
     """Refuse a cost, or given max_len and volume_grid a search, that no model
     takes, without searching; returns the own-impact share."""
-    if max_len > 12:
-        raise ParameterError("max_len above the exhaustive regime (12)")
-    if not (0 <= lam < np.inf and 0 < psi < np.inf):
-        raise ParameterError("lam must be finite and >= 0, and psi finite and positive")
-    if not isinstance(own_impact, str) or own_impact not in _OWN_SHARES:
-        raise ParameterError("own_impact must be 'full' or 'half'")
+    ensure(max_len <= 12, "max_len above the exhaustive regime (12)")
+    ensure(0 <= lam < np.inf and 0 < psi < np.inf,
+           "lam must be finite and >= 0, and psi finite and positive")
+    ensure(isinstance(own_impact, str) and own_impact in _OWN_SHARES,
+           "own_impact must be 'full' or 'half'")
     _symbol_values(volume_grid)
     return _OWN_SHARES[own_impact]
 

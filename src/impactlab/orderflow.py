@@ -12,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .exceptions import ParameterError
+from .exceptions import ParameterError, ensure
 
 __all__ = [
     "SignSeries",
@@ -37,9 +37,7 @@ class SignSeries:
 
     def __post_init__(self):
         self.signs = np.asarray(self.signs, dtype=np.float64)
-        bad = ~np.isin(self.signs, (-1.0, 1.0))
-        if bad.any():
-            raise ParameterError("sign series must contain only -1 and +1")
+        ensure(np.isin(self.signs, (-1.0, 1.0)), "sign series must contain only -1 and +1")
 
     def __len__(self):
         return self.signs.size
@@ -53,8 +51,8 @@ class VolumeSeries:
 
     def __post_init__(self):
         self.volumes = np.asarray(self.volumes, dtype=np.float64)
-        if not np.all(np.isfinite(self.volumes)) or np.any(self.volumes <= 0):
-            raise ParameterError("volumes must be strictly positive and finite")
+        ensure((0 < self.volumes) & (self.volumes < np.inf),
+               "volumes must be strictly positive and finite")
 
     def __len__(self):
         return self.volumes.size
@@ -73,12 +71,10 @@ class TradeTape:
     prices: np.ndarray | None = None
 
     def __post_init__(self):
-        if len(self.signs) != len(self.volumes):
-            raise ParameterError("signs and volumes must have equal length")
+        ensure(len(self.signs) == len(self.volumes), "signs and volumes must have equal length")
         if self.prices is not None:
             self.prices = np.asarray(self.prices, dtype=np.float64)
-            if self.prices.size != len(self.signs) + 1:
-                raise ParameterError("prices must have length N+1")
+            ensure(self.prices.size == len(self.signs) + 1, "prices must have length N+1")
 
     @property
     def n(self) -> int:
@@ -95,10 +91,8 @@ class TradeTape:
 
 def gen_iid_signs(n: int, p_buy: float, seed: int) -> SignSeries:
     """Independent signs with P(+1) = p_buy."""
-    if n < 1:
-        raise ParameterError("n must be >= 1")
-    if not 0.0 <= p_buy <= 1.0:
-        raise ParameterError("p_buy must lie in [0, 1]")
+    ensure(n >= 1, "n must be >= 1")
+    ensure(0.0 <= p_buy <= 1.0, "p_buy must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     signs = np.where(rng.random(n) < p_buy, 1.0, -1.0)
     return SignSeries(signs)
@@ -144,8 +138,7 @@ def latent_autocorr(gamma: float, n_lags: int, completion: str = "martingale") -
     equal that of the flow exactly whitened by the matched power-law kernel;
     completion="plain" is the simple (1+l)^(-gamma) profile.
     """
-    if not 0.0 < gamma < 1.0:
-        raise ParameterError("gamma must lie in (0, 1)")
+    ensure(0.0 < gamma < 1.0, "gamma must lie in (0, 1)")
     if completion == "martingale":
         grid = 8 * _next_pow2(max(n_lags, 1024))
         c_target = _whitening_autocorr(gamma, n_lags, grid)
@@ -203,10 +196,8 @@ def gen_clipped_fractional_signs(
     Gaussian spectrum (see _circulant_latent); the clipping map
     C_sign(l) = (2/pi) arcsin(rho_latent(l)) preserves the tail exponent.
     """
-    if n < 1:
-        raise ParameterError("n must be >= 1")
-    if not 0.0 < gamma < 1.0:
-        raise ParameterError("gamma must lie in (0, 1); the long-memory regime")
+    ensure(n >= 1, "n must be >= 1")
+    ensure(0.0 < gamma < 1.0, "gamma must lie in (0, 1); the long-memory regime")
     latent = _circulant_latent(_embedding_eigenvalues(float(gamma), int(n), completion), seed)
     return SignSeries(np.where(latent[:n] >= 0.0, 1.0, -1.0))
 
@@ -242,12 +233,10 @@ def gen_metaorder_signs(
     independent signs, >= n a single metaorder covering the tape); each
     metaorder then draws its direction only.
     """
-    if n < 1:
-        raise ParameterError("n must be >= 1")
-    if fixed_length is None and not 1.0 < alpha < 2.0:
-        raise ParameterError("alpha must lie in (1, 2): finite mean, long memory")
-    if fixed_length is not None and fixed_length < 1:
-        raise ParameterError("fixed_length must be >= 1")
+    ensure(n >= 1, "n must be >= 1")
+    ensure(fixed_length is not None or 1.0 < alpha < 2.0,
+           "alpha must lie in (1, 2): finite mean, long memory")
+    ensure(fixed_length is None or fixed_length >= 1, "fixed_length must be >= 1")
     rng = np.random.default_rng(seed)
     per = 1 if fixed_length is not None else 2  # uniforms drawn per metaorder
     block = n // 2 + 64  # mean lengths exceed 2, so one block mostly covers n
@@ -272,10 +261,8 @@ def gen_markov_signs(n: int, c1: float, seed: int) -> SignSeries:
     """Two-state Markov signs with E[eps_n | eps_{n-1}] = c1 * eps_{n-1},
     hence autocorrelation C(l) = c1^l. The reference short-memory flow for
     predictor and quote checks."""
-    if n < 1:
-        raise ParameterError("n must be >= 1")
-    if not -1.0 < c1 < 1.0:
-        raise ParameterError("c1 must lie in (-1, 1)")
+    ensure(n >= 1, "n must be >= 1")
+    ensure(-1.0 < c1 < 1.0, "c1 must lie in (-1, 1)")
     rng = np.random.default_rng(seed)
     stay = 0.5 * (1.0 + c1)
     flips = rng.random(n) >= stay  # flips[0] decides against the initial +1
@@ -300,33 +287,27 @@ def gen_volumes(n: int, dist: str = "constant", seed: int = 0, **params) -> Volu
     dist="pareto": params x_min, tail (defaults 1.0, 3.0); tail > 1 for a
     finite mean x_min*tail/(tail-1).
     """
-    if n < 1:
-        raise ParameterError("n must be >= 1")
-    if dist not in _VOLUME_PARAMS:
-        raise ParameterError(f"unknown volume distribution '{dist}'")
+    ensure(n >= 1, "n must be >= 1")
+    ensure(dist in _VOLUME_PARAMS, f"unknown volume distribution '{dist}'")
     unknown = set(params) - _VOLUME_PARAMS[dist]
-    if unknown:
-        raise ParameterError(f"unknown parameters for volume distribution '{dist}': "
-                             f"{sorted(unknown)}")
+    ensure(not unknown,
+           f"unknown parameters for volume distribution '{dist}': {sorted(unknown)}")
     rng = np.random.default_rng(seed)
     if dist == "constant":
         value = float(params.get("value", 1.0))
-        if value <= 0:
-            raise ParameterError("constant volume must be positive")
+        ensure(0 < value < np.inf, "constant volume must be positive and finite")
         v = np.full(n, value)
     elif dist == "lognormal":
         mu = float(params.get("mu", 0.0))
         sigma = float(params.get("sigma", 1.0))
-        if sigma <= 0:
-            raise ParameterError("lognormal sigma must be positive")
+        ensure(np.isfinite(mu), "lognormal mu must be finite")
+        ensure(0 < sigma < np.inf, "lognormal sigma must be positive and finite")
         v = rng.lognormal(mu, sigma, n)
     else:
         x_min = float(params.get("x_min", 1.0))
         tail = float(params.get("tail", 3.0))
-        if x_min <= 0:
-            raise ParameterError("pareto x_min must be positive")
-        if tail <= 1.0:
-            raise ParameterError("pareto tail must exceed 1 for a finite mean")
+        ensure(0 < x_min < np.inf, "pareto x_min must be positive and finite")
+        ensure(1.0 < tail < np.inf, "pareto tail must be finite and exceed 1 for a finite mean")
         v = x_min * rng.random(n) ** (-1.0 / tail)
     return VolumeSeries(v)
 

@@ -19,6 +19,7 @@ from impactlab import (
     Kernel,
     LagCurve,
     ParameterError,
+    QuotePair,
     SignSeries,
     TradeTape,
     VolumeSeries,
@@ -28,6 +29,7 @@ from impactlab import (
     fit_power_law,
     gen_clipped_fractional_signs,
     gen_iid_signs,
+    gen_volumes,
     invert_response,
     levinson_durbin,
     master_curve_rescale,
@@ -35,6 +37,7 @@ from impactlab import (
     pool_curves,
     predict_response,
     propagator_path,
+    quotes,
     response,
     rho,
     sign_autocorr,
@@ -76,6 +79,27 @@ def test_response_nonoverlap_uses_disjoint_windows():
     want = np.mean([2.0 * 1, 0.0 * -1]) - np.mean([2.0, 0.0]) * np.mean([1, -1])
     assert abs(r.value_at(2) - want) < 1e-15
     assert r.counts[1] == 2
+
+
+@pytest.mark.parametrize("m", [255, 256, 257])
+def test_response_nonoverlap_takes_every_window_that_fits(m):
+    """The windows start at n = 0, l, 2l, ... <= m - l: m // l of them, the
+    last ending at p[m] whenever l divides m."""
+    rng = np.random.default_rng(5)
+    eps = np.where(rng.random(m) < 0.5, 1.0, -1.0)
+    tape = _kyle_tape(eps, rng.uniform(0.5, 2.0, m))
+    r = response(tape, max_lag=9, overlap=False, batches=4)
+    p, e = tape.prices, tape.eps
+    for i, l in enumerate(r.lags):
+        starts = np.arange(0, m - l + 1, l)
+        dp = np.array([p[n + l] - p[n] for n in starts])
+        prod = dp * e[starts]
+        bs = prod.size // 4
+        se = prod[: 4 * bs].reshape(4, bs).mean(axis=1).std(ddof=1) / 2.0
+        assert r.counts[i] == m // l == starts.size
+        np.testing.assert_allclose(r.values[i], prod.mean() - dp.mean() * e[starts].mean(),
+                                   rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(r.se[i], se, rtol=1e-12, atol=1e-15)
 
 
 def test_response_requires_prices_and_a_lag_spec():
@@ -124,6 +148,18 @@ _NUMBERS = {
     "psi_weight": lambda x: rho(_small_tape(), 4, psi_weight=x),
     "delta": lambda x: master_curve_rescale([(1.0, 1.0, _binned()), (2.0, 1.0, _binned())], x),
     "err_var": lambda x: ArPredictor([0.3], err_var=x),
+    "quote-v": lambda x: quotes(100.0, 0.5, ImpactConfig(), x),
+    "ask": lambda x: QuotePair(x, 0.0, 1.0),
+    "kernel-lag": lambda x: Kernel.power_law(0.5).eval([1.0, x]),
+    "constant-value": lambda x: gen_volumes(4, "constant", value=x),
+    "lognormal-mu": lambda x: gen_volumes(4, "lognormal", mu=x),
+    "lognormal-sigma": lambda x: gen_volumes(4, "lognormal", sigma=x),
+    "pareto-x_min": lambda x: gen_volumes(4, "pareto", x_min=x),
+    "pareto-tail": lambda x: gen_volumes(4, "pareto", tail=x),
+    "capitalization": lambda x: master_curve_rescale([(x, 1.0, _binned()), (2.0, 1.0, _binned())]),
+    "bins": lambda x: conditional_response(_small_tape(), 1, bins=[1.0, 1.5, x], min_count=1),
+    "bin_lo": lambda x: ConditionalResponse([x], [2.0], [1.0], [10], 1),
+    "bin_hi": lambda x: ConditionalResponse([1.0], [x], [1.0], [10], 1),
 }
 _REFUSED_NUMBERS = [(f"{name}={x}", call, x, "finite") for name, call in _NUMBERS.items()
                     for x in (np.nan, np.inf, -np.inf)] + [
@@ -343,6 +379,13 @@ def test_conditional_response_holds_occupied_finite_bins(counts, values):
     with pytest.raises(ParameterError):
         ConditionalResponse(np.array([1.0, 2.0]), np.array([2.0, 3.0]), np.array(values),
                             np.array(counts), 1)
+
+
+@pytest.mark.parametrize("lo, hi", [([0.0], [1.0]), ([-2.0], [-1.0]), ([2.0, 1.0], [3.0, 4.0])],
+                         ids=["zero", "negative", "decreasing"])
+def test_conditional_response_refuses_bad_bin_edges(lo, hi):
+    with pytest.raises(ParameterError, match="bin edges must be finite, positive"):
+        ConditionalResponse(lo, hi, np.ones(len(lo)), np.full(len(lo), 10), 1)
 
 
 def test_rho_is_unity_for_noiseless_linear_impact():

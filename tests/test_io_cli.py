@@ -2,6 +2,7 @@
 errors with line numbers, determinism, and the exit-code contract."""
 
 import argparse
+import ast
 import filecmp
 import importlib.metadata
 import inspect
@@ -477,6 +478,29 @@ def test_the_package_exports_each_module_list_once():
     assert set(impactlab.__all__) == {"__version__", *names}
     assert all(getattr(impactlab, name) is getattr(module, name)
                for module in modules for name in module.__all__)
+
+
+def _bare_parameter_checks(package: Path) -> list:
+    """`if` statements with no else whose only statement raises a
+    ParameterError, as file:line, outside `ensure` itself."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        helper = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                  and f.name == "ensure" for n in ast.walk(f)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.If) and not node.orelse and len(node.body) == 1
+                  and isinstance(node.body[0], ast.Raise)
+                  and isinstance(node.body[0].exc, ast.Call)
+                  and getattr(node.body[0].exc.func, "id", None) == "ParameterError"
+                  and id(node) not in helper]
+    return found
+
+
+def test_every_parameter_check_states_what_must_hold():
+    """A check written as `if <breach>: raise ParameterError(...)` lets NaN
+    through, since every comparison with NaN is false; ensure(<rule>) refuses it."""
+    assert _bare_parameter_checks(Path(impactlab.__file__).parent) == []
 
 
 def test_the_build_reads_the_package_version():

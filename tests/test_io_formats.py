@@ -213,7 +213,8 @@ def test_curve_round_trip_and_oracle(tmp_path_factory, data):
 @given(st.data())
 def test_conditional_round_trip_and_oracle(tmp_path_factory, data):
     n = data.draw(st.integers(1, 12))
-    edges = st.lists(st.floats(-1e308, 1e308), min_size=n, max_size=n, unique=True)
+    # volume bins: positive finite edges, subnormals included
+    edges = st.lists(st.floats(0.0, 1e308, exclude_min=True), min_size=n, max_size=n, unique=True)
     lo = np.sort(data.draw(edges))
     hi = np.nextafter(lo, np.inf)  # the narrowest bins a float can hold
     vals = np.array(data.draw(st.lists(finite, min_size=n, max_size=n)))
@@ -434,8 +435,15 @@ def _read_response(path):
     (iolib.read_conditional, "v_lo,v_hi,value,count,se\n1,2,0.5,10,\n2,3,-inf,10,\n",
      "line 3: value must be finite"),
     (iolib.read_conditional, "v_lo,v_hi,value,count,se\n1,2,0.5,0,\n",
-     "line 2: count must be >= 1")],
-    ids=["curve-nan", "curve-zero-count", "conditional-inf", "conditional-zero-count"])
+     "line 2: count must be >= 1"),
+    (iolib.read_conditional, "v_lo,v_hi,value,count,se\n1,2,0.5,10,\nnan,3,0.4,10,\n",
+     "line 3: bin edges must be finite"),
+    (iolib.read_conditional, "v_lo,v_hi,value,count,se\n1,inf,0.5,10,\n",
+     "line 2: bin edges must be finite"),
+    (iolib.read_conditional, "v_lo,v_hi,value,count,se\n1,2,0.5,10,\n0,3,0.4,10,\n",
+     "line 3: bin edges must be finite")],
+    ids=["curve-nan", "curve-zero-count", "conditional-inf", "conditional-zero-count",
+         "conditional-nan-lo", "conditional-inf-hi", "conditional-zero-lo"])
 def test_curve_readers_name_the_line_that_breaks_a_row_rule(tmp_path, read, text, error):
     path = tmp_path / "curve.csv"
     path.write_text(text)
