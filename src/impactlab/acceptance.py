@@ -407,9 +407,10 @@ def criterion_12_master_curve_collapse() -> CriterionResult:
     for m_cap, vbar in ((1.0, 1.0), (10.0, 2.0), (100.0, 5.0)):
         centers = x * vbar * m_cap**-delta
         values = m_cap**-delta * x**delta  # R = M^-d F(M^d v / vbar), F(x)=x^d
-        lo, hi = centers / np.sqrt(step), centers * np.sqrt(step)
+        # contiguous bins share their edges, so rounding cannot overlap them
+        edges = np.append(centers / np.sqrt(step), centers[-1] * np.sqrt(step))
         counts = np.full(x.size, 100, dtype=np.int64)
-        stocks.append((m_cap, vbar, ConditionalResponse(lo, hi, values, counts, 1)))
+        stocks.append((m_cap, vbar, ConditionalResponse(edges[:-1], edges[1:], values, counts, 1)))
     good = est.master_curve_rescale(stocks, delta=delta)
     bad = est.master_curve_rescale(stocks, delta=0.0)
     ok = good.metric < 1e-9 and bad.metric > 0.5

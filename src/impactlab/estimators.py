@@ -128,9 +128,10 @@ class ConditionalResponse:
         sizes = {self.bin_lo.size, self.bin_hi.size, self.values.size, self.counts.size}
         ensure(len(sizes) == 1 and self.bin_lo.size > 0,
                "bins, values, counts must be nonempty and equal length")
+        # each bin ends at or before the next begins, so no volume counts twice
         ensure(np.all((0 < self.bin_lo) & (self.bin_lo < self.bin_hi) & (self.bin_hi < np.inf))
-               and np.all(np.diff(self.bin_lo) > 0),
-               "bin edges must be finite, positive, positive-width and increasing")
+               and np.all(self.bin_hi[:-1] <= self.bin_lo[1:]),
+               "bin edges must be finite, positive, positive-width, increasing and disjoint")
         _check_rows(self.counts, self.values)
         ensure(self.T >= 1, "T must be >= 1")
 
@@ -485,6 +486,14 @@ def _response_matrix(C, n_lags: int, j_tail: int) -> np.ndarray:
     return a
 
 
+def _check_scale(lam, psi, v):
+    """The impact scale lam*v^psi that predict_response applies and
+    invert_response divides out: finite lam > 0 and v > 0, 0 < psi <= 1."""
+    ensure(0 < lam < np.inf, f"lam must be finite and > 0, got {lam!r}")
+    ensure(0 < v < np.inf, f"v must be finite and > 0, got {v!r}")
+    ensure(0 < psi <= 1, f"psi must be finite, in (0, 1], got {psi!r}")
+
+
 def predict_response(
     kernel: Kernel, C, lam: float, psi: float, v: float, max_lag: int, j_tail: int = 4096,
 ) -> LagCurve:
@@ -494,7 +503,9 @@ def predict_response(
     The infinite tail sum is truncated at j_tail; a majorant of the dropped
     part is reported in meta["truncation_bound"]. Derived for constant
     volumes; with fluctuating volumes pass the per-trade reference scale v
-    (approximate mode, see invert_response)."""
+    (approximate mode, see invert_response). It needs finite lam > 0 and
+    v > 0 and 0 < psi <= 1, as invert_response."""
+    _check_scale(lam, psi, v)
     c = _dense_C(C, max(max_lag - 1, j_tail))
     a = _response_matrix(c, max_lag, j_tail)
     vals = lam * v**psi * (a @ kernel.eval(np.arange(1, a.shape[1] + 1)))
@@ -524,9 +535,7 @@ def invert_response(
     when L equals the equation count). It needs finite lam > 0 and v > 0,
     0 < psi <= 1 (as ImpactConfig) and a finite ridge >= 0."""
     ensure(isinstance(R, LagCurve), "R must be a LagCurve")
-    ensure(0 < lam < np.inf, f"lam must be finite and > 0, got {lam!r}")
-    ensure(0 < v < np.inf, f"v must be finite and > 0, got {v!r}")
-    ensure(0 < psi <= 1, f"psi must be in (0, 1], got {psi!r}")
+    _check_scale(lam, psi, v)
     ensure(0 <= ridge < np.inf, f"ridge must be finite and >= 0, got {ridge!r}")
     n_eq = int(R.lags.max())
     r_dense = R.dense_values(n_eq)

@@ -39,6 +39,7 @@ from .orderflow import (
     gen_markov_signs,
     gen_metaorder_signs,
     gen_volumes,
+    _whitening_grid,
 )
 from .manipulation import _check_search, gatheral_frontier
 from . import estimators as est
@@ -333,7 +334,10 @@ def simulate(config: ExperimentConfig, seed: int):
 
     Returns (TradeTape with prices, meta dict). The discarded prefix length
     is recorded as meta['burn']; the emitted price array is aligned so
-    prices[i] is the pre-trade price of emitted trade i.
+    prices[i] is the pre-trade price of emitted trade i. Clipped-fractional
+    signs with the martingale completion also record the process they were
+    drawn from: its whitening grid (truncation J = grid/2) and the size m
+    of its circulant embedding.
     """
     burn = burn_in_length(kernel=config.impact.kernel, predictor=config.predictor)
     total = config.n + burn
@@ -353,6 +357,9 @@ def simulate(config: ExperimentConfig, seed: int):
         "volumes": dict(config.volumes),
         "provenance": provenance(config, seed),
     }
+    gen = config.generator
+    if gen["kind"] == "clipped_fractional" and gen.get("completion", "martingale") == "martingale":
+        meta.update(whitening_grid=_whitening_grid(total), embedding_size=2 * total)
     return tape, meta
 
 

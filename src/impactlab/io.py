@@ -311,6 +311,8 @@ def read_conditional(path: str, T: int = 1) -> ConditionalResponse:
     (fits/meta JSON) when it matters."""
     (lo, hi, vals, cnts, se), _ = _read_columns(path, "curve", _CONDITIONAL)
     _require((0 < lo) & (lo < hi) & (hi < np.inf), "bin edges must be finite, 0 < v_lo < v_hi")
+    _require(hi[:-1] <= lo[1:], "bins must be increasing and disjoint, v_lo >= the v_hi above",
+             first=3)
     _curve_rows(vals, cnts)
     return ConditionalResponse(lo, hi, vals, cnts, T, se)
 

@@ -106,8 +106,8 @@ def _whitening_autocorr(gamma: float, n_lags: int, grid: int) -> np.ndarray:
     Computed spectrally: S(w) = 1/|1 - A(e^-iw)|^2 on a fine grid, then an
     inverse transform. The coefficient sum is 1 - J^(-b) < 1 at truncation
     J, so the spectrum stays finite at w = 0. Each grid-sized temporary is
-    freed once used: the grid is 8x the lags, so they set the generator's
-    peak memory.
+    freed once used: past 1024 lags the grid is 4x to 8x the lags, so they
+    set the generator's peak memory.
     """
     beta = (1.0 - gamma) / 2.0
     half = grid // 2
@@ -128,8 +128,11 @@ def _whitening_autocorr(gamma: float, n_lags: int, grid: int) -> np.ndarray:
     return acov[: n_lags + 1] / acov[0]
 
 
-def _next_pow2(n: int) -> int:
-    return 1 << (max(n, 2) - 1).bit_length()
+def _whitening_grid(n_lags: int) -> int:
+    """The whitening grid for lags 0..n_lags: the largest power of two no
+    greater than 8 max(n_lags, 1024), so between 4x and 8x the lags. Every
+    n_lags in one octave [2^k, 2^(k+1)) gets the grid, and so the process, of 2^k."""
+    return 1 << ((8 * max(n_lags, 1024)).bit_length() - 1)
 
 
 def latent_autocorr(gamma: float, n_lags: int, completion: str = "martingale") -> np.ndarray:
@@ -140,8 +143,7 @@ def latent_autocorr(gamma: float, n_lags: int, completion: str = "martingale") -
     """
     ensure(0.0 < gamma < 1.0, "gamma must lie in (0, 1)")
     if completion == "martingale":
-        grid = 8 * _next_pow2(max(n_lags, 1024))
-        c_target = _whitening_autocorr(gamma, n_lags, grid)
+        c_target = _whitening_autocorr(gamma, n_lags, _whitening_grid(n_lags))
         # invert the clipping map so the sign autocorrelation equals c_target
         return np.sin(0.5 * np.pi * c_target)
     if completion == "plain":

@@ -160,6 +160,9 @@ _NUMBERS = {
     "bins": lambda x: conditional_response(_small_tape(), 1, bins=[1.0, 1.5, x], min_count=1),
     "bin_lo": lambda x: ConditionalResponse([x], [2.0], [1.0], [10], 1),
     "bin_hi": lambda x: ConditionalResponse([1.0], [x], [1.0], [10], 1),
+    "lam": lambda x: predict_response(Kernel.power_law(0.5), np.zeros(8), x, 1.0, 1.0, 4, 8),
+    "psi": lambda x: predict_response(Kernel.power_law(0.5), np.zeros(8), 1.0, x, 1.0, 4, 8),
+    "v": lambda x: predict_response(Kernel.power_law(0.5), np.zeros(8), 1.0, 1.0, x, 4, 8),
 }
 _REFUSED_NUMBERS = [(f"{name}={x}", call, x, "finite") for name, call in _NUMBERS.items()
                     for x in (np.nan, np.inf, -np.inf)] + [
@@ -381,8 +384,9 @@ def test_conditional_response_holds_occupied_finite_bins(counts, values):
                             np.array(counts), 1)
 
 
-@pytest.mark.parametrize("lo, hi", [([0.0], [1.0]), ([-2.0], [-1.0]), ([2.0, 1.0], [3.0, 4.0])],
-                         ids=["zero", "negative", "decreasing"])
+@pytest.mark.parametrize("lo, hi", [([0.0], [1.0]), ([-2.0], [-1.0]), ([2.0, 1.0], [3.0, 4.0]),
+                                    ([1.0, 2.0], [3.0, 4.0])],
+                         ids=["zero", "negative", "decreasing", "overlapping"])
 def test_conditional_response_refuses_bad_bin_edges(lo, hi):
     with pytest.raises(ParameterError, match="bin edges must be finite, positive"):
         ConditionalResponse(lo, hi, np.ones(len(lo)), np.full(len(lo), 10), 1)
@@ -570,6 +574,17 @@ def test_invert_reads_every_result_from_one_svd(ridge):
     assert report["ridge"] == ridge
 
 
+@pytest.mark.parametrize("lam, psi, v", [(-1.0, 1.0, 1.0), (1.0, 5.0, 1.0), (1.0, 1.0, 0.0)],
+                         ids=["negative-lam", "psi-above-1", "zero-v"])
+def test_the_response_relation_refuses_the_same_scale_both_ways(lam, psi, v):
+    c = 0.4 * np.arange(1, 65) ** -0.6
+    r = predict_response(Kernel.power_law(0.3), c, 1.0, 1.0, 1.0, max_lag=8, j_tail=8)
+    with pytest.raises(ParameterError, match="must be finite"):
+        predict_response(Kernel.power_law(0.3), c, lam, psi, v, max_lag=8, j_tail=8)
+    with pytest.raises(ParameterError, match="must be finite"):
+        invert_response(r, c, lam, psi, v, 8, j_tail=8)
+
+
 def test_the_response_relation_rejects_a_negative_j_tail():
     c = 0.4 * np.arange(1, 65) ** -0.6
     with pytest.raises(ParameterError, match="j_tail"):
@@ -596,7 +611,7 @@ def test_levinson_durbin_rejects_non_positive_definite_input():
 
 def test_master_curve_identical_stocks_collapse_to_zero():
     xg = np.geomspace(0.5, 2.0, 8)
-    cv = ConditionalResponse(xg * 0.9, xg * 1.1, xg**0.3, np.full(8, 100, dtype=np.int64), 1)
+    cv = ConditionalResponse(xg * 0.95, xg * 1.05, xg**0.3, np.full(8, 100, dtype=np.int64), 1)
     res = master_curve_rescale([(1.0, 1.0, cv), (1.0, 1.0, cv)], delta=0.3)
     assert res.metric < 1e-12
     assert res.delta == 0.3
@@ -606,9 +621,10 @@ def test_master_curve_identical_stocks_collapse_to_zero():
 
 def test_fit_barra_recovers_the_prefactor():
     xg = np.geomspace(0.5, 2.0, 8)
-    shell = ConditionalResponse(xg * 0.9, xg * 1.1, np.ones(8), np.full(8, 100, dtype=np.int64), 1)
+    shell = ConditionalResponse(xg * 0.95, xg * 1.05, np.ones(8), np.full(8, 100, dtype=np.int64),
+                                1)
     vals = 1.7 * 0.02 * np.sqrt(shell.centers / 5.0)
-    cv = ConditionalResponse(xg * 0.9, xg * 1.1, vals, np.full(8, 100, dtype=np.int64), 1)
+    cv = ConditionalResponse(xg * 0.95, xg * 1.05, vals, np.full(8, 100, dtype=np.int64), 1)
     fit = fit_barra(cv, 0.02, 5.0)
     assert abs(fit.A - 1.7) < 1e-12
     assert fit.r_squared > 1 - 1e-12

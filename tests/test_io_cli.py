@@ -540,6 +540,19 @@ def test_cli_config_file_overrides_flags(tmp_path):
     assert meta["n"] == 64
 
 
+@pytest.mark.parametrize("generator, sizes", [
+    ({"kind": "clipped_fractional", "gamma": 0.5},
+     {"whitening_grid": 16384, "embedding_size": 6000}),
+    ({"kind": "clipped_fractional", "gamma": 0.5, "completion": "plain"}, {}),
+    ({"kind": "iid", "p_buy": 0.5}, {})], ids=["martingale", "plain", "iid"])
+def test_simulate_meta_records_the_clipped_process(generator, sizes):
+    """3000 trades, no burn: the grid is the largest power of two <= 8 * 3000
+    and the circulant embedding holds m = 2 * 3000 points."""
+    _, meta = experiment.simulate(ExperimentConfig(n=3000, generator=generator), 1)
+    assert meta["burn"] == 0
+    assert {k: meta[k] for k in ("whitening_grid", "embedding_size") if k in meta} == sizes
+
+
 def test_cli_simulate_config_leaves_unset_sections_at_the_config_defaults(tmp_path):
     cfg_path = str(tmp_path / "cfg.json")
     write_json({"n": 300, "seed": 1}, cfg_path)

@@ -441,9 +441,14 @@ def _read_response(path):
     (iolib.read_conditional, "v_lo,v_hi,value,count,se\n1,inf,0.5,10,\n",
      "line 2: bin edges must be finite"),
     (iolib.read_conditional, "v_lo,v_hi,value,count,se\n1,2,0.5,10,\n0,3,0.4,10,\n",
-     "line 3: bin edges must be finite")],
+     "line 3: bin edges must be finite"),
+    (iolib.read_conditional, "v_lo,v_hi,value,count,se\n1,3,0.5,10,\n2,4,0.4,10,\n",
+     "line 3: bins must be increasing and disjoint"),
+    (iolib.read_conditional, "v_lo,v_hi,value,count,se\n1,2,0.5,10,\n4,5,0.4,10,\n2,3,0.3,10,\n",
+     "line 4: bins must be increasing and disjoint")],
     ids=["curve-nan", "curve-zero-count", "conditional-inf", "conditional-zero-count",
-         "conditional-nan-lo", "conditional-inf-hi", "conditional-zero-lo"])
+         "conditional-nan-lo", "conditional-inf-hi", "conditional-zero-lo",
+         "conditional-overlapping", "conditional-decreasing-lo"])
 def test_curve_readers_name_the_line_that_breaks_a_row_rule(tmp_path, read, text, error):
     path = tmp_path / "curve.csv"
     path.write_text(text)

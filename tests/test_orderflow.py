@@ -137,10 +137,27 @@ def test_whitening_autocorr_is_the_two_power_formula_bitwise(gamma, grid):
                           acov[: n_lags + 1] / acov[0])
 
 
-def test_next_pow2_is_the_float_formula_up_to_2_pow_21():
+def test_whitening_grid_is_the_float_formula_up_to_2_pow_21():
     n = np.arange(1, 2**21 + 1)
-    old = 1 << np.ceil(np.log2(np.maximum(n, 2))).astype(np.int64)
-    assert [orderflow._next_pow2(k) for k in range(1, 2**21 + 1)] == old.tolist()
+    want = 1 << np.floor(np.log2(8 * np.maximum(n, 1024))).astype(np.int64)
+    assert [orderflow._whitening_grid(k) for k in range(1, 2**21 + 1)] == want.tolist()
+
+
+@pytest.mark.parametrize("n", [2**10, 2**14, 2**16])
+def test_latent_autocorr_keeps_the_old_grid_at_a_power_of_two(n):
+    """The grid was 8 * 2^ceil(log2 n); at a power of two it is unchanged."""
+    old_grid = 8 * 2 ** int(np.ceil(np.log2(n)))
+    old = np.sin(0.5 * np.pi * orderflow._whitening_autocorr(0.5, n, old_grid))
+    assert np.array_equal(latent_autocorr(0.5, n), old)
+
+
+@pytest.mark.parametrize("n", [1000, 2**14 + 1, 2**15 - 1])
+def test_latent_autocorr_is_one_process_per_octave(n):
+    """Every n in [2^k, 2^(k+1)) draws from the process of 2^k, on a grid
+    of at most 8 max(n, 1024) points."""
+    k = n.bit_length() - 1
+    assert np.array_equal(latent_autocorr(0.5, n)[: 2**k + 1], latent_autocorr(0.5, 2**k))
+    assert orderflow._whitening_grid(n) <= 8 * max(n, 1024)
 
 
 def test_metaorder_fixed_length_floor_makes_one_parent_order():
