@@ -296,7 +296,7 @@ def conditional_response(
     y = dp * e[: dp.size]
     vv = v[: dp.size]
     if bins is None:
-        lo, hi = np.quantile(vv, 0.001), np.quantile(vv, 0.999)
+        lo, hi = np.quantile(vv, [0.001, 0.999])
         if not 0 < lo < hi:
             raise EstimationError("volume quantiles do not span a positive range")
         edges = np.exp(np.linspace(np.log(lo), np.log(hi), n_bins + 1))

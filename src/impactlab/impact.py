@@ -99,10 +99,27 @@ class Kernel:
         return out if out.ndim else float(out)
 
 
+def _fast_len(need: int) -> int:
+    """Smallest FFT length 2^a 3^b 5^c >= need with a >= 1, never longer than
+    the power of two at or above need (which is also the answer for need 1).
+
+    Even lengths keep every length up to 4 a power of two, where the
+    transforms of tiny convolutions round exactly."""
+    best = 1 << (need - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        odd = p5
+        while odd < best:
+            best = min(best, odd << max(1, (-(-need // odd) - 1).bit_length()))
+            odd *= 3
+        p5 *= 5
+    return best
+
+
 def _fft_convolve(x: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
     """First n terms of the full convolution x*h, from one real FFT padded to
-    a power of two at least x.size + h.size - 1 long, so nothing wraps."""
-    size = 1 << (x.size + h.size - 2).bit_length()
+    the 2·3·5-smooth length _fast_len(x.size + h.size - 1), so nothing wraps."""
+    size = _fast_len(x.size + h.size - 1)
     spec = rfft(x, size)
     spec *= rfft(h, size)
     return irfft(spec, size)[:n]
@@ -202,11 +219,16 @@ def propagator_path(tape: TradeTape, cfg: ImpactConfig, seed: int = 0) -> np.nda
         g = kernel.eval(np.arange(1, n + 1))
         ensure(g >= 0, "kernel values must be >= 0")
         s = _fft_convolve(u, g, n)
-    cum = cfg.lam * s
+    prices = np.empty(n + 1)
+    prices[0] = cfg.p0
+    cum = prices[1:]
+    np.multiply(cfg.lam, s, out=cum)
+    del s  # frees the padded convolution buffer it views before the noise is drawn
     eta = _noise_increments(n, cfg, seed)
     if eta is not None:
-        cum = cum + np.cumsum(eta)
-    return np.concatenate([[cfg.p0], cfg.p0 + cum])
+        cum += np.cumsum(eta)
+    cum += cfg.p0
+    return prices
 
 
 def surprise_path(

@@ -31,6 +31,7 @@ from impactlab import (
     surprise_path,
     vol_per_trade_to_per_time,
 )
+from impactlab.impact import _fast_len, _fft_convolve
 
 
 def _tape(eps, vols=None):
@@ -238,6 +239,71 @@ def test_predict_series_matches_np_convolve(eps, coeffs):
 
 def test_predict_series_of_no_trades_is_empty():
     assert ArPredictor([0.5]).predict_series(np.array([])).size == 0
+
+
+# ---- the FFT length: even 2·3·5-smooth, never past the power of two ----
+
+def _pow2_convolve(x, h, n):
+    """The convolution padded to the power of two at or above
+    x.size + h.size - 1: the oracle where _fast_len picks that length."""
+    size = 1 << (x.size + h.size - 2).bit_length()
+    spec = np.fft.rfft(x, size)
+    spec *= np.fft.rfft(h, size)
+    return np.fft.irfft(spec, size)[:n]
+
+
+def _is_5_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+def test_fast_len_is_the_smallest_even_5_smooth_length():
+    want = 1  # a power of two or an even 5-smooth number
+    for need in range(1, 5001):
+        want = max(want, need)
+        while not (want == 1 or (want % 2 == 0 and _is_5_smooth(want))):
+            want += 1
+        assert _fast_len(need) == want, need
+
+
+def test_fast_len_never_passes_the_power_of_two():
+    for k in range(25):
+        for need in {max(1, 2**k - 1), 2**k, 2**k + 1}:
+            size = _fast_len(need)
+            assert need <= size <= 1 << (need - 1).bit_length()
+            assert size == 1 or (size % 2 == 0 and _is_5_smooth(size))
+        assert _fast_len(2**k) == 2**k
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 1000, 4095, 4096, 4097, 2**10 + 3, 2**13 + 3])
+def test_fft_convolve_matches_the_direct_sums(n):
+    rng = np.random.default_rng(n)
+    x, h = rng.standard_normal(n), rng.uniform(0.0, 1.0, n)
+    got = _fft_convolve(x, h, n)
+    want = np.convolve(x, h)[:n]
+    assert got.shape == (n,)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.convolve(np.abs(x), h)[:n].max())
+
+
+@pytest.mark.parametrize("nx, nh", [(1, 1), (1, 2), (2, 2), (2, 3), (512, 512),
+                                    (2048, 2049), (2**14, 2**14)])
+def test_fft_convolve_at_a_power_of_two_is_the_old_convolution(nx, nh):
+    assert _fast_len(nx + nh - 1) == 1 << (nx + nh - 2).bit_length()
+    rng = np.random.default_rng(nx + nh)
+    x, h = rng.standard_normal(nx), rng.standard_normal(nh)
+    assert np.array_equal(_fft_convolve(x, h, nx), _pow2_convolve(x, h, nx))
+
+
+def test_decaying_propagator_is_the_scaled_convolution_plus_the_walk_bitwise():
+    tape = _tape(gen_markov_signs(3000, 0.5, 11).signs)
+    cfg = ImpactConfig(0.3, 0.7, Kernel.power_law(0.4), noise_sigma=0.5, p0=5.0)
+    u = impact_sizes(tape, 0.7)
+    s = _fft_convolve(u, cfg.kernel.eval(np.arange(1, tape.n + 1)), tape.n)
+    eta = 0.5 * np.random.default_rng(3).standard_normal(tape.n)
+    want = np.concatenate([[5.0], 5.0 + (0.3 * s + np.cumsum(eta))])
+    assert np.array_equal(propagator_path(tape, cfg, seed=3), want)
 
 
 def test_quotes_worked_examples():
