@@ -5,13 +5,15 @@ estimator settings into one JSON-serializable object, checked when built.
 simulate and measure work in memory. Each *_stage function is the one
 implementation of a step that its subcommand and `report` both run: it
 writes its files under an output directory and returns its result with
-their names, relative to that directory; run_config runs them for a config.
+their names, relative to that directory; run_config runs them for a config,
+each seed's simulate and measure in a forked worker process where it can.
 
 Provenance is the package and library versions plus the config hash and
 seed; no timestamps, so reruns are byte-identical.
 """
 
 import dataclasses
+import functools
 import os
 import platform
 from dataclasses import asdict, dataclass, field
@@ -39,6 +41,7 @@ from .orderflow import (
     gen_markov_signs,
     gen_metaorder_signs,
     gen_volumes,
+    _embedding_eigenvalues,
     _whitening_grid,
 )
 from .manipulation import _check_search, gatheral_frontier
@@ -308,6 +311,15 @@ def _draw(config: ExperimentConfig, n: int, seed: int) -> TradeTape:
         raise ParameterError(f"bad generator or volume parameters: {exc}") from None
 
 
+def _drawn(config: ExperimentConfig):
+    """(n + burn, the completion of its clipped-fractional signs or None): the
+    trades simulate draws, and the process whose eigenvalues they share."""
+    total = config.n + burn_in_length(kernel=config.impact.kernel, predictor=config.predictor)
+    gen = config.generator
+    return total, (gen.get("completion", "martingale")
+                   if gen["kind"] == "clipped_fractional" else None)
+
+
 def _build_model(model: dict):
     """Returns (ImpactConfig, predictor or None). A model without a kernel
     spec keeps ImpactConfig's flat kernel; a section with a kernel or
@@ -339,8 +351,8 @@ def simulate(config: ExperimentConfig, seed: int):
     drawn from: its whitening grid (truncation J = grid/2) and the size m
     of its circulant embedding.
     """
-    burn = burn_in_length(kernel=config.impact.kernel, predictor=config.predictor)
-    total = config.n + burn
+    total, completion = _drawn(config)
+    burn = total - config.n
     full = _draw(config, total, seed)
     noise_seed = seed + _NOISE_SEED_OFFSET
     if config.predictor is not None:
@@ -357,8 +369,7 @@ def simulate(config: ExperimentConfig, seed: int):
         "volumes": dict(config.volumes),
         "provenance": provenance(config, seed),
     }
-    gen = config.generator
-    if gen["kind"] == "clipped_fractional" and gen.get("completion", "martingale") == "martingale":
+    if completion == "martingale":
         meta.update(whitening_grid=_whitening_grid(total), embedding_size=2 * total)
     return tape, meta
 
@@ -528,6 +539,58 @@ def manip_stage(spec: dict, out: str):
             "own_impact": m["own_impact"]}, files
 
 
+def _seed_run(config: ExperimentConfig, seed: int, out: str):
+    """simulate and measure one seed, writing its files. Returns (its tape's
+    mean volume, measure results, errors, measure files)."""
+    tape, _, _ = simulate_stage(config, seed, out)
+    results, errors, files = measure_stage(tape, config.estimator, out, f"tape_seed{seed}",
+                                           extra={"seed": seed})
+    return float(tape.v.mean()), results, errors, files
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _exit_on_sigterm():
+    """Pool initializer: a terminated worker unwinds, so a write it was
+    making removes its temp file."""
+    import signal
+    import sys
+
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(1))
+
+
+def _map_seeds(config: ExperimentConfig, seeds: list, out: str) -> list:
+    """_seed_run of each seed, in seed order. The seeds run in forked workers,
+    one per seed up to the usable CPUs, or here with one seed, one CPU or no
+    fork. Any clipped-fractional eigenvalues are computed here first, so the
+    workers share them copy-on-write instead of each whitening again. An error
+    is that of the first failing seed, as run in order; no worker outlives it."""
+    total, completion = _drawn(config)
+    if completion is not None:
+        _embedding_eigenvalues(float(config.generator["gamma"]), total, completion)
+    run = functools.partial(_seed_run, config, out=out)
+    workers = min(len(seeds), _usable_cpus())
+    if workers > 1:
+        import multiprocessing  # here, not at import: it would slow every command's start
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            pool = multiprocessing.get_context("fork").Pool(workers, _exit_on_sigterm)
+            try:
+                return list(pool.imap(run, seeds))
+            except BaseException:
+                pool.terminate()
+                raise
+            finally:
+                pool.close()
+                pool.join()
+    return [run(s) for s in seeds]
+
+
 def run_config(config: ExperimentConfig, out: str):
     """The stages of `report --config` in order: simulate and measure each seed,
     pool across seeds, invert the pooled curves (one seed's, alone) at the model's
@@ -536,12 +599,10 @@ def run_config(config: ExperimentConfig, out: str):
     seeds = expand_seeds(config.seed)
     bundle: dict = {"provenance": {**provenance(config), "seeds": seeds}}
     files, errors, fits, measured, messages = {}, {}, {}, [], []
-    for s in seeds:
-        tape, _, _ = simulate_stage(config, s, out)
-        if s == seeds[0]:
-            v_ref = float(tape.v.mean())  # the inversion's volume scale
-        results, errors[str(s)], files[str(s)] = measure_stage(
-            tape, config.estimator, out, f"tape_seed{s}", extra={"seed": s})
+    per_seed = _map_seeds(config, seeds, out)
+    v_ref = per_seed[0][0]  # the inversion's volume scale: the first tape's mean volume
+    for s, (_, results, seed_errors, seed_files) in zip(seeds, per_seed):
+        errors[str(s)], files[str(s)] = seed_errors, seed_files
         measured.append(results)
         fits[str(s)] = results["fits"]
         messages += [f"seed {s}: {name}: {msg}" for name, msg in errors[str(s)].items()]

@@ -178,13 +178,26 @@ def _circulant_latent(ev: np.ndarray, seed: int) -> np.ndarray:
     spectrum, for two standard_normal(m) draws x then y, computed as one
     irfft of that spectrum's Hermitian part
     H_k = sqrt(ev_k) ((x_k + x_{m-k})/2 + i (y_k - y_{m-k})/2), k = 0..m/2.
+
+    H is built in place in one complex array from views of each draw, x then
+    y, each freed once folded: at 2^20 trades and more these m-sized
+    temporaries set the per-seed peak memory of the synthesis.
     """
-    m = 2 * (ev.size - 1)
+    size = ev.size
+    m = 2 * (size - 1)
     rng = np.random.default_rng(seed)
-    x, y = rng.standard_normal(m), rng.standard_normal(m)
-    mirror = -np.arange(ev.size)  # index m - k, taken mod m
-    fold = (x[: ev.size] + x[mirror]) / 2 + 1j * ((y[: ev.size] - y[mirror]) / 2)
-    return irfft(np.sqrt(ev) * fold, m) * np.sqrt(m)
+    fold = np.empty(size, dtype=np.complex128)
+    for part, combine in ((fold.real, np.add), (fold.imag, np.subtract)):
+        draw = rng.standard_normal(m)
+        combine(draw[:1], draw[:1], out=part[:1])
+        # draw[m - k] for k = 1..size-1 is the reversed view draw[m-1 .. size-1]
+        combine(draw[1:size], draw[: size - 2 : -1], out=part[1:])
+        del draw
+        part /= 2
+    fold *= np.sqrt(ev)
+    latent = irfft(fold, m)
+    latent *= np.sqrt(m)
+    return latent
 
 
 def gen_clipped_fractional_signs(

@@ -123,6 +123,26 @@ def test_clipped_signs_match_the_complex_fft_synthesis(monkeypatch, n):
         assert np.array_equal(signs, np.where(old[:n] >= 0.0, 1.0, -1.0))
 
 
+def _one_expression_latent(ev, seed):
+    """The Hermitian-fold synthesis as one expression over both whole draws,
+    before the fold was built in place."""
+    m = 2 * (ev.size - 1)
+    rng = np.random.default_rng(seed)
+    x, y = rng.standard_normal(m), rng.standard_normal(m)
+    mirror = -np.arange(ev.size)  # index m - k, taken mod m
+    fold = (x[: ev.size] + x[mirror]) / 2 + 1j * ((y[: ev.size] - y[mirror]) / 2)
+    return np.fft.irfft(np.sqrt(ev) * fold, m) * np.sqrt(m)
+
+
+@pytest.mark.parametrize("size", [2, 3, 5, 1000, 4097])
+def test_circulant_latent_is_the_one_expression_synthesis_bitwise(size):
+    ev = orderflow._embedding_eigenvalues(0.5, size - 1, "martingale")
+    assert ev.size == size
+    for seed in (1, 2):
+        new = orderflow._circulant_latent(ev, seed)
+        assert new.tobytes() == _one_expression_latent(ev, seed).tobytes()
+
+
 @pytest.mark.parametrize("gamma", [0.1, 0.5, 0.9])
 @pytest.mark.parametrize("grid", [8, 64, 1024, 2**14])
 def test_whitening_autocorr_is_the_two_power_formula_bitwise(gamma, grid):
