@@ -292,6 +292,8 @@ def conditional_response(
     m = e.size
     ensure(1 <= T < m, "T must be in [1, post-burn tape length)")
     ensure(min_count >= 1, f"min_count must be >= 1, got {min_count!r}")
+    ensure(isinstance(n_bins, (int, np.integer)) and not isinstance(n_bins, bool) and n_bins >= 1,
+           f"n_bins must be an integer >= 1, got {n_bins!r}")
     dp = p[T:] - p[:-T]
     y = dp * e[: dp.size]
     vv = v[: dp.size]

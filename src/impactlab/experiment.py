@@ -12,6 +12,7 @@ Provenance is the package and library versions plus the config hash and
 seed; no timestamps, so reruns are byte-identical.
 """
 
+import contextlib
 import dataclasses
 import functools
 import os
@@ -236,7 +237,8 @@ def _is_seed(s) -> bool:
 
 def expand_seeds(seed) -> list:
     """int -> [int]; [first, last] -> inclusive range; list -> as given.
-    Seeds are non-negative ints, as numpy's generators require."""
+    Seeds are non-negative ints, as numpy's generators require, and a list
+    names each seed once: a repeat would run one tape twice."""
     if _is_seed(seed):
         return [int(seed)]
     if isinstance(seed, (list, tuple)) and seed and all(_is_seed(s) for s in seed):
@@ -244,7 +246,9 @@ def expand_seeds(seed) -> list:
             first, last = int(seed[0]), int(seed[1])
             ensure(first <= last, f"seed range [{first}, {last}] is empty")
             return list(range(first, last + 1))
-        return [int(s) for s in seed]
+        seeds = [int(s) for s in seed]
+        ensure(len(set(seeds)) == len(seeds), f"seed list {seeds} repeats a seed")
+        return seeds
     raise ParameterError(f"seed must be a non-negative int or [first, last], got {seed!r}")
 
 
@@ -555,21 +559,44 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _exit_on_sigterm():
-    """Pool initializer: a terminated worker unwinds, so a write it was
-    making removes its temp file."""
-    import signal
-    import sys
+def _on_sigterm(signum, frame):
+    """Remove the temp files of the writes in progress and exit at once. An
+    exception raised here could be swallowed (in a weakref callback, say),
+    leaving the worker alive and the parent waiting for it."""
+    try:
+        for tmp in list(iolib._TEMP_FILES):
+            with contextlib.suppress(FileNotFoundError):  # renamed or removed since
+                os.unlink(tmp)
+    finally:
+        os._exit(1)
 
-    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(1))
+
+def _exit_on_sigterm():
+    """A terminated worker removes its temp files and exits."""
+    import signal
+
+    signal.signal(signal.SIGTERM, _on_sigterm)
+
+
+def _seed_worker(run, seeds: list, conn):
+    """A forked worker: runs its seeds in order, sending each result, or the
+    error that stops it, down a pipe of its own. It shares no lock with the
+    parent or another worker, so it can be terminated anywhere."""
+    _exit_on_sigterm()
+    try:
+        for s in seeds:
+            conn.send(run(s))
+    except Exception as exc:
+        conn.send(exc)
 
 
 def _map_seeds(config: ExperimentConfig, seeds: list, out: str) -> list:
-    """_seed_run of each seed, in seed order. The seeds run in forked workers,
-    one per seed up to the usable CPUs, or here with one seed, one CPU or no
-    fork. Any clipped-fractional eigenvalues are computed here first, so the
-    workers share them copy-on-write instead of each whitening again. An error
-    is that of the first failing seed, as run in order; no worker outlives it."""
+    """_seed_run of each seed, in seed order. The seeds are dealt out in turn
+    to forked workers, one per seed up to the usable CPUs, or run here with
+    one seed, one CPU or no fork. Any clipped-fractional eigenvalues are
+    computed here first, so the workers share them copy-on-write instead of
+    each whitening again. An error is that of the first failing seed, as run
+    in order; the workers still running are then terminated."""
     total, completion = _drawn(config)
     if completion is not None:
         _embedding_eigenvalues(float(config.generator["gamma"]), total, completion)
@@ -579,15 +606,33 @@ def _map_seeds(config: ExperimentConfig, seeds: list, out: str) -> list:
         import multiprocessing  # here, not at import: it would slow every command's start
 
         if "fork" in multiprocessing.get_all_start_methods():
-            pool = multiprocessing.get_context("fork").Pool(workers, _exit_on_sigterm)
+            ctx, procs, conns, results = multiprocessing.get_context("fork"), [], [], []
             try:
-                return list(pool.imap(run, seeds))
+                for w in range(workers):
+                    conn, end = ctx.Pipe(duplex=False)
+                    procs.append(ctx.Process(target=_seed_worker,
+                                             args=(run, seeds[w::workers], end)))
+                    procs[-1].start()
+                    conns.append(conn)
+                    end.close()  # the worker holds the only copy: EOF once it exits
+                for i, s in enumerate(seeds):
+                    try:
+                        results.append(conns[i % workers].recv())
+                    except EOFError:
+                        procs[i % workers].join()
+                        raise ChildProcessError(f"the worker of seed {s} exited with code "
+                                                f"{procs[i % workers].exitcode}") from None
+                    if isinstance(results[-1], Exception):
+                        raise results[-1]
+                return results
             except BaseException:
-                pool.terminate()
+                for proc in procs:
+                    proc.terminate()
                 raise
             finally:
-                pool.close()
-                pool.join()
+                for proc, conn in zip(procs, conns):
+                    proc.join()
+                    conn.close()
     return [run(s) for s in seeds]
 
 

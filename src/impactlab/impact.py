@@ -7,7 +7,7 @@ pre-history of the stationary model is truncated at the first trade; see
 burn_in_length for the measurement-side discard policy.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -24,10 +24,7 @@ __all__ = [
     "propagator_path",
     "surprise_path",
     "quotes",
-    "quote_series",
-    "vol_per_trade_to_per_time",
     "kernel_from_predictor",
-    "predictor_from_kernel",
     "burn_in_length",
 ]
 
@@ -143,13 +140,6 @@ class ArPredictor:
     def order(self) -> int:
         return self.coeffs.size
 
-    @property
-    def worst_case_prediction(self) -> float:
-        """Largest |prediction| over +-1 histories, sum of |a_j|. Values >= 1
-        mean some history predicts outside (-1, 1); quotes() and
-        quote_series() reject each such prediction where it occurs."""
-        return float(np.abs(self.coeffs).sum())
-
     def predict_series(self, eps: np.ndarray) -> np.ndarray:
         """Predicted sign before each trade, pred[n] = sum_j a_j eps[n-j]."""
         eps = np.asarray(eps, dtype=np.float64)
@@ -237,9 +227,9 @@ def surprise_path(
     """Surprise-form path: price moves only on the unpredicted part of the sign,
     dp_n = lam * v_n^psi * (eps_n - hat(eps)_n) + eta_n.
 
-    An all-zero predictor reproduces propagator_path on the flat kernel; the
-    predictor implied by a kernel (predictor_from_kernel) reproduces
-    propagator_path with that kernel on unit volumes."""
+    An all-zero predictor reproduces propagator_path on the flat kernel, and
+    any predictor reproduces it on unit volumes with the kernel it implies
+    over the tape's length (kernel_from_predictor)."""
     _check_nonempty(tape)
     pred = predictor.predict_series(tape.eps)
     inc = cfg.lam * tape.v**cfg.psi * (tape.eps - pred)
@@ -275,29 +265,6 @@ def quotes(prev_price: float, predictor_value: float, cfg: ImpactConfig, v: floa
     return QuotePair(ask=ask, bid=bid, spread=2.0 * cfg.lam * v**cfg.psi)
 
 
-def quote_series(tape: TradeTape, predictor: ArPredictor, cfg: ImpactConfig):
-    """Vectorized quotes before every trade on a tape, around the noiseless
-    surprise-model path. Returns (ask, bid, spread) arrays of length N;
-    transacting at ask (buy) or bid (sell) reproduces the path exactly."""
-    _check_nonempty(tape)
-    p = surprise_path(tape, predictor, replace(cfg, noise_sigma=0.0))
-    pred = predictor.predict_series(tape.eps)
-    ensure(np.abs(pred) < 1.0, "predictor value outside (-1, 1) on this tape: predictor blow-up")
-    half = cfg.lam * tape.v**cfg.psi
-    ask = p[:-1] + half * (1.0 - pred)
-    bid = p[:-1] + half * (-1.0 - pred)
-    spread = 2.0 * cfg.lam * tape.v**cfg.psi
-    return ask, bid, spread
-
-
-def vol_per_trade_to_per_time(sigma1: float, f: float) -> float:
-    """Volatility per unit time from volatility per trade and trade
-    frequency: sigma = sigma1 * sqrt(f)."""
-    ensure(0 <= sigma1 < np.inf and 0 < f < np.inf,
-           "sigma1 must be finite and >= 0, and f finite and positive")
-    return sigma1 * float(np.sqrt(f))
-
-
 def kernel_from_predictor(predictor: ArPredictor, max_lag: int) -> Kernel:
     """Tabulated kernel implied by a sign predictor: G(l) = 1 - sum_{j<l} a_j.
 
@@ -312,17 +279,6 @@ def kernel_from_predictor(predictor: ArPredictor, max_lag: int) -> Kernel:
     if upto < max_lag - 1:
         partial[upto + 1 :] = partial[upto]
     return Kernel.tabulated(1.0 - partial)
-
-
-def predictor_from_kernel(kernel: Kernel, order: int) -> ArPredictor:
-    """Sign predictor implied by a decay kernel via a_j = G(j) - G(j+1),
-    normalized by G(1). Inverse of kernel_from_predictor."""
-    ensure(order >= 1, "order must be >= 1")
-    lags = np.arange(1, order + 2)
-    g = np.asarray(kernel.eval(lags), dtype=np.float64)
-    ensure(g[0] != 0, "kernel must have G(1) != 0")
-    a = (g[:-1] - g[1:]) / g[0]
-    return ArPredictor(a)
 
 
 def burn_in_length(kernel: Kernel, predictor: ArPredictor | None = None) -> int:

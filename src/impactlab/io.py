@@ -33,12 +33,18 @@ __all__ = ["write_tape", "read_tape", "write_curve", "read_curve", "write_condit
            "write_json", "read_json", "config_sha256"]
 
 
+# the temp files of the writes in progress, for a process stopped by a signal to remove
+_TEMP_FILES = set()
+
+
 def _atomic_write(path: str, chunks):
     """Write the text chunks to a fresh temp file beside `path`, creating its
     directory, then rename it over `path`; on any failure the temp file is
-    removed and an existing target keeps its old bytes."""
+    removed and an existing target keeps its old bytes. The temp file is in
+    _TEMP_FILES while it exists."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=os.path.basename(path) + ".")
+    _TEMP_FILES.add(tmp)
     try:
         with open(fd, "w", newline="") as fh:
             umask = os.umask(0)  # read the umask back: mkstemp creates mode 0600
@@ -50,6 +56,8 @@ def _atomic_write(path: str, chunks):
     except BaseException:
         os.unlink(tmp)
         raise
+    finally:
+        _TEMP_FILES.discard(tmp)
 
 
 def _open_read(path: str):

@@ -29,7 +29,7 @@ __all__ = [
 @dataclass
 class Strategy:
     """Trades as (slot, signed volume q != 0) pairs on strictly increasing
-    integer slots within 1..horizon. round_trip is true iff net volume is 0."""
+    integer slots within 1..horizon; in a round trip the volumes sum to 0."""
 
     trades: tuple
     horizon: int
@@ -43,17 +43,6 @@ class Strategy:
         if any(s < 1 or s > self.horizon for s in slots):
             raise InputError("trade slots must lie in 1..horizon")
         ensure(all(a < b for a, b in zip(slots, slots[1:])), "slots must be strictly increasing")
-
-    @property
-    def round_trip(self) -> bool:
-        return sum(q for _, q in self.trades) == 0
-
-    @property
-    def net_volume(self) -> float:
-        return float(sum(q for _, q in self.trades))
-
-    def mirrored(self) -> "Strategy":
-        return Strategy(tuple((s, -q) for s, q in self.trades), self.horizon)
 
 
 @dataclass

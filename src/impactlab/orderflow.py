@@ -24,8 +24,6 @@ __all__ = [
     "gen_markov_signs",
     "gen_volumes",
     "latent_autocorr",
-    "target_sign_autocorr",
-    "sign_balance_zscore",
 ]
 
 
@@ -152,13 +150,6 @@ def latent_autocorr(gamma: float, n_lags: int, completion: str = "martingale") -
         rho[0] = 1.0
         return rho
     raise ParameterError(f"unknown completion '{completion}'")
-
-
-def target_sign_autocorr(gamma: float, n_lags: int, completion: str = "martingale") -> np.ndarray:
-    """Population sign autocorrelation of the clipped generator, via the
-    arcsine clipping map C(l) = (2/pi) arcsin(rho_latent(l))."""
-    rho = latent_autocorr(gamma, n_lags, completion)
-    return (2.0 / np.pi) * np.arcsin(rho)
 
 
 @lru_cache(maxsize=8)
@@ -325,13 +316,3 @@ def gen_volumes(n: int, dist: str = "constant", seed: int = 0, **params) -> Volu
         ensure(1.0 < tail < np.inf, "pareto tail must be finite and exceed 1 for a finite mean")
         v = x_min * rng.random(n) ** (-1.0 / tail)
     return VolumeSeries(v)
-
-
-def sign_balance_zscore(signs) -> float:
-    """Sample-mean imbalance in units of the iid standard error 1/sqrt(N).
-
-    Only meaningful for generators with summable sign correlations; the
-    long-memory generators exceed any fixed multiple of 1/sqrt(N) by design.
-    """
-    eps = signs.signs if isinstance(signs, SignSeries) else np.asarray(signs)
-    return float(abs(eps.mean()) * np.sqrt(eps.size))

@@ -41,7 +41,6 @@ from impactlab import (
     response,
     rho,
     sign_autocorr,
-    vol_per_trade_to_per_time,
 )
 
 
@@ -142,8 +141,6 @@ def _binned():
 # Each public float parameter, as the call that takes it, and the burn of
 # the lag estimators: what each must refuse, and the message that says so.
 _NUMBERS = {
-    "sigma1": lambda x: vol_per_trade_to_per_time(x, 1.0),
-    "f": lambda x: vol_per_trade_to_per_time(1.0, x),
     "sigma": lambda x: fit_barra(_binned(), x, 1.0),
     "psi_weight": lambda x: rho(_small_tape(), 4, psi_weight=x),
     "delta": lambda x: master_curve_rescale([(1.0, 1.0, _binned()), (2.0, 1.0, _binned())], x),
@@ -375,6 +372,10 @@ def test_conditional_response_refuses_an_empty_bin_floor():
     tape = _kyle_tape(np.array([1.0, -1.0] * 50), np.linspace(1.0, 2.0, 100))
     with pytest.raises(ParameterError, match="min_count"):
         conditional_response(tape, 1, n_bins=40, min_count=0)
+    for n_bins in (0, -1, 2.5, np.nan, True):
+        with pytest.raises(ParameterError, match="n_bins must be an integer >= 1"):
+            conditional_response(tape, 1, n_bins=n_bins, min_count=1)
+    assert conditional_response(tape, 1, n_bins=np.int64(2), min_count=1).values.size == 2
 
 
 @pytest.mark.parametrize("counts, values", [([5, 0], [1.0, 2.0]), ([5, 5], [1.0, np.nan])])

@@ -24,12 +24,9 @@ from impactlab import (
     gen_volumes,
     impact_sizes,
     kernel_from_predictor,
-    predictor_from_kernel,
     propagator_path,
-    quote_series,
     quotes,
     surprise_path,
-    vol_per_trade_to_per_time,
 )
 from impactlab.impact import _fast_len, _fft_convolve
 
@@ -173,18 +170,9 @@ def test_kernel_from_predictor_worked_example():
     assert np.array_equal(k.eval([1, 2, 3, 4]), [1.0, 0.7, 0.5, 0.5])
 
 
-def test_predictor_kernel_round_trip():
-    kern = Kernel.power_law(0.3)
-    pred = predictor_from_kernel(kern, 8)
-    back = kernel_from_predictor(pred, 8)
-    lags = np.arange(1, 9)
-    assert np.allclose(back.eval(lags), kern.eval(lags), rtol=0, atol=1e-15)
-
-
 def test_predict_series_is_the_lagged_convolution():
     ps = ArPredictor([0.5]).predict_series(np.array([1.0, 1.0, -1.0]))
     assert np.array_equal(ps, [0.0, 0.5, 0.5])
-    assert ArPredictor([0.5, -0.3]).worst_case_prediction == 0.8
 
 
 # ---- the FFT convolution of both engines against the direct sums ----
@@ -321,22 +309,18 @@ def test_quotes_raise_on_predictor_blow_up():
         quotes(100.0, 0.5, ImpactConfig(), 0.0)
 
 
-def test_quote_series_reproduces_the_transaction_path():
+def test_quotes_reproduce_the_transaction_path():
+    """A trade at the quote before it, the ask for a buy and the bid for a
+    sell, moves the price to the noiseless surprise path's next value."""
     tape = _tape(gen_markov_signs(2000, 0.5, 11).signs)
     pred = ArPredictor([0.5])
     cfg = ImpactConfig(1.0, 1.0, kernel_from_predictor(pred, 6), 0.3, 0.0)
-    ask, bid, spread = quote_series(tape, pred, cfg)
     p = surprise_path(tape, pred, dataclasses.replace(cfg, noise_sigma=0.0))
-    buys = tape.eps > 0
-    assert np.allclose(ask[buys], p[1:][buys], rtol=0, atol=1e-12)
-    assert np.allclose(bid[~buys], p[1:][~buys], rtol=0, atol=1e-12)
-    assert np.all(spread == 2.0)
-
-
-def test_volatility_per_time_scales_with_root_frequency():
-    assert abs(vol_per_trade_to_per_time(0.02, 400.0) - 0.4) < 1e-15
-    with pytest.raises(ParameterError):
-        vol_per_trade_to_per_time(0.02, 0.0)
+    hats = pred.predict_series(tape.eps)
+    quoted = [quotes(p[n], hats[n], cfg, tape.v[n]) for n in range(tape.n)]
+    fills = [q.ask if e > 0 else q.bid for q, e in zip(quoted, tape.eps)]
+    assert np.allclose(fills, p[1:], rtol=0, atol=1e-12)
+    assert all(q.spread == 2.0 for q in quoted)
 
 
 def test_burn_in_lengths_by_model_memory():

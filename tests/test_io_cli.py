@@ -655,6 +655,19 @@ def test_expand_seeds_rejects_negative_and_bool_seeds(seed):
         expand_seeds(seed)
 
 
+def test_a_seed_list_names_each_seed_once(tmp_path, capsys):
+    """A repeated seed would run one tape twice, its writes racing in two
+    workers: report refuses it before it writes anything."""
+    with pytest.raises(ParameterError, match="repeats a seed"):
+        expand_seeds([1, 1, 1])
+    assert expand_seeds([3, 3]) == [3]  # a range of one seed
+    cfg, out = str(tmp_path / "cfg.json"), str(tmp_path / "o")
+    write_json({"n": 50, "seed": [1, 2, 1]}, cfg)
+    assert cli.main(["report", "--config", cfg, "--criteria", "none", "--out-dir", out]) == 1
+    assert "repeats a seed" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_cli_rejects_a_negative_or_bool_seed(tmp_path, capsys):
     out = str(tmp_path / "o")
     assert cli.main(["simulate", "--n", "50", "--seed", "-1", "--out-dir", out]) == 1

@@ -485,7 +485,7 @@ def test_atomic_write_failures_leave_no_trace(tmp_path, monkeypatch):
     assert target.read_text() == "old\n" and os.listdir(tmp_path) == ["out.json"]
     with pytest.raises(OSError, match="rename refused"):
         iolib.write_json({"new": 1}, str(tmp_path / "fresh.json"))
-    assert os.listdir(tmp_path) == ["out.json"]
+    assert os.listdir(tmp_path) == ["out.json"] and not iolib._TEMP_FILES
 
 
 def test_concurrent_writers_to_one_target_do_not_collide(tmp_path):
@@ -494,8 +494,11 @@ def test_concurrent_writers_to_one_target_do_not_collide(tmp_path):
     def outer():
         yield "outer first half, "
         iolib._atomic_write(target, ["inner\n"])  # a second writer, mid-write
+        # the outer temp file is still on record, for a signal handler to remove
+        assert iolib._TEMP_FILES == {os.path.join(tmp_path, name)
+                                     for name in os.listdir(tmp_path) if name != "out.txt"}
         yield "outer second half\n"
 
     iolib._atomic_write(target, outer())
     assert _text(target) == "outer first half, outer second half\n"
-    assert os.listdir(tmp_path) == ["out.txt"]
+    assert os.listdir(tmp_path) == ["out.txt"] and not iolib._TEMP_FILES

@@ -133,9 +133,6 @@ def _assert_matches_grouped_search(args, scale, ties=False):
 
 
 def test_strategy_validation():
-    s = Strategy(((1, 2.0), (3, -2.0)), 4)
-    assert s.round_trip and s.net_volume == 0.0
-    assert not Strategy(((1, 2.0),), 4).round_trip
     with pytest.raises(ParameterError):
         Strategy(((1, 0.0),), 4)
     with pytest.raises(InputError):
@@ -173,7 +170,8 @@ def test_cost_is_odd_under_mirroring_and_linear_in_lam():
     s = Strategy(((1, 2.0), (3, -1.0), (5, -1.0)), 6)
     k = Kernel.power_law(0.4)
     c = strategy_cost(s, k, 1.3, 0.6).expected_cost
-    assert strategy_cost(s.mirrored(), k, 1.3, 0.6).expected_cost == c
+    mirrored = Strategy(tuple((slot, -q) for slot, q in s.trades), s.horizon)
+    assert strategy_cost(mirrored, k, 1.3, 0.6).expected_cost == c
     assert abs(strategy_cost(s, k, 2.6, 0.6).expected_cost - 2 * c) < 1e-14
 
 

@@ -17,8 +17,6 @@ from impactlab import (
     gen_volumes,
     latent_autocorr,
     sign_autocorr,
-    sign_balance_zscore,
-    target_sign_autocorr,
 )
 from impactlab import orderflow
 from impactlab.orderflow import _pareto_lengths
@@ -54,8 +52,8 @@ def test_iid_signs_validation():
 
 def test_iid_sign_balance_within_iid_bound():
     # spec'd invariant for summable-correlation flow: |mean| <= 4/sqrt(N)
-    z = sign_balance_zscore(gen_iid_signs(100_000, 0.5, 3))
-    assert z <= 4.0
+    eps = gen_iid_signs(100_000, 0.5, 3).signs
+    assert abs(eps.mean()) * np.sqrt(eps.size) <= 4.0
 
 
 def test_biased_iid_signs_lean_the_right_way():
@@ -79,18 +77,11 @@ def test_latent_autocorr_starts_at_one_and_decays():
         latent_autocorr(0.5, 8, completion="bogus")
 
 
-def test_target_sign_autocorr_is_the_arcsine_image_of_the_latent():
-    # clipping a bivariate normal maps correlation rho to (2/pi)arcsin(rho)
-    rho = latent_autocorr(0.5, 8, completion="plain")
-    tgt = target_sign_autocorr(0.5, 8, completion="plain")
-    assert np.allclose(tgt, (2.0 / np.pi) * np.arcsin(rho), rtol=0, atol=1e-15)
-    assert abs((2.0 / np.pi) * np.arcsin(0.5) - 1.0 / 3.0) < 1e-15
-
-
 def test_clipped_generator_matches_its_target_at_short_lags():
     s = gen_clipped_fractional_signs(2**18, 0.5, seed=4)
     meas = sign_autocorr(s, 8).values
-    tgt = target_sign_autocorr(0.5, 8)[1:]
+    # clipping a bivariate normal maps correlation rho to (2/pi)arcsin(rho)
+    tgt = (2.0 / np.pi) * np.arcsin(latent_autocorr(0.5, 8)[1:])
     # sampling error at this N is a few parts in a thousand
     assert np.max(np.abs(meas - tgt)) < 0.02
 

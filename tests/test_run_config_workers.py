@@ -3,11 +3,14 @@ the same errors and the same exit codes as the seeds run one after another
 in one process, and no worker process left behind."""
 
 import errno
+import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
+import weakref
 
 import pytest
 
@@ -156,6 +159,86 @@ def test_a_terminated_worker_removes_its_temp_file(tmp_path, monkeypatch):
     assert time.monotonic() - start < 30
     assert multiprocessing.active_children() == []
     assert not [name for name in os.listdir(out) if ".csv." in name]
+
+
+def test_a_worker_that_dies_without_a_result_is_an_error(tmp_path, monkeypatch):
+    """A worker killed from outside, here one that exits in the middle of
+    seed 2, sends nothing: the run raises instead of waiting for it."""
+    def exit_on_seed_2(config, seed, out):
+        if seed == 2:
+            os._exit(3)
+        return _real_seed_run(config, seed, out)
+
+    monkeypatch.setattr(experiment, "_seed_run", exit_on_seed_2)
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+    with pytest.raises(ChildProcessError, match="seed 2 exited with code 3"):
+        run_config(ExperimentConfig.from_dict({**_CFG, "seed": [1, 3]}), str(tmp_path))
+    assert multiprocessing.active_children() == []
+
+
+def _sigterm_in_a_weakref_callback():
+    experiment._exit_on_sigterm()
+    obj = type("Referent", (), {})()
+    weakref.finalize(obj, os.kill, os.getpid(), signal.SIGTERM)
+    del obj
+    os._exit(7)  # reached only if the handler's exit was swallowed
+
+
+def test_sigterm_in_a_weakref_callback_still_ends_the_worker():
+    """SIGTERM handled inside a weakref callback, where an exception raised by
+    the handler would be swallowed: the worker still exits, with code 1."""
+    proc = multiprocessing.get_context("fork").Process(target=_sigterm_in_a_weakref_callback)
+    proc.start()
+    proc.join(60)
+    if proc.is_alive():
+        proc.kill()
+        proc.join()
+    assert proc.exitcode == 1
+
+
+_REPEATED_FAILURES = """
+import errno, json, os, sys, tempfile
+from impactlab import experiment
+from impactlab import io as iolib
+from impactlab.experiment import ExperimentConfig, run_config
+
+write_tape, failing = iolib.write_tape, [0]
+
+def fail_on_one_seed(tape, path):
+    if path.endswith(f"tape_seed{failing[0]}.csv"):
+        raise OSError(errno.ENOSPC, "No space left on device")
+    return write_tape(tape, path)
+
+iolib.write_tape = fail_on_one_seed
+experiment._usable_cpus = lambda: 2
+cfg = ExperimentConfig.from_dict({**json.loads(sys.argv[1]), "seed": [1, 3]})
+with tempfile.TemporaryDirectory() as out:
+    for i in range(20):
+        failing[0] = 1 + i % 3
+        try:
+            run_config(cfg, os.path.join(out, str(i)))
+        except OSError:
+            continue
+        raise AssertionError(f"run {i} did not fail")
+"""
+
+
+def test_repeated_failing_runs_all_end():
+    """Twenty forked runs that each fail on one of their three seeds, in a
+    process of their own: a run that hangs fails the test at the timeout
+    instead of stalling the suite, and its process group is killed."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen([sys.executable, "-c", _REPEATED_FAILURES, json.dumps(_CFG)],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        _, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("a failing forked run did not end within 120 s")
+    assert proc.returncode == 0, err
 
 
 def test_importing_the_cli_leaves_multiprocessing_unimported():
