@@ -6,7 +6,11 @@ with pass/fail and the measured numbers. They drive both the test suite
 
 Everything is deterministic: seeds are pinned here, and the expensive
 reference simulation (a 2^20-trade long-memory tape priced under the
-decaying-kernel model) is computed once and shared by criteria 4, 5 and 6.
+decaying-kernel model) is computed once and shared by criteria 4, 5 and 6;
+criterion 3 draws from the same long-memory process, whose eigenvalues are
+cached. run_criteria runs the criteria in forked workers, each one a task of
+its own, except that criteria 3-6 share the reference and together are one
+worker's task, so it is still built once.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -14,7 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import SearchBudgetError
+from .exceptions import SearchBudgetError, ensure
+from .experiment import _fork_map
 from .impact import (
     ArPredictor,
     ImpactConfig,
@@ -506,13 +511,34 @@ ALL_CRITERIA = {
 }
 
 
+# the criteria that read the lru-cached reference signs, tapes and sign
+# autocorrelation, and criterion 3 the eigenvalues of the reference process:
+# one worker runs them, so each is built once
+_SHARED_REFERENCE = (3, 4, 5, 6)
+
+
+def _check_criteria(numbers) -> list:
+    """The criterion numbers as a list; each must be one of ALL_CRITERIA, and
+    named once: a repeat would run a criterion twice."""
+    numbers = list(numbers)
+    unknown = [n for n in numbers if n not in ALL_CRITERIA]
+    ensure(not unknown, f"unknown criteria {unknown}: valid numbers are 1..13")
+    ensure(len(set(numbers)) == len(numbers), f"criteria list {numbers} repeats a criterion")
+    return numbers
+
+
+def _run_task(task: tuple) -> list:
+    return [ALL_CRITERIA[n]() for n in task]
+
+
 def run_criteria(numbers=None) -> list:
-    """Run the selected criteria (all by default) in numeric order."""
-    if numbers is None:
-        numbers = sorted(ALL_CRITERIA)
-    results = []
-    for n in numbers:
-        if n not in ALL_CRITERIA:
-            raise ValueError(f"no acceptance criterion {n}")
-        results.append(ALL_CRITERIA[n]())
-    return results
+    """Run the selected criteria (all by default), returning their results in
+    the order asked. Each criterion is a task of its own, but those of
+    _SHARED_REFERENCE asked for form one; the tasks run in forked workers
+    through experiment._fork_map."""
+    numbers = sorted(ALL_CRITERIA) if numbers is None else _check_criteria(numbers)
+    shared = tuple(n for n in numbers if n in _SHARED_REFERENCE)
+    tasks = [shared if n in shared else (n,) for n in numbers if n not in shared[1:]]
+    done = _fork_map(_run_task, tasks, lambda task: f"criteria {', '.join(map(str, task))}")
+    by_number = {r.number: r for results in done for r in results}
+    return [by_number[n] for n in numbers]

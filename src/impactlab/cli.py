@@ -175,20 +175,18 @@ def cmd_manip(args) -> int:
 
 
 def _parse_criteria(text: str):
-    from .acceptance import ALL_CRITERIA
+    from .acceptance import ALL_CRITERIA, _check_criteria
 
     if text == "all":
         return sorted(ALL_CRITERIA)
     if text == "none":
         return []
     try:
-        numbers = [int(t) for t in text.split(",") if t != ""]
+        return _check_criteria([int(t) for t in text.split(",") if t != ""])
+    except ParameterError as exc:  # a ValueError too: caught first
+        raise _UsageError(str(exc)) from None
     except ValueError:
         raise _UsageError(f"bad --criteria '{text}': use all, none, or numbers") from None
-    bad = [n for n in numbers if n not in ALL_CRITERIA]
-    if bad:
-        raise _UsageError(f"unknown criteria {bad}: valid numbers are 1..13")
-    return numbers
 
 
 def cmd_report(args) -> int:

@@ -47,3 +47,7 @@ class SearchBudgetError(RuntimeError):
             f"search space has {count} canonical candidate strategies, "
             f"above the budget of {budget}; raise the budget or shrink the grid"
         )
+
+    def __reduce__(self):
+        # pickled with its own arguments, so it crosses a worker's pipe
+        return type(self), (self.count, self.budget)

@@ -7,6 +7,8 @@ implementation of a step that its subcommand and `report` both run: it
 writes its files under an output directory and returns its result with
 their names, relative to that directory; run_config runs them for a config,
 each seed's simulate and measure in a forked worker process where it can.
+_fork_map is that map of items over forked workers, in order, and
+acceptance.run_criteria maps its criteria through it too.
 
 Provenance is the package and library versions plus the config hash and
 seed; no timestamps, so reruns are byte-identical.
@@ -578,30 +580,26 @@ def _exit_on_sigterm():
     signal.signal(signal.SIGTERM, _on_sigterm)
 
 
-def _seed_worker(run, seeds: list, conn):
-    """A forked worker: runs its seeds in order, sending each result, or the
+def _worker(run, items: list, conn):
+    """A forked worker: runs its items in order, sending each result, or the
     error that stops it, down a pipe of its own. It shares no lock with the
     parent or another worker, so it can be terminated anywhere."""
     _exit_on_sigterm()
     try:
-        for s in seeds:
-            conn.send(run(s))
+        for item in items:
+            conn.send(run(item))
     except Exception as exc:
         conn.send(exc)
 
 
-def _map_seeds(config: ExperimentConfig, seeds: list, out: str) -> list:
-    """_seed_run of each seed, in seed order. The seeds are dealt out in turn
-    to forked workers, one per seed up to the usable CPUs, or run here with
-    one seed, one CPU or no fork. Any clipped-fractional eigenvalues are
-    computed here first, so the workers share them copy-on-write instead of
-    each whitening again. An error is that of the first failing seed, as run
-    in order; the workers still running are then terminated."""
-    total, completion = _drawn(config)
-    if completion is not None:
-        _embedding_eigenvalues(float(config.generator["gamma"]), total, completion)
-    run = functools.partial(_seed_run, config, out=out)
-    workers = min(len(seeds), _usable_cpus())
+def _fork_map(run, items: list, name) -> list:
+    """run(item) of each item, in order. The items are dealt out in turn to
+    forked workers, one per item up to the usable CPUs, or run here with one
+    item, one CPU or no fork. An error is that of the first failing item, as
+    run in order; the workers still running are then terminated. A worker
+    that exits without a result is a ChildProcessError naming its item as
+    name(item)."""
+    workers = min(len(items), _usable_cpus())
     if workers > 1:
         import multiprocessing  # here, not at import: it would slow every command's start
 
@@ -610,17 +608,16 @@ def _map_seeds(config: ExperimentConfig, seeds: list, out: str) -> list:
             try:
                 for w in range(workers):
                     conn, end = ctx.Pipe(duplex=False)
-                    procs.append(ctx.Process(target=_seed_worker,
-                                             args=(run, seeds[w::workers], end)))
+                    procs.append(ctx.Process(target=_worker, args=(run, items[w::workers], end)))
                     procs[-1].start()
                     conns.append(conn)
                     end.close()  # the worker holds the only copy: EOF once it exits
-                for i, s in enumerate(seeds):
+                for i, item in enumerate(items):
                     try:
                         results.append(conns[i % workers].recv())
                     except EOFError:
                         procs[i % workers].join()
-                        raise ChildProcessError(f"the worker of seed {s} exited with code "
+                        raise ChildProcessError(f"the worker of {name(item)} exited with code "
                                                 f"{procs[i % workers].exitcode}") from None
                     if isinstance(results[-1], Exception):
                         raise results[-1]
@@ -633,7 +630,17 @@ def _map_seeds(config: ExperimentConfig, seeds: list, out: str) -> list:
                 for proc, conn in zip(procs, conns):
                     proc.join()
                     conn.close()
-    return [run(s) for s in seeds]
+    return [run(item) for item in items]
+
+
+def _map_seeds(config: ExperimentConfig, seeds: list, out: str) -> list:
+    """_seed_run of each seed, in seed order, through _fork_map. Any
+    clipped-fractional eigenvalues are computed here first, so the workers
+    share them copy-on-write instead of each whitening again."""
+    total, completion = _drawn(config)
+    if completion is not None:
+        _embedding_eigenvalues(float(config.generator["gamma"]), total, completion)
+    return _fork_map(functools.partial(_seed_run, config, out=out), seeds, "seed {}".format)
 
 
 def run_config(config: ExperimentConfig, out: str):

@@ -274,7 +274,9 @@ def gatheral_frontier(
 ):
     """Minimum round-trip cost over a (beta, psi) grid of power-law kernels;
     negative entries are empirical manipulation counterexamples. Raw minima
-    only: boundary cases (beta + psi = 1) are reported, not classified."""
+    only: boundary cases (beta + psi = 1) are reported, not classified. Each
+    row also holds the search's `candidates` counted, the pairs `evaluated`
+    and the `budget` they were held to."""
     rows = []
     for beta in beta_values:
         kernel = Kernel.power_law(beta)
@@ -289,6 +291,8 @@ def gatheral_frontier(
                     "min_cost": cost,
                     "argmin": None if strat is None else strat.trades,
                     "candidates": rep.get("candidates", 0),
+                    "evaluated": rep["evaluated"],
+                    "budget": int(budget),
                 }
             )
     return rows

@@ -370,6 +370,17 @@ def test_cli_report_runs_a_criterion(tmp_path):
     assert rep["acceptance"][0]["passed"] is True
 
 
+@pytest.mark.parametrize("criteria", ["12,12", "7,14"])
+def test_cli_report_refuses_a_repeated_or_unknown_criterion(tmp_path, capsys, criteria):
+    """A usage error, exit 1, before the config's stages write anything."""
+    out = str(tmp_path / "rep")
+    write_json(_PIPELINE_CFG, str(tmp_path / "cfg.json"))
+    assert cli.main(["report", "--config", str(tmp_path / "cfg.json"), "--criteria", criteria,
+                     "--out-dir", out]) == 1
+    assert "impactlab: error: " in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 _PIPELINE_CFG = {
     "n": 4096, "seed": [1, 2],
     "generator": {"kind": "clipped_fractional", "gamma": 0.5},

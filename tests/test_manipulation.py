@@ -238,6 +238,17 @@ def test_frontier_rows_follow_the_diagonal_rule():
     assert table[(0.0, 0.3)]["argmin"] is not None
 
 
+def test_frontier_rows_count_the_pairs_evaluated_against_the_budget():
+    """Each row holds the candidates counted, the pairs evaluated and the
+    budget, the first two the exact count of the grid's round trips."""
+    n = count_round_trips(5, (1, 2, 3))
+    rows = gatheral_frontier([0.0, 0.5], [0.5], max_len=5, volume_grid=(1, 2, 3), budget=n)
+    assert n > 0 and len(rows) == 2
+    for row in rows:
+        assert (row["candidates"], row["evaluated"], row["budget"]) == (n, n, n)
+    assert gatheral_frontier([0.5], [0.5], max_len=1)[0]["evaluated"] == 0
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     grid=st.lists(st.integers(1, 9), min_size=1, max_size=3, unique=True),

@@ -242,9 +242,10 @@ def test_repeated_failing_runs_all_end():
 
 
 def test_importing_the_cli_leaves_multiprocessing_unimported():
-    """The workers' module is imported when a run forks, not at start-up."""
+    """The workers' module is imported when a run forks, not at start-up,
+    nor when the acceptance criteria are imported."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = ("import sys\nimport impactlab.cli\n"
+    code = ("import sys\nimport impactlab.cli\nimport impactlab.acceptance\n"
             "assert 'multiprocessing' not in sys.modules, "
             "sorted(m for m in sys.modules if m.startswith('multiprocessing'))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
