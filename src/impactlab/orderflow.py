@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.fft import irfft, rfft
+from numpy.fft import fft, irfft, rfft
 
 from .exceptions import ParameterError, ensure
 
@@ -96,34 +96,70 @@ def gen_iid_signs(n: int, p_buy: float, seed: int) -> SignSeries:
     return SignSeries(signs)
 
 
-def _whitening_autocorr(gamma: float, n_lags: int, grid: int) -> np.ndarray:
-    """Autocorrelation of the stationary autoregressive flow whose one-step
-    coefficients a_j = j^(-b) - (j+1)^(-b), b = (1-gamma)/2, exactly whiten
-    the matched power-law impact kernel.
+def _inverse_power(spectrum: np.ndarray) -> np.ndarray:
+    """1 / |spectrum|^2, written over the real part of the spectrum."""
+    density = np.abs(spectrum, out=spectrum.real)
+    np.square(density, out=density)
+    return np.divide(1.0, density, out=density)
 
-    Computed spectrally: S(w) = 1/|1 - A(e^-iw)|^2 on a fine grid, then an
-    inverse transform. The coefficient sum is 1 - J^(-b) < 1 at truncation
-    J, so the spectrum stays finite at w = 0. Each grid-sized temporary is
-    freed once used: past 1024 lags the grid is 4x to 8x the lags, so they
-    set the generator's peak memory.
+
+def _whitening_autocorr(gamma: float, n_lags: int, grid: int) -> np.ndarray:
+    """Autocorrelation at lags 0..n_lags <= grid/4 of the stationary
+    autoregressive flow whose one-step coefficients a_j = j^(-b) - (j+1)^(-b),
+    b = (1-gamma)/2, exactly whiten the matched power-law impact kernel.
+
+    Computed spectrally: S_k = 1/|X_k|^2 with X the DFT of c = (1, -a_1, ..,
+    -a_J) zero-padded to the grid N = 2J, then an inverse transform. The
+    coefficient sum is 1 - (J+1)^(-b) < 1 at truncation J, so the spectrum
+    stays finite at w = 0.
+
+    No transform is longer than J = grid/2; exact DFT identities split the
+    grid into even and odd frequencies:
+    - X_2p is the length-J DFT of c[:J] with c_0 + c_J in place of c_0.
+    - With g = c[:J], g_0 = c_0 - c_J, and
+      z_r = (g_r - i g_(r+J/2)) e^(-i pi r/J), the length-J/2 DFT of z
+      holds X_(4q+1) at q < J/4 and conj X_(2J-4q-1) at q >= J/4.
+    - N acov[t] = J irfft(S_even, J)[t] + 2 sum_p S_(2p+1) cos(pi (2p+1) t/J).
+      The sum is a DCT-II of length J/2, computed with Makhoul's reordering
+      and one real FFT of length J/2 (J. Makhoul, "A fast cosine transform
+      in one and two dimensions", IEEE Trans. ASSP 28(1), 1980). That
+      reordering of S_odd is exactly the order in which the DFT of z
+      returns |X|, so 1/|DFT z|^2 feeds it as it is.
+    The odd half is done first, so beside each length-J transform only its
+    input and the short DCT result are alive.
     """
     beta = (1.0 - gamma) / 2.0
-    half = grid // 2
+    half, quarter, eighth = grid // 2, grid // 4, grid // 8
     power = np.arange(1, half + 2, dtype=np.float64) ** (-beta)
-    coef = np.zeros(grid)
+    coef = np.empty(half + 1)
     coef[0] = 1.0
-    np.subtract(power[1:], power[:-1], out=coef[1 : half + 1])  # -a_j, j = 1..half
+    np.subtract(power[1:], power[:-1], out=coef[1:])  # -a_j, j = 1..half
     del power
-    spectrum = rfft(coef)
+    odd = np.empty(quarter, dtype=np.complex128)
+    odd.real = coef[:quarter]
+    odd.real[0] = coef[0] - coef[half]
+    np.negative(coef[quarter:half], out=odd.imag)
+    twiddle = np.arange(quarter, dtype=np.complex128)
+    twiddle *= -1j * np.pi / half
+    odd *= np.exp(twiddle, out=twiddle)  # e^(-i pi r/J)
+    twiddle = twiddle[: eighth + 1].copy()  # all the DCT needs, kept small during the fft
+    fft(odd, out=odd)
+    dct = rfft(_inverse_power(odd))
+    del odd
+    # with V = dct and w_t = e^(-i pi t/J) V_t for t <= J/4:
+    # DCT-II[t] / 2 = Re w_t and DCT-II[J/2 - t] / 2 = -Im w_t
+    dct *= twiddle
+    del twiddle
+    coef[0] += coef[half]
+    even = rfft(coef[:half])
     del coef
-    density = np.abs(spectrum)
-    np.square(density, out=density)
-    np.divide(1.0, density, out=density)
-    # written over the transform, so irfft makes no complex copy of a real input
-    spectrum.real, spectrum.imag = density, 0.0
-    del density
-    acov = irfft(spectrum, grid)
-    return acov[: n_lags + 1] / acov[0]
+    # kept complex, so irfft makes no complex copy of a real input
+    _inverse_power(even)
+    even.imag = 0.0
+    acov = irfft(even, half)[: n_lags + 1]
+    acov *= quarter  # N acov / 2 = (J/2) irfft(S_even, J) + DCT-II / 2
+    acov += np.concatenate((dct.real, -dct.imag[-2::-1]))[: n_lags + 1]
+    return acov / acov[0]
 
 
 def _whitening_grid(n_lags: int) -> int:

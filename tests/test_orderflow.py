@@ -135,8 +135,10 @@ def test_circulant_latent_is_the_one_expression_synthesis_bitwise(size):
 
 
 @pytest.mark.parametrize("gamma", [0.1, 0.5, 0.9])
-@pytest.mark.parametrize("grid", [8, 64, 1024, 2**14])
-def test_whitening_autocorr_is_the_two_power_formula_bitwise(gamma, grid):
+@pytest.mark.parametrize("grid", [8, 64, 1024, 2**14, 2**18])
+def test_whitening_autocorr_is_the_two_power_formula_to_16_eps(gamma, grid):
+    """The half-grid transforms reorder the sums, so values move at ulp level;
+    the error grows with the grid and is largest at gamma = 0.1."""
     b, half = (1.0 - gamma) / 2.0, grid // 2
     j = np.arange(1, half + 1, dtype=np.float64)
     coef = np.zeros(grid)
@@ -144,8 +146,49 @@ def test_whitening_autocorr_is_the_two_power_formula_bitwise(gamma, grid):
     coef[1 : half + 1] = -(j ** (-b) - (j + 1) ** (-b))
     acov = np.fft.irfft(1.0 / np.abs(np.fft.rfft(coef)) ** 2, grid)
     n_lags = grid // 4
-    assert np.array_equal(orderflow._whitening_autocorr(gamma, n_lags, grid),
-                          acov[: n_lags + 1] / acov[0])
+    new = orderflow._whitening_autocorr(gamma, n_lags, grid)
+    assert np.max(np.abs(new - acov[: n_lags + 1] / acov[0])) <= 16 * np.finfo(float).eps
+
+
+def test_whitening_calls_no_transform_longer_than_half_the_grid(monkeypatch):
+    lengths = []
+
+    def recorded(transform):
+        def call(a, *args, **kwargs):
+            out = transform(a, *args, **kwargs)
+            lengths.append(max(a.shape[-1], out.shape[-1]))
+            return out
+        return call
+
+    for name in ("rfft", "irfft", "fft"):
+        monkeypatch.setattr(orderflow, name, recorded(getattr(orderflow, name)))
+    grid = 2**14
+    orderflow._whitening_autocorr(0.5, grid // 4, grid)
+    assert lengths and max(lengths) <= grid // 2
+
+
+def _grid_length_whitening(gamma, n_lags, grid):
+    """The whitening autocorrelation from one rfft and one irfft over the whole grid."""
+    b, half = (1.0 - gamma) / 2.0, grid // 2
+    j = np.arange(1, half + 1, dtype=np.float64)
+    coef = np.zeros(grid)
+    coef[0] = 1.0
+    coef[1 : half + 1] = -(j ** (-b) - (j + 1) ** (-b))
+    acov = np.fft.irfft(1.0 / np.abs(np.fft.rfft(coef)) ** 2, grid)
+    return acov[: n_lags + 1] / acov[0]
+
+
+def test_half_grid_whitening_flips_no_sign_at_a_non_power_of_two_size(monkeypatch):
+    """At 2^16 + 4096 trades, as with burn-in, the eigenvalues built from the
+    grid-length whitening give exactly the generator's signs."""
+    n = 2**16 + 4096
+    monkeypatch.setattr(orderflow, "_whitening_autocorr", _grid_length_whitening)
+    ev = orderflow._embedding_eigenvalues.__wrapped__(0.5, n, "martingale")
+    monkeypatch.undo()
+    for seed in (1, 2, 3):
+        latent = orderflow._circulant_latent(ev, seed)
+        signs = gen_clipped_fractional_signs(n, 0.5, seed).signs
+        assert np.array_equal(signs, np.where(latent[:n] >= 0.0, 1.0, -1.0))
 
 
 def test_whitening_grid_is_the_float_formula_up_to_2_pow_21():
