@@ -73,13 +73,13 @@ def _reference_signs() -> SignSeries:
 @lru_cache(maxsize=4)
 def _reference_tape(beta: float) -> TradeTape:
     """The shared long-memory tape priced under a power-law kernel,
-    lam=1, psi=1, unit volumes, noiseless."""
+    lam=1, psi=1, unit volumes, noiseless, after its first BURN trades."""
     signs = _reference_signs()
     vols = _unit_volumes(REFERENCE_N)
     tape = TradeTape(signs, vols)
     cfg = ImpactConfig(lam=1.0, psi=1.0, kernel=Kernel.power_law(beta))
     prices = propagator_path(tape, cfg)
-    return TradeTape(signs, vols, prices=prices)
+    return TradeTape(signs, vols, prices=prices).drop(BURN)
 
 
 @lru_cache(maxsize=1)
@@ -167,16 +167,16 @@ def criterion_04_martingale_exponent() -> CriterionResult:
     """Kernel decay beta=(1-gamma)/2 makes prices diffusive; flatter or
     steeper kernels visibly trend or mean-revert on the same flow."""
     tape = _reference_tape(0.25)
-    d = est.diffusivity(tape, 256, burn=BURN)
+    d = est.diffusivity(tape, 256)
     ratios = d.values / d.values[0]
     ok_flat = bool(np.all((ratios >= 0.7) & (ratios <= 1.4)))
-    r = np.diff(tape.prices[BURN:])
+    r = np.diff(tape.prices)
     ac = est.normalized_autocorr(r, 32)[1:]
     bound = 3.0 / np.sqrt(r.size)
     ok_white = bool(np.max(np.abs(ac)) <= bound)
-    d0 = est.diffusivity(_reference_tape(0.0), 256, burn=BURN)
+    d0 = est.diffusivity(_reference_tape(0.0), 256)
     trend_ratio = float(d0.values[-1] / d0.values[0])
-    d45 = est.diffusivity(_reference_tape(0.45), 256, burn=BURN)
+    d45 = est.diffusivity(_reference_tape(0.45), 256)
     revert_ratio = float(d45.values[-1] / d45.values[0])
     ok_controls = trend_ratio > 2.0 and revert_ratio < 0.7
     return CriterionResult(
@@ -196,10 +196,10 @@ def criterion_05_response_decomposition() -> CriterionResult:
     tape = _reference_tape(0.25)
     chat = _reference_sign_autocorr()
     pred = est.predict_response(Kernel.power_law(0.25), chat, 1.0, 1.0, 1.0, max_lag=128)
-    meas = est.response(tape, max_lag=128, overlap=False, batches=32, burn=BURN)
+    meas = est.response(tape, max_lag=128, overlap=False, batches=32)
     dev = np.abs(meas.values - pred.values) / meas.se
     ok_point = bool(np.all(dev <= 3.0))
-    wide = est.response(tape, max_lag=512, burn=BURN)
+    wide = est.response(tape, max_lag=512)
     ratio = wide.value_at(512) / wide.value_at(8)
     ok_limit = 0.5 <= ratio <= 2.0
     return CriterionResult(
@@ -224,7 +224,7 @@ def criterion_06_kernel_inversion() -> CriterionResult:
     rel = float(np.max(np.abs(recovered.values - true_g) / true_g))
     ok_exact = rel <= 1e-6
 
-    r_meas = est.response(_reference_tape(0.25), max_lag=256, burn=BURN)
+    r_meas = est.response(_reference_tape(0.25), max_lag=256)
     ghat, rep2 = est.invert_response(r_meas, _reference_sign_autocorr(), 1.0, 1.0, 1.0, 128)
     fit = est.fit_power_law((np.arange(1, 129, dtype=np.float64), ghat.values), (1, 64))
     ok_sim = 0.2 <= fit.exponent <= 0.3
@@ -306,13 +306,13 @@ def criterion_09_concavity_recovery() -> CriterionResult:
     tape = TradeTape(signs, vols)
     cfg = ImpactConfig(lam=1.0, psi=0.5, kernel=Kernel.power_law(0.25))
     prices = propagator_path(tape, cfg)
-    tape = TradeTape(signs, vols, prices=prices)
-    cond = est.conditional_response(tape, 1, burn=BURN)
+    tape = TradeTape(signs, vols, prices=prices).drop(BURN)
+    cond = est.conditional_response(tape, 1)
     centers = cond.centers
     fit = est.fit_power_law(cond, (float(centers[0]), float(centers[-1])))
     ok_psi = 0.45 <= fit.exponent <= 0.55
-    sigma1 = float(np.std(np.diff(prices[BURN:])))
-    v_mean = float(np.mean(vols.volumes[BURN:]))
+    sigma1 = float(np.std(np.diff(tape.prices)))
+    v_mean = float(np.mean(tape.v))
     barra = est.fit_barra(cond, sigma1, v_mean)
     ok_barra = barra.r_squared > 0.9
     return CriterionResult(

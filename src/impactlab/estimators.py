@@ -5,8 +5,8 @@ linear inversion of that relation for the kernel.
 Conventions shared by the lag statistics:
 - prices have length N+1 for N trades; the product at index n pairs the
   sign of trade n with the price move that starts at the pre-trade price.
-- `burn` drops the first `burn` trades (and their prices) from the
-  statistic, implementing the measurement-side burn-in policy.
+- the statistics take the whole tape they are given; callers cut the
+  measurement-side burn-in first, with TradeTape.drop.
 - overlapping estimators report the naive SE = std/sqrt(count), which
   understates the error under dependence; non-overlapping window modes can
   report a batch-means SE instead (see response()).
@@ -169,13 +169,12 @@ def _eps_of(signs) -> np.ndarray:
     return np.asarray(signs, dtype=np.float64)
 
 
-def _priced(tape, burn: int) -> np.ndarray:
-    """The prices of a priced tape, or a price array, after the first `burn`."""
+def _priced(tape) -> np.ndarray:
+    """The prices of a priced tape, or a price array."""
     prices = tape.prices if isinstance(tape, TradeTape) else tape
     if prices is None:
         raise InputError("tape has no prices; run a price engine or load a priced tape")
-    ensure(burn >= 0, f"burn must be >= 0, got {burn!r}")
-    return np.asarray(prices, np.float64)[burn:]
+    return np.asarray(prices, np.float64)
 
 
 # FFT length of one block in _fft_corr, unless the lags need a longer one or
@@ -229,7 +228,6 @@ def response(
     max_lag: int | None = None,
     overlap: bool = True,
     batches: int = 0,
-    burn: int = 0,
 ) -> LagCurve:
     """Average price move after a trade, signed by that trade:
     R(l) = mean_n[(p_{n+l} - p_n) eps_n] - mean[p_{n+l} - p_n] * mean[eps_n]
@@ -241,8 +239,8 @@ def response(
     comes from that many contiguous batch means, which stays honest under
     long-range dependence where the naive SE does not.
     """
-    p = _priced(tape, burn)
-    e = tape.eps[burn:]
+    p = _priced(tape)
+    e = tape.eps
     m = e.size
     ensure(max_lag is not None and 1 <= max_lag < m,
            "max_lag must be given, positive and below the (post-burn) tape length")
@@ -278,17 +276,14 @@ def response(
 def conditional_response(
     tape: TradeTape,
     T: int,
-    bins=None,
     n_bins: int = 12,
     min_count: int = 50,
-    burn: int = 0,
 ) -> ConditionalResponse:
     """Volume-conditioned response: per-bin mean of (p_{n+T}-p_n)*eps_n over
-    trades with v_n in the bin. Default bins are logarithmic between the
-    0.001 and 0.999 volume quantiles; bins under min_count are dropped."""
-    p = _priced(tape, burn)
-    e = tape.eps[burn:]
-    v = tape.v[burn:]
+    trades with v_n in the bin. The bins are logarithmic between the 0.001
+    and 0.999 volume quantiles; bins under min_count are dropped."""
+    p = _priced(tape)
+    e, v = tape.eps, tape.v
     m = e.size
     ensure(1 <= T < m, "T must be in [1, post-burn tape length)")
     ensure(min_count >= 1, f"min_count must be >= 1, got {min_count!r}")
@@ -297,16 +292,10 @@ def conditional_response(
     dp = p[T:] - p[:-T]
     y = dp * e[: dp.size]
     vv = v[: dp.size]
-    if bins is None:
-        lo, hi = np.quantile(vv, [0.001, 0.999])
-        if not 0 < lo < hi:
-            raise EstimationError("volume quantiles do not span a positive range")
-        edges = np.exp(np.linspace(np.log(lo), np.log(hi), n_bins + 1))
-    else:
-        edges = np.asarray(bins, dtype=np.float64)
-        ensure(edges.ndim == 1 and edges.size >= 2 and 0 < edges[0]
-               and np.all(np.diff(edges) > 0) and edges[-1] < np.inf,
-               "bins must be >= 2 increasing positive finite edges")
+    lo, hi = np.quantile(vv, [0.001, 0.999])
+    if not 0 < lo < hi:
+        raise EstimationError("volume quantiles do not span a positive range")
+    edges = np.exp(np.linspace(np.log(lo), np.log(hi), n_bins + 1))
     idx = np.digitize(vv, edges)
     blo, bhi, vals, cnts, ses = [], [], [], [], []
     for b in range(1, edges.size):
@@ -326,13 +315,12 @@ def conditional_response(
                                np.array(cnts, dtype=np.int64), T, np.array(ses))
 
 
-def rho(tape: TradeTape, T: int, psi_weight: float = 1.0, burn: int = 0) -> float:
+def rho(tape: TradeTape, T: int, psi_weight: float = 1.0) -> float:
     """Correlation between the window price change and the psi-weighted
     signed flow over non-overlapping windows of length T:
     E[dp * Q] / sqrt(E[dp^2] * E[Q^2]) with Q = sum eps * v^psi_weight."""
-    p = _priced(tape, burn)
-    e = tape.eps[burn:]
-    v = tape.v[burn:]
+    p = _priced(tape)
+    e, v = tape.eps, tape.v
     m = e.size
     ensure(T >= 1 and np.isfinite(psi_weight),
            f"T must be >= 1 and psi_weight finite, got {T!r}, {psi_weight!r}")
@@ -367,11 +355,11 @@ def sign_autocorr(signs, max_lag: int) -> LagCurve:
     )
 
 
-def diffusivity(prices, max_lag: int, burn: int = 0) -> LagCurve:
+def diffusivity(prices, max_lag: int) -> LagCurve:
     """Variance of l-step price changes per unit lag, D(l) = Var(p_{n+l}-p_n)/l,
     over all sliding windows, at O(N log N + max_lag) cost through the return
     autocovariance. Flat D characterizes a random walk."""
-    p = _priced(prices, burn)
+    p = _priced(prices)
     ensure(max_lag >= 1 and p.size >= max_lag + 2,
            "need max_lag >= 1 and at least max_lag+2 prices after burn")
     lags = np.arange(1, max_lag + 1, dtype=np.int64)

@@ -36,9 +36,7 @@ from .impact import (
     surprise_path,
 )
 from .orderflow import (
-    SignSeries,
     TradeTape,
-    VolumeSeries,
     gen_clipped_fractional_signs,
     gen_iid_signs,
     gen_markov_signs,
@@ -365,8 +363,7 @@ def simulate(config: ExperimentConfig, seed: int):
         prices = surprise_path(full, config.predictor, config.impact, seed=noise_seed)
     else:
         prices = propagator_path(full, config.impact, seed=noise_seed)
-    tape = TradeTape(SignSeries(full.eps[burn:]), VolumeSeries(full.v[burn:]),
-                     prices=prices[burn:])
+    tape = TradeTape(full.signs, full.volumes, prices).drop(burn)
     meta = {
         "burn": int(burn),
         "n": int(config.n),
@@ -381,13 +378,14 @@ def simulate(config: ExperimentConfig, seed: int):
 
 
 def measure(tape: TradeTape, spec: dict | None = None, burn: int = 0):
-    """All standard curves and fits from one priced tape.
+    """All standard curves and fits from one priced tape: the sign
+    autocorrelation over every trade, the other curves over tape.drop(burn).
 
     Returns (results dict, errors dict). Estimation failures are collected
     per curve; everything that can be computed still is.
     """
     s = _estimator_spec("estimator spec", spec)
-    ensure(burn >= 0, f"burn must be >= 0, got {burn}")
+    post = tape.drop(burn)
     results: dict = {}
     errors: dict = {}
 
@@ -398,20 +396,19 @@ def measure(tape: TradeTape, spec: dict | None = None, burn: int = 0):
             errors[name] = str(exc)
 
     max_lag = int(s["max_lag"])
-    attempt("response", lambda: est.response(tape, max_lag=max_lag, burn=burn))
+    attempt("response", lambda: est.response(post, max_lag=max_lag))
     attempt("sign_autocorr",
             lambda: est.sign_autocorr(tape.signs, max_lag=int(s["sign_max_lag"])))
-    attempt("diffusivity", lambda: est.diffusivity(tape, max_lag=max_lag, burn=burn))
-    attempt("rho", lambda: est.rho(tape, int(s["rho_window"]),
-                                   psi_weight=float(s["rho_psi_weight"]), burn=burn))
-    v_post = tape.v[burn:]
-    if v_post.size and v_post.min() == v_post.max():
+    attempt("diffusivity", lambda: est.diffusivity(post, max_lag=max_lag))
+    attempt("rho", lambda: est.rho(post, int(s["rho_window"]),
+                                   psi_weight=float(s["rho_psi_weight"])))
+    if post.n and post.v.min() == post.v.max():
         # constant volumes cannot be binned; a structural skip, not a failure
         results.setdefault("notes", {})["conditional"] = "skipped: constant volumes"
     else:
         attempt("conditional", lambda: est.conditional_response(
-            tape, int(s["cond_lag"]), n_bins=int(s["n_bins"]),
-            min_count=int(s["min_count"]), burn=burn))
+            post, int(s["cond_lag"]), n_bins=int(s["n_bins"]),
+            min_count=int(s["min_count"])))
 
     fits: dict = {}
     if "sign_autocorr" in results:
@@ -573,18 +570,14 @@ def _on_sigterm(signum, frame):
         os._exit(1)
 
 
-def _exit_on_sigterm():
-    """A terminated worker removes its temp files and exits."""
-    import signal
-
-    signal.signal(signal.SIGTERM, _on_sigterm)
-
-
 def _worker(run, items: list, conn):
     """A forked worker: runs its items in order, sending each result, or the
     error that stops it, down a pipe of its own. It shares no lock with the
-    parent or another worker, so it can be terminated anywhere."""
-    _exit_on_sigterm()
+    parent or another worker, so it can be terminated anywhere: SIGTERM
+    removes its temp files and exits."""
+    import signal
+
+    signal.signal(signal.SIGTERM, _on_sigterm)
     try:
         for item in items:
             conn.send(run(item))

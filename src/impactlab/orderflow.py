@@ -86,6 +86,15 @@ class TradeTape:
     def v(self) -> np.ndarray:
         return self.volumes.volumes
 
+    def drop(self, burn: int) -> "TradeTape":
+        """The tape without its first `burn` trades and their pre-trade
+        prices, as views: the measurement-side burn-in. A cut at or past the
+        end leaves no trades, and the final price if the tape is priced."""
+        ensure(burn >= 0, f"burn must be >= 0, got {burn!r}")
+        k = min(burn, self.n)
+        return TradeTape(SignSeries(self.eps[k:]), VolumeSeries(self.v[k:]),
+                         None if self.prices is None else self.prices[k:])
+
 
 def gen_iid_signs(n: int, p_buy: float, seed: int) -> SignSeries:
     """Independent signs with P(+1) = p_buy."""

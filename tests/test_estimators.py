@@ -2,6 +2,7 @@
 FFT lag estimators against the direct per-lag loops they replaced, and the
 forward-predict / invert pair on a known kernel."""
 
+import inspect
 from unittest import mock
 
 import numpy as np
@@ -138,8 +139,9 @@ def _binned():
     return ConditionalResponse(edges[:-1], edges[1:], np.array([1.0, 2.0, 3.0]), np.full(3, 10), 1)
 
 
-# Each public float parameter, as the call that takes it, and the burn of
-# the lag estimators: what each must refuse, and the message that says so.
+# Each public float parameter, as the call that takes it, and the burn-in
+# that a tape drops before the lag estimators see it: what each must refuse,
+# and the message that says so.
 _NUMBERS = {
     "sigma": lambda x: fit_barra(_binned(), x, 1.0),
     "psi_weight": lambda x: rho(_small_tape(), 4, psi_weight=x),
@@ -154,7 +156,6 @@ _NUMBERS = {
     "pareto-x_min": lambda x: gen_volumes(4, "pareto", x_min=x),
     "pareto-tail": lambda x: gen_volumes(4, "pareto", tail=x),
     "capitalization": lambda x: master_curve_rescale([(x, 1.0, _binned()), (2.0, 1.0, _binned())]),
-    "bins": lambda x: conditional_response(_small_tape(), 1, bins=[1.0, 1.5, x], min_count=1),
     "bin_lo": lambda x: ConditionalResponse([x], [2.0], [1.0], [10], 1),
     "bin_hi": lambda x: ConditionalResponse([1.0], [x], [1.0], [10], 1),
     "lam": lambda x: predict_response(Kernel.power_law(0.5), np.zeros(8), x, 1.0, 1.0, 4, 8),
@@ -163,10 +164,10 @@ _NUMBERS = {
 }
 _REFUSED_NUMBERS = [(f"{name}={x}", call, x, "finite") for name, call in _NUMBERS.items()
                     for x in (np.nan, np.inf, -np.inf)] + [
-    ("response-burn", lambda b: response(_small_tape(), max_lag=2, burn=b), -1,
-     "burn must be >= 0"),
-    ("diffusivity-burn", lambda b: diffusivity(_small_tape().prices, 2, burn=b), -1,
-     "burn must be >= 0")]
+    ("response-burn", lambda b: response(_small_tape().drop(b), max_lag=2), -1,
+     "burn must be >= 0, got -1"),
+    ("diffusivity-burn", lambda b: diffusivity(_small_tape().drop(b), 2), -1,
+     "burn must be >= 0, got -1")]
 
 
 @pytest.mark.parametrize("call, value, match", [case[1:] for case in _REFUSED_NUMBERS],
@@ -174,6 +175,15 @@ _REFUSED_NUMBERS = [(f"{name}={x}", call, x, "finite") for name, call in _NUMBER
 def test_public_numbers_are_checked_on_both_sides(call, value, match):
     with pytest.raises(ParameterError, match=match):
         call(value)
+
+
+def test_no_estimator_cuts_a_burn_in_or_takes_bin_edges():
+    """The burn-in is cut once, by TradeTape.drop, and the volume bins are
+    always the quantile bins: no estimator has a parameter for either."""
+    for name in estimators.__all__:
+        obj = getattr(estimators, name)
+        if inspect.isfunction(obj):
+            assert not {"burn", "bins"} & set(inspect.signature(obj).parameters), name
 
 
 # ---- the direct per-lag definitions, kept as oracles of the FFT path ----
@@ -274,7 +284,7 @@ def test_response_matches_the_per_lag_loop(tape, data):
     top = tape.n - burn - 1  # the largest lag the post-burn tape admits
     with _fft_blocks(data.draw(BLOCKS)):
         max_lag = data.draw(st.one_of(st.just(top), st.integers(1, top)))
-        r = response(tape, max_lag=max_lag, burn=burn)
+        r = response(tape.drop(burn), max_lag=max_lag)
         assert np.array_equal(r.lags, np.arange(1, max_lag + 1))
     _assert_response_matches_loop(r, tape, burn)
     assert np.all(np.isfinite(r.se)) and np.all(r.se >= 0)
@@ -297,7 +307,7 @@ def test_diffusivity_matches_the_per_lag_loop(p, data):
     top = p.size - burn - 2
     max_lag = data.draw(st.one_of(st.just(top), st.integers(1, top)))
     with _fft_blocks(data.draw(BLOCKS)):
-        d = diffusivity(p, max_lag, burn=burn)
+        d = diffusivity(p[burn:], max_lag)
     vals, cnts, second = _loop_diffusivity(p, max_lag, burn)
     assert np.array_equal(d.counts, cnts)
     _assert_spread_near(d.values, vals, second)
@@ -315,8 +325,8 @@ def test_lag_estimators_match_the_loops_on_a_long_memory_tape(block):
     tape = TradeTape(signs, vols, propagator_path(bare, cfg))
     with _fft_blocks(block):
         for burn in (0, 1024):
-            _assert_response_matches_loop(response(tape, max_lag=600, burn=burn), tape, burn)
-            d = diffusivity(tape, 600, burn=burn)
+            _assert_response_matches_loop(response(tape.drop(burn), max_lag=600), tape, burn)
+            d = diffusivity(tape.drop(burn), 600)
             vals, cnts, second = _loop_diffusivity(tape.prices, 600, burn)
             assert np.array_equal(d.counts, cnts)
             _assert_spread_near(d.values, vals, second)
@@ -356,16 +366,19 @@ def test_conditional_response_is_exact_on_discrete_volumes():
     eps = np.where(rng.random(n) < 0.5, 1.0, -1.0)
     v = rng.choice([1.0, 2.0, 3.0], n)
     tape = _kyle_tape(eps, v)
-    cr = conditional_response(tape, 1, bins=[0.5, 1.5, 2.5, 3.5], min_count=10)
-    assert np.allclose(cr.values, [0.25, 0.5, 0.75], rtol=0, atol=1e-14)
-    assert cr.counts.sum() == n  # every trade has a next price on a full tape
-    assert np.allclose(cr.centers, np.sqrt([0.5 * 1.5, 1.5 * 2.5, 2.5 * 3.5]))
+    cr = conditional_response(tape, 1, min_count=10)
+    assert cr.values.size >= 2
+    # at T = 1 every trade of a full tape has a next price, so all n count
+    for lo, hi, value, count in zip(cr.bin_lo, cr.bin_hi, cr.values, cr.counts):
+        in_bin = (v >= lo) & (v < hi)
+        assert count == in_bin.sum()
+        assert abs(value - 0.25 * v[in_bin].mean()) <= 1e-14
 
 
 def test_conditional_response_occupancy_floor():
-    tape = _kyle_tape(np.array([1.0, -1.0] * 50), np.ones(100))
-    with pytest.raises(EstimationError):
-        conditional_response(tape, 1, bins=[0.5, 1.5], min_count=1000)
+    tape = _kyle_tape(np.array([1.0, -1.0] * 50), np.linspace(1.0, 2.0, 100))
+    with pytest.raises(EstimationError, match="occupancy floor 1000"):
+        conditional_response(tape, 1, min_count=1000)
 
 
 def test_conditional_response_refuses_an_empty_bin_floor():

@@ -276,6 +276,27 @@ def test_cli_measure_partial_failure_keeps_other_curves(tmp_path):
     assert os.path.exists(os.path.join(meas, "tape_seed1_sign_autocorr.csv"))
 
 
+def test_cli_measure_burn_cuts_every_curve_but_the_sign_autocorrelation(tmp_path):
+    tape = str(tmp_path / "tape.csv")
+    write_tape(_priced_tape(n=2000), tape)
+
+    def measure(burn):
+        out = tmp_path / f"burn{burn}"
+        rc = cli.main(["measure", tape, "--burn", str(burn), "--max-lag", "8",
+                       "--sign-max-lag", "8", "--out-dir", str(out)])
+        return rc, read_json(str(out / "tape_fits.json")), out
+
+    rc, fits, out = measure(100)
+    assert rc == 0 and fits["errors"] == {} and fits["burn"] == 100
+    assert read_curve(str(out / "tape_response.csv"), "response").counts[0] == 1900
+    assert read_curve(str(out / "tape_sign_autocorr.csv"), "sign_autocorr").counts[0] == 1999
+    for burn in (2000, 2010):  # no trade left after the burn-in
+        rc, fits, out = measure(burn)
+        assert rc == 3
+        assert sorted(fits["errors"]) == ["conditional", "diffusivity", "response", "rho"]
+        assert (out / "tape_sign_autocorr.csv").exists()
+
+
 def test_cli_report_on_prices_that_never_move_writes_valid_json(tmp_path):
     """D(1) = 0 leaves no diffusion ratio to take: an error, not a NaN (which
     JSON cannot hold) and not a 'diffusive' flag."""

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from impactlab import (
     ParameterError,
     SignSeries,
+    TradeTape,
     VolumeSeries,
     gen_clipped_fractional_signs,
     gen_iid_signs,
@@ -32,6 +33,28 @@ def test_volume_series_rejects_nonpositive_and_nonfinite():
         VolumeSeries(np.array([1.0, 0.0]))
     with pytest.raises(ParameterError):
         VolumeSeries(np.array([1.0, np.inf]))
+
+
+@pytest.mark.parametrize("priced", [True, False], ids=["priced", "unpriced"])
+def test_drop_cuts_the_burn_in_as_views(priced):
+    n = 20
+    signs, vols = gen_iid_signs(n, 0.5, 1), gen_volumes(n, "lognormal", seed=2)
+    prices = np.cumsum(np.arange(n + 1.0)) if priced else None
+    tape = TradeTape(signs, vols, prices)
+    for burn in (0, 7, n, n + 5):
+        k = min(burn, n)  # a cut at or past the end keeps the final price
+        cut = tape.drop(burn)
+        assert cut.n == n - k
+        assert np.array_equal(cut.eps, tape.eps[k:]) and np.array_equal(cut.v, tape.v[k:])
+        assert k == n or (np.shares_memory(cut.eps, tape.eps)
+                          and np.shares_memory(cut.v, tape.v))  # an empty array shares none
+        if priced:
+            assert np.array_equal(cut.prices, prices[k:])
+            assert np.shares_memory(cut.prices, prices)
+        else:
+            assert cut.prices is None
+    with pytest.raises(ParameterError, match="burn must be >= 0, got -1"):
+        tape.drop(-1)
 
 
 def test_iid_signs_are_deterministic_per_seed():

@@ -177,7 +177,7 @@ def test_a_worker_that_dies_without_a_result_is_an_error(tmp_path, monkeypatch):
 
 
 def _sigterm_in_a_weakref_callback():
-    experiment._exit_on_sigterm()
+    signal.signal(signal.SIGTERM, experiment._on_sigterm)  # as _worker installs it
     obj = type("Referent", (), {})()
     weakref.finalize(obj, os.kill, os.getpid(), signal.SIGTERM)
     del obj
