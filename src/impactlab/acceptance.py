@@ -196,7 +196,7 @@ def criterion_05_response_decomposition() -> CriterionResult:
     tape = _reference_tape(0.25)
     chat = _reference_sign_autocorr()
     pred = est.predict_response(Kernel.power_law(0.25), chat, 1.0, 1.0, 1.0, max_lag=128)
-    meas = est.response(tape, max_lag=128, overlap=False, batches=32)
+    meas = est.response(tape, max_lag=128, batches=32)
     dev = np.abs(meas.values - pred.values) / meas.se
     ok_point = bool(np.all(dev <= 3.0))
     wide = est.response(tape, max_lag=512)
@@ -461,7 +461,7 @@ def criterion_13_determinism_round_trips() -> CriterionResult:
         )
         details["tape_round_trip"] = bool(tape_rt)
 
-        curve = est.response(tape, max_lag=16, overlap=False, batches=4)
+        curve = est.response(tape, max_lag=16)
         cpath = os.path.join(tmp, "curve.csv")
         iolib.write_curve(curve, cpath)
         c2 = iolib.read_curve(cpath, "response")

@@ -8,8 +8,8 @@ Conventions shared by the lag statistics:
 - the statistics take the whole tape they are given; callers cut the
   measurement-side burn-in first, with TradeTape.drop.
 - overlapping estimators report the naive SE = std/sqrt(count), which
-  understates the error under dependence; non-overlapping window modes can
-  report a batch-means SE instead (see response()).
+  understates the error under dependence; response() on non-overlapping
+  windows reports a batch-means SE instead.
 """
 
 from dataclasses import dataclass, field
@@ -223,29 +223,28 @@ def _window_sums(p: np.ndarray, max_lag: int, e: np.ndarray | None = None):
     return sdp, sq, np.cumsum(_fft_corr(e, r, max_lag - 1)) - edge
 
 
-def response(
-    tape: TradeTape,
-    max_lag: int | None = None,
-    overlap: bool = True,
-    batches: int = 0,
-) -> LagCurve:
+def response(tape: TradeTape, max_lag: int | None = None, batches: int = 0) -> LagCurve:
     """Average price move after a trade, signed by that trade:
     R(l) = mean_n[(p_{n+l} - p_n) eps_n] - mean[p_{n+l} - p_n] * mean[eps_n]
     on lags 1..max_lag.
 
-    overlap=True uses every start n (naive SE), at O(N log N + max lag) cost
-    through FFT correlations of the returns. overlap=False places windows
-    on the non-overlapping grid n = 0, l, 2l, ...; with batches >= 2 the SE
-    comes from that many contiguous batch means, which stays honest under
-    long-range dependence where the naive SE does not.
+    batches=0 uses every start n (naive SE), at O(N log N + max lag) cost
+    through FFT correlations of the returns. batches >= 2 places windows on
+    the non-overlapping grid n = 0, l, 2l, ... and takes the SE from that
+    many contiguous batch means, which stays honest under long-range
+    dependence where the naive SE does not; a lag with fewer than
+    2 * batches windows keeps the naive SE.
     """
     p = _priced(tape)
     e = tape.eps
     m = e.size
     ensure(max_lag is not None and 1 <= max_lag < m,
            "max_lag must be given, positive and below the (post-burn) tape length")
+    ensure(isinstance(batches, (int, np.integer)) and not isinstance(batches, bool)
+           and (batches == 0 or batches >= 2),
+           f"batches must be 0 or an integer >= 2, got {batches!r}")
     lag_arr = np.arange(1, max_lag + 1, dtype=np.int64)
-    if overlap:
+    if not batches:
         sdp, sq, sprod = _window_sums(p, max_lag, e)
         cnts = m + 1 - lag_arr
         mean = sprod / cnts
@@ -264,7 +263,7 @@ def response(
             prod = dp * ee
             vals[i] = prod.mean() - dp.mean() * ee.mean()
             cnts[i] = prod.size
-            if batches >= 2 and prod.size >= 2 * batches:
+            if prod.size >= 2 * batches:
                 bs = prod.size // batches
                 bm = prod[: batches * bs].reshape(batches, bs).mean(axis=1)
                 ses[i] = bm.std(ddof=1) / np.sqrt(batches)

@@ -10,6 +10,9 @@ each seed's simulate and measure in a forked worker process where it can.
 _fork_map is that map of items over forked workers, in order, and
 acceptance.run_criteria maps its criteria through it too.
 
+A stage fails one way: _attempt records the message of an error in
+_STAGE_ERRORS under the stage's name and the run goes on; any other stops it.
+
 Provenance is the package and library versions plus the config hash and
 seed; no timestamps, so reruns are byte-identical.
 """
@@ -231,6 +234,20 @@ class ExperimentConfig:
         return iolib.config_sha256(self.to_dict())
 
 
+# the errors a run records and continues past, each a failed curve, fit,
+# inversion or frontier; the CLI maps every one but ParameterError and
+# InputError to exit 3, and report --config exits 3 on any it records
+_STAGE_ERRORS = (ParameterError, InputError, EstimationError, NumericError, SearchBudgetError)
+
+
+def _attempt(errors: dict, name: str, fn, *args):
+    """fn(*args), or None with errors[name] = the message of a stage error."""
+    try:
+        return fn(*args)
+    except _STAGE_ERRORS as exc:
+        errors[name] = str(exc)
+
+
 def _is_seed(s) -> bool:
     return isinstance(s, (int, np.integer)) and not isinstance(s, bool) and s >= 0
 
@@ -385,57 +402,26 @@ def measure(tape: TradeTape, spec: dict | None = None, burn: int = 0):
     per curve; everything that can be computed still is.
     """
     s = _estimator_spec("estimator spec", spec)
-    post = tape.drop(burn)
-    results: dict = {}
-    errors: dict = {}
-
-    def attempt(name, fn):
-        try:
-            results[name] = fn()
-        except (EstimationError, NumericError, ParameterError, InputError) as exc:
-            errors[name] = str(exc)
-
-    max_lag = int(s["max_lag"])
-    attempt("response", lambda: est.response(post, max_lag=max_lag))
-    attempt("sign_autocorr",
-            lambda: est.sign_autocorr(tape.signs, max_lag=int(s["sign_max_lag"])))
-    attempt("diffusivity", lambda: est.diffusivity(post, max_lag=max_lag))
-    attempt("rho", lambda: est.rho(post, int(s["rho_window"]),
-                                   psi_weight=float(s["rho_psi_weight"])))
+    post, max_lag = tape.drop(burn), int(s["max_lag"])
+    curves = {"response": (est.response, post, max_lag),
+              "sign_autocorr": (est.sign_autocorr, tape.signs, int(s["sign_max_lag"])),
+              "diffusivity": (est.diffusivity, post, max_lag),
+              "rho": (est.rho, post, int(s["rho_window"]), float(s["rho_psi_weight"])),
+              "conditional": (est.conditional_response, post, int(s["cond_lag"]),
+                              int(s["n_bins"]), int(s["min_count"]))}
+    results, errors = {}, {}
     if post.n and post.v.min() == post.v.max():
         # constant volumes cannot be binned; a structural skip, not a failure
-        results.setdefault("notes", {})["conditional"] = "skipped: constant volumes"
-    else:
-        attempt("conditional", lambda: est.conditional_response(
-            post, int(s["cond_lag"]), n_bins=int(s["n_bins"]),
-            min_count=int(s["min_count"])))
-
+        del curves["conditional"]
+        results["notes"] = {"conditional": "skipped: constant volumes"}
+    results.update((name, value) for name, call in curves.items()
+                   if (value := _attempt(errors, name, *call)) is not None)
     fits: dict = {}
-    if "sign_autocorr" in results:
-        try:
-            fits.update(_gamma_fit(results["sign_autocorr"]))
-        except (EstimationError, ValueError) as exc:
-            errors["gamma_fit"] = str(exc)
-    if "conditional" in results:
-        cond = results["conditional"]
-        try:
-            centers = cond.centers
-            f = est.fit_power_law(cond, (float(centers[0]), float(centers[-1])))
-            fits["psi_hat"] = asdict(f)
-        except (EstimationError, ValueError) as exc:
-            errors["psi_fit"] = str(exc)
-    if "diffusivity" in results:
-        d = results["diffusivity"]
-        if d.values[0] == 0:
-            errors["diffusion_ratio"] = "D(1) is 0: the prices never move"
-        else:
-            ratio = float(d.values[-1] / d.values[0])
-            fits["diffusion_ratio"] = ratio
-            fits["diffusion_flag"] = (
-                "superdiffusive" if ratio > 2.0
-                else "subdiffusive" if ratio < 0.5
-                else "diffusive"
-            )
+    for name, curve, fit in (("gamma_fit", "sign_autocorr", _gamma_fit),
+                             ("psi_fit", "conditional", _psi_fit),
+                             ("diffusion_ratio", "diffusivity", _diffusion_ratio)):
+        if curve in results:
+            fits.update(_attempt(errors, name, fit, results[curve]) or {})
     if "rho" in results:
         fits["rho"] = float(results["rho"])
     results["fits"] = fits
@@ -447,6 +433,21 @@ def _gamma_fit(sign_curve) -> dict:
     8..min(512, last), or {} for a curve that stops before lag 16."""
     hi = min(512, int(sign_curve.lags[-1]))
     return {"gamma_hat": asdict(est.fit_power_law(sign_curve, (8, hi)))} if hi >= 16 else {}
+
+
+def _psi_fit(cond) -> dict:
+    """{"psi_hat": fit} of a conditional response over all its bin centers."""
+    centers = cond.centers
+    return {"psi_hat": asdict(est.fit_power_law(cond, (float(centers[0]), float(centers[-1]))))}
+
+
+def _diffusion_ratio(curve) -> dict:
+    """D at the last lag over D(1), and its reading: near 1 for a random walk."""
+    if curve.values[0] == 0:
+        raise EstimationError("D(1) is 0: the prices never move")
+    ratio = float(curve.values[-1] / curve.values[0])
+    return {"diffusion_ratio": ratio, "diffusion_flag": "superdiffusive" if ratio > 2.0
+            else "subdiffusive" if ratio < 0.5 else "diffusive"}
 
 
 def simulate_stage(config: ExperimentConfig, seed: int, out: str):
@@ -491,10 +492,7 @@ def pool_stage(per_seed: list, out: str):
             files[f"pooled_{name}"] = f"pooled_{name}.csv"
             iolib.write_curve(pooled[name], os.path.join(out, files[f"pooled_{name}"]))
     if "sign_autocorr" in pooled:
-        try:
-            fits.update(_gamma_fit(pooled["sign_autocorr"]))
-        except (EstimationError, ValueError) as exc:
-            fits["gamma_hat_error"] = str(exc)
+        fits.update(_attempt(fits, "gamma_hat_error", _gamma_fit, pooled["sign_autocorr"]) or {})
     rhos = [r["rho"] for r in per_seed if "rho" in r]
     if rhos:
         fits["rho_mean"] = float(np.mean(rhos))
@@ -519,12 +517,11 @@ def invert_stage(response_curve, sign_curve, lam: float, psi: float, v: float, o
                                     j_tail=j_tail, ridge=ridge)
     files = {"kernel": "kernel.csv"}
     iolib.write_kernel(kern, os.path.join(out, files["kernel"]), se_proxy=rep.pop("se_proxy"))
-    try:
-        lags = np.arange(1, kern.values.size + 1, dtype=np.float64)
-        fit = est.fit_power_law((lags, kern.values), (1, min(64, kern.values.size)))
+    lags = np.arange(1, kern.values.size + 1, dtype=np.float64)
+    fit = _attempt(rep, "beta_hat_error", est.fit_power_law, (lags, kern.values),
+                   (1, min(64, kern.values.size)))
+    if fit is not None:
         rep["beta_hat"], rep["beta_hat_se"] = fit.exponent, fit.exponent_se
-    except EstimationError as exc:
-        rep["beta_hat_error"] = str(exc)
     return rep, files
 
 
@@ -546,9 +543,8 @@ def _seed_run(config: ExperimentConfig, seed: int, out: str):
     """simulate and measure one seed, writing its files. Returns (its tape's
     mean volume, measure results, errors, measure files)."""
     tape, _, _ = simulate_stage(config, seed, out)
-    results, errors, files = measure_stage(tape, config.estimator, out, f"tape_seed{seed}",
-                                           extra={"seed": seed})
-    return float(tape.v.mean()), results, errors, files
+    return (float(tape.v.mean()),
+            *measure_stage(tape, config.estimator, out, f"tape_seed{seed}", extra={"seed": seed}))
 
 
 def _usable_cpus() -> int:
@@ -636,43 +632,49 @@ def _map_seeds(config: ExperimentConfig, seeds: list, out: str) -> list:
     return _fork_map(functools.partial(_seed_run, config, out=out), seeds, "seed {}".format)
 
 
+def _messages(bundle: dict) -> list:
+    """A line for each stage error the bundle records, in stage order."""
+    lines = [f"seed {s}: {name}: {msg}" for s, errors in bundle["measure_errors"].items()
+             for name, msg in errors.items()]
+    for stage, record in (("pooled", bundle["fits"].get("pooled")),
+                          ("invert", bundle.get("invert")), ("manip", bundle.get("manip"))):
+        lines += [f"{stage}: {msg}" if key == "error" else f"{stage}: {key}: {msg}"
+                  for key, msg in (record if isinstance(record, dict) else {}).items()
+                  if key.endswith("error")]  # "error", or a fit's "*_error"
+    return lines
+
+
 def run_config(config: ExperimentConfig, out: str):
     """The stages of `report --config` in order: simulate and measure each seed,
     pool across seeds, invert the pooled curves (one seed's, alone) at the model's
-    lam and psi, then the manip frontier if configured. A failing curve, inversion
-    or frontier is recorded in the bundle. Returns (bundle, stage error messages)."""
+    lam and psi, then the manip frontier if configured. A failing curve, fit,
+    inversion or frontier is recorded in the bundle, the one record of the run.
+    Returns (bundle, a message per stage error)."""
     seeds = expand_seeds(config.seed)
-    bundle: dict = {"provenance": {**provenance(config), "seeds": seeds}}
-    files, errors, fits, measured, messages = {}, {}, {}, [], []
-    per_seed = _map_seeds(config, seeds, out)
-    v_ref = per_seed[0][0]  # the inversion's volume scale: the first tape's mean volume
-    for s, (_, results, seed_errors, seed_files) in zip(seeds, per_seed):
-        errors[str(s)], files[str(s)] = seed_errors, seed_files
-        measured.append(results)
-        fits[str(s)] = results["fits"]
-        messages += [f"seed {s}: {name}: {msg}" for name, msg in errors[str(s)].items()]
-    bundle.update(files=files, measure_errors=errors, fits={"per_seed": fits})
+    mean_volumes, measured, errors, files = zip(*_map_seeds(config, seeds, out))
+    keys = [str(s) for s in seeds]
+    bundle: dict = {"provenance": {**provenance(config), "seeds": seeds},
+                    "files": dict(zip(keys, files)), "measure_errors": dict(zip(keys, errors)),
+                    "fits": {"per_seed": {k: r["fits"] for k, r in zip(keys, measured)}}}
     curves = measured[0]
     if len(seeds) > 1:
         pooled, bundle["fits"]["pooled"], pooled_files = pool_stage(measured, out)
-        files.update(pooled_files)
+        bundle["files"].update(pooled_files)
         curves = pooled or curves
     if "response" in curves and "sign_autocorr" in curves:
-        try:
-            bundle["invert"], inv_files = invert_stage(
-                curves["response"], curves["sign_autocorr"], config.impact.lam,
-                config.impact.psi, v_ref, out, config.estimator.get("invert_lags"),
-                j_tail=config.estimator.get("j_tail"))
-            files.update(inv_files)
-        except (ParameterError, EstimationError, NumericError) as exc:
-            bundle["invert"] = {"error": str(exc)}
-            messages.append(f"invert: {exc}")
+        bundle["invert"] = {}  # {"error": message} when the inversion fails
+        # the volume scale is the first tape's mean volume
+        done = _attempt(bundle["invert"], "error", invert_stage, curves["response"],
+                        curves["sign_autocorr"], config.impact.lam, config.impact.psi,
+                        mean_volumes[0], out, config.estimator.get("invert_lags"),
+                        config.estimator.get("j_tail"))
+        if done is not None:
+            bundle["invert"], inv_files = done
+            bundle["files"].update(inv_files)
     if config.manip is not None:
-        try:
-            manip, manip_files = manip_stage(config.manip, out)
-            bundle["manip"] = manip["rows"]
-            files.update(manip_files)
-        except (ParameterError, SearchBudgetError) as exc:
-            bundle["manip"] = {"error": str(exc)}
-            messages.append(f"manip: {exc}")
-    return bundle, messages
+        bundle["manip"] = {}
+        done = _attempt(bundle["manip"], "error", manip_stage, config.manip, out)
+        if done is not None:
+            bundle["manip"] = done[0]["rows"]
+            bundle["files"].update(done[1])
+    return bundle, _messages(bundle)

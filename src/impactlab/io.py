@@ -46,7 +46,7 @@ def _atomic_write(path: str, chunks):
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=os.path.basename(path) + ".")
     _TEMP_FILES.add(tmp)
     try:
-        with open(fd, "w", newline="") as fh:
+        with open(fd, "w", newline="", encoding="utf-8") as fh:
             umask = os.umask(0)  # read the umask back: mkstemp creates mode 0600
             os.umask(umask)
             os.chmod(tmp, 0o666 & ~umask)
@@ -62,9 +62,21 @@ def _atomic_write(path: str, chunks):
 
 def _open_read(path: str):
     try:
-        return open(path, newline="")
+        return open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+
+
+def _lines(fh):
+    """The lines of a file opened by _open_read, or a FormatError naming the first
+    line that is not UTF-8, found in the bytes: text decodes many lines at once."""
+    try:
+        yield from fh
+    except UnicodeDecodeError:
+        with open(fh.name, "rb") as raw:
+            bad = next((i for i, line in enumerate(raw, 1)
+                        if line.decode("utf-8", "ignore").encode() != line), None)
+        raise FormatError(f"line {bad}: not UTF-8 text") from None
 
 
 def _require(ok, rule: str, first: int = 2):
@@ -209,7 +221,7 @@ def _read_columns(path: str, what: str, *specs):
     from cells that hold the text `nan`. An `i` column is int64; an `o`
     column blank on every row is None."""
     with _open_read(path) as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_lines(fh))
         got = next(reader, None)
         header, kinds = next((spec for spec in specs if got == list(spec[0])), (got, None))
         if kinds is None:
@@ -365,8 +377,8 @@ def write_json(obj, path: str):
 def read_json(path: str) -> dict:
     try:
         with _open_read(path) as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
+            obj = json.loads("".join(_lines(fh)))
+    except (json.JSONDecodeError, FormatError) as exc:
         raise ParameterError(f"invalid JSON in {path}: {exc}") from None
     ensure(isinstance(obj, dict), f"{path}: top-level JSON must be an object")
     return obj

@@ -74,7 +74,7 @@ def test_response_matches_hand_computation():
 
 def test_response_nonoverlap_uses_disjoint_windows():
     tape = _priced_tape([1, 1, -1, 1, 1], [0.0, 1.0, 2.0, 1.0, 2.0, 3.0])
-    r = response(tape, max_lag=2, overlap=False)
+    r = response(tape, max_lag=2, batches=2)
     # windows start at 0 and 2: (p2-p0)*e0, (p4-p2)*e2
     want = np.mean([2.0 * 1, 0.0 * -1]) - np.mean([2.0, 0.0]) * np.mean([1, -1])
     assert abs(r.value_at(2) - want) < 1e-15
@@ -88,7 +88,7 @@ def test_response_nonoverlap_takes_every_window_that_fits(m):
     rng = np.random.default_rng(5)
     eps = np.where(rng.random(m) < 0.5, 1.0, -1.0)
     tape = _kyle_tape(eps, rng.uniform(0.5, 2.0, m))
-    r = response(tape, max_lag=9, overlap=False, batches=4)
+    r = response(tape, max_lag=9, batches=4)
     p, e = tape.prices, tape.eps
     for i, l in enumerate(r.lags):
         starts = np.arange(0, m - l + 1, l)
@@ -167,7 +167,9 @@ _REFUSED_NUMBERS = [(f"{name}={x}", call, x, "finite") for name, call in _NUMBER
     ("response-burn", lambda b: response(_small_tape().drop(b), max_lag=2), -1,
      "burn must be >= 0, got -1"),
     ("diffusivity-burn", lambda b: diffusivity(_small_tape().drop(b), 2), -1,
-     "burn must be >= 0, got -1")]
+     "burn must be >= 0, got -1")] + [
+    (f"response-batches={b}", lambda b: response(_small_tape(), max_lag=2, batches=b), b,
+     f"batches must be 0 or an integer >= 2, got {b}") for b in (1, -1)]
 
 
 @pytest.mark.parametrize("call, value, match", [case[1:] for case in _REFUSED_NUMBERS],

@@ -20,12 +20,14 @@ import pytest
 import impactlab
 from impactlab import (
     ConditionalResponse,
+    EstimationError,
     FormatError,
     ImpactConfig,
     InputError,
     Kernel,
     LagCurve,
     ParameterError,
+    SearchBudgetError,
     SignSeries,
     TradeTape,
     VolumeSeries,
@@ -35,7 +37,7 @@ from impactlab import (
     predict_response,
     propagator_path,
 )
-from impactlab import experiment, orderflow
+from impactlab import estimators, experiment, orderflow
 from impactlab.experiment import ExperimentConfig, expand_seeds, invert_stage, provenance
 from impactlab.io import (
     config_sha256,
@@ -1019,6 +1021,132 @@ def test_cli_report_records_stage_errors_and_keeps_every_file(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert [line.split(":")[:2] for line in lines] == [["report", " invert"],
                                                          ["report", " manip"]]
+
+
+@pytest.fixture(scope="module")
+def pipeline_files(tmp_path_factory):
+    """The files a report on _PIPELINE_CFG writes when no stage fails."""
+    tmp_path = tmp_path_factory.mktemp("clean")
+    assert _report_with_config(tmp_path, str(tmp_path / "out")) == 0
+    return sorted(os.listdir(tmp_path / "out"))
+
+
+_real_gamma_fit, _real_fit_power_law = experiment._gamma_fit, estimators.fit_power_law
+
+
+def _fail_the_pooled_gamma_fit(curve):
+    if curve.counts[0] > _PIPELINE_CFG["n"]:  # the pooled counts sum the seeds'
+        raise EstimationError("no pooled fit")
+    return _real_gamma_fit(curve)
+
+
+def _fail_the_beta_hat_fit(curve, fit_range):
+    if isinstance(curve, tuple):  # the kernel table's (lags, values)
+        raise EstimationError("no kernel fit")
+    return _real_fit_power_law(curve, fit_range)
+
+
+@pytest.mark.parametrize("module, name, patch, where, key", [
+    (experiment, "_gamma_fit", _fail_the_pooled_gamma_fit, ("fits", "pooled"), "gamma_hat"),
+    (estimators, "fit_power_law", _fail_the_beta_hat_fit, ("invert",), "beta_hat"),
+], ids=["pooled-gamma", "beta-hat"])
+def test_cli_report_exits_three_on_a_failed_pooled_or_kernel_fit(
+        tmp_path, capsys, monkeypatch, pipeline_files, module, name, patch, where, key):
+    """A fit that fails after the seeds' own, pooled or of the inverted
+    kernel, is recorded under its `*_error` key, gives a message and sets
+    exit 3; every file is still written. The forked seeds inherit the patch."""
+    monkeypatch.setattr(module, name, patch)
+    out = tmp_path / "out"
+    assert _report_with_config(tmp_path, str(out)) == 3
+    record = read_json(str(out / "report.json"))
+    for step in where:
+        record = record[step]
+    assert key not in record
+    msg = record[f"{key}_error"]
+    assert capsys.readouterr().err.splitlines() == [
+        f"report: {where[-1]}: {key}_error: {msg}"]
+    assert sorted(os.listdir(out)) == pipeline_files
+
+
+@pytest.mark.parametrize("error", [cls(7, 3) if cls is SearchBudgetError else cls("boom")
+                                   for cls in experiment._STAGE_ERRORS],
+                         ids=[cls.__name__ for cls in experiment._STAGE_ERRORS])
+@pytest.mark.parametrize("stage, written", [("invert", "kernel.csv"),
+                                            ("manip", "frontier.csv")])
+def test_every_stage_error_is_recorded_and_any_other_error_stops_the_run(
+        tmp_path, capsys, monkeypatch, pipeline_files, stage, written, error):
+    """Each error of the one set a run records, raised by the inversion or the
+    frontier, is that stage's {"error": ...}: report exits 3 and writes every
+    other file. A RuntimeError outside the set stops the run."""
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(experiment, f"{stage}_stage", fail)
+    out = tmp_path / "out"
+    assert _report_with_config(tmp_path, str(out)) == 3
+    assert read_json(str(out / "report.json"))[stage] == {"error": str(error)}
+    assert capsys.readouterr().err.splitlines() == [f"report: {stage}: {error}"]
+    assert sorted(os.listdir(out)) == [name for name in pipeline_files if name != written]
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("not a stage error")
+
+    monkeypatch.setattr(experiment, f"{stage}_stage", fail)
+    with pytest.raises(RuntimeError, match="not a stage error"):
+        _report_with_config(tmp_path, str(tmp_path / "stopped"))
+
+
+def test_only_attempt_catches_a_stage_error():
+    """experiment.py records a stage error in one place: no `except` outside
+    _attempt names a class of _STAGE_ERRORS, the set itself or ValueError."""
+    names = {cls.__name__ for cls in experiment._STAGE_ERRORS} | {"_STAGE_ERRORS", "ValueError"}
+    tree = ast.parse(Path(experiment.__file__).read_text())
+    attempt = next(f for f in ast.walk(tree)
+                   if isinstance(f, ast.FunctionDef) and f.name == "_attempt")
+    inside = {id(node) for node in ast.walk(attempt)}
+    catches = [(handler.lineno, id(handler) in inside) for handler in ast.walk(tree)
+               if isinstance(handler, ast.ExceptHandler) and handler.type is not None
+               and names & {getattr(n, "id", getattr(n, "attr", None))
+                            for n in ast.walk(handler.type)}]
+    assert [inside for _, inside in catches] == [True], catches
+
+
+@pytest.mark.parametrize("command, code, error", [
+    ("measure", 2, "FormatError"), ("invert", 2, "FormatError"),
+    ("report", 1, "ParameterError")])
+def test_cli_refuses_input_that_is_not_utf8(tmp_path, capsys, command, code, error):
+    """Bytes that do not decode are a contract error naming their line, not a
+    traceback: a format error in a CSV, an invalid config in JSON."""
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    r, _ = _curve_files(tmp_path)
+    argv = {"measure": ["measure", str(bad)],
+            "invert": ["invert", "--response", r, "--autocorr", str(bad)],
+            "report": ["report", "--config", str(bad), "--criteria", "none"]}[command]
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out-dir", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith(f"impactlab: {error}: ")
+    assert captured.err.rstrip().endswith("line 1: not UTF-8 text")
+    assert not out.exists()
+
+
+def test_a_byte_that_is_not_utf8_is_named_by_its_line(tmp_path):
+    """Text is decoded a block of lines at a time, yet the error names the
+    line of the bad byte, deep in a tape and in a curve."""
+    tape = tmp_path / "tape.csv"
+    write_tape(_priced_tape(n=800), str(tape))
+    lines = tape.read_bytes().split(b"\n")
+    assert len(b"\n".join(lines[:600])) > 3 * 8192
+    lines[599] = lines[599].replace(b",", b",\xe9", 1)
+    tape.write_bytes(b"\n".join(lines))
+    with pytest.raises(FormatError, match="^line 600: not UTF-8 text$"):
+        read_tape(str(tape))
+    r, _ = _curve_files(tmp_path)
+    Path(r).write_bytes(Path(r).read_bytes().replace(b"\n8,", b"\n\xc38,"))
+    with pytest.raises(FormatError, match="^line 9: not UTF-8 text$"):
+        read_curve(r, "response")
 
 
 def test_cli_format_errors_exit_two(tmp_path):
