@@ -159,6 +159,9 @@ def cmd_invert(args) -> int:
           f"condition {rep['condition']:.6g}, wrote {os.path.join(out, files['kernel'])}")
     if rep.get("ill_conditioned"):
         print(f"invert: {rep['note']}", file=sys.stderr)
+    if "beta_hat_error" in rep:
+        print(f"invert: beta_hat_error: {rep['beta_hat_error']}", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -115,10 +115,18 @@ def _fast_len(need: int) -> int:
 
 def _fft_convolve(x: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
     """First n terms of the full convolution x*h, from one real FFT padded to
-    the 2·3·5-smooth length _fast_len(x.size + h.size - 1), so nothing wraps."""
+    the 2·3·5-smooth length _fast_len(x.size + h.size - 1), so nothing wraps.
+
+    h is transformed first, then x, and the inverse transform last; when the
+    caller holds no other reference to an input, it is freed as soon as its
+    spectrum exists."""
     size = _fast_len(x.size + h.size - 1)
+    kernel = rfft(h, size)
+    del h
     spec = rfft(x, size)
-    spec *= rfft(h, size)
+    del x
+    spec *= kernel
+    del kernel
     return irfft(spec, size)[:n]
 
 
@@ -192,6 +200,13 @@ def _noise_increments(n: int, cfg: ImpactConfig, seed: int):
     return cfg.noise_sigma * rng.standard_normal(n)
 
 
+def _kernel_table(kernel: Kernel, n: int) -> np.ndarray:
+    """G(1..n), checked non-negative."""
+    g = kernel.eval(np.arange(1, n + 1))
+    ensure(g >= 0, "kernel values must be >= 0")
+    return g
+
+
 def propagator_path(tape: TradeTape, cfg: ImpactConfig, seed: int = 0) -> np.ndarray:
     """Decaying-impact path: p_n = p0 + lam * sum_{m<n} G(n-m) u_m + noise walk.
 
@@ -199,16 +214,14 @@ def propagator_path(tape: TradeTape, cfg: ImpactConfig, seed: int = 0) -> np.nda
     a cumulative sum, so no convolution round-off enters."""
     _check_nonempty(tape)
     kernel = cfg.kernel
-    u = impact_sizes(tape, cfg.psi)
     n = tape.n
     if kernel.is_constant:
         g1 = float(kernel.eval(1))
         ensure(g1 >= 0, "kernel values must be >= 0")
-        s = g1 * np.cumsum(u)
+        s = g1 * np.cumsum(impact_sizes(tape, cfg.psi))
     else:
-        g = kernel.eval(np.arange(1, n + 1))
-        ensure(g >= 0, "kernel values must be >= 0")
-        s = _fft_convolve(u, g, n)
+        # handed over unnamed, so the convolution frees each once transformed
+        s = _fft_convolve(impact_sizes(tape, cfg.psi), _kernel_table(kernel, n), n)
     prices = np.empty(n + 1)
     prices[0] = cfg.p0
     cum = prices[1:]

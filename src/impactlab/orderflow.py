@@ -112,63 +112,143 @@ def _inverse_power(spectrum: np.ndarray) -> np.ndarray:
     return np.divide(1.0, density, out=density)
 
 
+_CHUNK = 1 << 16  # whitening coefficients computed at a time
+
+
+def _steps(lo: int, hi: int, beta: float) -> np.ndarray:
+    """The whitening filter's c_j = (j+1)^(-beta) - j^(-beta) for j = lo..hi-1,
+    with c_0 = 1: each the difference of two vector powers, bitwise as over
+    the whole range at once."""
+    first = max(lo, 1)
+    power = np.arange(first, hi + 1, dtype=np.float64) ** (-beta)
+    c = np.empty(hi - lo)
+    c[: first - lo] = 1.0
+    np.subtract(power[1:], power[:-1], out=c[first - lo :])
+    return c
+
+
+def _twiddle(lo: int, hi: int, length: int) -> np.ndarray:
+    """e^(-i pi r/length) for r = lo..hi-1."""
+    twiddle = np.arange(lo, hi, dtype=np.complex128)
+    twiddle *= -1j * np.pi / length
+    return np.exp(twiddle, out=twiddle)
+
+
+def _whitening_inputs(beta: float, grid: int) -> list:
+    """The three transform inputs of _whitening_autocorr, [z of the grid's
+    odd class, h, z of the even half's odd class], built in one pass over c
+    in chunks: each c_j is computed once, and no grid/2-point array exists."""
+    half, quarter, eighth = grid // 2, grid // 4, grid // 8
+    last = _steps(half, half + 1, beta)[0]  # c_J
+    top = np.empty(quarter, dtype=np.complex128)
+    even = np.empty(quarter)
+    sub = np.empty(eighth, dtype=np.complex128)
+    for lo in range(0, eighth, _CHUNK):
+        hi = min(lo + _CHUNK, eighth)
+        # c_r, c_(r+J/4), c_(r+J/2) and c_(r+3J/4) for r = lo..hi-1
+        a, b, c, d = (_steps(lo + k * eighth, hi + k * eighth, beta) for k in range(4))
+        if lo == 0:
+            a[0] = 1.0 - last  # the odd class folds c_J onto c_0 with a minus
+        for r, re, im in ((lo, a, c), (lo + eighth, b, d)):
+            part = top[r : r + hi - lo]
+            part.real = re
+            np.negative(im, out=part.imag)
+            part *= _twiddle(r, r + hi - lo, half)
+        if lo == 0:
+            a[0] = 1.0 + last  # the even class with a plus
+        np.add(a, c, out=even[lo:hi])
+        np.add(b, d, out=even[lo + eighth : hi + eighth])
+        part = sub[lo:hi]
+        np.subtract(a, c, out=part.real)
+        np.subtract(d, b, out=part.imag)
+        part *= _twiddle(lo, hi, quarter)
+    return [top, even, sub]
+
+
+def _odd_class_dct(z: np.ndarray) -> np.ndarray:
+    """Makhoul's w_t = e^(-i pi t/L) V_t, t = 0..L/4, for the odd class of a
+    real sequence y of even length L, given z_r = (y_r - i y_(r+L/2))
+    e^(-i pi r/L), r < L/2: V is the real FFT of 1/|DFT z|^2, and
+    y_t = Re w_t and y_(L/2-t) = -Im w_t give the class's DCT-II of length
+    L/2. z is transformed in place, and freed before the real FFT when the
+    caller holds no other reference to it."""
+    length = 2 * z.size
+    fft(z, out=z)
+    density = _inverse_power(z).copy()
+    del z
+    w = rfft(density)
+    del density
+    w *= _twiddle(0, w.size, length)
+    return w
+
+
+def _add_dct(acov: np.ndarray, w: np.ndarray, size: int) -> None:
+    """acov[t] += y_t for t < acov.size <= 2 size + 1, where y is the DCT-II
+    of length `size` given by its Makhoul w (see _odd_class_dct), continued
+    past `size` by y_(2 size-t) = -y_t."""
+    h = w.size - 1
+    pieces = ((0, w.real, np.add),  # y_t = Re w_t
+              (h + 1, w.imag[size - h - 1 :: -1], np.subtract),  # y_(size-t) = -Im w_t
+              (size + 1, w.imag[1 : size - h], np.add),  # y_(size+t) = Im w_t
+              (2 * size - h, w.real[::-1], np.subtract))  # y_(2 size-t) = -Re w_t
+    for start, values, op in pieces:
+        stop = min(acov.size, start + values.size)
+        if start < stop:
+            op(acov[start:stop], values[: stop - start], out=acov[start:stop])
+
+
 def _whitening_autocorr(gamma: float, n_lags: int, grid: int) -> np.ndarray:
     """Autocorrelation at lags 0..n_lags <= grid/4 of the stationary
     autoregressive flow whose one-step coefficients a_j = j^(-b) - (j+1)^(-b),
     b = (1-gamma)/2, exactly whiten the matched power-law impact kernel.
 
     Computed spectrally: S_k = 1/|X_k|^2 with X the DFT of c = (1, -a_1, ..,
-    -a_J) zero-padded to the grid N = 2J, then an inverse transform. The
-    coefficient sum is 1 - (J+1)^(-b) < 1 at truncation J, so the spectrum
-    stays finite at w = 0.
+    -a_J) zero-padded to the grid N = 2J >= 8, then an inverse transform.
+    The coefficient sum is 1 - (J+1)^(-b) < 1 at truncation J, so the
+    spectrum stays finite at w = 0.
 
-    No transform is longer than J = grid/2; exact DFT identities split the
-    grid into even and odd frequencies:
-    - X_2p is the length-J DFT of c[:J] with c_0 + c_J in place of c_0.
-    - With g = c[:J], g_0 = c_0 - c_J, and
-      z_r = (g_r - i g_(r+J/2)) e^(-i pi r/J), the length-J/2 DFT of z
-      holds X_(4q+1) at q < J/4 and conj X_(2J-4q-1) at q >= J/4.
-    - N acov[t] = J irfft(S_even, J)[t] + 2 sum_p S_(2p+1) cos(pi (2p+1) t/J).
-      The sum is a DCT-II of length J/2, computed with Makhoul's reordering
-      and one real FFT of length J/2 (J. Makhoul, "A fast cosine transform
-      in one and two dimensions", IEEE Trans. ASSP 28(1), 1980). That
-      reordering of S_odd is exactly the order in which the DFT of z
-      returns |X|, so 1/|DFT z|^2 feeds it as it is.
-    The odd half is done first, so beside each length-J transform only its
-    input and the short DCT result are alive.
+    No transform is longer than J/2 = grid/4; exact DFT identities split the
+    grid's frequencies into the classes 2p+1, 4q+2 and 4q:
+    - The odd class of a real sequence y of length L, its DFT at the odd
+      frequencies of 2L, is the length-L/2 DFT of
+      z_r = (y_r - i y_(r+L/2)) e^(-i pi r/L), in Makhoul's order (below).
+    - X_(2p+1) is the odd class of g = c[:J] with c_0 - c_J in place of c_0.
+    - X_2p is the length-J DFT of g = c[:J] with c_0 + c_J in place of c_0.
+      Split once more, X_4q is the length-J/2 real DFT of
+      h_r = g_r + g_(r+J/2), and X_(4q+2) the odd class of
+      x_r = g_r - g_(r+J/2).
+    - N acov[t] = (J/2) irfft(S_4q, J/2)[t] + 2 DCT-II_(J/4)(S_(4q+2))[t]
+      + 2 DCT-II_(J/2)(S_(2p+1))[t], with DCT-II_M(s)[t] =
+      sum_q s_q cos(pi (2q+1) t/(2M)). The irfft term is periodic in J/2,
+      and the short DCT continues past J/4 by y_(J/2-t) = -y_t.
+    Each DCT-II is one real FFT of half its length after Makhoul's
+    reordering (J. Makhoul, "A fast cosine transform in one and two
+    dimensions", IEEE Trans. ASSP 28(1), 1980). That reordering of the
+    density is exactly the order in which the DFT of z returns |X|, so
+    1/|DFT z|^2 feeds it as it is.
+    c is computed once, chunk by chunk, into the three transform inputs.
+    The classes are then summed into acov smallest first, each input freed
+    once its transform is done.
     """
     beta = (1.0 - gamma) / 2.0
-    half, quarter, eighth = grid // 2, grid // 4, grid // 8
-    power = np.arange(1, half + 2, dtype=np.float64) ** (-beta)
-    coef = np.empty(half + 1)
-    coef[0] = 1.0
-    np.subtract(power[1:], power[:-1], out=coef[1:])  # -a_j, j = 1..half
-    del power
-    odd = np.empty(quarter, dtype=np.complex128)
-    odd.real = coef[:quarter]
-    odd.real[0] = coef[0] - coef[half]
-    np.negative(coef[quarter:half], out=odd.imag)
-    twiddle = np.arange(quarter, dtype=np.complex128)
-    twiddle *= -1j * np.pi / half
-    odd *= np.exp(twiddle, out=twiddle)  # e^(-i pi r/J)
-    twiddle = twiddle[: eighth + 1].copy()  # all the DCT needs, kept small during the fft
-    fft(odd, out=odd)
-    dct = rfft(_inverse_power(odd))
-    del odd
-    # with V = dct and w_t = e^(-i pi t/J) V_t for t <= J/4:
-    # DCT-II[t] / 2 = Re w_t and DCT-II[J/2 - t] / 2 = -Im w_t
-    dct *= twiddle
-    del twiddle
-    coef[0] += coef[half]
-    even = rfft(coef[:half])
-    del coef
+    quarter, eighth = grid // 4, grid // 8
+    inputs = _whitening_inputs(beta, grid)  # popped, so each is freed in turn
+    acov = np.zeros(n_lags + 1)  # N acov / 2
+    _add_dct(acov, _odd_class_dct(inputs.pop()), eighth)
+    spec = rfft(inputs.pop())
     # kept complex, so irfft makes no complex copy of a real input
-    _inverse_power(even)
-    even.imag = 0.0
-    acov = irfft(even, half)[: n_lags + 1]
-    acov *= quarter  # N acov / 2 = (J/2) irfft(S_even, J) + DCT-II / 2
-    acov += np.concatenate((dct.real, -dct.imag[-2::-1]))[: n_lags + 1]
-    return acov / acov[0]
+    _inverse_power(spec)
+    spec.imag = 0.0
+    period = irfft(spec, quarter)
+    del spec
+    period *= eighth  # (J/4) irfft(S_4q, J/2), periodic in J/2
+    for start in range(0, acov.size, quarter):
+        part = acov[start : start + quarter]
+        part += period[: part.size]
+    del period
+    _add_dct(acov, _odd_class_dct(inputs.pop()), quarter)
+    acov /= acov[0]
+    return acov
 
 
 def _whitening_grid(n_lags: int) -> int:

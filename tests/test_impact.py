@@ -294,6 +294,20 @@ def test_decaying_propagator_is_the_scaled_convolution_plus_the_walk_bitwise():
     assert np.array_equal(propagator_path(tape, cfg, seed=3), want)
 
 
+@pytest.mark.parametrize("n", [1, 2, 1000, 2**16 + 4096])
+def test_propagator_path_is_the_one_product_of_spectra_bitwise(n):
+    """The flow's spectrum times the kernel's, inverted once: the same bits
+    whatever order the transforms run in."""
+    tape = _tape(gen_markov_signs(n, 0.5, n).signs, gen_volumes(n, "lognormal", seed=n))
+    cfg = ImpactConfig(0.3, 0.7, Kernel.power_law(0.4), p0=5.0)
+    u = impact_sizes(tape, 0.7)
+    g = cfg.kernel.eval(np.arange(1, n + 1))
+    size = _fast_len(2 * n - 1)
+    s = np.fft.irfft(np.fft.rfft(u, size) * np.fft.rfft(g, size), size)[:n]
+    want = np.concatenate([[5.0], 0.3 * s + 5.0])
+    assert propagator_path(tape, cfg).tobytes() == want.tobytes()
+
+
 def test_quotes_worked_examples():
     q = quotes(100.0, 0.5, ImpactConfig(), 1.0)
     assert (q.ask, q.bid, q.spread) == (100.5, 98.5, 2.0)

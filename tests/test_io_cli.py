@@ -346,6 +346,27 @@ def test_cli_invert_default_j_tail_follows_the_autocorrelation(tmp_path):
     assert report["j_tail"] == 16  # min(4096, last autocorrelation lag)
 
 
+def test_cli_invert_exits_three_when_the_beta_hat_fit_fails(tmp_path, capsys):
+    """A negative response inverts to a negative kernel, which has no power-law
+    fit: the error is recorded and printed, every file is written, exit 3."""
+    lags = np.arange(1, 9)
+    write_curve(LagCurve(lags, -(lags**-0.3), np.full(8, 10), "response"),
+                str(tmp_path / "r.csv"))
+    c_lags = np.arange(1, 17)
+    write_curve(LagCurve(c_lags, 0.2 * c_lags**-0.5, np.full(16, 10), "sign_autocorr"),
+                str(tmp_path / "c.csv"))
+    out = tmp_path / "inv"
+    rc = cli.main(["invert", "--response", str(tmp_path / "r.csv"),
+                   "--autocorr", str(tmp_path / "c.csv"),
+                   "--kernel-lags", "8", "--out-dir", str(out)])
+    assert rc == 3
+    report = read_json(out / "invert_report.json")
+    assert "beta_hat" not in report
+    assert capsys.readouterr().err.splitlines() == [
+        f"invert: beta_hat_error: {report['beta_hat_error']}"]
+    assert sorted(os.listdir(out)) == ["invert_report.json", "kernel.csv"]
+
+
 def test_cli_invert_and_manip_reports_record_provenance(tmp_path):
     """Both reports carry the versions their bytes depend on, as every other
     JSON output does."""

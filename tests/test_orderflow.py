@@ -173,7 +173,7 @@ def test_whitening_autocorr_is_the_two_power_formula_to_16_eps(gamma, grid):
     assert np.max(np.abs(new - acov[: n_lags + 1] / acov[0])) <= 16 * np.finfo(float).eps
 
 
-def test_whitening_calls_no_transform_longer_than_half_the_grid(monkeypatch):
+def test_whitening_calls_no_transform_longer_than_a_quarter_of_the_grid(monkeypatch):
     lengths = []
 
     def recorded(transform):
@@ -187,7 +187,20 @@ def test_whitening_calls_no_transform_longer_than_half_the_grid(monkeypatch):
         monkeypatch.setattr(orderflow, name, recorded(getattr(orderflow, name)))
     grid = 2**14
     orderflow._whitening_autocorr(0.5, grid // 4, grid)
-    assert lengths and max(lengths) <= grid // 2
+    assert lengths and max(lengths) <= grid // 4
+
+
+def test_whitening_is_the_same_bits_in_any_chunking(monkeypatch):
+    """The coefficients are computed chunk by chunk, and every chunk size gives
+    the same bits. One-element chunks are not tried: numpy rounds an in-place
+    complex product of one element outside its vector loop. Chunks are powers
+    of two, like the grid, so one has a single element only at grid 8, where
+    it is the whole class."""
+    grid = 2**14
+    want = orderflow._whitening_autocorr(0.5, grid // 4, grid)
+    for chunk in (2, 333, grid):
+        monkeypatch.setattr(orderflow, "_CHUNK", chunk)
+        assert orderflow._whitening_autocorr(0.5, grid // 4, grid).tobytes() == want.tobytes()
 
 
 def _grid_length_whitening(gamma, n_lags, grid):
