@@ -70,12 +70,16 @@ def _reference_signs() -> SignSeries:
     return gen_clipped_fractional_signs(REFERENCE_N, 0.5, seed=REFERENCE_SEED)
 
 
+@lru_cache(maxsize=1)
+def _reference_volumes() -> VolumeSeries:  # one array that every reference tape shares
+    return _unit_volumes(REFERENCE_N)
+
+
 @lru_cache(maxsize=4)
 def _reference_tape(beta: float) -> TradeTape:
     """The shared long-memory tape priced under a power-law kernel,
     lam=1, psi=1, unit volumes, noiseless, after its first BURN trades."""
-    signs = _reference_signs()
-    vols = _unit_volumes(REFERENCE_N)
+    signs, vols = _reference_signs(), _reference_volumes()
     tape = TradeTape(signs, vols)
     cfg = ImpactConfig(lam=1.0, psi=1.0, kernel=Kernel.power_law(beta))
     prices = propagator_path(tape, cfg)

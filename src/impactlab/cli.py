@@ -116,6 +116,13 @@ def _config_from_args(args) -> ExperimentConfig:
     return ExperimentConfig.from_dict(d) if d else ExperimentConfig()
 
 
+def _print_errors(command: str, errors: dict) -> int:
+    """A stderr line per recorded error, in order; 3 when there is one, else 0."""
+    for key, msg in errors.items():
+        print(f"{command}: {key}: {msg}", file=sys.stderr)
+    return 3 if errors else 0
+
+
 def cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
     out = _resolve_out_dir(args, cfg)
@@ -139,30 +146,25 @@ def cmd_measure(args) -> int:
     _, errors, files = measure_stage(
         tape, _flag_sections(args).get("estimator"), out, stem, burn=args.burn,
         extra={"input": os.path.relpath(args.tape, out), "burn": args.burn})
-    for name, msg in errors.items():
-        print(f"measure: {name}: {msg}", file=sys.stderr)
     print(f"measure: wrote {len(files)} files under {out}")
-    return 3 if errors else 0
+    return _print_errors("measure", errors)
 
 
 def cmd_invert(args) -> int:
     r = iolib.read_curve(args.response, "response")
     c = iolib.read_curve(args.autocorr, "sign_autocorr")
     out = _resolve_out_dir(args)
-    rep, files = invert_stage(r, c, args.lam, args.psi, args.v, out, args.kernel_lags,
-                              j_tail=args.j_tail, ridge=args.ridge)
-    rep["inputs"] = {"response": os.path.relpath(args.response, out),
-                     "autocorr": os.path.relpath(args.autocorr, out)}
-    rep["provenance"] = provenance()
+    rep, errors, files = invert_stage(r, c, args.lam, args.psi, args.v, out, args.kernel_lags,
+                                      j_tail=args.j_tail, ridge=args.ridge)
+    rep.update(inputs={"response": os.path.relpath(args.response, out),
+                       "autocorr": os.path.relpath(args.autocorr, out)},
+               provenance=provenance(), errors=errors)
     iolib.write_json(rep, os.path.join(out, "invert_report.json"))
     print(f"invert: residual {rep['residual_norm']:.6g}, "
           f"condition {rep['condition']:.6g}, wrote {os.path.join(out, files['kernel'])}")
     if rep.get("ill_conditioned"):
         print(f"invert: {rep['note']}", file=sys.stderr)
-    if "beta_hat_error" in rep:
-        print(f"invert: beta_hat_error: {rep['beta_hat_error']}", file=sys.stderr)
-        return 3
-    return 0
+    return _print_errors("invert", errors)
 
 
 def cmd_manip(args) -> int:
@@ -201,9 +203,8 @@ def cmd_report(args) -> int:
     numbers = _parse_criteria(args.criteria)
     cfg = ExperimentConfig.from_dict(iolib.read_json(args.config)) if args.config else None
     out = _resolve_out_dir(args, cfg)
-    bundle, messages = run_config(cfg, out) if cfg else ({"provenance": provenance()}, [])
-    for msg in messages:
-        print(f"report: {msg}", file=sys.stderr)
+    bundle = run_config(cfg, out) if cfg else {"provenance": provenance()}
+    code = _print_errors("report", bundle.get("errors", {}))
     results = run_criteria(numbers)
     bundle["acceptance"] = [r.to_dict() for r in results]
     for r in results:
@@ -216,7 +217,7 @@ def cmd_report(args) -> int:
               f"wrote {report_path}")
     else:
         print(f"report: wrote {report_path}")
-    return 4 if n_fail else 3 if messages else 0
+    return 4 if n_fail else code
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,7 +11,8 @@ _fork_map is that map of items over forked workers, in order, and
 acceptance.run_criteria maps its criteria through it too.
 
 A stage fails one way: _attempt records the message of an error in
-_STAGE_ERRORS under the stage's name and the run goes on; any other stops it.
+_STAGE_ERRORS in the stage's `errors` map and the run goes on; any other stops
+it. run_config gathers the maps into report.json's. _fit records every fit.
 
 Provenance is the package and library versions plus the config hash and
 seed; no timestamps, so reruns are byte-identical.
@@ -409,36 +410,43 @@ def measure(tape: TradeTape, spec: dict | None = None, burn: int = 0):
               "rho": (est.rho, post, int(s["rho_window"]), float(s["rho_psi_weight"])),
               "conditional": (est.conditional_response, post, int(s["cond_lag"]),
                               int(s["n_bins"]), int(s["min_count"]))}
-    results, errors = {}, {}
+    results, errors, fits = {}, {}, {}
     if post.n and post.v.min() == post.v.max():
         # constant volumes cannot be binned; a structural skip, not a failure
         del curves["conditional"]
-        results["notes"] = {"conditional": "skipped: constant volumes"}
+        fits["notes"] = {"conditional": "skipped: constant volumes"}
     results.update((name, value) for name, call in curves.items()
                    if (value := _attempt(errors, name, *call)) is not None)
-    fits: dict = {}
-    for name, curve, fit in (("gamma_fit", "sign_autocorr", _gamma_fit),
-                             ("psi_fit", "conditional", _psi_fit),
-                             ("diffusion_ratio", "diffusivity", _diffusion_ratio)):
-        if curve in results:
-            fits.update(_attempt(errors, name, fit, results[curve]) or {})
+    _gamma_fit(results, fits, errors)
+    if "conditional" in results:
+        centers = results["conditional"].centers
+        fits.update(_attempt(errors, "psi_fit", _fit, "psi_hat", results["conditional"],
+                             (float(centers[0]), float(centers[-1]))) or {})
+    if "diffusivity" in results:
+        fits.update(_attempt(errors, "diffusion_ratio", _diffusion_ratio,
+                             results["diffusivity"]) or {})
     if "rho" in results:
         fits["rho"] = float(results["rho"])
     results["fits"] = fits
     return results, errors
 
 
-def _gamma_fit(sign_curve) -> dict:
-    """{"gamma_hat": fit} of the tail of a sign autocorrelation on lags
-    8..min(512, last), or {} for a curve that stops before lag 16."""
-    hi = min(512, int(sign_curve.lags[-1]))
-    return {"gamma_hat": asdict(est.fit_power_law(sign_curve, (8, hi)))} if hi >= 16 else {}
+def _fit(key: str, curve, fit_range) -> dict:
+    """{key: the power-law fit of curve over fit_range}, the one record of a fit."""
+    return {key: asdict(est.fit_power_law(curve, fit_range))}
 
 
-def _psi_fit(cond) -> dict:
-    """{"psi_hat": fit} of a conditional response over all its bin centers."""
-    centers = cond.centers
-    return {"psi_hat": asdict(est.fit_power_law(cond, (float(centers[0]), float(centers[-1]))))}
+def _gamma_fit(curves: dict, fits: dict, errors: dict):
+    """Adds to fits the "gamma_hat" fit of curves["sign_autocorr"], if any, on lags
+    8..min(512, last): a failed fit is errors["gamma_fit"], and a curve that ends
+    before lag 16 is skipped with a note, fits["notes"]["gamma_fit"]."""
+    if "sign_autocorr" in curves:
+        last = int(curves["sign_autocorr"].lags[-1])
+        if last < 16:
+            fits.setdefault("notes", {})["gamma_fit"] = "skipped: the curve ends before lag 16"
+        else:
+            fits.update(_attempt(errors, "gamma_fit", _fit, "gamma_hat", curves["sign_autocorr"],
+                                 (8, min(512, last))) or {})
 
 
 def _diffusion_ratio(curve) -> dict:
@@ -463,7 +471,7 @@ def simulate_stage(config: ExperimentConfig, seed: int, out: str):
 def measure_stage(tape: TradeTape, spec: dict | None, out: str, stem: str,
                   burn: int = 0, extra: dict | None = None):
     """measure a tape and write each curve and the fits JSON, which also
-    holds `extra`, any notes and the per-curve errors.
+    holds `extra` and the per-curve errors.
     Returns (results, errors, files)."""
     results, errors = measure(tape, spec, burn=burn)
     files = {}
@@ -473,8 +481,6 @@ def measure_stage(tape: TradeTape, spec: dict | None, out: str, stem: str,
             write = iolib.write_conditional if name == "conditional" else iolib.write_curve
             write(results[name], os.path.join(out, files[name]))
     fits = {**results["fits"], **(extra or {}), "errors": errors}
-    if "notes" in results:
-        fits["notes"] = results["notes"]
     files["fits"] = f"{stem}_fits.json"
     iolib.write_json(fits, os.path.join(out, files["fits"]))
     return results, errors, files
@@ -483,22 +489,22 @@ def measure_stage(tape: TradeTape, spec: dict | None, out: str, stem: str,
 def pool_stage(per_seed: list, out: str):
     """Pool each curve that every seed's measure results hold, write the
     pooled curves, fit the pooled sign autocorrelation and average rho.
-    Returns (pooled curves, pooled fits, files)."""
-    pooled, fits, files = {}, {}, {}
+    Returns (the pooled curves and their "fits", errors, files)."""
+    pooled, fits, errors, files = {}, {}, {}, {}
     for name in ("response", "sign_autocorr", "diffusivity"):
         curves = [r[name] for r in per_seed if name in r]
         if len(curves) == len(per_seed):
             pooled[name] = est.pool_curves(curves)
             files[f"pooled_{name}"] = f"pooled_{name}.csv"
             iolib.write_curve(pooled[name], os.path.join(out, files[f"pooled_{name}"]))
-    if "sign_autocorr" in pooled:
-        fits.update(_attempt(fits, "gamma_hat_error", _gamma_fit, pooled["sign_autocorr"]) or {})
+    _gamma_fit(pooled, fits, errors)
     rhos = [r["rho"] for r in per_seed if "rho" in r]
     if rhos:
         fits["rho_mean"] = float(np.mean(rhos))
         if len(rhos) > 1:
             fits["rho_se"] = float(np.std(rhos, ddof=1) / np.sqrt(len(rhos)))
-    return pooled, fits, files
+    pooled["fits"] = fits
+    return pooled, errors, files
 
 
 def invert_stage(response_curve, sign_curve, lam: float, psi: float, v: float, out: str,
@@ -506,7 +512,8 @@ def invert_stage(response_curve, sign_curve, lam: float, psi: float, v: float, o
                  ridge: float = 0.0):
     """Recover the kernel table G(1..L) from a response and a sign
     autocorrelation, fit its decay exponent beta_hat on lags 1..min(64, L)
-    and write kernel.csv. Returns (report, files).
+    and write kernel.csv. Returns (report, errors, files): a failed fit is
+    errors["beta_fit"].
 
     L defaults to the last response lag: the inversion holds G flat past its
     table, so a shorter kernel misspecifies the fit. j_tail defaults to
@@ -517,12 +524,10 @@ def invert_stage(response_curve, sign_curve, lam: float, psi: float, v: float, o
                                     j_tail=j_tail, ridge=ridge)
     files = {"kernel": "kernel.csv"}
     iolib.write_kernel(kern, os.path.join(out, files["kernel"]), se_proxy=rep.pop("se_proxy"))
-    lags = np.arange(1, kern.values.size + 1, dtype=np.float64)
-    fit = _attempt(rep, "beta_hat_error", est.fit_power_law, (lags, kern.values),
-                   (1, min(64, kern.values.size)))
-    if fit is not None:
-        rep["beta_hat"], rep["beta_hat_se"] = fit.exponent, fit.exponent_se
-    return rep, files
+    lags, errors = np.arange(1, kern.values.size + 1, dtype=np.float64), {}
+    rep.update(_attempt(errors, "beta_fit", _fit, "beta_hat", (lags, kern.values),
+                        (1, min(64, kern.values.size))) or {})
+    return rep, errors, files
 
 
 def manip_stage(spec: dict, out: str):
@@ -632,49 +637,39 @@ def _map_seeds(config: ExperimentConfig, seeds: list, out: str) -> list:
     return _fork_map(functools.partial(_seed_run, config, out=out), seeds, "seed {}".format)
 
 
-def _messages(bundle: dict) -> list:
-    """A line for each stage error the bundle records, in stage order."""
-    lines = [f"seed {s}: {name}: {msg}" for s, errors in bundle["measure_errors"].items()
-             for name, msg in errors.items()]
-    for stage, record in (("pooled", bundle["fits"].get("pooled")),
-                          ("invert", bundle.get("invert")), ("manip", bundle.get("manip"))):
-        lines += [f"{stage}: {msg}" if key == "error" else f"{stage}: {key}: {msg}"
-                  for key, msg in (record if isinstance(record, dict) else {}).items()
-                  if key.endswith("error")]  # "error", or a fit's "*_error"
-    return lines
-
-
-def run_config(config: ExperimentConfig, out: str):
+def run_config(config: ExperimentConfig, out: str) -> dict:
     """The stages of `report --config` in order: simulate and measure each seed,
     pool across seeds, invert the pooled curves (one seed's, alone) at the model's
-    lam and psi, then the manip frontier if configured. A failing curve, fit,
-    inversion or frontier is recorded in the bundle, the one record of the run.
-    Returns (bundle, a message per stage error)."""
+    lam and psi, then the manip frontier if configured. Returns the bundle, the
+    one record of the run; its `errors` map holds each stage's errors in stage order."""
     seeds = expand_seeds(config.seed)
-    mean_volumes, measured, errors, files = zip(*_map_seeds(config, seeds, out))
+    mean_volumes, measured, seed_errors, files = zip(*_map_seeds(config, seeds, out))
     keys = [str(s) for s in seeds]
+    errors = {f"seed {s}: {name}": msg for s, errs in zip(seeds, seed_errors)
+              for name, msg in errs.items()}
     bundle: dict = {"provenance": {**provenance(config), "seeds": seeds},
-                    "files": dict(zip(keys, files)), "measure_errors": dict(zip(keys, errors)),
+                    "files": dict(zip(keys, files)), "errors": errors,
                     "fits": {"per_seed": {k: r["fits"] for k, r in zip(keys, measured)}}}
     curves = measured[0]
     if len(seeds) > 1:
-        pooled, bundle["fits"]["pooled"], pooled_files = pool_stage(measured, out)
+        pooled, pool_errors, pooled_files = pool_stage(measured, out)
+        bundle["fits"]["pooled"] = pooled.pop("fits")
+        errors.update((f"pooled: {name}", msg) for name, msg in pool_errors.items())
         bundle["files"].update(pooled_files)
         curves = pooled or curves
     if "response" in curves and "sign_autocorr" in curves:
-        bundle["invert"] = {}  # {"error": message} when the inversion fails
         # the volume scale is the first tape's mean volume
-        done = _attempt(bundle["invert"], "error", invert_stage, curves["response"],
+        done = _attempt(errors, "invert", invert_stage, curves["response"],
                         curves["sign_autocorr"], config.impact.lam, config.impact.psi,
                         mean_volumes[0], out, config.estimator.get("invert_lags"),
                         config.estimator.get("j_tail"))
         if done is not None:
-            bundle["invert"], inv_files = done
-            bundle["files"].update(inv_files)
+            bundle["invert"], invert_errors, invert_files = done
+            errors.update((f"invert: {name}", msg) for name, msg in invert_errors.items())
+            bundle["files"].update(invert_files)
     if config.manip is not None:
-        bundle["manip"] = {}
-        done = _attempt(bundle["manip"], "error", manip_stage, config.manip, out)
+        done = _attempt(errors, "manip", manip_stage, config.manip, out)
         if done is not None:
             bundle["manip"] = done[0]["rows"]
             bundle["files"].update(done[1])
-    return bundle, _messages(bundle)
+    return bundle

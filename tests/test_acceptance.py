@@ -3,6 +3,8 @@ pytest -v. Each criterion function returns a CriterionResult whose details
 carry the measured numbers; the assertion message echoes them on failure.
 """
 
+import numpy as np
+
 from impactlab import acceptance
 
 
@@ -62,3 +64,11 @@ def test_criterion_12_master_curve_collapse():
 
 def test_criterion_13_pipeline_reproducibility_round_trips():
     _run(13)
+
+
+def test_the_reference_tapes_share_one_volume_array():
+    """Each cached reference tape holds a view of one unit-volume array, not a
+    copy of its own."""
+    tapes = [acceptance._reference_tape(beta) for beta in (0.0, 0.25)]
+    assert np.shares_memory(tapes[0].v, tapes[1].v)
+    assert np.shares_memory(tapes[0].v, acceptance._reference_volumes().volumes)

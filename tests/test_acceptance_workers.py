@@ -92,7 +92,7 @@ def test_an_unknown_or_repeated_criterion_is_refused(numbers, message):
 _GUARD = """
 from impactlab import acceptance, experiment, orderflow
 
-caches = [acceptance._reference_signs, acceptance._reference_tape,
+caches = [acceptance._reference_signs, acceptance._reference_volumes, acceptance._reference_tape,
           acceptance._reference_sign_autocorr, orderflow._embedding_eigenvalues]
 
 def guarded(number, criterion):

@@ -3,6 +3,7 @@ errors with line numbers, determinism, and the exit-code contract."""
 
 import argparse
 import ast
+import dataclasses
 import filecmp
 import importlib.metadata
 import inspect
@@ -138,7 +139,7 @@ def test_kernel_se_proxy_is_blank_for_a_square_inversion(tmp_path):
     # one kernel lag per equation: no residual degrees of freedom, no proxy
     square = str(tmp_path / "square")
     os.makedirs(square)
-    rep, files = invert_stage(r, c, 1.0, 1.0, 1.0, square, j_tail=128)
+    rep, _, files = invert_stage(r, c, 1.0, 1.0, 1.0, square, j_tail=128)
     assert rep["equations"] == 64 and "se_proxy" not in rep
     path = os.path.join(square, files["kernel"])
     rows = Path(path).read_text().splitlines()[1:]
@@ -244,7 +245,7 @@ def test_cli_measure_then_invert_recovers_a_rough_kernel(tmp_path):
                    "--kernel-lags", "32", "--j-tail", "128", "--out-dir", inv])
     assert rc == 0
     report = read_json(os.path.join(inv, "invert_report.json"))
-    assert 0.1 < report["beta_hat"] < 0.4
+    assert 0.1 < report["beta_hat"]["exponent"] < 0.4 and report["errors"] == {}
     kern, se = read_kernel(os.path.join(inv, "kernel.csv"))
     assert kern.values.size == 32 and se is not None
 
@@ -297,6 +298,30 @@ def test_cli_measure_burn_cuts_every_curve_but_the_sign_autocorrelation(tmp_path
         assert rc == 3
         assert sorted(fits["errors"]) == ["conditional", "diffusivity", "response", "rho"]
         assert (out / "tape_sign_autocorr.csv").exists()
+
+
+def test_cli_measure_notes_a_gamma_fit_skipped_on_a_short_curve(tmp_path, capsys):
+    """A sign autocorrelation that ends before lag 16 leaves no tail to fit: a
+    note, as for constant volumes, not an error, and exit 0."""
+    n, tape = 20000, str(tmp_path / "tape.csv")
+    flow = TradeTape(orderflow.gen_clipped_fractional_signs(n, 0.5, seed=3),
+                     gen_volumes(n, "lognormal", seed=4))
+    write_tape(TradeTape(flow.signs, flow.volumes,
+                         propagator_path(flow, ImpactConfig(lam=0.1), seed=5)), tape)
+
+    def measure(sign_max_lag):
+        out = tmp_path / f"lag{sign_max_lag}"
+        rc = cli.main(["measure", tape, "--max-lag", "8", "--sign-max-lag", str(sign_max_lag),
+                       "--out-dir", str(out)])
+        return rc, read_json(str(out / "tape_fits.json"))
+
+    rc, fits = measure(8)
+    assert rc == 0 and fits["errors"] == {} and "gamma_hat" not in fits
+    assert fits["notes"] == {"gamma_fit": "skipped: the curve ends before lag 16"}
+    rc, fits = measure(16)
+    assert rc == 0 and fits["errors"] == {} and "notes" not in fits
+    assert fits["gamma_hat"]["fit_range"] == [8.0, 16.0]
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_report_on_prices_that_never_move_writes_valid_json(tmp_path):
@@ -361,9 +386,9 @@ def test_cli_invert_exits_three_when_the_beta_hat_fit_fails(tmp_path, capsys):
                    "--kernel-lags", "8", "--out-dir", str(out)])
     assert rc == 3
     report = read_json(out / "invert_report.json")
-    assert "beta_hat" not in report
+    assert "beta_hat" not in report and list(report["errors"]) == ["beta_fit"]
     assert capsys.readouterr().err.splitlines() == [
-        f"invert: beta_hat_error: {report['beta_hat_error']}"]
+        f"invert: beta_fit: {report['errors']['beta_fit']}"]
     assert sorted(os.listdir(out)) == ["invert_report.json", "kernel.csv"]
 
 
@@ -449,7 +474,12 @@ def test_cli_report_full_pipeline_with_config(tmp_path):
     rep = read_json(os.path.join(out, "report.json"))
     assert rep["provenance"]["config_sha256"]
     assert rep["provenance"]["seeds"] == [1, 2]
-    assert "pooled" in rep["fits"]
+    assert "pooled" in rep["fits"] and rep["errors"] == {}
+    # every power-law fit is recorded in one form
+    fit_keys = {f.name for f in dataclasses.fields(estimators.PowerLawFit)}
+    for record in (rep["fits"]["pooled"]["gamma_hat"], rep["fits"]["per_seed"]["1"]["psi_hat"],
+                   rep["invert"]["beta_hat"]):
+        assert set(record) == fit_keys
     assert os.path.exists(os.path.join(out, "pooled_response.csv"))
     assert os.path.exists(os.path.join(out, "kernel.csv"))
 
@@ -1029,8 +1059,9 @@ def test_cli_report_records_stage_errors_and_keeps_every_file(tmp_path, capsys):
     assert cli.main(["report", "--config", str(tmp_path / "cfg.json"), "--criteria", "none",
                      "--out-dir", str(out)]) == 3
     rep = read_json(str(out / "report.json"))
-    assert list(rep["invert"]) == ["error"] and "L <=" in rep["invert"]["error"]
-    assert list(rep["manip"]) == ["error"] and "budget" in rep["manip"]["error"]
+    assert "invert" not in rep and "manip" not in rep
+    assert list(rep["errors"]) == ["invert", "manip"]
+    assert "L <=" in rep["errors"]["invert"] and "budget" in rep["errors"]["manip"]
     # four curves and the fits per seed, besides its tape and meta
     per_seed = [name for s in (1, 2) for name in [f"tape_seed{s}.csv", f"meta_seed{s}.json",
                                                    *rep["files"].pop(str(s)).values()]]
@@ -1039,9 +1070,8 @@ def test_cli_report_records_stage_errors_and_keeps_every_file(tmp_path, capsys):
                                     ("diffusivity", "response", "sign_autocorr")]
     assert sorted(os.listdir(out)) == sorted(
         per_seed + list(rep["files"].values()) + ["report.json"])
-    lines = capsys.readouterr().err.splitlines()
-    assert [line.split(":")[:2] for line in lines] == [["report", " invert"],
-                                                         ["report", " manip"]]
+    assert capsys.readouterr().err.splitlines() == [
+        f"report: {key}: {msg}" for key, msg in rep["errors"].items()]
 
 
 @pytest.fixture(scope="module")
@@ -1052,41 +1082,72 @@ def pipeline_files(tmp_path_factory):
     return sorted(os.listdir(tmp_path / "out"))
 
 
-_real_gamma_fit, _real_fit_power_law = experiment._gamma_fit, estimators.fit_power_law
+_real_fit = experiment._fit
 
 
-def _fail_the_pooled_gamma_fit(curve):
-    if curve.counts[0] > _PIPELINE_CFG["n"]:  # the pooled counts sum the seeds'
-        raise EstimationError("no pooled fit")
-    return _real_gamma_fit(curve)
+def _failing_fit(*failing):
+    """experiment._fit, failing for the records named in `failing`: "gamma_hat"
+    only on a pooled curve, whose counts sum the seeds'."""
+    def fit(key, curve, fit_range):
+        seeds_own = key == "gamma_hat" and curve.counts[0] <= _PIPELINE_CFG["n"]
+        if key in failing and not seeds_own:
+            raise EstimationError(f"no {key} fit")
+        return _real_fit(key, curve, fit_range)
+    return fit
 
 
-def _fail_the_beta_hat_fit(curve, fit_range):
-    if isinstance(curve, tuple):  # the kernel table's (lags, values)
-        raise EstimationError("no kernel fit")
-    return _real_fit_power_law(curve, fit_range)
-
-
-@pytest.mark.parametrize("module, name, patch, where, key", [
-    (experiment, "_gamma_fit", _fail_the_pooled_gamma_fit, ("fits", "pooled"), "gamma_hat"),
-    (estimators, "fit_power_law", _fail_the_beta_hat_fit, ("invert",), "beta_hat"),
-], ids=["pooled-gamma", "beta-hat"])
+@pytest.mark.parametrize("key, error_key", [("gamma_hat", "pooled: gamma_fit"),
+                                            ("beta_hat", "invert: beta_fit")],
+                         ids=["pooled-gamma", "beta-hat"])
 def test_cli_report_exits_three_on_a_failed_pooled_or_kernel_fit(
-        tmp_path, capsys, monkeypatch, pipeline_files, module, name, patch, where, key):
+        tmp_path, capsys, monkeypatch, pipeline_files, key, error_key):
     """A fit that fails after the seeds' own, pooled or of the inverted
-    kernel, is recorded under its `*_error` key, gives a message and sets
-    exit 3; every file is still written. The forked seeds inherit the patch."""
-    monkeypatch.setattr(module, name, patch)
+    kernel, is the one entry of `errors`, gives one message and sets exit 3;
+    every file is still written. The forked seeds inherit the patch."""
+    monkeypatch.setattr(experiment, "_fit", _failing_fit(key))
     out = tmp_path / "out"
     assert _report_with_config(tmp_path, str(out)) == 3
-    record = read_json(str(out / "report.json"))
-    for step in where:
-        record = record[step]
+    rep = read_json(str(out / "report.json"))
+    assert rep["errors"] == {error_key: f"no {key} fit"}
+    record = rep["fits"]["pooled"] if key == "gamma_hat" else rep["invert"]
     assert key not in record
-    msg = record[f"{key}_error"]
-    assert capsys.readouterr().err.splitlines() == [
-        f"report: {where[-1]}: {key}_error: {msg}"]
+    assert capsys.readouterr().err.splitlines() == [f"report: {error_key}: no {key} fit"]
     assert sorted(os.listdir(out)) == pipeline_files
+
+
+def _keys(obj):
+    """Every key of every object nested in obj."""
+    if isinstance(obj, dict):
+        return [k for key, value in obj.items() for k in [key, *_keys(value)]]
+    return [k for value in obj for k in _keys(value)] if isinstance(obj, list) else []
+
+
+def test_every_failure_of_a_run_is_one_entry_of_one_errors_map(tmp_path, capsys, monkeypatch):
+    """A seed's curve, the pooled gamma fit, the beta fit and the frontier fail
+    in one run: report.json's `errors` holds exactly their keys, stderr a line
+    for each in stage order, and no other key of report.json or of a written
+    invert_report.json names an error."""
+    cfg = {**_PIPELINE_CFG, "estimator": {**_PIPELINE_CFG["estimator"], "min_count": 10**6},
+           "manip": {"max_len": 10, "grid": [1, 2, 4, 8, 9], "budget": 100}}
+    write_json(cfg, str(tmp_path / "cfg.json"))
+    monkeypatch.setattr(experiment, "_fit", _failing_fit("gamma_hat", "beta_hat"))
+    out = tmp_path / "out"
+    assert cli.main(["report", "--config", str(tmp_path / "cfg.json"), "--criteria", "none",
+                     "--out-dir", str(out)]) == 3
+    keys = ["seed 1: conditional", "seed 2: conditional", "pooled: gamma_fit",
+            "invert: beta_fit", "manip"]
+    rep = read_json(str(out / "report.json"))
+    assert sorted(rep["errors"]) == sorted(keys)
+    assert capsys.readouterr().err.splitlines() == [
+        f"report: {key}: {rep['errors'][key]}" for key in keys]
+    assert [k for k in _keys(rep) if "error" in k] == ["errors"]
+
+    r, c = (str(out / f"pooled_{name}.csv") for name in ("response", "sign_autocorr"))
+    assert cli.main(["invert", "--response", r, "--autocorr", c, "--kernel-lags", "8",
+                     "--j-tail", "31", "--out-dir", str(tmp_path / "inv")]) == 3
+    inv = read_json(str(tmp_path / "inv" / "invert_report.json"))
+    assert inv["errors"] == {"beta_fit": "no beta_hat fit"}
+    assert [k for k in _keys(inv) if "error" in k] == ["errors"]
 
 
 @pytest.mark.parametrize("error", [cls(7, 3) if cls is SearchBudgetError else cls("boom")
@@ -1097,15 +1158,17 @@ def test_cli_report_exits_three_on_a_failed_pooled_or_kernel_fit(
 def test_every_stage_error_is_recorded_and_any_other_error_stops_the_run(
         tmp_path, capsys, monkeypatch, pipeline_files, stage, written, error):
     """Each error of the one set a run records, raised by the inversion or the
-    frontier, is that stage's {"error": ...}: report exits 3 and writes every
-    other file. A RuntimeError outside the set stops the run."""
+    frontier, is the entry `errors[stage]` in place of the stage's result:
+    report exits 3 and writes every other file. A RuntimeError outside the set
+    stops the run."""
     def fail(*args, **kwargs):
         raise error
 
     monkeypatch.setattr(experiment, f"{stage}_stage", fail)
     out = tmp_path / "out"
     assert _report_with_config(tmp_path, str(out)) == 3
-    assert read_json(str(out / "report.json"))[stage] == {"error": str(error)}
+    rep = read_json(str(out / "report.json"))
+    assert rep["errors"] == {stage: str(error)} and stage not in rep
     assert capsys.readouterr().err.splitlines() == [f"report: {stage}: {error}"]
     assert sorted(os.listdir(out)) == [name for name in pipeline_files if name != written]
 

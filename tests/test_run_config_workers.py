@@ -52,8 +52,7 @@ def _run(monkeypatch, tmp_path, name: str, cpus: int, seeds):
     monkeypatch.setattr(sys.modules[__name__], "_PID_DIR", str(pid_dir))
     monkeypatch.setattr(experiment, "_seed_run", _recording_seed_run)
     monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
-    bundle, _ = run_config(ExperimentConfig.from_dict({**_CFG, "seed": seeds}),
-                           str(tmp_path / name))
+    bundle = run_config(ExperimentConfig.from_dict({**_CFG, "seed": seeds}), str(tmp_path / name))
     assert multiprocessing.active_children() == []
     iolib.write_json(bundle, str(tmp_path / f"{name}_bundle.json"))
     return ((tmp_path / f"{name}_bundle.json").read_bytes(),
