@@ -48,18 +48,16 @@ ROLES = ("response", "sign_autocorr", "diffusivity")
 
 def _check_rows(counts: np.ndarray, values: np.ndarray) -> None:
     """Every row of a curve averages at least one sample to a finite value."""
-    ensure(counts >= 1, "counts must be >= 1")
-    ensure(np.isfinite(values), "values must be finite")
+    ensure(np.isfinite(values), "value must be finite")
+    ensure(counts >= 1, "count must be >= 1")
 
 
 @dataclass
 class LagCurve:
     """A per-lag statistic with sample counts and optional standard errors.
 
-    role_tag is one of "response", "sign_autocorr", "diffusivity".
-    Sign-autocorrelation values outside [-1, 1] (possible for degenerate
-    inputs, e.g. odd-length alternating series exceed -1 by O(1/N^2)) are
-    flagged in meta rather than rejected.
+    role_tag is one of "response", "sign_autocorr", "diffusivity". A sign
+    autocorrelation may leave [-1, 1] (by O(1/N^2) for odd-length alternating signs).
     """
 
     lags: np.ndarray
@@ -80,15 +78,10 @@ class LagCurve:
         ensure(self.lags.size == self.values.size == self.counts.size,
                "lags, values, counts must have equal length")
         ensure(self.lags.size > 0, "curve must be nonempty")
-        ensure(np.all(self.lags >= 1) and np.all(np.diff(self.lags) > 0),
-               "lags must be positive and strictly increasing")
+        ensure(np.diff(self.lags, prepend=0) > 0, "lags must be positive and strictly increasing")
         _check_rows(self.counts, self.values)
-        ensure(self.role_tag != "diffusivity" or np.all(self.values >= 0),
+        ensure((self.role_tag != "diffusivity") | (self.values >= 0),
                "diffusivity values must be >= 0")
-        if self.role_tag == "sign_autocorr" and (
-            np.any(self.values > 1.0) or np.any(self.values < -1.0)
-        ):
-            self.meta["range_flag"] = True
 
     def __len__(self):
         return self.lags.size
@@ -101,8 +94,7 @@ class LagCurve:
     def dense_values(self, upto: int) -> np.ndarray:
         """Values on contiguous lags 1..upto as a plain array (index l-1).
         Requires the curve to cover exactly those lags from 1."""
-        ensure(self.lags[0] == 1 and self.lags.size >= upto
-               and np.all(np.diff(self.lags[:upto]) == 1),
+        ensure(self.lags[0] == 1 and np.array_equal(self.lags[:upto], np.arange(1, upto + 1)),
                f"{self.role_tag} curve must cover contiguous lags 1..{upto}, "
                f"got {self.lags[0]}..{self.lags[-1]} ({self.lags.size} rows)")
         return self.values[:upto]
@@ -128,10 +120,11 @@ class ConditionalResponse:
         sizes = {self.bin_lo.size, self.bin_hi.size, self.values.size, self.counts.size}
         ensure(len(sizes) == 1 and self.bin_lo.size > 0,
                "bins, values, counts must be nonempty and equal length")
-        # each bin ends at or before the next begins, so no volume counts twice
-        ensure(np.all((0 < self.bin_lo) & (self.bin_lo < self.bin_hi) & (self.bin_hi < np.inf))
-               and np.all(self.bin_hi[:-1] <= self.bin_lo[1:]),
-               "bin edges must be finite, positive, positive-width, increasing and disjoint")
+        ensure((0 < self.bin_lo) & (self.bin_lo < self.bin_hi) & (self.bin_hi < np.inf),
+               "bin edges must be finite, positive, 0 < v_lo < v_hi")
+        # each bin begins at or after the one above ends, so no volume counts twice
+        ensure(self.bin_lo >= np.append(0.0, self.bin_hi[:-1]),
+               "bins must be increasing and disjoint, v_lo >= the v_hi above")
         _check_rows(self.counts, self.values)
         ensure(self.T >= 1, "T must be >= 1")
 
@@ -339,7 +332,7 @@ def sign_autocorr(signs, max_lag: int) -> LagCurve:
     C(l) = mean_n[eps_n eps_{n+l}] - (mean eps)^2.
 
     Computed by FFT; per-lag counts are N-l. A (near-)constant series makes
-    the estimator 0 at every lag; flagged as degenerate in meta.
+    the estimator 0 at every lag.
     """
     eps = _eps_of(signs)
     n = eps.size
@@ -348,10 +341,7 @@ def sign_autocorr(signs, max_lag: int) -> LagCurve:
     raw = _fft_corr(eps, eps, max_lag)
     cnt = n - np.arange(max_lag + 1)
     cov = raw / cnt - mu * mu
-    meta = {"degenerate": True} if abs(cov[0]) < 1e-12 else {}
-    return LagCurve(
-        np.arange(1, max_lag + 1), cov[1:], cnt[1:], "sign_autocorr", None, meta
-    )
+    return LagCurve(np.arange(1, max_lag + 1), cov[1:], cnt[1:], "sign_autocorr")
 
 
 def diffusivity(prices, max_lag: int) -> LagCurve:

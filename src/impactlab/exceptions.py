@@ -11,14 +11,19 @@ __all__ = ["ParameterError", "InputError", "FormatError",
 
 
 class ParameterError(ValueError):
-    """A parameter is outside its validity range."""
+    """A parameter is outside its validity range; `row` is set by `ensure`."""
+
+    row = None
 
 
 def ensure(ok, message: str) -> None:
-    """ParameterError(message) unless `ok` holds, at every element of an
-    array. State the rule, not its breach: NaN then fails every check."""
+    """ParameterError(message) unless `ok` holds, at every element of an array; the
+    error's `row` is the first failing entry of a 1-d `ok`, a rule with one entry
+    per row. State the rule, not its breach: NaN then fails every check."""
     if not np.all(ok):
-        raise ParameterError(message)
+        exc = ParameterError(message)
+        exc.row = int(np.argmin(ok)) if np.ndim(ok) == 1 else None
+        raise exc
 
 
 class InputError(ValueError):

@@ -12,7 +12,8 @@ acceptance.run_criteria maps its criteria through it too.
 
 A stage fails one way: _attempt records the message of an error in
 _STAGE_ERRORS in the stage's `errors` map and the run goes on; any other stops
-it. run_config gathers the maps into report.json's. _fit records every fit.
+it. run_config gathers the maps into report.json's. _fit records every fit,
+and _fit_or_note adds it, its error or the note of a skipped one.
 
 Provenance is the package and library versions plus the config hash and
 seed; no timestamps, so reruns are byte-identical.
@@ -209,10 +210,11 @@ class ExperimentConfig:
             base, section = default(), getattr(self, name)
             if section.get(tag, base[tag]) == base[tag]:
                 setattr(self, name, {**base, **section})
-        # a mistyped key would otherwise run at its default unnoticed
-        _estimator_spec("section 'estimator'", self.estimator)
+        # stored resolved, so a config hashes the same however many defaults
+        # it spells out, and a mistyped key cannot run at its default unnoticed
+        self.estimator = _estimator_spec("section 'estimator'", self.estimator)
         if self.manip is not None:
-            _manip_spec("section 'manip'", self.manip)
+            self.manip = _manip_spec("section 'manip'", self.manip)
         # the resolved model: attributes, not fields, so to_dict() and the hash skip them
         self.impact, self.predictor = _build_model(self.model)
         _draw(self, 1, 0)  # the generators check their own parameters, on one trade
@@ -418,10 +420,11 @@ def measure(tape: TradeTape, spec: dict | None = None, burn: int = 0):
     results.update((name, value) for name, call in curves.items()
                    if (value := _attempt(errors, name, *call)) is not None)
     _gamma_fit(results, fits, errors)
-    if "conditional" in results:
-        centers = results["conditional"].centers
-        fits.update(_attempt(errors, "psi_fit", _fit, "psi_hat", results["conditional"],
-                             (float(centers[0]), float(centers[-1]))) or {})
+    if "conditional" in results:  # the psi fit on the bins above the last one <= 0
+        cond = results["conditional"]
+        top = cond.centers[np.max(np.flatnonzero(cond.values <= 0), initial=-1) + 1:]
+        _fit_or_note(fits, errors, "psi", cond, top[[0, -1]].tolist() if top.size >= 4 else None,
+                     f"{top.size} positive bins at the top of the curve, fewer than 4")
     if "diffusivity" in results:
         fits.update(_attempt(errors, "diffusion_ratio", _diffusion_ratio,
                              results["diffusivity"]) or {})
@@ -436,17 +439,25 @@ def _fit(key: str, curve, fit_range) -> dict:
     return {key: asdict(est.fit_power_law(curve, fit_range))}
 
 
+def _fit_or_note(fits: dict, errors: dict, name: str, curve, fit_range, why: str = ""):
+    """Adds fits[name + "_hat"], the fit of curve over fit_range: a failed fit is
+    errors[name + "_fit"], and no fit_range a note, fits["notes"][name + "_fit"]."""
+    if fit_range is None:
+        fits.setdefault("notes", {})[f"{name}_fit"] = f"skipped: {why}"
+    else:
+        fits.update(_attempt(errors, f"{name}_fit", _fit, f"{name}_hat", curve, fit_range) or {})
+
+
 def _gamma_fit(curves: dict, fits: dict, errors: dict):
-    """Adds to fits the "gamma_hat" fit of curves["sign_autocorr"], if any, on lags
-    8..min(512, last): a failed fit is errors["gamma_fit"], and a curve that ends
-    before lag 16 is skipped with a note, fits["notes"]["gamma_fit"]."""
+    """The gamma fit of curves["sign_autocorr"], if any, on lags 8..min(512, L), L the
+    last lag before the first lag >= 8 where C <= 0; an L below 16 is skipped."""
     if "sign_autocorr" in curves:
-        last = int(curves["sign_autocorr"].lags[-1])
-        if last < 16:
-            fits.setdefault("notes", {})["gamma_fit"] = "skipped: the curve ends before lag 16"
-        else:
-            fits.update(_attempt(errors, "gamma_fit", _fit, "gamma_hat", curves["sign_autocorr"],
-                                 (8, min(512, last))) or {})
+        c = curves["sign_autocorr"]
+        cut = c.lags[(c.lags >= 8) & (c.values <= 0)]
+        last = int(cut[0]) - 1 if cut.size else int(c.lags[-1])  # its lags are consecutive
+        _fit_or_note(fits, errors, "gamma", c, (8, min(512, last)) if last >= 16 else None,
+                     f"C reaches <= 0 at lag {cut[0]}, so its positive tail ends before lag 16"
+                     if cut.size else "the curve ends before lag 16")
 
 
 def _diffusion_ratio(curve) -> dict:
@@ -525,8 +536,7 @@ def invert_stage(response_curve, sign_curve, lam: float, psi: float, v: float, o
     files = {"kernel": "kernel.csv"}
     iolib.write_kernel(kern, os.path.join(out, files["kernel"]), se_proxy=rep.pop("se_proxy"))
     lags, errors = np.arange(1, kern.values.size + 1, dtype=np.float64), {}
-    rep.update(_attempt(errors, "beta_fit", _fit, "beta_hat", (lags, kern.values),
-                        (1, min(64, kern.values.size))) or {})
+    _fit_or_note(rep, errors, "beta", (lags, kern.values), (1, min(64, kern.values.size)))
     return rep, errors, files
 
 

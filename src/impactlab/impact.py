@@ -271,7 +271,7 @@ def quotes(prev_price: float, predictor_value: float, cfg: ImpactConfig, v: floa
     trading at the quote leaves no ex-post regret. Noise never enters."""
     ensure(abs(predictor_value) < 1.0,
            f"predictor value {predictor_value} outside (-1, 1): predictor blow-up")
-    ensure(0 < v < np.inf, "volume must be positive and finite")
+    ensure(0 < v < np.inf, f"v must be finite and > 0, got {v!r}")
     half = cfg.lam * v**cfg.psi
     ask = prev_price + half * (1.0 - predictor_value)
     bid = prev_price + half * (-1.0 - predictor_value)

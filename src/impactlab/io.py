@@ -20,6 +20,7 @@ import itertools
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -79,11 +80,16 @@ def _lines(fh):
         raise FormatError(f"line {bad}: not UTF-8 text") from None
 
 
-def _require(ok, rule: str, first: int = 2):
-    """FormatError naming the first line where `ok` fails; row i of `ok`
-    stands on line first + i."""
-    if not np.all(ok):
-        raise FormatError(f"line {first + int(np.argmin(ok))}: {rule}")
+@contextmanager
+def _rows():
+    """A failed `ensure` over a file's rows, here or in the type built from them, as a
+    FormatError naming its line: row i is on line i + 2. Other errors pass as they are."""
+    try:
+        yield
+    except ParameterError as exc:
+        if exc.row is None:
+            raise
+        raise FormatError(f"line {exc.row + 2}: {exc}") from None
 
 
 # The CSV formats, one (header, kinds) spec each for writer and reader.
@@ -277,20 +283,19 @@ def _read_tape_bulk(fh):
 
 
 def _tape(cols, blank) -> TradeTape:
-    """The tape of parsed columns, checked against the format's rules, each
-    naming the first line that breaks it."""
+    """The tape of parsed columns; each rule broken names the first line that breaks it."""
     n, eps, vol, *price = cols
     m = n.size - len(price)  # trades: a priced tape ends in its final-price row
-    _require(n == np.arange(n.size), "n must be consecutive from 0")
-    if price:
-        final = blank[:, 1] & blank[:, 2]  # epsilon and volume blank
-        _require(~final[:-1], "rows after the final-price row", 3)
-        _require(final[-1:], "missing trailing final-price row", n.size + 2)
-    if m < 1:
-        raise FormatError("line 2: tape has no trades")
-    _require(np.abs(eps[:m]) == 1, "epsilon must be -1 or 1")
-    _require((vol[:m] > 0) & np.isfinite(vol[:m]), "volume must be positive and finite")
-    return TradeTape(SignSeries(eps[:m]), VolumeSeries(vol[:m]), prices=price[0] if price else None)
+    with _rows():
+        ensure(n == np.arange(n.size), "n must be consecutive from 0")
+        if price:
+            final = blank[:, 1] & blank[:, 2]  # epsilon and volume blank
+            ensure(~np.append(False, final[:-1]), "rows after the final-price row")
+            # the line after the last one, where the final-price row is missing
+            ensure(np.append(np.ones(n.size, bool), final[-1]), "missing trailing final-price row")
+            ensure(~final[:1], "tape has no trades")  # every row of an unpriced tape is one
+        return TradeTape(SignSeries(eps[:m]), VolumeSeries(vol[:m]),
+                         prices=price[0] if price else None)
 
 
 def read_tape(path: str) -> TradeTape:
@@ -309,15 +314,10 @@ def write_curve(curve: LagCurve, path: str):
     _write_csv(path, *_CURVE, [curve.lags, curve.values, curve.counts, curve.se])
 
 
-def _curve_rows(vals, cnts):
-    _require(np.isfinite(vals), "value must be finite")
-    _require(cnts >= 1, "count must be >= 1")
-
-
 def read_curve(path: str, role_tag: str) -> LagCurve:
     (lags, vals, cnts, se), _ = _read_columns(path, "curve", _CURVE)
-    _curve_rows(vals, cnts)
-    return LagCurve(lags, vals, cnts, role_tag, se)
+    with _rows():
+        return LagCurve(lags, vals, cnts, role_tag, se)
 
 
 def write_conditional(curve: ConditionalResponse, path: str):
@@ -330,11 +330,8 @@ def read_conditional(path: str, T: int = 1) -> ConditionalResponse:
     """The lag T is not part of the CSV; pass the value recorded alongside
     (fits/meta JSON) when it matters."""
     (lo, hi, vals, cnts, se), _ = _read_columns(path, "curve", _CONDITIONAL)
-    _require((0 < lo) & (lo < hi) & (hi < np.inf), "bin edges must be finite, 0 < v_lo < v_hi")
-    _require(hi[:-1] <= lo[1:], "bins must be increasing and disjoint, v_lo >= the v_hi above",
-             first=3)
-    _curve_rows(vals, cnts)
-    return ConditionalResponse(lo, hi, vals, cnts, T, se)
+    with _rows():
+        return ConditionalResponse(lo, hi, vals, cnts, T, se)
 
 
 def write_kernel(kernel: Kernel, path: str, se_proxy=None):
@@ -346,8 +343,9 @@ def write_kernel(kernel: Kernel, path: str, se_proxy=None):
 def read_kernel(path: str):
     """Returns (Kernel.tabulated, se_proxy array or None)."""
     (lags, g, se), _ = _read_columns(path, "kernel", _KERNEL)
-    _require(lags == np.arange(1, lags.size + 1), "lags must be consecutive from 1")
-    return Kernel.tabulated(g), se
+    with _rows():
+        ensure(lags == np.arange(1, lags.size + 1), "lags must be consecutive from 1")
+        return Kernel.tabulated(g), se
 
 
 def write_frontier(rows, path: str):

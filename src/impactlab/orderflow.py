@@ -35,7 +35,7 @@ class SignSeries:
 
     def __post_init__(self):
         self.signs = np.asarray(self.signs, dtype=np.float64)
-        ensure(np.isin(self.signs, (-1.0, 1.0)), "sign series must contain only -1 and +1")
+        ensure(np.isin(self.signs, (-1.0, 1.0)), "epsilon must be -1 or 1")
 
     def __len__(self):
         return self.signs.size
@@ -49,8 +49,7 @@ class VolumeSeries:
 
     def __post_init__(self):
         self.volumes = np.asarray(self.volumes, dtype=np.float64)
-        ensure((0 < self.volumes) & (self.volumes < np.inf),
-               "volumes must be strictly positive and finite")
+        ensure((0 < self.volumes) & (self.volumes < np.inf), "volume must be positive and finite")
 
     def __len__(self):
         return self.volumes.size
@@ -73,6 +72,7 @@ class TradeTape:
         if self.prices is not None:
             self.prices = np.asarray(self.prices, dtype=np.float64)
             ensure(self.prices.size == len(self.signs) + 1, "prices must have length N+1")
+            ensure(np.isfinite(self.prices), "price must be finite")
 
     @property
     def n(self) -> int:

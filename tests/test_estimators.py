@@ -400,12 +400,18 @@ def test_conditional_response_holds_occupied_finite_bins(counts, values):
                             np.array(counts), 1)
 
 
-@pytest.mark.parametrize("lo, hi", [([0.0], [1.0]), ([-2.0], [-1.0]), ([2.0, 1.0], [3.0, 4.0]),
-                                    ([1.0, 2.0], [3.0, 4.0])],
+_EDGES, _ORDER = "bin edges must be finite, positive", "bins must be increasing and disjoint"
+
+
+@pytest.mark.parametrize("lo, hi, rule, row", [([0.0], [1.0], _EDGES, 0),
+                                               ([-2.0], [-1.0], _EDGES, 0),
+                                               ([2.0, 1.0], [3.0, 4.0], _ORDER, 1),
+                                               ([1.0, 2.0], [3.0, 4.0], _ORDER, 1)],
                          ids=["zero", "negative", "decreasing", "overlapping"])
-def test_conditional_response_refuses_bad_bin_edges(lo, hi):
-    with pytest.raises(ParameterError, match="bin edges must be finite, positive"):
+def test_conditional_response_refuses_bad_bin_edges(lo, hi, rule, row):
+    with pytest.raises(ParameterError, match=rule) as exc:
         ConditionalResponse(lo, hi, np.ones(len(lo)), np.full(len(lo), 10), 1)
+    assert exc.value.row == row
 
 
 def test_rho_is_unity_for_noiseless_linear_impact():
@@ -423,7 +429,7 @@ def test_sign_autocorr_centered_covariance_exact():
     s = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
     c = sign_autocorr(s, 2)
     assert abs(c.values[0] - (-1.0 - 0.2**2)) < 1e-15
-    assert c.meta.get("range_flag") is True  # below -1 is flagged, not fatal
+    assert c.values[0] < -1.0  # below -1 is admitted, not fatal
     assert np.array_equal(c.counts, [4, 3])
     with pytest.raises(ParameterError):
         sign_autocorr(s, 5)

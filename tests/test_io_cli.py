@@ -39,6 +39,8 @@ from impactlab import (
     propagator_path,
 )
 from impactlab import estimators, experiment, orderflow
+from impactlab import io as iolib
+from impactlab.exceptions import ensure
 from impactlab.experiment import ExperimentConfig, expand_seeds, invert_stage, provenance
 from impactlab.io import (
     config_sha256,
@@ -187,6 +189,19 @@ def test_numpy_seeds_hash_and_simulate_like_their_int_twins(tmp_path, seed):
         assert filecmp.cmp(tmp_path / "meta.json", tmp_path / "twin.json", shallow=False)
 
 
+def test_config_sections_are_stored_resolved():
+    """A section spelling out some defaults or none hashes, and prints, as the
+    resolved section it stands for."""
+    bare = ExperimentConfig.from_dict({"n": 100})
+    assert ExperimentConfig.from_dict({"n": 100, "estimator": {}}).sha256() == bare.sha256()
+    spelled = {"n": 100, "estimator": {"max_lag": bare.estimator["max_lag"]}}
+    assert ExperimentConfig.from_dict(spelled).sha256() == bare.sha256()
+    assert bare.estimator == experiment._default_estimator()
+    partial = ExperimentConfig.from_dict({"n": 100, "manip": {"betas": [0.5]}})
+    assert partial.manip == {**experiment._default_manip(), "betas": [0.5]}
+    assert partial.sha256() == ExperimentConfig.from_dict(partial.to_dict()).sha256()
+
+
 def test_experiment_config_round_trips_losslessly():
     cfg = ExperimentConfig(
         n=100, seed=[1, 3],
@@ -322,6 +337,44 @@ def test_cli_measure_notes_a_gamma_fit_skipped_on_a_short_curve(tmp_path, capsys
     assert rc == 0 and fits["errors"] == {} and "notes" not in fits
     assert fits["gamma_hat"]["fit_range"] == [8.0, 16.0]
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("flags, seed, fit_range", [
+    (["--generator", "clipped_fractional", "--gamma", "0.5", "--vol-dist", "lognormal",
+      "--model", "propagator", "--beta", "0.25"], 3, [8.0, 249.0]),
+    (["--generator", "clipped_fractional", "--gamma", "0.5", "--vol-dist", "lognormal",
+      "--model", "propagator", "--beta", "0.25"], 4, [8.0, 156.0]),
+    (["--generator", "iid"], 5, None)], ids=["clipped-seed3", "clipped-seed4", "iid-seed5"])
+def test_cli_measure_fits_the_positive_stretch_of_a_short_tape(tmp_path, capsys, flags, seed,
+                                                              fit_range):
+    """On 20000 trades C(l) reaches 0 inside lags 8..512 and the lowest volume
+    bins can be negative: gamma is fitted up to the lag before C first reaches
+    <= 0 and psi above the last non-positive bin, or a note says why not; exit 0."""
+    assert cli.main(["simulate", "--n", "20000", *flags, "--seed", str(seed),
+                     "--out-dir", str(tmp_path)]) == 0
+    tape = tmp_path / f"tape_seed{seed}.csv"
+    assert cli.main(["measure", str(tape), "--out-dir", str(tmp_path)]) == 0
+    fits = read_json(str(tmp_path / f"tape_seed{seed}_fits.json"))
+    assert fits["errors"] == {} and capsys.readouterr().err == ""
+    c = read_curve(str(tmp_path / f"tape_seed{seed}_sign_autocorr.csv"), "sign_autocorr")
+    if fit_range is None:  # no memory: C(8) is already <= 0
+        assert "gamma_hat" not in fits and c.values[7] <= 0
+        assert fits["notes"]["gamma_fit"] == ("skipped: C reaches <= 0 at lag 8, so its "
+                                              "positive tail ends before lag 16")
+        return
+    assert fits["gamma_hat"]["fit_range"] == fit_range
+    assert np.all(c.values[7:int(fit_range[1])] > 0) and c.values[int(fit_range[1])] <= 0
+    cond = iolib.read_conditional(str(tmp_path / f"tape_seed{seed}_conditional.csv"))
+    top = np.flatnonzero(cond.values <= 0)[-1] + 1  # the lowest bins are negative here
+    assert fits["psi_hat"]["fit_range"] == [cond.centers[top], cond.centers[-1]]
+
+
+def test_measure_notes_a_psi_fit_with_fewer_than_four_positive_bins():
+    tape = _priced_tape(n=2000)
+    results, errors = experiment.measure(tape, {"max_lag": 8, "sign_max_lag": 8, "n_bins": 3})
+    assert errors == {} and "psi_hat" not in results["fits"]
+    assert results["fits"]["notes"]["psi_fit"] == (
+        "skipped: 3 positive bins at the top of the curve, fewer than 4")
 
 
 def test_cli_report_on_prices_that_never_move_writes_valid_json(tmp_path):
@@ -586,6 +639,40 @@ def test_every_parameter_check_states_what_must_hold():
     """A check written as `if <breach>: raise ParameterError(...)` lets NaN
     through, since every comparison with NaN is false; ensure(<rule>) refuses it."""
     assert _bare_parameter_checks(Path(impactlab.__file__).parent) == []
+
+
+# the rules over a file's rows that the types state and the readers apply
+_ROW_RULES = ["epsilon must be -1 or 1", "volume must be positive and finite",
+              "price must be finite", "value must be finite", "count must be >= 1",
+              "lags must be positive and strictly increasing",
+              "bin edges must be finite, positive, 0 < v_lo < v_hi",
+              "bins must be increasing and disjoint, v_lo >= the v_hi above",
+              "tabulated kernel values must be finite"]
+
+
+def test_each_row_rule_is_stated_once_and_io_has_no_check_of_its_own():
+    """A row rule lives in its type alone: its message is one string in the
+    package, and io.py finds no failing row itself (no np.all, np.any or
+    np.argmin), leaving that to `ensure`."""
+    package = Path(impactlab.__file__).parent
+    strings = [node.value for path in sorted(package.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    assert {rule: strings.count(rule) for rule in _ROW_RULES} == dict.fromkeys(_ROW_RULES, 1)
+    io_tree = ast.parse((package / "io.py").read_text())
+    assert not [node.lineno for node in ast.walk(io_tree)
+                if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "np"
+                and node.attr in ("all", "any", "argmin")]
+    assert not hasattr(iolib, "_require") and not hasattr(iolib, "_curve_rows")
+
+
+def test_ensure_names_the_first_row_that_breaks_a_rule_over_rows():
+    with pytest.raises(ParameterError, match="^x must be positive$") as exc:
+        ensure(np.array([1.0, 2.0, np.nan, -1.0]) > 0, "x must be positive")
+    assert exc.value.row == 2
+    with pytest.raises(ParameterError) as exc:
+        ensure(False, "a rule over no rows")
+    assert exc.value.row is None
 
 
 def test_the_build_reads_the_package_version():
@@ -1237,6 +1324,21 @@ def test_cli_format_errors_exit_two(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("n,epsilon,volume\n0,0,1.0\n")
     assert cli.main(["measure", str(bad), "--out-dir", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("price", ["inf", "nan"])
+def test_cli_measure_refuses_a_price_that_is_not_finite(tmp_path, capsys, price):
+    """A price JSON cannot hold is a format error on its line: exit 2, and
+    nothing written."""
+    tape = tmp_path / "tape.csv"
+    write_tape(_priced_tape(n=40), str(tape))
+    lines = tape.read_text().split("\n")
+    lines[6] = ",".join(lines[6].split(",")[:3] + [price])  # trade 5
+    tape.write_text("\n".join(lines))
+    out = tmp_path / "out"
+    assert cli.main(["measure", str(tape), "--out-dir", str(out)]) == 2
+    assert "line 7: price must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_write_conditional_round_trip(tmp_path):

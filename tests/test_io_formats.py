@@ -280,6 +280,10 @@ def _mutate(text: str, kind: str, i: int) -> str:
         fields[2] = "-" + fields[2]
     elif kind == "nan_volume":
         fields[2] = "nan"
+    elif kind == "nan_price":
+        fields[3] = "nan"
+    elif kind == "inf_price":
+        fields[3] = "-inf" if i % 2 else "inf"
     elif kind == "gap_in_n":
         fields[0] = str(int(fields[0]) + 1)
     elif kind == "n_as_float":
@@ -312,10 +316,10 @@ def _mutate(text: str, kind: str, i: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-MUTATIONS = ["none", "bad_eps", "not_a_number", "neg_volume", "nan_volume", "gap_in_n",
-             "n_as_float", "short_row", "quoted", "comment", "underscore", "spaces",
-             "rows_after_final", "crlf", "lone_cr", "cr_blank_line", "drop_final", "blank_line",
-             "no_trailing_newline"]
+MUTATIONS = ["none", "bad_eps", "not_a_number", "neg_volume", "nan_volume", "nan_price",
+             "inf_price", "gap_in_n", "n_as_float", "short_row", "quoted", "comment",
+             "underscore", "spaces", "rows_after_final", "crlf", "lone_cr", "cr_blank_line",
+             "drop_final", "blank_line", "no_trailing_newline"]
 
 
 def _bulk(path):
@@ -432,6 +436,10 @@ def _read_response(path):
      "line 3: value must be finite"),
     (_read_response, "lag,value,count,se\n1,0.5,10,0.1\n2,0.4,0,0.1\n",
      "line 3: count must be >= 1"),
+    (_read_response, "lag,value,count,se\n0,0.5,10,\n1,0.4,10,\n",
+     "line 2: lags must be positive and strictly increasing"),
+    (_read_response, "lag,value,count,se\n1,0.5,10,\n3,0.4,10,\n2,0.3,10,\n",
+     "line 4: lags must be positive and strictly increasing"),
     (iolib.read_conditional, "v_lo,v_hi,value,count,se\n1,2,0.5,10,\n2,3,-inf,10,\n",
      "line 3: value must be finite"),
     (iolib.read_conditional, "v_lo,v_hi,value,count,se\n1,2,0.5,0,\n",
@@ -445,10 +453,13 @@ def _read_response(path):
     (iolib.read_conditional, "v_lo,v_hi,value,count,se\n1,3,0.5,10,\n2,4,0.4,10,\n",
      "line 3: bins must be increasing and disjoint"),
     (iolib.read_conditional, "v_lo,v_hi,value,count,se\n1,2,0.5,10,\n4,5,0.4,10,\n2,3,0.3,10,\n",
-     "line 4: bins must be increasing and disjoint")],
-    ids=["curve-nan", "curve-zero-count", "conditional-inf", "conditional-zero-count",
-         "conditional-nan-lo", "conditional-inf-hi", "conditional-zero-lo",
-         "conditional-overlapping", "conditional-decreasing-lo"])
+     "line 4: bins must be increasing and disjoint"),
+    (iolib.read_kernel, "lag,G,se_proxy\n1,0.5,\n2,nan,\n3,0.3,\n",
+     "line 3: tabulated kernel values must be finite")],
+    ids=["curve-nan", "curve-zero-count", "curve-lag-zero", "curve-lags-out-of-order",
+         "conditional-inf", "conditional-zero-count", "conditional-nan-lo", "conditional-inf-hi",
+         "conditional-zero-lo", "conditional-overlapping", "conditional-decreasing-lo",
+         "kernel-nan-g"])
 def test_curve_readers_name_the_line_that_breaks_a_row_rule(tmp_path, read, text, error):
     path = tmp_path / "curve.csv"
     path.write_text(text)
