@@ -134,35 +134,49 @@ def _twiddle(lo: int, hi: int, length: int) -> np.ndarray:
     return np.exp(twiddle, out=twiddle)
 
 
-def _whitening_inputs(beta: float, grid: int) -> list:
-    """The three transform inputs of _whitening_autocorr, [z of the grid's
-    odd class, h, z of the even half's odd class], built in one pass over c
-    in chunks: each c_j is computed once, and no grid/2-point array exists."""
-    half, quarter, eighth = grid // 2, grid // 4, grid // 8
+def _step_chunks(beta: float, grid: int, sign: float):
+    """(lo, hi, a, b, c, d) over the chunks of r < grid/8, with a, b, c, d the
+    coefficients c_r, c_(r+J/4), c_(r+J/2) and c_(r+3J/4), J = grid/2, and
+    c_0 + sign c_J in place of c_0: one pass over c, each c_j computed once."""
+    half, eighth = grid // 2, grid // 8
     last = _steps(half, half + 1, beta)[0]  # c_J
-    top = np.empty(quarter, dtype=np.complex128)
-    even = np.empty(quarter)
-    sub = np.empty(eighth, dtype=np.complex128)
     for lo in range(0, eighth, _CHUNK):
         hi = min(lo + _CHUNK, eighth)
-        # c_r, c_(r+J/4), c_(r+J/2) and c_(r+3J/4) for r = lo..hi-1
         a, b, c, d = (_steps(lo + k * eighth, hi + k * eighth, beta) for k in range(4))
         if lo == 0:
-            a[0] = 1.0 - last  # the odd class folds c_J onto c_0 with a minus
+            a[0] = 1.0 + sign * last
+        yield lo, hi, a, b, c, d
+
+
+def _odd_class_input(beta: float, grid: int) -> np.ndarray:
+    """z of the grid's odd class, the largest transform input of
+    _whitening_autocorr, from its own pass over c."""
+    half, quarter, eighth = grid // 2, grid // 4, grid // 8
+    top = np.empty(quarter, dtype=np.complex128)
+    for lo, hi, a, b, c, d in _step_chunks(beta, grid, -1.0):  # c_J folds on with a minus
         for r, re, im in ((lo, a, c), (lo + eighth, b, d)):
             part = top[r : r + hi - lo]
             part.real = re
             np.negative(im, out=part.imag)
             part *= _twiddle(r, r + hi - lo, half)
-        if lo == 0:
-            a[0] = 1.0 + last  # the even class with a plus
+    return top
+
+
+def _even_half_inputs(beta: float, grid: int) -> list:
+    """[h, z of the even half's odd class], the even half's two transform
+    inputs of _whitening_autocorr, from one pass over c: no grid/2-point
+    array exists."""
+    quarter, eighth = grid // 4, grid // 8
+    even = np.empty(quarter)
+    sub = np.empty(eighth, dtype=np.complex128)
+    for lo, hi, a, b, c, d in _step_chunks(beta, grid, 1.0):  # c_J folds on with a plus
         np.add(a, c, out=even[lo:hi])
         np.add(b, d, out=even[lo + eighth : hi + eighth])
         part = sub[lo:hi]
         np.subtract(a, c, out=part.real)
         np.subtract(d, b, out=part.imag)
         part *= _twiddle(lo, hi, quarter)
-    return [top, even, sub]
+    return [even, sub]
 
 
 def _odd_class_dct(z: np.ndarray) -> np.ndarray:
@@ -226,13 +240,22 @@ def _whitening_autocorr(gamma: float, n_lags: int, grid: int) -> np.ndarray:
     dimensions", IEEE Trans. ASSP 28(1), 1980). That reordering of the
     density is exactly the order in which the DFT of z returns |X|, so
     1/|DFT z|^2 feeds it as it is.
-    c is computed once, chunk by chunk, into the three transform inputs.
-    The classes are then summed into acov smallest first, each input freed
-    once its transform is done.
+    c is computed chunk by chunk straight into the transform inputs, once
+    per class group: the odd class, then the even half. The odd class, the
+    largest, runs first, from its own input, into a buffer of its own.
+    Transformed after the even half's buffers were freed, which raises
+    glibc's mmap threshold, its input and work buffers stood on memory the
+    heap kept, and set a peak 8 MB higher. The even half's classes are then
+    summed into acov smallest first, each input freed once its transform is
+    done, and the odd buffer is added last. Each acov[t] gets one odd-class
+    term y, and a + (+-y) = a +- y exactly, so the bits are those of one
+    accumulator taking the classes smallest first.
     """
     beta = (1.0 - gamma) / 2.0
     quarter, eighth = grid // 4, grid // 8
-    inputs = _whitening_inputs(beta, grid)  # popped, so each is freed in turn
+    odd = np.zeros(n_lags + 1)
+    _add_dct(odd, _odd_class_dct(_odd_class_input(beta, grid)), quarter)
+    inputs = _even_half_inputs(beta, grid)  # popped, so each is freed in turn
     acov = np.zeros(n_lags + 1)  # N acov / 2
     _add_dct(acov, _odd_class_dct(inputs.pop()), eighth)
     spec = rfft(inputs.pop())
@@ -246,7 +269,7 @@ def _whitening_autocorr(gamma: float, n_lags: int, grid: int) -> np.ndarray:
         part = acov[start : start + quarter]
         part += period[: part.size]
     del period
-    _add_dct(acov, _odd_class_dct(inputs.pop()), quarter)
+    acov += odd
     acov /= acov[0]
     return acov
 

@@ -67,8 +67,9 @@ def test_criterion_13_pipeline_reproducibility_round_trips():
 
 
 def test_the_reference_tapes_share_one_volume_array():
-    """Each cached reference tape holds a view of one unit-volume array, not a
-    copy of its own."""
-    tapes = [acceptance._reference_tape(beta) for beta in (0.0, 0.25)]
-    assert np.shares_memory(tapes[0].v, tapes[1].v)
-    assert np.shares_memory(tapes[0].v, acceptance._reference_volumes().volumes)
+    """The cached reference tape and criterion 4's two control tapes each hold
+    a view of one unit-volume array, not a copy of their own."""
+    volumes = acceptance._reference_volumes().volumes
+    tapes = [acceptance._reference_tape()]
+    tapes += [acceptance._priced_reference(beta) for beta in (0.0, 0.45)]
+    assert all(np.shares_memory(tape.v, volumes) for tape in tapes)

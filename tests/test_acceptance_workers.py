@@ -111,11 +111,32 @@ assert all(r.passed for r in acceptance.run_criteria(others))
 """
 
 
+def _run_fresh(code: str) -> None:
+    """Runs code in a fresh python process that imports this checkout."""
+    src = os.path.dirname(os.path.dirname(acceptance.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_only_the_shared_group_reads_the_reference():
     """A criterion outside 3-6 that built the reference, or whitened, would
     build it again in a worker of its own."""
-    src = os.path.dirname(os.path.dirname(acceptance.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", _GUARD], env=env, capture_output=True,
-                          text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    _run_fresh(_GUARD)
+
+
+_SHARED = """
+from impactlab import acceptance
+
+assert all(r.passed for r in acceptance._run_task(acceptance._SHARED_REFERENCE))
+info = acceptance._reference_tape.cache_info()
+assert (info.currsize, info.misses) == (1, 1), info
+"""
+
+
+def test_the_shared_group_caches_the_matched_tape_alone():
+    """Criterion 4's control tapes are priced uncached, so after criteria 3-6
+    run in one process the cache holds one tape, built once; a cached control
+    would stay resident for the rest of the group's task."""
+    _run_fresh(_SHARED)
