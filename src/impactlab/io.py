@@ -12,6 +12,13 @@ made a column at a time in numpy: Dekker's two-product gives a double's 17
 digits exactly. `%` itself formats the rest, from the original value: zeros,
 NaN, infinities, exponents outside -4..16 or an ulp or so from a power of
 ten, and integers that are zero, inexact or of magnitude 2**53 or more.
+
+A tape is read a block of lines at a time, each cell as the integer D of its
+digits with f of them after the point, and its double is the one float()
+gives. Below 2**53, D / 10**f is one correctly rounded division. Above, a
+candidate is accepted only when the writer's own 17 digits of it are the
+cell's: 17 significant digits read back as the double they were written from
+(Matula 1968). Any other cell is read by float() alone.
 """
 
 import csv
@@ -61,9 +68,9 @@ def _atomic_write(path: str, chunks):
         _TEMP_FILES.discard(tmp)
 
 
-def _open_read(path: str):
+def _open_read(path: str, binary: bool = False):
     try:
-        return open(path, newline="", encoding="utf-8")
+        return open(path, "rb") if binary else open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
 
@@ -142,9 +149,10 @@ def _digit_cells(neg, d, e):
     return cells
 
 
-def _float_cells(x):
-    """`%.17g` text of the doubles x where %g writes fixed notation, and the
-    mask of the rest: zeros, NaN, inf and exponents outside -4..16."""
+def _digits(x):
+    """(d, e, slow) of doubles x: the 17 digits d of |x| * 10**e as `%.17g`
+    rounds them, where %g writes fixed notation, and the mask of the rest:
+    zeros, NaN, inf and exponents outside -4..16, whose d, e are 10**16, 16."""
     a = np.abs(x)
     with np.errstate(divide="ignore"):  # log10(0): zeros are masked out
         k = np.floor(np.log10(a))
@@ -163,6 +171,13 @@ def _float_cells(x):
     # to 10**17 only for such a k: % writes these few
     slow |= (d < 10**16) | (d >= 10**17)
     d[slow], e[slow] = 10**16, 16
+    return d, e, slow
+
+
+def _float_cells(x):
+    """`%.17g` text of the doubles x where %g writes fixed notation, and the
+    mask of the rest: zeros, NaN, inf and exponents outside -4..16."""
+    d, e, slow = _digits(x)
     return _digit_cells(x < 0, d, e), slow
 
 
@@ -257,29 +272,107 @@ def write_tape(tape: TradeTape, path: str):
     _write_csv(path, *_TAPES[priced], cols, tail)
 
 
+_BLOCK = 1 << 17  # bytes read at a time: a block is the whole lines among them
+_PLAIN = b"0123456789-.,\n"  # the bytes of cells written in fixed notation
+_WORDS = bytes(range(65, 91)) + bytes(range(97, 123)) + b"+"  # and those float() reads besides
+_NL_TO_COMMA = bytes.maketrans(b"\n", b",")
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+
+
+def _proven(x, a, f):
+    """Where the doubles x > 0, within two ulps of the cells a * 10**-f >= 2**53,
+    have the cell's 17 digits: there s is -1, 0 or 1 and no product overflows."""
+    d, e, slow = _digits(x)
+    s = np.where(slow, 0, e - f)
+    return ~slow & (a * _POW10[np.maximum(s, 0)] == d * _POW10[np.maximum(-s, 0)])
+
+
+def _block_values(block: bytes, k: int):
+    """The values of a block of whole lines of k cells each, bit for bit as
+    float() reads the cells; ValueError where only the row parser can tell."""
+    odd = block.translate(None, _PLAIN)
+    if odd.translate(None, _WORDS):  # quotes, blanks, CR, '#', '_', non-ASCII: csv or
+        raise ValueError("not a canonical tape")  # float() would read these otherwise
+    b = np.frombuffer(block, np.uint8)
+    # the byte after each cell: ',' and newline are the only bytes below '-' but '+'
+    ends = np.flatnonzero((b == 44) | (b == 10) if b"+" in odd else b < 45)
+    if ends.size % k or (b[ends].reshape(-1, k) != [44] * (k - 1) + [10]).any():
+        raise ValueError("not a canonical tape")
+    if odd:  # e-notation, nan or inf: float() reads every cell of the block
+        return np.array([float(c) for c in block.translate(_NL_TO_COMMA).split(b",")[:-1]])
+    points = np.flatnonzero(b == 46)
+    cell = np.searchsorted(ends, points)
+    f = np.zeros(ends.size, np.intp)  # the digits after the point
+    f[cell] = ends[cell] - points - 1
+    # D, the cell without its point. fromstring reads a trailing separator as
+    # the end, saturates a number beyond int64 and rejects a minus inside a
+    # number, but not one that a point hid: so D must have one value per
+    # cell, and a cell of two points, ".-" or more than 18 digits is not read.
+    D = np.fromstring(block.translate(_NL_TO_COMMA, b"."), np.int64, sep=",")
+    if D.size != ends.size or (cell[1:] == cell[:-1]).any() or (b[points + 1] == 45).any():
+        raise ValueError("not a canonical tape")
+    digits = np.diff(ends, prepend=-1) - 1 - (D < 0)  # the cell's bytes but minus and point
+    digits[cell] -= 1
+    slow = (D == 0) | (digits > 18)  # the cells float() reads; zeros keep their sign there
+    f[slow] = 0
+    a = np.abs(D)
+    x = a / _TENS[f]  # below 2**53 both are doubles: one rounding (Clinger)
+    i = np.flatnonzero(~slow & (a >= 2**53))
+    a, f, t = a[i], f[i], _TENS[f[i]]
+    hi, lo = (a & -2048).astype(np.float64), (a & 2047).astype(np.float64)  # a = hi + lo
+    q = hi / t
+    p = q * t
+    (qh, ql), (th, tl) = _split(q), _split(t)
+    err = ((qh * th - p) + qh * tl + ql * th) + ql * tl  # q * t = p + err exactly
+    q += ((hi - p) - err + lo) / t  # plus (a - q * t) / t: a double-double quotient
+    ok = _proven(q, a, f)
+    for to in (0.0, np.inf) if not ok.all() else ():  # the neighbours of a candidate not proven
+        j = np.flatnonzero(~ok)
+        y = np.nextafter(q[j], to)
+        good = _proven(y, a[j], f[j])
+        q[j[good]], ok[j[good]] = y[good], True
+    x[i] = q
+    slow[i[~ok]] = True
+    np.copysign(x, D, out=x)
+    for c in np.flatnonzero(slow):
+        x[c] = float(block[(ends[c - 1] + 1 if c else 0):ends[c]])
+    return x
+
+
 def _read_tape_bulk(fh):
-    """What the row parser returns for a tape in canonical text, bit for
-    bit, parsed in bulk: both convert with the interpreter's float parsing.
-    ValueError for any other text, which it cannot vouch for."""
-    header = fh.readline()
-    priced = header == "n,epsilon,volume,price\n"
-    start, body = fh.tell(), fh.read()
-    last = body[body.rfind("\n", 0, -1) + 1:-1].split(",")
-    final = priced and len(last) == 4 and last[1] == last[2] == ""  # the final-price row
-    rows = body.count("\n")
-    # csv also ends lines at '\r' and reads empty lines, which loadtxt skips
-    if (not priced and header != "n,epsilon,volume\n") or rows - final < 1 or "\r" in body \
-            or "\n\n" in body or body[0] == "\n" or body[-1] != "\n":
+    """What the row parser returns for a tape in canonical text, bit for bit,
+    parsed a block of lines at a time from a binary file. ValueError for any
+    other text, which it cannot vouch for."""
+    k = {b"n,epsilon,volume\n": 3, b"n,epsilon,volume,price\n": 4}.get(fh.readline())
+    start = fh.tell()
+    rows = k and sum(np.count_nonzero(np.frombuffer(chunk, np.uint8) == 10)
+                     for chunk in iter(lambda: fh.read(_BLOCK), b""))
+    if not rows:
         raise ValueError("not a canonical tape")
-    del body  # free the text before parsing
+    end = fh.tell()
     fh.seek(start)
-    cells = np.loadtxt(fh, delimiter=",", comments=None, max_rows=rows - final, ndmin=2)
-    if cells.shape != (rows - final, 3 + priced):
+    cols, r, rest, final = [np.empty(rows) for _ in range(k)], 0, b"", False
+    for chunk in iter(lambda: fh.read(_BLOCK), b""):
+        rest += chunk
+        cut = rest.rfind(b"\n") + 1
+        block, rest = rest[:cut], rest[cut:]
+        if k == 4 and fh.tell() == end and not rest:  # the last line: a final-price row?
+            cut = block.rfind(b"\n", 0, -1) + 1
+            cells = block[cut:].split(b",")
+            final = len(cells) == 4 and cells[1] == cells[2] == b""
+            if final:  # read with epsilon and volume 1, blanked below
+                block = block[:cut] + b",1,1,".join(cells[::3])
+        x = _block_values(block, k)
+        for j, c in enumerate(cols):
+            c[r:r + x.size // k] = x[j::k]
+        r += x.size // k
+    if rest or r != rows:  # text after the last newline, or a file that changed
         raise ValueError("not a canonical tape")
-    tail = [[float(last[0])], [np.nan], [np.nan], [float(last[3])]] if final else [[]] * 4
-    blank = np.zeros((rows, 3 + priced), dtype=bool)
+    blank = np.zeros((rows, k), dtype=bool)
     blank[-1, 1:3] = final
-    return [np.append(c, t) for c, t in zip(cells.T, tail)], blank
+    if final:
+        cols[1][-1] = cols[2][-1] = np.nan
+    return cols, blank
 
 
 def _tape(cols, blank) -> TradeTape:
@@ -301,7 +394,7 @@ def _tape(cols, blank) -> TradeTape:
 def read_tape(path: str) -> TradeTape:
     """Canonical text is parsed in bulk, any other row by row; the same
     rules check the columns of either."""
-    with _open_read(path) as fh:
+    with _open_read(path, binary=True) as fh:
         try:
             parsed = _read_tape_bulk(fh)
         except ValueError:

@@ -9,6 +9,7 @@ import importlib.metadata
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -102,8 +103,9 @@ def test_tape_format_errors_carry_line_numbers(tmp_path):
 
 
 def test_missing_files_are_input_errors(tmp_path):
-    with pytest.raises(InputError):
-        read_tape(str(tmp_path / "nope.csv"))
+    for path in (tmp_path / "nope.csv", tmp_path):  # missing, or a directory
+        with pytest.raises(InputError, match=re.escape(f"cannot read {path}")):
+            read_tape(str(path))
     with pytest.raises(InputError):
         read_json(str(tmp_path / "nope.json"))
 

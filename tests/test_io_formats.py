@@ -298,6 +298,28 @@ def _mutate(text: str, kind: str, i: int) -> str:
         fields[2] += "_0"
     elif kind == "spaces":
         fields[2] = f" {fields[2]} "
+    elif kind == "exp_notation":
+        fields[3] = "%.17e" % float(fields[3])
+    elif kind == "minus_zero":
+        fields[3] = "-0"
+    elif kind == "plus_sign":
+        fields[2] = "+" + fields[2]
+    elif kind == "long_digits":  # int64 would saturate: 20 digits in n or volume
+        fields[2 * (i % 2)] = "12345678901234567890"
+    elif kind == "two_points":
+        fields[3] = "12.34.5"
+    elif kind == "bare_point":
+        fields[3] = "."
+    elif kind == "lone_minus":
+        fields[3] = "-"
+    elif kind == "leading_point":
+        fields[3] = ".5"
+    elif kind == "trailing_point":
+        fields[3] = "5."
+    elif kind == "leading_zeros":
+        fields[3] = "007.5"
+    elif kind == "point_minus":  # "-5" once the point is dropped
+        fields[3] = ".-5"
     lines[row] = ",".join(fields)
     if kind == "rows_after_final":
         lines.append(lines[-2])
@@ -319,11 +341,13 @@ def _mutate(text: str, kind: str, i: int) -> str:
 MUTATIONS = ["none", "bad_eps", "not_a_number", "neg_volume", "nan_volume", "nan_price",
              "inf_price", "gap_in_n", "n_as_float", "short_row", "quoted", "comment",
              "underscore", "spaces", "rows_after_final", "crlf", "lone_cr", "cr_blank_line",
-             "drop_final", "blank_line", "no_trailing_newline"]
+             "drop_final", "blank_line", "no_trailing_newline", "exp_notation", "minus_zero",
+             "plus_sign", "long_digits", "two_points", "bare_point", "lone_minus", "leading_point",
+             "trailing_point", "leading_zeros", "point_minus"]
 
 
 def _bulk(path):
-    with open(path, newline="") as fh:
+    with open(path, "rb") as fh:
         return iolib._read_tape_bulk(fh)
 
 
@@ -340,9 +364,8 @@ def _outcome(parse, path):
         return None, f"{type(exc).__name__}: {exc}"
 
 
-@SETTINGS
-@given(tapes(priced=st.just(True)), st.sampled_from(MUTATIONS), st.integers(0, 10**6))
-def test_bulk_reader_agrees_with_row_validator(tmp_path_factory, tape, kind, i):
+def _agree(tmp_path_factory, tape, kind, i):
+    """The bulk parser reads a mutated tape as the row parser does, or declines it."""
     path = str(tmp_path_factory.mktemp("m") / "tape.csv")
     iolib.write_tape(tape, path)
     with open(path, newline="") as fh:
@@ -368,6 +391,34 @@ def test_bulk_reader_agrees_with_row_validator(tmp_path_factory, tape, kind, i):
                                                (rows.eps, rows.v, rows.prices)))
 
 
+@SETTINGS
+@given(tapes(priced=st.just(True)), st.sampled_from(MUTATIONS), st.integers(0, 10**6))
+def test_bulk_reader_agrees_with_row_validator(tmp_path_factory, tape, kind, i):
+    _agree(tmp_path_factory, tape, kind, i)
+
+
+@SETTINGS
+@given(tapes(priced=st.just(True)), st.sampled_from(MUTATIONS), st.integers(0, 10**6),
+       st.sampled_from([7, 37]))
+def test_bulk_reader_agrees_with_row_validator_across_block_boundaries(tmp_path_factory, tape,
+                                                                       kind, i, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(iolib, "_BLOCK", block)  # bytes: lines span one block boundary or several
+        _agree(tmp_path_factory, tape, kind, i)
+
+
+@pytest.mark.parametrize("block", [iolib._BLOCK, 7])
+@pytest.mark.parametrize("kind", MUTATIONS)
+def test_every_mutation_of_one_tape_reads_as_the_row_parser_reads_it(tmp_path_factory,
+                                                                     monkeypatch, kind, block):
+    rng = np.random.default_rng(7)
+    tape = TradeTape(SignSeries(rng.choice([-1.0, 1.0], 12)), VolumeSeries(rng.pareto(2.5, 12) + 1),
+                     prices=100 + rng.standard_normal(13).cumsum())
+    monkeypatch.setattr(iolib, "_BLOCK", block)
+    for i in (3, 12):  # trade 3's row, the final-price row
+        _agree(tmp_path_factory, tape, kind, i)
+
+
 def _priced_text(n: int) -> str:
     rows = "".join(f"{k},{(-1) ** k},{k + 1.5},{100 + k}\n" for k in range(n))
     return f"n,epsilon,volume,price\n{rows}{n},,,{100 + n}\n"
@@ -386,6 +437,57 @@ def test_a_canonical_tape_that_breaks_a_rule_is_rejected_from_the_bulk_parse(tmp
     monkeypatch.setattr(iolib.csv, "reader", no_row_parse)
     with pytest.raises(FormatError, match="line 19: epsilon must be -1 or 1"):
         iolib.read_tape(str(path))
+
+
+def test_lines_right_after_a_block_boundary_read_as_the_row_parser_reads_them(tmp_path,
+                                                                              monkeypatch):
+    rng = np.random.default_rng(5)
+    n = 200
+    prices = 100 + rng.standard_normal(n + 1).cumsum()
+    special = {50: -0.0, 90: 1.5e-7, 130: 5e-324}  # trade: its price
+    prices[list(special)] = list(special.values())
+    tape = TradeTape(SignSeries(rng.choice([-1.0, 1.0], n)), VolumeSeries(rng.pareto(2.5, n) + 1),
+                     prices=prices)
+    path = tmp_path / "tape.csv"
+    iolib.write_tape(tape, str(path))
+    text = path.read_bytes()
+    starts = np.flatnonzero(np.frombuffer(text, np.uint8) == 10) + 1  # of trade 0, 1, ...
+    assert [text[starts[t]:starts[t + 1]].split(b",")[3] for t in special] == [
+        b"-0\n", b"1.4999999999999999e-07\n", b"4.9406564584124654e-324\n"]
+    for t in special:  # the first block ends right before trade t; blocks as long follow
+        monkeypatch.setattr(iolib, "_BLOCK", int(starts[t] - starts[0]))
+        cols, blank = _bulk(str(path))
+        rows, rows_blank = _rows(str(path))
+        assert all(_same(a, b) for a, b in zip(cols, rows)) and np.array_equal(blank, rows_blank)
+
+    n, _, volume, price = text[starts[170]:starts[171]].split(b",")
+    path.write_bytes(text[:starts[170]] + b",".join([n, b"0", volume, price]) + text[starts[171]:])
+    monkeypatch.setattr(iolib, "_BLOCK", int(starts[170] - starts[0]))
+    monkeypatch.setattr(iolib.csv, "reader", None)  # the row parser is not called
+    with pytest.raises(FormatError, match="line 172: epsilon must be -1 or 1"):
+        iolib.read_tape(str(path))
+
+
+@SETTINGS
+@given(st.lists(st.one_of(finite, st.sampled_from(  # where the writer leaves the digits to %
+    [float(np.nextafter(10.0**j, 0.0)) for j in range(-4, 18)])), min_size=1, max_size=50))
+def test_a_cell_is_read_as_the_double_float_reads_from_it(xs):
+    texts = ["%.17g" % x for x in xs]
+    read = []  # the cells that went to float()
+    with pytest.MonkeyPatch.context() as mp:  # a block each: e-notation sends a block to float()
+        mp.setattr(iolib, "float", lambda s: read.append(s) or float(s), raising=False)
+        got = [iolib._block_values(f"{t}\n".encode(), 1) for t in texts]
+    assert _same(np.concatenate(got), [float(t) for t in texts])
+    # float() reads the zeros, the cells of more than 18 digits and those
+    # whose digits the writer's digit path does not write, but for the
+    # significands below 2**53 that one division reads exactly; the writer's
+    # digits prove every other cell
+    _, _, slow = iolib._digits(np.array(xs))
+    digits = ["e" not in t and t.lstrip("-").replace(".", "") for t in texts]
+    exact = [d and int(d) < 2**53 for d in digits]
+    cells = zip(texts, xs, slow, digits, exact)
+    assert sorted(read) == sorted(t.encode() for t, x, s, d, e in cells
+                                  if x == 0 or (s and not e) or len(d or "") > 18)
 
 
 def test_nan_epsilon_and_volume_do_not_make_a_final_price_row(tmp_path):
