@@ -203,14 +203,21 @@ def criterion_04_martingale_exponent() -> CriterionResult:
 
 def criterion_05_response_decomposition() -> CriterionResult:
     """Measured response matches the kernel/autocorrelation prediction and
-    tends to a non-vanishing long-lag limit."""
+    tends to a non-vanishing long-lag limit. Each point's SE is from batch
+    means: the spread of the response over 32 contiguous, equal blocks of
+    the reference tape, over sqrt(32); unlike the naive SE it allows for long memory."""
     tape = _reference_tape()
     chat = _reference_sign_autocorr()
     pred = est.predict_response(Kernel.power_law(0.25), chat, 1.0, 1.0, 1.0, max_lag=128)
-    meas = est.response(tape, max_lag=128, batches=32)
-    dev = np.abs(meas.values - pred.values) / meas.se
-    ok_point = bool(np.all(dev <= 3.0))
     wide = est.response(tape, max_lag=512)
+    batches, size = 32, tape.n // 32
+    blocks = [est.response(TradeTape(SignSeries(tape.eps[a : a + size]),
+                                     VolumeSeries(tape.v[a : a + size]),
+                                     tape.prices[a : a + size + 1]), 128).values
+              for a in range(0, batches * size, size)]
+    se = np.std(blocks, axis=0, ddof=1) / np.sqrt(batches)
+    dev = np.abs(wide.values[:128] - pred.values) / se
+    ok_point = bool(np.all(dev <= 3.0))
     ratio = wide.value_at(512) / wide.value_at(8)
     ok_limit = 0.5 <= ratio <= 2.0
     return CriterionResult(

@@ -236,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--completion", dest="generator.completion",
                        choices=["martingale", "plain"])
     p_sim.add_argument("--alpha", dest="generator.alpha", type=float)
-    p_sim.add_argument("--fixed-length", dest="generator.fixed_length", type=int)
     p_sim.add_argument("--c1", dest="generator.c1", type=float)
     p_sim.add_argument("--vol-dist", dest="volumes.dist",
                        choices=["constant", "lognormal", "pareto"])

@@ -7,9 +7,8 @@ Conventions shared by the lag statistics:
   sign of trade n with the price move that starts at the pre-trade price.
 - the statistics take the whole tape they are given; callers cut the
   measurement-side burn-in first, with TradeTape.drop.
-- overlapping estimators report the naive SE = std/sqrt(count), which
-  understates the error under dependence; response() on non-overlapping
-  windows reports a batch-means SE instead.
+- the estimators report the naive SE = std/sqrt(count), which
+  understates the error under dependence.
 """
 
 from dataclasses import dataclass, field
@@ -216,52 +215,26 @@ def _window_sums(p: np.ndarray, max_lag: int, e: np.ndarray | None = None):
     return sdp, sq, np.cumsum(_fft_corr(e, r, max_lag - 1)) - edge
 
 
-def response(tape: TradeTape, max_lag: int | None = None, batches: int = 0) -> LagCurve:
+def response(tape: TradeTape, max_lag: int | None = None) -> LagCurve:
     """Average price move after a trade, signed by that trade:
     R(l) = mean_n[(p_{n+l} - p_n) eps_n] - mean[p_{n+l} - p_n] * mean[eps_n]
-    on lags 1..max_lag.
-
-    batches=0 uses every start n (naive SE), at O(N log N + max lag) cost
-    through FFT correlations of the returns. batches >= 2 places windows on
-    the non-overlapping grid n = 0, l, 2l, ... and takes the SE from that
-    many contiguous batch means, which stays honest under long-range
-    dependence where the naive SE does not; a lag with fewer than
-    2 * batches windows keeps the naive SE.
+    on lags 1..max_lag, over every start n (naive SE), at O(N log N + max lag)
+    cost through FFT correlations of the returns.
     """
     p = _priced(tape)
     e = tape.eps
     m = e.size
     ensure(max_lag is not None and 1 <= max_lag < m,
            "max_lag must be given, positive and below the (post-burn) tape length")
-    ensure(isinstance(batches, (int, np.integer)) and not isinstance(batches, bool)
-           and (batches == 0 or batches >= 2),
-           f"batches must be 0 or an integer >= 2, got {batches!r}")
     lag_arr = np.arange(1, max_lag + 1, dtype=np.int64)
-    if not batches:
-        sdp, sq, sprod = _window_sums(p, max_lag, e)
-        cnts = m + 1 - lag_arr
-        mean = sprod / cnts
-        # sum of e_0..e_{m-l}: all signs but the last l-1
-        e_tail = np.concatenate(([0.0], np.cumsum(e[m - 1 : m - max_lag : -1])))
-        vals = mean - sdp / cnts * ((e.sum() - e_tail) / cnts)
-        # eps = +-1, so the mean squared product is sq / count
-        ses = np.sqrt(np.maximum(sq / cnts - mean * mean, 0.0)) / np.sqrt(cnts)
-    else:
-        vals = np.empty(lag_arr.size)
-        cnts = np.empty(lag_arr.size, dtype=np.int64)
-        ses = np.empty(lag_arr.size)
-        for i, l in enumerate(lag_arr):
-            dp = np.diff(p[::l])  # the m // l windows that end at or before p[m]
-            ee = e[: dp.size * l : l]
-            prod = dp * ee
-            vals[i] = prod.mean() - dp.mean() * ee.mean()
-            cnts[i] = prod.size
-            if prod.size >= 2 * batches:
-                bs = prod.size // batches
-                bm = prod[: batches * bs].reshape(batches, bs).mean(axis=1)
-                ses[i] = bm.std(ddof=1) / np.sqrt(batches)
-            else:
-                ses[i] = prod.std() / np.sqrt(prod.size)
+    sdp, sq, sprod = _window_sums(p, max_lag, e)
+    cnts = m + 1 - lag_arr
+    mean = sprod / cnts
+    # sum of e_0..e_{m-l}: all signs but the last l-1
+    e_tail = np.concatenate(([0.0], np.cumsum(e[m - 1 : m - max_lag : -1])))
+    vals = mean - sdp / cnts * ((e.sum() - e_tail) / cnts)
+    # eps = +-1, so the mean squared product is sq / count
+    ses = np.sqrt(np.maximum(sq / cnts - mean * mean, 0.0)) / np.sqrt(cnts)
     return LagCurve(lag_arr, vals, cnts, "response", ses)
 
 

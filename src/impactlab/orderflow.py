@@ -371,9 +371,7 @@ def _pareto_lengths(u: np.ndarray, alpha: float, n: int) -> np.ndarray:
     return np.ceil(x).astype(np.int64)
 
 
-def gen_metaorder_signs(
-    n: int, alpha: float, seed: int, fixed_length: int | None = None
-) -> SignSeries:
+def gen_metaorder_signs(n: int, alpha: float, seed: int) -> SignSeries:
     """Signs from sequential metaorder splitting: lengths L are Pareto with
     P(L > l) = l^(-alpha), each metaorder emits L equal signs of random
     direction. Tail exponent of the sign autocorrelation is gamma = alpha-1.
@@ -382,28 +380,18 @@ def gen_metaorder_signs(
     direction (< 0.5 buys), so a block of 2B uniforms holds B metaorders:
     lengths at even positions, directions at odd ones. Lengths are clipped
     at n, which leaves the tape unchanged.
-
-    fixed_length is a test hook that bypasses the Pareto draw (1 gives
-    independent signs, >= n a single metaorder covering the tape); each
-    metaorder then draws its direction only.
     """
     ensure(n >= 1, "n must be >= 1")
-    ensure(fixed_length is not None or 1.0 < alpha < 2.0,
-           "alpha must lie in (1, 2): finite mean, long memory")
-    ensure(fixed_length is None or fixed_length >= 1, "fixed_length must be >= 1")
+    ensure(1.0 < alpha < 2.0, "alpha must lie in (1, 2): finite mean, long memory")
     rng = np.random.default_rng(seed)
-    per = 1 if fixed_length is not None else 2  # uniforms drawn per metaorder
     block = n // 2 + 64  # mean lengths exceed 2, so one block mostly covers n
     lengths, buys, covered = [], [], 0
     while covered < n:
-        u = rng.random(per * block).reshape(block, per)
-        if fixed_length is None:
-            # integer ceiling of the continuous Pareto gives P(L>l) = l^(-alpha) exactly
-            size = _pareto_lengths(u[:, 0], alpha, n)
-        else:
-            size = np.full(block, min(fixed_length, n))
+        u = rng.random(2 * block).reshape(block, 2)
+        # integer ceiling of the continuous Pareto gives P(L>l) = l^(-alpha) exactly
+        size = _pareto_lengths(u[:, 0], alpha, n)
         lengths.append(size)
-        buys.append(u[:, -1] < 0.5)
+        buys.append(u[:, 1] < 0.5)
         covered += int(size.sum())
     size = np.concatenate(lengths)
     m = int(np.searchsorted(np.cumsum(size), n)) + 1  # metaorders that reach n

@@ -30,6 +30,7 @@ from impactlab import (
     fit_power_law,
     gen_clipped_fractional_signs,
     gen_iid_signs,
+    gen_metaorder_signs,
     gen_volumes,
     invert_response,
     levinson_durbin,
@@ -72,34 +73,18 @@ def test_response_matches_hand_computation():
     assert r.role_tag == "response"
 
 
-def test_response_nonoverlap_uses_disjoint_windows():
-    tape = _priced_tape([1, 1, -1, 1, 1], [0.0, 1.0, 2.0, 1.0, 2.0, 3.0])
-    r = response(tape, max_lag=2, batches=2)
-    # windows start at 0 and 2: (p2-p0)*e0, (p4-p2)*e2
-    want = np.mean([2.0 * 1, 0.0 * -1]) - np.mean([2.0, 0.0]) * np.mean([1, -1])
-    assert abs(r.value_at(2) - want) < 1e-15
-    assert r.counts[1] == 2
-
-
-@pytest.mark.parametrize("m", [255, 256, 257])
-def test_response_nonoverlap_takes_every_window_that_fits(m):
-    """The windows start at n = 0, l, 2l, ... <= m - l: m // l of them, the
-    last ending at p[m] whenever l divides m."""
-    rng = np.random.default_rng(5)
-    eps = np.where(rng.random(m) < 0.5, 1.0, -1.0)
-    tape = _kyle_tape(eps, rng.uniform(0.5, 2.0, m))
-    r = response(tape, max_lag=9, batches=4)
-    p, e = tape.prices, tape.eps
-    for i, l in enumerate(r.lags):
-        starts = np.arange(0, m - l + 1, l)
-        dp = np.array([p[n + l] - p[n] for n in starts])
-        prod = dp * e[starts]
-        bs = prod.size // 4
-        se = prod[: 4 * bs].reshape(4, bs).mean(axis=1).std(ddof=1) / 2.0
-        assert r.counts[i] == m // l == starts.size
-        np.testing.assert_allclose(r.values[i], prod.mean() - dp.mean() * e[starts].mean(),
-                                   rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(r.se[i], se, rtol=1e-12, atol=1e-15)
+@pytest.mark.parametrize("short, long", [(1, 9), (8, 255), (128, 512), (300, 40_000)])
+def test_response_at_a_lag_does_not_depend_on_max_lag(short, long):
+    """A lag's value, SE and count are the same whatever max_lag reaches past
+    it, to rounding: a 70,000-trade tape splits into FFT blocks that differ
+    with max_lag."""
+    m = 70_000
+    tape = _kyle_tape(gen_metaorder_signs(m, 1.5, seed=4).signs,
+                      gen_volumes(m, "lognormal", seed=5).volumes)
+    head, wide = response(tape, short), response(tape, long)
+    np.testing.assert_array_equal(head.counts, wide.counts[:short])
+    np.testing.assert_allclose(head.values, wide.values[:short], rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(head.se, wide.se[:short], rtol=1e-12, atol=1e-15)
 
 
 def test_response_requires_prices_and_a_lag_spec():
@@ -167,9 +152,7 @@ _REFUSED_NUMBERS = [(f"{name}={x}", call, x, "finite") for name, call in _NUMBER
     ("response-burn", lambda b: response(_small_tape().drop(b), max_lag=2), -1,
      "burn must be >= 0, got -1"),
     ("diffusivity-burn", lambda b: diffusivity(_small_tape().drop(b), 2), -1,
-     "burn must be >= 0, got -1")] + [
-    (f"response-batches={b}", lambda b: response(_small_tape(), max_lag=2, batches=b), b,
-     f"batches must be 0 or an integer >= 2, got {b}") for b in (1, -1)]
+     "burn must be >= 0, got -1")]
 
 
 @pytest.mark.parametrize("call, value, match", [case[1:] for case in _REFUSED_NUMBERS],
@@ -180,12 +163,13 @@ def test_public_numbers_are_checked_on_both_sides(call, value, match):
 
 
 def test_no_estimator_cuts_a_burn_in_or_takes_bin_edges():
-    """The burn-in is cut once, by TradeTape.drop, and the volume bins are
-    always the quantile bins: no estimator has a parameter for either."""
+    """The burn-in is cut once, by TradeTape.drop, the volume bins are
+    always the quantile bins, and the response is measured over every
+    window: no estimator has a parameter for any of them."""
     for name in estimators.__all__:
         obj = getattr(estimators, name)
         if inspect.isfunction(obj):
-            assert not {"burn", "bins"} & set(inspect.signature(obj).parameters), name
+            assert not {"burn", "bins", "batches"} & set(inspect.signature(obj).parameters), name
 
 
 # ---- the direct per-lag definitions, kept as oracles of the FFT path ----

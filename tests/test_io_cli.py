@@ -870,7 +870,7 @@ def test_every_flag_dest_is_a_key_its_section_accepts():
         "predictor": experiment._PREDICTOR_KEYS,
     }
     simulate = _config_dests("simulate")
-    assert len(simulate) == 22
+    assert len(simulate) == 21
     for dest in simulate:
         section, key = dest.split(".")
         assert key in accepted[section], dest
@@ -893,6 +893,8 @@ def test_cli_usage_and_config_errors_exit_one(tmp_path):
     assert cli.main(["simulate", "--no-such-flag"]) == 1
     assert cli.main(["measure", str(tmp_path / "missing.csv")]) == 1
     assert cli.main(["simulate", "--n", "0", "--out-dir", str(tmp_path)]) == 1
+    assert cli.main(["simulate", "--generator", "metaorder", "--alpha", "1.5",
+                     "--fixed-length", "5", "--n", "50", "--out-dir", str(tmp_path)]) == 1
     empty = tmp_path / "empty.json"
     empty.write_text("{}")
     assert cli.main(["report", "--config", str(empty),
@@ -1054,6 +1056,8 @@ _REFUSED = {
     "manip-own-impact-list": ({"manip": {"own_impact": ["full"]}}, None),
     "manip-psis-not-a-list": ({"manip": {"psis": 0.5}}, None),
     "manip-text-lam": ({"manip": {"lam": "1"}}, None),
+    "metaorder-fixed-length": ({"generator": {"kind": "metaorder", "alpha": 1.5,
+                                              "fixed_length": 5}}, None),
 }
 
 

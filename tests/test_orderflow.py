@@ -335,24 +335,19 @@ def test_latent_autocorr_is_one_process_per_octave(n):
     assert orderflow._whitening_grid(n) <= 8 * max(n, 1024)
 
 
-def test_metaorder_fixed_length_floor_makes_one_parent_order():
-    s = gen_metaorder_signs(500, 1.5, seed=2, fixed_length=10_000)
-    assert np.all(s.signs == s.signs[0])
+def test_sign_autocorr_of_a_constant_series_is_zero():
     # centering a constant series wipes the signal, which is not fatal
-    assert np.all(sign_autocorr(s, 4).values == 0)
+    assert np.all(sign_autocorr(SignSeries(np.ones(500)), 4).values == 0)
 
 
-def _metaorder_loop(n, alpha, seed, fixed_length=None):
+def _metaorder_loop(n, alpha, seed):
     """The metaorder generator one metaorder at a time, kept as the oracle
     of the vectorised one: a length draw, then a direction draw."""
     rng = np.random.default_rng(seed)
     out = np.empty(n)
     pos = 0
     while pos < n:
-        if fixed_length is not None:
-            length = fixed_length
-        else:
-            length = int(np.ceil(rng.random() ** (-1.0 / alpha)))
+        length = int(np.ceil(rng.random() ** (-1.0 / alpha)))
         direction = 1.0 if rng.random() < 0.5 else -1.0
         take = min(length, n - pos)
         out[pos : pos + take] = direction
@@ -375,11 +370,10 @@ def test_metaorder_signs_repeat_the_loop_at_full_length():
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 3000), alpha=st.floats(1.01, 1.99), seed=st.integers(0, 2**32),
-       fixed_length=st.one_of(st.none(), st.integers(1, 4000)))
-def test_metaorder_signs_repeat_the_loop(n, alpha, seed, fixed_length):
-    got = gen_metaorder_signs(n, alpha, seed=seed, fixed_length=fixed_length).signs
-    assert np.array_equal(got, _metaorder_loop(n, alpha, seed, fixed_length))
+@given(n=st.integers(1, 3000), alpha=st.floats(1.01, 1.99), seed=st.integers(0, 2**32))
+def test_metaorder_signs_repeat_the_loop(n, alpha, seed):
+    got = gen_metaorder_signs(n, alpha, seed=seed).signs
+    assert np.array_equal(got, _metaorder_loop(n, alpha, seed))
 
 
 def test_pareto_lengths_follow_the_scalar_power_at_integers():
@@ -399,8 +393,13 @@ def test_pareto_lengths_clip_at_the_tape_length():
 def test_metaorder_validation():
     with pytest.raises(ParameterError):
         gen_metaorder_signs(100, 2.5, seed=1)
-    with pytest.raises(ParameterError):
-        gen_metaorder_signs(100, 1.5, seed=1, fixed_length=0)
+
+
+def test_metaorder_signs_take_no_fixed_length():
+    """Every metaorder draws its length; a config's generator.fixed_length
+    reaches this TypeError, which the experiment reports as a ParameterError."""
+    with pytest.raises(TypeError):
+        gen_metaorder_signs(100, 1.5, seed=1, fixed_length=5)
 
 
 def test_markov_signs_hit_the_geometric_autocorrelation():
