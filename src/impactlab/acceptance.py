@@ -382,10 +382,10 @@ def criterion_11_manipulation_frontier() -> CriterionResult:
     # error suggests
     try:
         search_round_trips(Kernel.permanent(), 1.0, 1.0, max_len, grid)
-        refused = False
-    except SearchBudgetError:
-        refused = True
-    details: dict = {"candidates": int(n_candidates), "default_budget": 10**7,
+        refused, default_budget = False, None
+    except SearchBudgetError as exc:
+        refused, default_budget = True, exc.budget
+    details: dict = {"candidates": int(n_candidates), "default_budget": default_budget,
                      "default_budget_refused": refused, "budget_used": int(n_candidates)}
 
     def cell(beta, psi):
@@ -433,7 +433,7 @@ def criterion_12_master_curve_collapse() -> CriterionResult:
         # contiguous bins share their edges, so rounding cannot overlap them
         edges = np.append(centers / np.sqrt(step), centers[-1] * np.sqrt(step))
         counts = np.full(x.size, 100, dtype=np.int64)
-        stocks.append((m_cap, vbar, ConditionalResponse(edges[:-1], edges[1:], values, counts, 1)))
+        stocks.append((m_cap, vbar, ConditionalResponse(edges[:-1], edges[1:], values, counts)))
     good = est.master_curve_rescale(stocks, delta=delta)
     bad = est.master_curve_rescale(stocks, delta=0.0)
     ok = good.metric < 1e-9 and bad.metric > 0.5

@@ -34,6 +34,7 @@ from .exceptions import (
 )
 from .experiment import (
     ExperimentConfig,
+    _default_estimator,
     expand_seeds,
     invert_stage,
     manip_stage,
@@ -82,10 +83,6 @@ def _float_list(text: str) -> list:
 
 def _resolve_out_dir(args, config: ExperimentConfig | None = None) -> str:
     return args.out_dir or (config and config.out_dir) or os.environ.get(ENV_OUT_DIR, ".")
-
-
-def _add_universal(p: argparse.ArgumentParser):
-    p.add_argument("--out-dir", help=f"output directory (default ${ENV_OUT_DIR} or '.')")
 
 
 def _flag_sections(args) -> dict:
@@ -256,20 +253,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--ar-coeffs", dest="predictor.coeffs", type=_float_list,
                        help="comma-separated AR coefficients for the surprise model")
     p_sim.add_argument("--seed", help="seed as an int, or first:last for an inclusive range")
-    _add_universal(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_meas = sub.add_parser("measure", help="estimate curves and fits from a tape")
     p_meas.add_argument("tape", help="tape CSV with prices")
-    p_meas.add_argument("--max-lag", dest="estimator.max_lag", type=int)
-    p_meas.add_argument("--sign-max-lag", dest="estimator.sign_max_lag", type=int)
-    p_meas.add_argument("--rho-window", dest="estimator.rho_window", type=int)
-    p_meas.add_argument("--rho-psi-weight", dest="estimator.rho_psi_weight", type=float)
-    p_meas.add_argument("--cond-lag", dest="estimator.cond_lag", type=int)
-    p_meas.add_argument("--n-bins", dest="estimator.n_bins", type=int)
-    p_meas.add_argument("--min-count", dest="estimator.min_count", type=int)
+    for key, default in _default_estimator().items():
+        p_meas.add_argument("--" + key.replace("_", "-"), dest=f"estimator.{key}",
+                            type=type(default))
     p_meas.add_argument("--burn", type=int, default=0)
-    _add_universal(p_meas)
     p_meas.set_defaults(func=cmd_measure)
 
     p_inv = sub.add_parser("invert", help="recover the impact kernel from curves")
@@ -284,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--j-tail", type=int,
                        help="tail-sum length (default: min(4096, last autocorrelation lag))")
     p_inv.add_argument("--ridge", type=float, default=0.0)
-    _add_universal(p_inv)
     p_inv.set_defaults(func=cmd_invert)
 
     p_man = sub.add_parser("manip", help="minimum round-trip cost over a (beta,psi) grid")
@@ -297,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="maximum number of canonical candidate strategies")
     p_man.add_argument("--lam", dest="manip.lam", type=float)
     p_man.add_argument("--own-impact", dest="manip.own_impact", choices=["full", "half"])
-    _add_universal(p_man)
     p_man.set_defaults(func=cmd_manip)
 
     p_rep = sub.add_parser("report", help="run the pipeline and the acceptance table")
@@ -305,8 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON experiment config; omitted runs criteria only")
     p_rep.add_argument("--criteria", default="all",
                        help="all, none, or comma-separated criterion numbers")
-    _add_universal(p_rep)
     p_rep.set_defaults(func=cmd_report)
+    for p in sub.choices.values():
+        p.add_argument("--out-dir", help=f"output directory (default ${ENV_OUT_DIR} or '.')")
     return parser
 
 

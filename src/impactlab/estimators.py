@@ -45,10 +45,12 @@ __all__ = [
 ROLES = ("response", "sign_autocorr", "diffusivity")
 
 
-def _check_rows(counts: np.ndarray, values: np.ndarray) -> None:
-    """Every row of a curve averages at least one sample to a finite value."""
+def _check_rows(counts: np.ndarray, values: np.ndarray, se: np.ndarray | None) -> None:
+    """Every row of a curve averages at least one sample to a finite value,
+    and standard errors, when given, are one per row."""
     ensure(np.isfinite(values), "value must be finite")
     ensure(counts >= 1, "count must be >= 1")
+    ensure(se is None or se.shape == values.shape, "se must match values in shape")
 
 
 @dataclass
@@ -70,15 +72,13 @@ class LagCurve:
         self.lags = np.asarray(self.lags, dtype=np.int64)
         self.values = np.asarray(self.values, dtype=np.float64)
         self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.se is not None:
-            self.se = np.asarray(self.se, dtype=np.float64)
-            ensure(self.se.shape == self.values.shape, "se must match values in shape")
+        self.se = None if self.se is None else np.asarray(self.se, dtype=np.float64)
         ensure(self.role_tag in ROLES, f"unknown role_tag '{self.role_tag}'")
         ensure(self.lags.size == self.values.size == self.counts.size,
                "lags, values, counts must have equal length")
         ensure(self.lags.size > 0, "curve must be nonempty")
         ensure(np.diff(self.lags, prepend=0) > 0, "lags must be positive and strictly increasing")
-        _check_rows(self.counts, self.values)
+        _check_rows(self.counts, self.values, self.se)
         ensure((self.role_tag != "diffusivity") | (self.values >= 0),
                "diffusivity values must be >= 0")
 
@@ -102,13 +102,13 @@ class LagCurve:
 @dataclass
 class ConditionalResponse:
     """Per-volume-bin response at a fixed lag T: mean of (p_{n+T}-p_n)*eps_n
-    over trades whose volume falls in the bin."""
+    over trades whose volume falls in the bin. Like its CSV, it holds the
+    bins and not T."""
 
     bin_lo: np.ndarray
     bin_hi: np.ndarray
     values: np.ndarray
     counts: np.ndarray
-    T: int
     se: np.ndarray | None = None
 
     def __post_init__(self):
@@ -116,6 +116,7 @@ class ConditionalResponse:
         self.bin_hi = np.asarray(self.bin_hi, dtype=np.float64)
         self.values = np.asarray(self.values, dtype=np.float64)
         self.counts = np.asarray(self.counts, dtype=np.int64)
+        self.se = None if self.se is None else np.asarray(self.se, dtype=np.float64)
         sizes = {self.bin_lo.size, self.bin_hi.size, self.values.size, self.counts.size}
         ensure(len(sizes) == 1 and self.bin_lo.size > 0,
                "bins, values, counts must be nonempty and equal length")
@@ -124,8 +125,7 @@ class ConditionalResponse:
         # each bin begins at or after the one above ends, so no volume counts twice
         ensure(self.bin_lo >= np.append(0.0, self.bin_hi[:-1]),
                "bins must be increasing and disjoint, v_lo >= the v_hi above")
-        _check_rows(self.counts, self.values)
-        ensure(self.T >= 1, "T must be >= 1")
+        _check_rows(self.counts, self.values, self.se)
 
     @property
     def centers(self) -> np.ndarray:
@@ -153,12 +153,6 @@ class BarraFit:
 
     A: float
     r_squared: float
-
-
-def _eps_of(signs) -> np.ndarray:
-    if isinstance(signs, SignSeries):
-        return signs.signs
-    return np.asarray(signs, dtype=np.float64)
 
 
 def _priced(tape) -> np.ndarray:
@@ -277,7 +271,7 @@ def conditional_response(
     if not vals:
         raise EstimationError(f"all volume bins under the occupancy floor {min_count}")
     return ConditionalResponse(np.array(blo), np.array(bhi), np.array(vals),
-                               np.array(cnts, dtype=np.int64), T, np.array(ses))
+                               np.array(cnts, dtype=np.int64), np.array(ses))
 
 
 def rho(tape: TradeTape, T: int, psi_weight: float = 1.0) -> float:
@@ -307,7 +301,7 @@ def sign_autocorr(signs, max_lag: int) -> LagCurve:
     Computed by FFT; per-lag counts are N-l. A (near-)constant series makes
     the estimator 0 at every lag.
     """
-    eps = _eps_of(signs)
+    eps = signs.signs if isinstance(signs, SignSeries) else np.asarray(signs, dtype=np.float64)
     n = eps.size
     ensure(1 <= max_lag < n, "max_lag must be in [1, N)")
     mu = eps.mean()

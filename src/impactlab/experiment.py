@@ -637,23 +637,19 @@ def _fork_map(run, items: list, name) -> list:
     return [run(item) for item in items]
 
 
-def _map_seeds(config: ExperimentConfig, seeds: list, out: str) -> list:
-    """_seed_run of each seed, in seed order, through _fork_map. Any
-    clipped-fractional eigenvalues are computed here first, so the workers
-    share them copy-on-write instead of each whitening again."""
-    total, completion = _drawn(config)
-    if completion is not None:
-        _embedding_eigenvalues(float(config.generator["gamma"]), total, completion)
-    return _fork_map(functools.partial(_seed_run, config, out=out), seeds, "seed {}".format)
-
-
 def run_config(config: ExperimentConfig, out: str) -> dict:
     """The stages of `report --config` in order: simulate and measure each seed,
     pool across seeds, invert the pooled curves (one seed's, alone) at the model's
     lam and psi, then the manip frontier if configured. Returns the bundle, the
     one record of the run; its `errors` map holds each stage's errors in stage order."""
     seeds = expand_seeds(config.seed)
-    mean_volumes, measured, seed_errors, files = zip(*_map_seeds(config, seeds, out))
+    # any clipped-fractional eigenvalues first, so the seed workers share
+    # them copy-on-write instead of each whitening again
+    total, completion = _drawn(config)
+    if completion is not None:
+        _embedding_eigenvalues(float(config.generator["gamma"]), total, completion)
+    mean_volumes, measured, seed_errors, files = zip(
+        *_fork_map(functools.partial(_seed_run, config, out=out), seeds, "seed {}".format))
     keys = [str(s) for s in seeds]
     errors = {f"seed {s}: {name}": msg for s, errs in zip(seeds, seed_errors)
               for name, msg in errs.items()}

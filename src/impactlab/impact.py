@@ -216,9 +216,8 @@ def propagator_path(tape: TradeTape, cfg: ImpactConfig, seed: int = 0) -> np.nda
     kernel = cfg.kernel
     n = tape.n
     if kernel.is_constant:
-        g1 = float(kernel.eval(1))
-        ensure(g1 >= 0, "kernel values must be >= 0")
-        s = g1 * np.cumsum(impact_sizes(tape, cfg.psi))
+        # a Python float times the temporary sum: numpy reuses its buffer
+        s = float(_kernel_table(kernel, 1)[0]) * np.cumsum(impact_sizes(tape, cfg.psi))
     else:
         # handed over unnamed, so the convolution frees each once transformed
         s = _fft_convolve(impact_sizes(tape, cfg.psi), _kernel_table(kernel, n), n)

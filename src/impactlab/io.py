@@ -174,26 +174,21 @@ def _digits(x):
     return d, e, slow
 
 
-def _float_cells(x):
-    """`%.17g` text of the doubles x where %g writes fixed notation, and the
-    mask of the rest: zeros, NaN, inf and exponents outside -4..16."""
-    d, e, slow = _digits(x)
-    return _digit_cells(x < 0, d, e), slow
-
-
-def _int_cells(v):
-    """`%d` text of nonzero integers of magnitude below 2**53, and the mask of the rest."""
-    slow = ~((v > -2**53) & (v < 2**53) & (v == np.trunc(v)) & (v != 0))
-    u = np.abs(np.where(slow, 1, v)).astype(np.int64)
-    return _digit_cells(v < 0, u, 0), slow
-
-
 def _cells(kind, col):
-    """A column's text in its kind's format, laid out as by _digit_cells;
-    what the array path leaves is formatted by `%`, from the original value."""
+    """A column's text in its kind's format, laid out as by _digit_cells.
+    The array path writes `%d` of nonzero integers of magnitude below 2**53
+    and `%.17g` of the doubles it writes in fixed notation; the rest (text,
+    zeros, NaN, inf, exponents outside -4..16) is formatted by `%`, from the
+    original value."""
     fmt = "%d" if kind in "id" else "%s" if kind == "t" else "%.17g"
-    cells, slow = ((np.zeros((0, col.size), np.uint8), np.ones(col.size, bool)) if kind == "t"
-                   else _int_cells(col) if kind in "id" else _float_cells(col))
+    if kind == "t":
+        cells, slow = np.zeros((0, col.size), np.uint8), np.ones(col.size, bool)
+    elif kind in "id":
+        slow = ~((col > -2**53) & (col < 2**53) & (col == np.trunc(col)) & (col != 0))
+        cells = _digit_cells(col < 0, np.abs(np.where(slow, 1, col)).astype(np.int64), 0)
+    else:
+        d, e, slow = _digits(col)
+        cells = _digit_cells(col < 0, d, e)
     rows = np.flatnonzero(slow)
     if rows.size:
         text = np.array([(fmt % v).encode() for v in col[rows].tolist()])
@@ -419,12 +414,10 @@ def write_conditional(curve: ConditionalResponse, path: str):
                                      curve.se])
 
 
-def read_conditional(path: str, T: int = 1) -> ConditionalResponse:
-    """The lag T is not part of the CSV; pass the value recorded alongside
-    (fits/meta JSON) when it matters."""
+def read_conditional(path: str) -> ConditionalResponse:
     (lo, hi, vals, cnts, se), _ = _read_columns(path, "curve", _CONDITIONAL)
     with _rows():
-        return ConditionalResponse(lo, hi, vals, cnts, T, se)
+        return ConditionalResponse(lo, hi, vals, cnts, se)
 
 
 def write_kernel(kernel: Kernel, path: str, se_proxy=None):

@@ -147,15 +147,10 @@ def _tiles(r0: int, r1: int, l0: int, l1: int):
     """Tiles (r0, r1, l0, l1) of one group's right x left cost matrix, each
     at most _BLOCK_ENTRIES entries, in the group's row-major order: whole
     left ranges per tile, or single right rows split across tiles."""
-    width = l1 - l0
-    if width <= _BLOCK_ENTRIES:
-        step = _BLOCK_ENTRIES // width
-        for r in range(r0, r1, step):
-            yield r, min(r + step, r1), l0, l1
-    else:
-        for r in range(r0, r1):
-            for c in range(l0, l1, _BLOCK_ENTRIES):
-                yield r, r + 1, c, min(c + _BLOCK_ENTRIES, l1)
+    step = max(1, _BLOCK_ENTRIES // (l1 - l0))
+    for r in range(r0, r1, step):
+        for c in range(l0, l1, _BLOCK_ENTRIES):
+            yield r, min(r + step, r1), c, min(c + _BLOCK_ENTRIES, l1)
 
 
 # the share of its own immediate impact a trade pays, by own_impact

@@ -121,7 +121,7 @@ def _small_tape():
 
 def _binned():
     edges = np.geomspace(1.0, 8.0, 4)
-    return ConditionalResponse(edges[:-1], edges[1:], np.array([1.0, 2.0, 3.0]), np.full(3, 10), 1)
+    return ConditionalResponse(edges[:-1], edges[1:], np.array([1.0, 2.0, 3.0]), np.full(3, 10))
 
 
 # Each public float parameter, as the call that takes it, and the burn-in
@@ -141,8 +141,8 @@ _NUMBERS = {
     "pareto-x_min": lambda x: gen_volumes(4, "pareto", x_min=x),
     "pareto-tail": lambda x: gen_volumes(4, "pareto", tail=x),
     "capitalization": lambda x: master_curve_rescale([(x, 1.0, _binned()), (2.0, 1.0, _binned())]),
-    "bin_lo": lambda x: ConditionalResponse([x], [2.0], [1.0], [10], 1),
-    "bin_hi": lambda x: ConditionalResponse([1.0], [x], [1.0], [10], 1),
+    "bin_lo": lambda x: ConditionalResponse([x], [2.0], [1.0], [10]),
+    "bin_hi": lambda x: ConditionalResponse([1.0], [x], [1.0], [10]),
     "lam": lambda x: predict_response(Kernel.power_law(0.5), np.zeros(8), x, 1.0, 1.0, 4, 8),
     "psi": lambda x: predict_response(Kernel.power_law(0.5), np.zeros(8), 1.0, x, 1.0, 4, 8),
     "v": lambda x: predict_response(Kernel.power_law(0.5), np.zeros(8), 1.0, 1.0, x, 4, 8),
@@ -367,6 +367,13 @@ def test_conditional_response_occupancy_floor():
         conditional_response(tape, 1, min_count=1000)
 
 
+def test_conditional_response_refuses_volumes_of_one_size():
+    """Equal 0.1 % and 99.9 % volume quantiles leave no range to bin."""
+    tape = _kyle_tape(np.array([1.0, -1.0] * 50), np.full(100, 3.0))
+    with pytest.raises(EstimationError, match="volume quantiles do not span a positive range"):
+        conditional_response(tape, 1)
+
+
 def test_conditional_response_refuses_an_empty_bin_floor():
     tape = _kyle_tape(np.array([1.0, -1.0] * 50), np.linspace(1.0, 2.0, 100))
     with pytest.raises(ParameterError, match="min_count"):
@@ -377,11 +384,13 @@ def test_conditional_response_refuses_an_empty_bin_floor():
     assert conditional_response(tape, 1, n_bins=np.int64(2), min_count=1).values.size == 2
 
 
-@pytest.mark.parametrize("counts, values", [([5, 0], [1.0, 2.0]), ([5, 5], [1.0, np.nan])])
-def test_conditional_response_holds_occupied_finite_bins(counts, values):
+@pytest.mark.parametrize("counts, values, se", [([5, 0], [1.0, 2.0], None),
+                                               ([5, 5], [1.0, np.nan], None),
+                                               ([5, 5], [1.0, 2.0], [0.5])])
+def test_conditional_response_holds_occupied_finite_bins(counts, values, se):
     with pytest.raises(ParameterError):
         ConditionalResponse(np.array([1.0, 2.0]), np.array([2.0, 3.0]), np.array(values),
-                            np.array(counts), 1)
+                            np.array(counts), se=se)
 
 
 _EDGES, _ORDER = "bin edges must be finite, positive", "bins must be increasing and disjoint"
@@ -394,7 +403,7 @@ _EDGES, _ORDER = "bin edges must be finite, positive", "bins must be increasing 
                          ids=["zero", "negative", "decreasing", "overlapping"])
 def test_conditional_response_refuses_bad_bin_edges(lo, hi, rule, row):
     with pytest.raises(ParameterError, match=rule) as exc:
-        ConditionalResponse(lo, hi, np.ones(len(lo)), np.full(len(lo), 10), 1)
+        ConditionalResponse(lo, hi, np.ones(len(lo)), np.full(len(lo), 10))
     assert exc.value.row == row
 
 
@@ -617,7 +626,7 @@ def test_levinson_durbin_rejects_non_positive_definite_input():
 
 def test_master_curve_identical_stocks_collapse_to_zero():
     xg = np.geomspace(0.5, 2.0, 8)
-    cv = ConditionalResponse(xg * 0.95, xg * 1.05, xg**0.3, np.full(8, 100, dtype=np.int64), 1)
+    cv = ConditionalResponse(xg * 0.95, xg * 1.05, xg**0.3, np.full(8, 100, dtype=np.int64))
     res = master_curve_rescale([(1.0, 1.0, cv), (1.0, 1.0, cv)], delta=0.3)
     assert res.metric < 1e-12
     assert res.delta == 0.3
@@ -627,10 +636,9 @@ def test_master_curve_identical_stocks_collapse_to_zero():
 
 def test_fit_barra_recovers_the_prefactor():
     xg = np.geomspace(0.5, 2.0, 8)
-    shell = ConditionalResponse(xg * 0.95, xg * 1.05, np.ones(8), np.full(8, 100, dtype=np.int64),
-                                1)
+    shell = ConditionalResponse(xg * 0.95, xg * 1.05, np.ones(8), np.full(8, 100, dtype=np.int64))
     vals = 1.7 * 0.02 * np.sqrt(shell.centers / 5.0)
-    cv = ConditionalResponse(xg * 0.95, xg * 1.05, vals, np.full(8, 100, dtype=np.int64), 1)
+    cv = ConditionalResponse(xg * 0.95, xg * 1.05, vals, np.full(8, 100, dtype=np.int64))
     fit = fit_barra(cv, 0.02, 5.0)
     assert abs(fit.A - 1.7) < 1e-12
     assert fit.r_squared > 1 - 1e-12

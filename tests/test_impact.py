@@ -159,6 +159,16 @@ def test_empty_tape_is_an_input_error():
         propagator_path(_tape([]), ImpactConfig(lam=0.1))
 
 
+@pytest.mark.parametrize("engine", [
+    lambda tape: propagator_path(tape, ImpactConfig(kernel=Kernel.power_law(0.4))),
+    lambda tape: surprise_path(tape, ArPredictor([0.3]), ImpactConfig())],
+    ids=["propagator", "surprise"])
+def test_both_price_engines_refuse_a_tape_of_no_trades(engine):
+    empty = TradeTape(SignSeries(np.array([])), VolumeSeries(np.array([])))
+    with pytest.raises(InputError, match="empty tape"):
+        engine(empty)
+
+
 def test_impact_sizes_are_signed_powers_of_volume():
     tape = _tape([1, -1], gen_volumes(2, "constant", value=4.0))
     assert np.array_equal(impact_sizes(tape, 0.5), [2.0, -2.0])

@@ -38,6 +38,7 @@ from impactlab import (
     gen_volumes,
     predict_response,
     propagator_path,
+    surprise_path,
 )
 from impactlab import estimators, experiment, orderflow
 from impactlab import io as iolib
@@ -727,6 +728,28 @@ def test_simulate_meta_records_the_clipped_process(generator, sizes):
     assert {k: meta[k] for k in ("whitening_grid", "embedding_size") if k in meta} == sizes
 
 
+@pytest.mark.parametrize("model", [
+    {"kind": "surprise", "noise_sigma": 0.5, "predictor": {"coeffs": [0.3, 0.1]}},
+    {"kind": "propagator", "noise_sigma": 0.5,
+     "kernel": {"form": "tabulated", "values": [1.0, 0.6, 0.3]}}],
+    ids=["surprise", "tabulated-kernel"])
+def test_simulate_prices_the_burned_in_draw_with_the_config_engine(model):
+    """The model's engine prices n + 4096 drawn trades, its noise seeded
+    apart from the draw, and the first 4096 are cut."""
+    cfg, seed = ExperimentConfig.from_dict({"n": 500, "model": model}), 3
+    tape, meta = experiment.simulate(cfg, seed)
+    full = experiment._draw(cfg, 500 + 4096, seed)
+    noise_seed = seed + experiment._NOISE_SEED_OFFSET
+    if cfg.predictor is None:
+        assert np.array_equal(cfg.impact.kernel.values, [1.0, 0.6, 0.3])
+        prices = propagator_path(full, cfg.impact, seed=noise_seed)
+    else:
+        prices = surprise_path(full, cfg.predictor, cfg.impact, seed=noise_seed)
+    assert meta["burn"] == 4096
+    assert np.array_equal(tape.eps, full.eps[4096:]) and np.array_equal(tape.v, full.v[4096:])
+    assert np.array_equal(tape.prices, prices[4096:])
+
+
 def test_cli_simulate_config_leaves_unset_sections_at_the_config_defaults(tmp_path):
     cfg_path = str(tmp_path / "cfg.json")
     write_json({"n": 300, "seed": 1}, cfg_path)
@@ -852,11 +875,15 @@ def test_cli_rejects_a_negative_or_bool_seed(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def _subcommands() -> dict:
+    """{name: parser} of the CLI's subcommands."""
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _config_dests(command: str) -> list:
     """The `section.key` dests of one subcommand's flags."""
-    sub = next(a for a in cli.build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    return [a.dest for a in sub.choices[command]._actions if "." in a.dest]
+    return [a.dest for a in _subcommands()[command]._actions if "." in a.dest]
 
 
 def test_every_flag_dest_is_a_key_its_section_accepts():
@@ -879,6 +906,11 @@ def test_every_flag_dest_is_a_key_its_section_accepts():
     assert (sorted(_config_dests("manip"))
             == sorted(f"manip.{k}" for k in experiment._default_manip()))
     assert _config_dests("invert") == _config_dests("report") == []
+    parsers = _subcommands()
+    assert all("--out-dir" in p._option_string_actions for p in parsers.values())
+    for key, default in experiment._default_estimator().items():
+        flag = parsers["measure"]._option_string_actions["--" + key.replace("_", "-")]
+        assert flag.dest == f"estimator.{key}" and flag.type is type(default), key
 
 
 def test_cli_out_dir_env_fallback(tmp_path, monkeypatch):
@@ -1352,12 +1384,10 @@ def test_write_conditional_round_trip(tmp_path):
 
     edges = np.geomspace(0.5, 4.0, 5)
     cr = ConditionalResponse(edges[:-1], edges[1:], np.array([1.0, 2.0, 3.0, 4.0]),
-                             np.array([10, 20, 30, 40]), 2,
-                             np.array([0.1, 0.2, 0.3, 0.4]))
+                             np.array([10, 20, 30, 40]), np.array([0.1, 0.2, 0.3, 0.4]))
     path = str(tmp_path / "cond.csv")
     write_conditional(cr, path)
-    back = read_conditional(path, T=2)
+    back = read_conditional(path)
     assert np.array_equal(back.values, cr.values)
     assert np.array_equal(back.counts, cr.counts)
     assert np.allclose(back.bin_lo, cr.bin_lo)
-    assert back.T == 2

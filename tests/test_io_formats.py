@@ -221,13 +221,13 @@ def test_conditional_round_trip_and_oracle(tmp_path_factory, data):
     counts = np.array(data.draw(st.lists(st.integers(1, 10**9), min_size=n, max_size=n)))
     se = _optional_se(data.draw, n)
     path = str(tmp_path_factory.mktemp("k") / "cond.csv")
-    iolib.write_conditional(ConditionalResponse(lo, hi, vals, counts, 3, se), path)
+    iolib.write_conditional(ConditionalResponse(lo, hi, vals, counts, se), path)
     rows = [[_old_fmt(lo[i]), _old_fmt(hi[i]), _old_fmt(vals[i]), str(int(counts[i])),
              _old_se(se, i)] for i in range(n)]
     assert _text(path) == _old_text(["v_lo", "v_hi", "value", "count", "se"], rows)
-    back = iolib.read_conditional(path, T=3)
+    back = iolib.read_conditional(path)
     assert _same(back.bin_lo, lo) and _same(back.bin_hi, hi) and _same(back.values, vals)
-    assert np.array_equal(back.counts, counts) and back.T == 3
+    assert np.array_equal(back.counts, counts)
     assert (back.se is None) == (se is None) and (se is None or _same(back.se, se))
 
 
@@ -557,11 +557,12 @@ def _read_response(path):
     (iolib.read_conditional, "v_lo,v_hi,value,count,se\n1,2,0.5,10,\n4,5,0.4,10,\n2,3,0.3,10,\n",
      "line 4: bins must be increasing and disjoint"),
     (iolib.read_kernel, "lag,G,se_proxy\n1,0.5,\n2,nan,\n3,0.3,\n",
-     "line 3: tabulated kernel values must be finite")],
+     "line 3: tabulated kernel values must be finite"),
+    (_read_response, "lag,value,count,se\n", "line 2: curve has no rows")],
     ids=["curve-nan", "curve-zero-count", "curve-lag-zero", "curve-lags-out-of-order",
          "conditional-inf", "conditional-zero-count", "conditional-nan-lo", "conditional-inf-hi",
          "conditional-zero-lo", "conditional-overlapping", "conditional-decreasing-lo",
-         "kernel-nan-g"])
+         "kernel-nan-g", "curve-header-only"])
 def test_curve_readers_name_the_line_that_breaks_a_row_rule(tmp_path, read, text, error):
     path = tmp_path / "curve.csv"
     path.write_text(text)

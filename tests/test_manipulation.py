@@ -147,6 +147,11 @@ def test_single_buy_pays_its_own_impact():
     assert rep.exec_prices[0] == 1.0
 
 
+def test_the_empty_strategy_costs_nothing():
+    rep = strategy_cost(Strategy((), 5), Kernel.power_law(0.5), 1.0, 0.5)
+    assert rep.expected_cost == 0.0 and rep.exec_prices.size == 0
+
+
 def test_own_impact_half_charges_half():
     s = Strategy(((1, 2.0),), 1)
     assert strategy_cost(s, Kernel.permanent(), 1.0, 1.0).expected_cost == 4.0
