@@ -139,10 +139,8 @@ def cmd_simulate(args) -> int:
 def cmd_measure(args) -> int:
     tape = iolib.read_tape(args.tape)
     out = _resolve_out_dir(args)
-    stem = os.path.splitext(os.path.basename(args.tape))[0]
-    _, errors, files = measure_stage(
-        tape, _flag_sections(args).get("estimator"), out, stem, burn=args.burn,
-        extra={"input": os.path.relpath(args.tape, out), "burn": args.burn})
+    _, errors, files = measure_stage(tape, _flag_sections(args).get("estimator"), out,
+                                     os.path.relpath(args.tape, out), burn=args.burn)
     print(f"measure: wrote {len(files)} files under {out}")
     return _print_errors("measure", errors)
 

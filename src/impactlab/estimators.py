@@ -26,7 +26,6 @@ __all__ = [
     "ConditionalResponse",
     "PowerLawFit",
     "BarraFit",
-    "CollapseResult",
     "response",
     "conditional_response",
     "rho",
@@ -525,8 +524,8 @@ def invert_response(
 def levinson_durbin(C, order: int) -> ArPredictor:
     """AR(order) coefficients solving the Yule-Walker equations for the
     normalized autocorrelation sequence (1, C(1), C(2), ...), by the
-    standard recursion. Returns the predictor with its one-step error
-    variance."""
+    standard recursion; a reflection coefficient of modulus >= 1 or a
+    vanishing prediction-error variance is a NumericError."""
     ensure(order >= 1, "order must be >= 1")
     c = _dense_C(C, order)
     r = np.concatenate([[1.0], c])
@@ -548,25 +547,16 @@ def levinson_durbin(C, order: int) -> ArPredictor:
         e *= 1.0 - kappa * kappa
         if e <= 0:
             raise NumericError(f"prediction-error variance vanished at step {k}")
-    return ArPredictor(a, err_var=e)
+    return ArPredictor(a)
 
 
-@dataclass
-class CollapseResult:
-    """Curves rescaled onto a common grid plus the collapse quality metric
-    (mean over the grid of (max-min)/mean across curves; 0 = perfect)."""
-
-    x_grid: np.ndarray
-    curves: list
-    metric: float
-    delta: float
-
-
-def master_curve_rescale(stocks, delta: float = 0.3) -> CollapseResult:
-    """Capitalization rescaling of per-stock impact curves: each (M, vbar,
-    curve) maps to x = M^delta * v / vbar, y = M^delta * R(v). Curves are
-    compared on a common log grid of 50 points spanning the overlap of their
-    x-supports (log-log interpolation, exact on power laws)."""
+def master_curve_rescale(stocks, delta: float = 0.3) -> float:
+    """Collapse metric of the capitalization rescaling of per-stock impact
+    curves: each (M, vbar, curve) maps to x = M^delta * v / vbar, y = M^delta
+    * R(v). Curves are compared on a common log grid of 50 points spanning
+    the overlap of their x-supports (log-log interpolation, exact on power
+    laws); the metric is the mean over the grid of (max-min)/mean across
+    curves, 0 for a perfect collapse."""
     ensure(len(stocks) >= 2 and np.isfinite(delta),
            f"need at least 2 stocks and a finite delta, got {delta!r}")
     xs, ys = [], []
@@ -588,8 +578,7 @@ def master_curve_rescale(stocks, delta: float = 0.3) -> CollapseResult:
         np.exp(np.interp(np.log(grid), np.log(x), np.log(y))) for x, y in zip(xs, ys)
     ]
     stack = np.vstack(interp)
-    metric = float(np.mean((stack.max(axis=0) - stack.min(axis=0)) / stack.mean(axis=0)))
-    return CollapseResult(grid, interp, metric, delta)
+    return float(np.mean((stack.max(axis=0) - stack.min(axis=0)) / stack.mean(axis=0)))
 
 
 def fit_barra(curve: ConditionalResponse, sigma: float, V: float) -> BarraFit:

@@ -479,21 +479,23 @@ def simulate_stage(config: ExperimentConfig, seed: int, out: str):
     return tape, meta, files
 
 
-def measure_stage(tape: TradeTape, spec: dict | None, out: str, stem: str,
-                  burn: int = 0, extra: dict | None = None):
-    """measure a tape and write each curve and the fits JSON, which also
-    holds `extra` and the per-curve errors.
-    Returns (results, errors, files)."""
+def measure_stage(tape: TradeTape, spec: dict | None, out: str, source: str, burn: int = 0):
+    """measure a tape and write each curve and the fits JSON, named by the
+    stem of `source`, the tape file's path relative to `out`. The fits JSON
+    also records `source` as "input", `burn`, the estimator settings used
+    and the per-curve errors. Returns (results, errors, files)."""
     results, errors = measure(tape, spec, burn=burn)
-    files = {}
+    stem, files = os.path.splitext(os.path.basename(source))[0], {}
     for name in ("response", "sign_autocorr", "diffusivity", "conditional"):
         if name in results:
             files[name] = f"{stem}_{name}.csv"
             write = iolib.write_conditional if name == "conditional" else iolib.write_curve
             write(results[name], os.path.join(out, files[name]))
-    fits = {**results["fits"], **(extra or {}), "errors": errors}
+    s = _estimator_spec("estimator spec", spec)
+    estimator = {key: type(default)(s[key]) for key, default in _default_estimator().items()}
     files["fits"] = f"{stem}_fits.json"
-    iolib.write_json(fits, os.path.join(out, files["fits"]))
+    iolib.write_json({**results["fits"], "input": source, "burn": burn, "estimator": estimator,
+                      "errors": errors}, os.path.join(out, files["fits"]))
     return results, errors, files
 
 
@@ -557,9 +559,8 @@ def manip_stage(spec: dict, out: str):
 def _seed_run(config: ExperimentConfig, seed: int, out: str):
     """simulate and measure one seed, writing its files. Returns (its tape's
     mean volume, measure results, errors, measure files)."""
-    tape, _, _ = simulate_stage(config, seed, out)
-    return (float(tape.v.mean()),
-            *measure_stage(tape, config.estimator, out, f"tape_seed{seed}", extra={"seed": seed}))
+    tape, _, files = simulate_stage(config, seed, out)
+    return float(tape.v.mean()), *measure_stage(tape, config.estimator, out, files["tape"])
 
 
 def _usable_cpus() -> int:

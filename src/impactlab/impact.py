@@ -136,13 +136,11 @@ class ArPredictor:
     with zero pre-history before the tape starts."""
 
     coeffs: np.ndarray
-    err_var: float = 1.0
 
     def __post_init__(self):
         self.coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=np.float64))
         ensure(self.coeffs.ndim == 1, "predictor coefficients must be 1-d")
         ensure(np.isfinite(self.coeffs), "predictor coefficients must be finite")
-        ensure(0 < self.err_var < np.inf, "predictor err_var must be finite and positive")
 
     @property
     def order(self) -> int:

@@ -18,7 +18,6 @@ from .impact import Kernel
 
 __all__ = [
     "Strategy",
-    "CostReport",
     "strategy_cost",
     "count_round_trips",
     "search_round_trips",
@@ -45,18 +44,9 @@ class Strategy:
         ensure(all(a < b for a, b in zip(slots, slots[1:])), "slots must be strictly increasing")
 
 
-@dataclass
-class CostReport:
-    """Expected cost of a strategy with its per-trade execution prices
-    (relative to p0 = 0)."""
-
-    expected_cost: float
-    exec_prices: np.ndarray
-
-
 def strategy_cost(
     strategy: Strategy, kernel: Kernel, lam: float, psi: float, own_impact: str = "full"
-) -> CostReport:
+) -> float:
     """Expected cost sum_n q_n * (exec price_n - p0) where the trade at slot
     n executes at p0 + lam * [sum_{m<n} G(n-m) u_m + G(1) u_n], u = sign(q)
     |q|^psi. Charging the full own immediate impact is the conservative
@@ -64,12 +54,12 @@ def strategy_cost(
     analysis. Noise is zero-mean and excluded."""
     own = _check_search(lam, psi, own_impact)
     if not strategy.trades:
-        return CostReport(0.0, np.empty(0))
+        return 0.0
     slots = np.array([s for s, _ in strategy.trades], dtype=np.float64)
     q = np.array([qq for _, qq in strategy.trades])
     u = np.sign(q) * np.abs(q) ** psi
     prices = lam * (_pattern_w(kernel, slots, own * float(kernel.eval(1))) @ u)
-    return CostReport(float(np.dot(q, prices)), prices)
+    return float(np.dot(q, prices))
 
 
 def _symbol_values(volume_grid) -> np.ndarray:

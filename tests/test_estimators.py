@@ -131,7 +131,7 @@ _NUMBERS = {
     "sigma": lambda x: fit_barra(_binned(), x, 1.0),
     "psi_weight": lambda x: rho(_small_tape(), 4, psi_weight=x),
     "delta": lambda x: master_curve_rescale([(1.0, 1.0, _binned()), (2.0, 1.0, _binned())], x),
-    "err_var": lambda x: ArPredictor([0.3], err_var=x),
+    "predictor-coeff": lambda x: ArPredictor([0.3, x]),
     "quote-v": lambda x: quotes(100.0, 0.5, ImpactConfig(), x),
     "ask": lambda x: QuotePair(x, 0.0, 1.0),
     "kernel-lag": lambda x: Kernel.power_law(0.5).eval([1.0, x]),
@@ -613,7 +613,6 @@ def test_levinson_durbin_identifies_an_ar1():
     pred = levinson_durbin(0.5 ** np.arange(1, 9), 8)
     assert abs(pred.coeffs[0] - 0.5) <= 1e-12
     assert np.all(np.abs(pred.coeffs[1:]) <= 1e-12)
-    assert 0 < pred.err_var <= 1.0
     curve = LagCurve(np.arange(1, 9), 0.5 ** np.arange(1, 9.0), np.full(8, 10), "sign_autocorr")
     pred2 = levinson_durbin(curve, 8)
     assert np.allclose(pred.coeffs, pred2.coeffs, rtol=0, atol=1e-15)
@@ -627,9 +626,7 @@ def test_levinson_durbin_rejects_non_positive_definite_input():
 def test_master_curve_identical_stocks_collapse_to_zero():
     xg = np.geomspace(0.5, 2.0, 8)
     cv = ConditionalResponse(xg * 0.95, xg * 1.05, xg**0.3, np.full(8, 100, dtype=np.int64))
-    res = master_curve_rescale([(1.0, 1.0, cv), (1.0, 1.0, cv)], delta=0.3)
-    assert res.metric < 1e-12
-    assert res.delta == 0.3
+    assert master_curve_rescale([(1.0, 1.0, cv), (1.0, 1.0, cv)], delta=0.3) < 1e-12
     with pytest.raises(ParameterError):
         master_curve_rescale([(1.0, 1.0, cv)])
 

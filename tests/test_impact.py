@@ -154,15 +154,11 @@ def test_impact_config_validation():
             ImpactConfig(**bad)
 
 
-def test_empty_tape_is_an_input_error():
-    with pytest.raises((InputError, ParameterError)):
-        propagator_path(_tape([]), ImpactConfig(lam=0.1))
-
-
 @pytest.mark.parametrize("engine", [
     lambda tape: propagator_path(tape, ImpactConfig(kernel=Kernel.power_law(0.4))),
+    lambda tape: propagator_path(tape, ImpactConfig(lam=0.1)),
     lambda tape: surprise_path(tape, ArPredictor([0.3]), ImpactConfig())],
-    ids=["propagator", "surprise"])
+    ids=["propagator", "propagator-flat", "surprise"])
 def test_both_price_engines_refuse_a_tape_of_no_trades(engine):
     empty = TradeTape(SignSeries(np.array([])), VolumeSeries(np.array([])))
     with pytest.raises(InputError, match="empty tape"):

@@ -318,6 +318,23 @@ def test_cli_measure_burn_cuts_every_curve_but_the_sign_autocorrelation(tmp_path
         assert (out / "tape_sign_autocorr.csv").exists()
 
 
+def test_cli_measure_records_its_input_and_estimator_settings(tmp_path):
+    tape = tmp_path / "tapes" / "day1.csv"
+    tape.parent.mkdir()
+    write_tape(_priced_tape(n=2000), str(tape))
+    out = tmp_path / "meas"
+    assert cli.main(["measure", str(tape), "--cond-lag", "3", "--max-lag", "8",
+                     "--sign-max-lag", "8", "--out-dir", str(out)]) == 0
+    fits = read_json(str(out / "day1_fits.json"))
+    assert fits["input"] == os.path.join("..", "tapes", "day1.csv") and fits["burn"] == 0
+    assert fits["estimator"] == {**experiment._default_estimator(), "cond_lag": 3,
+                                 "max_lag": 8, "sign_max_lag": 8}
+    assert type(fits["estimator"]["rho_psi_weight"]) is float
+    assert sorted(os.listdir(out)) == sorted(
+        f"day1_{name}" for name in ("response.csv", "sign_autocorr.csv", "diffusivity.csv",
+                                    "conditional.csv", "fits.json"))
+
+
 def test_cli_measure_notes_a_gamma_fit_skipped_on_a_short_curve(tmp_path, capsys):
     """A sign autocorrelation that ends before lag 16 leaves no tail to fit: a
     note, as for constant volumes, not an error, and exit 0."""
@@ -548,7 +565,7 @@ def test_cli_report_full_pipeline_with_config(tmp_path):
         assert cli.main(["measure", os.path.join(alone, f"tape_seed{s}.csv"),
                          "--max-lag", "16", "--sign-max-lag", "32", "--rho-window", "8",
                          "--out-dir", alone]) == 0
-        names += [f"tape_seed{s}.csv", f"meta_seed{s}.json"]
+        names += [f"tape_seed{s}.csv", f"meta_seed{s}.json", f"tape_seed{s}_fits.json"]
         names += [f"tape_seed{s}_{c}.csv" for c in
                   ("response", "sign_autocorr", "diffusivity", "conditional")]
     assert cli.main(["manip", "--max-len", "6", "--grid", "1,5", "--out-dir", alone]) == 0

@@ -37,9 +37,7 @@ def _brute_force(kernel, lam, psi, max_len, grid):
                 if sum(qs) != 0 or qs[0] < 0:
                     continue
                 n_seen += 1
-                cost = strategy_cost(
-                    Strategy(tuple(zip(slots, qs)), max_len), kernel, lam, psi
-                ).expected_cost
+                cost = strategy_cost(Strategy(tuple(zip(slots, qs)), max_len), kernel, lam, psi)
                 if cost < best - 1e-15:
                     best, best_strategy = cost, tuple(zip(slots, qs))
     return best, best_strategy, n_seen
@@ -124,8 +122,7 @@ def _assert_matches_grouped_search(args, scale, ties=False):
     assert rep == w_rep
     assert abs(cost - w_cost) <= 1e-12 * scale
     if ties and strat != w_strat:
-        recost = [0.0 if s is None else
-                  strategy_cost(s, kernel, lam, psi, own_impact).expected_cost
+        recost = [0.0 if s is None else strategy_cost(s, kernel, lam, psi, own_impact)
                   for s in (strat, w_strat)]
         assert abs(recost[0] - recost[1]) <= 1e-12 * scale
     else:
@@ -142,20 +139,17 @@ def test_strategy_validation():
 
 
 def test_single_buy_pays_its_own_impact():
-    rep = strategy_cost(Strategy(((1, 1.0),), 1), Kernel.permanent(), 1.0, 1.0)
-    assert rep.expected_cost == 1.0
-    assert rep.exec_prices[0] == 1.0
+    assert strategy_cost(Strategy(((1, 1.0),), 1), Kernel.permanent(), 1.0, 1.0) == 1.0
 
 
 def test_the_empty_strategy_costs_nothing():
-    rep = strategy_cost(Strategy((), 5), Kernel.power_law(0.5), 1.0, 0.5)
-    assert rep.expected_cost == 0.0 and rep.exec_prices.size == 0
+    assert strategy_cost(Strategy((), 5), Kernel.power_law(0.5), 1.0, 0.5) == 0.0
 
 
 def test_own_impact_half_charges_half():
     s = Strategy(((1, 2.0),), 1)
-    assert strategy_cost(s, Kernel.permanent(), 1.0, 1.0).expected_cost == 4.0
-    assert strategy_cost(s, Kernel.permanent(), 1.0, 1.0, own_impact="half").expected_cost == 2.0
+    assert strategy_cost(s, Kernel.permanent(), 1.0, 1.0) == 4.0
+    assert strategy_cost(s, Kernel.permanent(), 1.0, 1.0, own_impact="half") == 2.0
     with pytest.raises(ParameterError):
         strategy_cost(s, Kernel.permanent(), 1.0, 1.0, own_impact="none")
 
@@ -164,20 +158,20 @@ def test_nine_buys_one_sell_worked_example():
     # permanent impact, psi=0.5: buys walk the price up 1..9, the sell of 9
     # only concedes sqrt(9)=3, banking 9
     nine = Strategy(tuple((s, 1.0) for s in range(1, 10)) + ((10, -9.0),), 10)
-    assert abs(strategy_cost(nine, Kernel.permanent(), 1.0, 0.5).expected_cost + 9.0) < 1e-12
+    assert abs(strategy_cost(nine, Kernel.permanent(), 1.0, 0.5) + 9.0) < 1e-12
     # linear impact: the same shape strictly loses
-    lin = strategy_cost(nine, Kernel.permanent(), 1.0, 1.0).expected_cost
+    lin = strategy_cost(nine, Kernel.permanent(), 1.0, 1.0)
     assert abs(lin - 45.0) < 1e-12
-    assert strategy_cost(nine, Kernel.permanent(), 2.0, 1.0).expected_cost == 2 * lin
+    assert strategy_cost(nine, Kernel.permanent(), 2.0, 1.0) == 2 * lin
 
 
 def test_cost_is_odd_under_mirroring_and_linear_in_lam():
     s = Strategy(((1, 2.0), (3, -1.0), (5, -1.0)), 6)
     k = Kernel.power_law(0.4)
-    c = strategy_cost(s, k, 1.3, 0.6).expected_cost
+    c = strategy_cost(s, k, 1.3, 0.6)
     mirrored = Strategy(tuple((slot, -q) for slot, q in s.trades), s.horizon)
-    assert strategy_cost(mirrored, k, 1.3, 0.6).expected_cost == c
-    assert abs(strategy_cost(s, k, 2.6, 0.6).expected_cost - 2 * c) < 1e-14
+    assert strategy_cost(mirrored, k, 1.3, 0.6) == c
+    assert abs(strategy_cost(s, k, 2.6, 0.6) - 2 * c) < 1e-14
 
 
 def test_count_round_trips_matches_brute_force():
@@ -338,8 +332,7 @@ def test_psi1_form_is_the_strategy_cost():
     slots, q = (1, 2, 5, 6), np.array([2.0, -1.0, 3.0, -4.0])
     for beta in (0.0, 0.7):
         s = _psi1_form(slots, beta)
-        cost = strategy_cost(Strategy(tuple(zip(slots, q)), 6), Kernel.power_law(beta),
-                             1.0, 1.0).expected_cost
+        cost = strategy_cost(Strategy(tuple(zip(slots, q)), 6), Kernel.power_law(beta), 1.0, 1.0)
         assert abs(cost - q @ s @ q) < 1e-12
 
 
