@@ -1,8 +1,11 @@
 """Quantitative acceptance criteria for the whole laboratory.
 
-Thirteen numbered checks, each a pure function returning a CriterionResult
-with pass/fail and the measured numbers. They drive both the test suite
-(tests/test_acceptance.py, one test per criterion) and `impactlab report`.
+Thirteen numbered checks, each a pure function returning (passed, details):
+pass/fail and the measured numbers. `@_criterion(number, name)` above a check
+is the one place its number and name are written: it registers the check in
+ALL_CRITERIA as a function returning its CriterionResult, and refuses a number
+registered before. They drive both the test suite (tests/test_acceptance.py,
+one test per criterion) and `impactlab report`.
 
 Everything is deterministic: seeds are pinned here, and the expensive
 reference simulation (a 2^20-trade long-memory tape priced under the
@@ -14,7 +17,7 @@ worker's task, so it is still built once.
 """
 
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -61,6 +64,33 @@ class CriterionResult:
         return asdict(self)
 
 
+ALL_CRITERIA: dict = {}  # number -> the registered check, returning its CriterionResult
+
+
+def _criterion(number: int, name: str):
+    """Registers the check it decorates as criterion `number` of ALL_CRITERIA;
+    the registered function returns the check's (passed, details) as the
+    criterion's CriterionResult."""
+    ensure(number not in ALL_CRITERIA, f"criterion {number} must be registered once")
+
+    def register(check):
+        @wraps(check)
+        def run() -> CriterionResult:
+            passed, details = check()
+            return CriterionResult(number, name, bool(passed), details)
+
+        ALL_CRITERIA[number] = run
+        return run
+
+    return register
+
+
+def _priced_tape(signs: SignSeries, volumes: VolumeSeries, cfg: ImpactConfig,
+                 seed: int = 0) -> TradeTape:
+    """The trades priced by propagator_path under cfg, noise drawn from seed."""
+    return TradeTape(signs, volumes, propagator_path(TradeTape(signs, volumes), cfg, seed))
+
+
 def _unit_volumes(n: int) -> VolumeSeries:
     return VolumeSeries(np.ones(n))
 
@@ -78,11 +108,8 @@ def _reference_volumes() -> VolumeSeries:  # one array that every reference tape
 def _priced_reference(beta: float) -> TradeTape:
     """The shared long-memory tape priced under a power-law kernel,
     lam=1, psi=1, unit volumes, noiseless, after its first BURN trades."""
-    signs, vols = _reference_signs(), _reference_volumes()
-    tape = TradeTape(signs, vols)
     cfg = ImpactConfig(lam=1.0, psi=1.0, kernel=Kernel.power_law(beta))
-    prices = propagator_path(tape, cfg)
-    return TradeTape(signs, vols, prices=prices).drop(BURN)
+    return _priced_tape(_reference_signs(), _reference_volumes(), cfg).drop(BURN)
 
 
 @lru_cache(maxsize=1)
@@ -99,13 +126,12 @@ def _reference_sign_autocorr() -> LagCurve:
     return est.sign_autocorr(_reference_signs(), 4608)
 
 
-def criterion_01_permanent_flat_response() -> CriterionResult:
+@_criterion(1, "permanent impact gives a lag-independent response")
+def criterion_01_permanent_flat_response():
     """Permanent impact on i.i.d. flow: R(l) is flat at lam."""
     n, lam = 10**5, 0.1
-    signs = gen_iid_signs(n, 0.5, seed=1)
-    tape = TradeTape(signs, _unit_volumes(n))
-    prices = propagator_path(tape, ImpactConfig(lam=lam, psi=1.0))
-    tape = TradeTape(signs, _unit_volumes(n), prices=prices)
+    tape = _priced_tape(gen_iid_signs(n, 0.5, seed=1), _unit_volumes(n),
+                        ImpactConfig(lam=lam, psi=1.0))
     r = est.response(tape, max_lag=64)
     # constant volumes make the lag-1 products deterministic, so the naive
     # SE collapses there while the mean-centering term still moves the
@@ -113,38 +139,26 @@ def criterion_01_permanent_flat_response() -> CriterionResult:
     # statistical bands of the stochastic lags
     se = np.maximum(r.se, lam * 1e-5)
     dev = np.abs(r.values - lam) / se
-    passed = bool(np.all(dev <= 3.0))
-    return CriterionResult(
-        1, "permanent impact gives a lag-independent response", passed,
-        {"max_abs_dev_in_se": float(dev.max()), "band_se": 3.0, "lam": lam},
-    )
+    return np.all(dev <= 3.0), {"max_abs_dev_in_se": float(dev.max()), "band_se": 3.0, "lam": lam}
 
 
-def criterion_02_rho_unity_and_dilution() -> CriterionResult:
+@_criterion(2, "flow-price correlation is 1 noiseless and 1/sqrt(2) at equal noise")
+def criterion_02_rho_unity_and_dilution():
     """Window flow/price correlation: 1 without noise, 1/sqrt(2) when the
     noise variance matches the impact variance."""
     n, T = 10**6, 16
-    signs = gen_iid_signs(n, 0.5, seed=2)
-    vols = _unit_volumes(n)
-    tape = TradeTape(signs, vols)
-    cfg = ImpactConfig(lam=1.0, psi=1.0)
-    clean = TradeTape(signs, vols, prices=propagator_path(tape, cfg))
-    rho_clean = est.rho(clean, T)
+    signs, vols = gen_iid_signs(n, 0.5, seed=2), _unit_volumes(n)
+    rho_clean = est.rho(_priced_tape(signs, vols, ImpactConfig(lam=1.0, psi=1.0)), T)
     noisy_cfg = ImpactConfig(lam=1.0, psi=1.0, noise_sigma=1.0)
-    noisy = TradeTape(signs, vols, prices=propagator_path(tape, noisy_cfg, seed=902))
-    rho_noisy = est.rho(noisy, T)
+    rho_noisy = est.rho(_priced_tape(signs, vols, noisy_cfg, seed=902), T)
     target = 1.0 / np.sqrt(2.0)
-    ok_clean = abs(rho_clean - 1.0) <= 1e-9
-    ok_noisy = abs(rho_noisy - target) <= 0.02
-    return CriterionResult(
-        2, "flow-price correlation is 1 noiseless and 1/sqrt(2) at equal noise",
-        bool(ok_clean and ok_noisy),
-        {"rho_noiseless": float(rho_clean), "rho_noisy": float(rho_noisy),
-         "target_noisy": float(target), "tol_noiseless": 1e-9, "tol_noisy": 0.02},
-    )
+    passed = abs(rho_clean - 1.0) <= 1e-9 and abs(rho_noisy - target) <= 0.02
+    return passed, {"rho_noiseless": float(rho_clean), "rho_noisy": float(rho_noisy),
+                    "target_noisy": float(target), "tol_noiseless": 1e-9, "tol_noisy": 0.02}
 
 
-def criterion_03_long_memory_generators() -> CriterionResult:
+@_criterion(3, "long-memory generators land in gamma 0.4..0.6 over 5 seeds")
+def criterion_03_long_memory_generators():
     """Both long-memory sign generators hit the target tail exponent 0.5,
     measured over 5 seeds per generator.
 
@@ -169,39 +183,36 @@ def criterion_03_long_memory_generators() -> CriterionResult:
                      "gamma_hats_per_seed": [float(g) for g in per_seed],
                      "in_band": ok}
         passed = passed and ok
-    return CriterionResult(
-        3, "long-memory generators land in gamma 0.4..0.6 over 5 seeds", passed, out
-    )
+    return passed, out
 
 
-def criterion_04_martingale_exponent() -> CriterionResult:
+@_criterion(4, "matched kernel decay yields diffusive prices; controls break it")
+def criterion_04_martingale_exponent():
     """Kernel decay beta=(1-gamma)/2 makes prices diffusive; flatter or
     steeper kernels visibly trend or mean-revert on the same flow."""
     tape = _reference_tape()
     d = est.diffusivity(tape, 256)
     ratios = d.values / d.values[0]
-    ok_flat = bool(np.all((ratios >= 0.7) & (ratios <= 1.4)))
+    ok_flat = np.all((ratios >= 0.7) & (ratios <= 1.4))
     r = np.diff(tape.prices)
     ac = est.normalized_autocorr(r, 32)[1:]
     bound = 3.0 / np.sqrt(r.size)
-    ok_white = bool(np.max(np.abs(ac)) <= bound)
+    ok_white = np.max(np.abs(ac)) <= bound
     d0 = est.diffusivity(_priced_reference(0.0), 256)
     trend_ratio = float(d0.values[-1] / d0.values[0])
     d45 = est.diffusivity(_priced_reference(0.45), 256)
     revert_ratio = float(d45.values[-1] / d45.values[0])
     ok_controls = trend_ratio > 2.0 and revert_ratio < 0.7
-    return CriterionResult(
-        4, "matched kernel decay yields diffusive prices; controls break it",
-        bool(ok_flat and ok_white and ok_controls),
-        {"diffusivity_ratio_range": [float(ratios.min()), float(ratios.max())],
-         "max_abs_return_autocorr": float(np.max(np.abs(ac))),
-         "whiteness_bound": float(bound),
-         "permanent_control_ratio": trend_ratio,
-         "steep_control_ratio": revert_ratio},
-    )
+    return ok_flat and ok_white and ok_controls, {
+        "diffusivity_ratio_range": [float(ratios.min()), float(ratios.max())],
+        "max_abs_return_autocorr": float(np.max(np.abs(ac))),
+        "whiteness_bound": float(bound),
+        "permanent_control_ratio": trend_ratio,
+        "steep_control_ratio": revert_ratio}
 
 
-def criterion_05_response_decomposition() -> CriterionResult:
+@_criterion(5, "response matches its kernel decomposition and keeps a floor")
+def criterion_05_response_decomposition():
     """Measured response matches the kernel/autocorrelation prediction and
     tends to a non-vanishing long-lag limit. Each point's SE is from batch
     means: the spread of the response over 32 contiguous, equal blocks of
@@ -217,19 +228,14 @@ def criterion_05_response_decomposition() -> CriterionResult:
               for a in range(0, batches * size, size)]
     se = np.std(blocks, axis=0, ddof=1) / np.sqrt(batches)
     dev = np.abs(wide.values[:128] - pred.values) / se
-    ok_point = bool(np.all(dev <= 3.0))
     ratio = wide.value_at(512) / wide.value_at(8)
-    ok_limit = 0.5 <= ratio <= 2.0
-    return CriterionResult(
-        5, "response matches its kernel decomposition and keeps a floor",
-        bool(ok_point and ok_limit),
-        {"max_abs_dev_in_se": float(dev.max()), "band_se": 3.0,
-         "r512_over_r8": ratio,
-         "truncation_bound": float(pred.meta["truncation_bound"])},
-    )
+    return np.all(dev <= 3.0) and 0.5 <= ratio <= 2.0, {
+        "max_abs_dev_in_se": float(dev.max()), "band_se": 3.0, "r512_over_r8": ratio,
+        "truncation_bound": float(pred.meta["truncation_bound"])}
 
 
-def criterion_06_kernel_inversion() -> CriterionResult:
+@_criterion(6, "kernel inversion is exact on synthetic data, 0.2..0.3 on simulated")
+def criterion_06_kernel_inversion():
     """Response inversion: exact synthetic round trip, then kernel exponent
     recovery from the simulated tape."""
     lags_c = np.arange(1, 6001)
@@ -240,22 +246,18 @@ def criterion_06_kernel_inversion() -> CriterionResult:
     r_exact = est.predict_response(kern, c_exact, 1.0, 1.0, 1.0, max_lag=64)
     recovered, rep = est.invert_response(r_exact, c_exact, 1.0, 1.0, 1.0, 32)
     rel = float(np.max(np.abs(recovered.values - true_g) / true_g))
-    ok_exact = rel <= 1e-6
 
     r_meas = est.response(_reference_tape(), max_lag=256)
     ghat, rep2 = est.invert_response(r_meas, _reference_sign_autocorr(), 1.0, 1.0, 1.0, 128)
     fit = est.fit_power_law((np.arange(1, 129, dtype=np.float64), ghat.values), (1, 64))
-    ok_sim = 0.2 <= fit.exponent <= 0.3
-    return CriterionResult(
-        6, "kernel inversion is exact on synthetic data, 0.2..0.3 on simulated",
-        bool(ok_exact and ok_sim),
-        {"exact_max_rel_err": rel, "exact_tol": 1e-6,
-         "exact_residual": float(rep["residual_norm"]),
-         "beta_hat": float(fit.exponent), "sim_condition": float(rep2["condition"])},
-    )
+    return rel <= 1e-6 and 0.2 <= fit.exponent <= 0.3, {
+        "exact_max_rel_err": rel, "exact_tol": 1e-6,
+        "exact_residual": float(rep["residual_norm"]),
+        "beta_hat": float(fit.exponent), "sim_condition": float(rep2["condition"])}
 
 
-def criterion_07_surprise_propagator_identity() -> CriterionResult:
+@_criterion(7, "surprise and implied-kernel models price identically")
+def criterion_07_surprise_propagator_identity():
     """The fitted-predictor surprise model and the kernel implied by that
     predictor price a tape identically; the recursion solver is exact on a
     geometric autocorrelation."""
@@ -270,20 +272,16 @@ def criterion_07_surprise_propagator_identity() -> CriterionResult:
     p2 = propagator_path(tape, ImpactConfig(lam=1.0, psi=1.0, kernel=kern))
     r1, r2 = np.diff(p1), np.diff(p2)
     rel = float(np.max(np.abs(r1 - r2)) / np.max(np.abs(r1)))
-    ok_paths = rel <= 1e-9
 
     exact = est.levinson_durbin(0.5 ** np.arange(1, 9, dtype=np.float64), 8)
     a = exact.coeffs
-    ok_ld = abs(a[0] - 0.5) <= 1e-12 and float(np.max(np.abs(a[1:]))) <= 1e-12
-    return CriterionResult(
-        7, "surprise and implied-kernel models price identically",
-        bool(ok_paths and ok_ld),
-        {"max_rel_return_gap": rel, "tol": 1e-9,
-         "a1": float(a[0]), "max_abs_rest": float(np.max(np.abs(a[1:])))},
-    )
+    rest = float(np.max(np.abs(a[1:])))
+    return rel <= 1e-9 and abs(a[0] - 0.5) <= 1e-12 and rest <= 1e-12, {
+        "max_rel_return_gap": rel, "tol": 1e-9, "a1": float(a[0]), "max_abs_rest": rest}
 
 
-def criterion_08_asymmetric_impact() -> CriterionResult:
+@_criterion(8, "expected trades impact 0.5 lam, surprising ones 1.5 lam")
+def criterion_08_asymmetric_impact():
     """Under a predictive flow, expected trades move the price less than
     surprising ones: 0.5*lam vs 1.5*lam exactly without noise, same
     ordering at 3 SE with noise."""
@@ -306,43 +304,33 @@ def criterion_08_asymmetric_impact() -> CriterionResult:
     se = np.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
     gap_in_se = float((b.mean() - a.mean()) / se)
     ok_noisy = a.mean() < b.mean() and gap_in_se > 3.0
-    return CriterionResult(
-        8, "expected trades impact 0.5 lam, surprising ones 1.5 lam",
-        bool(ok_exact and ok_noisy),
-        {"max_dev_confirming": dev_conf, "max_dev_contrarian": dev_contra,
-         "noisy_gap_in_se": gap_in_se,
-         "mean_confirming": float(a.mean()), "mean_contrarian": float(b.mean())},
-    )
+    return ok_exact and ok_noisy, {
+        "max_dev_confirming": dev_conf, "max_dev_contrarian": dev_contra,
+        "noisy_gap_in_se": gap_in_se,
+        "mean_confirming": float(a.mean()), "mean_contrarian": float(b.mean())}
 
 
-def criterion_09_concavity_recovery() -> CriterionResult:
+@_criterion(9, "concave impact exponent recovered; sqrt family fits")
+def criterion_09_concavity_recovery():
     """Volume-conditioned response recovers the concavity exponent, and the
     square-root family fits it well."""
     n = 10**6
-    signs = gen_iid_signs(n, 0.5, seed=11)
-    vols = gen_volumes(n, "lognormal", seed=12, mu=0.0, sigma=1.0)
-    tape = TradeTape(signs, vols)
     cfg = ImpactConfig(lam=1.0, psi=0.5, kernel=Kernel.power_law(0.25))
-    prices = propagator_path(tape, cfg)
-    tape = TradeTape(signs, vols, prices=prices).drop(BURN)
+    tape = _priced_tape(gen_iid_signs(n, 0.5, seed=11),
+                        gen_volumes(n, "lognormal", seed=12, mu=0.0, sigma=1.0), cfg).drop(BURN)
     cond = est.conditional_response(tape, 1)
     centers = cond.centers
     fit = est.fit_power_law(cond, (float(centers[0]), float(centers[-1])))
-    ok_psi = 0.45 <= fit.exponent <= 0.55
     sigma1 = float(np.std(np.diff(tape.prices)))
-    v_mean = float(np.mean(tape.v))
-    barra = est.fit_barra(cond, sigma1, v_mean)
-    ok_barra = barra.r_squared > 0.9
-    return CriterionResult(
-        9, "concave impact exponent recovered; sqrt family fits",
-        bool(ok_psi and ok_barra),
-        {"psi_hat": float(fit.exponent), "band": [0.45, 0.55],
-         "barra_r2": float(barra.r_squared), "barra_amplitude": float(barra.A),
-         "n_bins_kept": int(cond.values.size)},
-    )
+    barra = est.fit_barra(cond, sigma1, float(np.mean(tape.v)))
+    return 0.45 <= fit.exponent <= 0.55 and barra.r_squared > 0.9, {
+        "psi_hat": float(fit.exponent), "band": [0.45, 0.55],
+        "barra_r2": float(barra.r_squared), "barra_amplitude": float(barra.A),
+        "n_bins_kept": int(cond.values.size)}
 
 
-def criterion_10_spread_duality() -> CriterionResult:
+@_criterion(10, "spread is 2 lam v^psi and volatility per trade tracks it")
+def criterion_10_spread_duality():
     """Quotes reproduce S = 2 lam v^psi exactly, and per-trade volatility is
     proportional to the spread across a lam sweep."""
     q1 = quotes(100.0, 0.5, ImpactConfig(lam=1.0, psi=1.0), 1.0)
@@ -361,17 +349,14 @@ def criterion_10_spread_duality() -> CriterionResult:
         kappas.append(sigma1 / spread)
     kappas = np.array(kappas)
     stability = float(np.max(np.abs(kappas - kappas.mean())) / kappas.mean())
-    ok_sweep = stability <= 0.05
-    return CriterionResult(
-        10, "spread is 2 lam v^psi and volatility per trade tracks it",
-        bool(ok_exact and ok_sweep),
-        {"spread_values": [float(q1.spread), float(q2.spread)],
-         "kappas": [float(k) for k in kappas], "max_rel_spread_of_kappa": stability,
-         "tol": 0.05},
-    )
+    return ok_exact and stability <= 0.05, {
+        "spread_values": [float(q1.spread), float(q2.spread)],
+        "kappas": [float(k) for k in kappas], "max_rel_spread_of_kappa": stability,
+        "tol": 0.05}
 
 
-def criterion_11_manipulation_frontier() -> CriterionResult:
+@_criterion(11, "no round-trip profit on/above the diagonal; concave permanent leaks")
+def criterion_11_manipulation_frontier():
     """Exhaustive round-trip search: no free lunch on the diagonal and
     above, guaranteed profit for permanent-plus-concave."""
     grid = (1.0, 2.0, 4.0, 8.0, 9.0)
@@ -400,7 +385,7 @@ def criterion_11_manipulation_frontier() -> CriterionResult:
     c_above, _ = cell(0.6, 0.6)
     nine = Strategy(tuple((s, 1.0) for s in range(1, 10)) + ((10, -9.0),), 10)
     nine_cost = strategy_cost(nine, Kernel.permanent(), 1.0, 0.5)
-    ok = (
+    passed = (
         c_lin >= 0.0
         and c_conc <= -9.0
         and abs(nine_cost - (-9.0)) <= 1e-9
@@ -414,13 +399,11 @@ def criterion_11_manipulation_frontier() -> CriterionResult:
          "nine_buy_cost": nine_cost,
          "argmin_concave": None if s_conc is None else list(s_conc.trades)}
     )
-    return CriterionResult(
-        11, "no round-trip profit on/above the diagonal; concave permanent leaks", ok,
-        details,
-    )
+    return passed, details
 
 
-def criterion_12_master_curve_collapse() -> CriterionResult:
+@_criterion(12, "self-similar family collapses at delta=0.3, not at 0")
+def criterion_12_master_curve_collapse():
     """An exactly self-similar curve family collapses at the right exponent
     and fails without rescaling."""
     delta = 0.3
@@ -436,13 +419,11 @@ def criterion_12_master_curve_collapse() -> CriterionResult:
         stocks.append((m_cap, vbar, ConditionalResponse(edges[:-1], edges[1:], values, counts)))
     good = est.master_curve_rescale(stocks, delta=delta)
     bad = est.master_curve_rescale(stocks, delta=0.0)
-    return CriterionResult(
-        12, "self-similar family collapses at delta=0.3, not at 0", good < 1e-9 and bad > 0.5,
-        {"metric_at_delta": good, "metric_at_zero": bad},
-    )
+    return good < 1e-9 and bad > 0.5, {"metric_at_delta": good, "metric_at_zero": bad}
 
 
-def criterion_13_determinism_round_trips() -> CriterionResult:
+@_criterion(13, "byte-identical reruns and lossless round-trips")
+def criterion_13_determinism_round_trips():
     """Identical configs give byte-identical outputs; every file format
     round-trips losslessly."""
     import filecmp
@@ -502,30 +483,7 @@ def criterion_13_determinism_round_trips() -> CriterionResult:
         cfg2 = ExperimentConfig.from_dict(iolib.read_json(jpath))
         details["config_round_trip"] = bool(cfg2.to_dict() == d)
 
-    ok = all(
-        details[k]
-        for k in ("byte_identical", "tape_round_trip", "curve_round_trip",
-                  "kernel_round_trip", "config_round_trip")
-    )
-    return CriterionResult(13, "byte-identical reruns and lossless round-trips",
-                           bool(ok), details)
-
-
-ALL_CRITERIA = {
-    1: criterion_01_permanent_flat_response,
-    2: criterion_02_rho_unity_and_dilution,
-    3: criterion_03_long_memory_generators,
-    4: criterion_04_martingale_exponent,
-    5: criterion_05_response_decomposition,
-    6: criterion_06_kernel_inversion,
-    7: criterion_07_surprise_propagator_identity,
-    8: criterion_08_asymmetric_impact,
-    9: criterion_09_concavity_recovery,
-    10: criterion_10_spread_duality,
-    11: criterion_11_manipulation_frontier,
-    12: criterion_12_master_curve_collapse,
-    13: criterion_13_determinism_round_trips,
-}
+    return all(details.values()), details
 
 
 # the criteria that read the lru-cached reference signs, tapes and sign
@@ -539,7 +497,8 @@ def _check_criteria(numbers) -> list:
     named once: a repeat would run a criterion twice."""
     numbers = list(numbers)
     unknown = [n for n in numbers if n not in ALL_CRITERIA]
-    ensure(not unknown, f"unknown criteria {unknown}: valid numbers are 1..13")
+    ensure(not unknown, f"unknown criteria {unknown}: valid numbers are "
+                        f"{min(ALL_CRITERIA)}..{max(ALL_CRITERIA)}")
     ensure(len(set(numbers)) == len(numbers), f"criteria list {numbers} repeats a criterion")
     return numbers
 

@@ -4,8 +4,10 @@ carry the measured numbers; the assertion message echoes them on failure.
 """
 
 import numpy as np
+import pytest
 
 from impactlab import acceptance
+from impactlab.exceptions import ParameterError
 
 
 def _run(number):
@@ -64,6 +66,18 @@ def test_criterion_12_master_curve_collapse():
 
 def test_criterion_13_pipeline_reproducibility_round_trips():
     _run(13)
+
+
+def test_each_criterion_number_is_registered_once():
+    """The registry holds criteria 1..13, each under the number its function
+    is named for, and refuses a number registered before, keeping the first."""
+    assert sorted(acceptance.ALL_CRITERIA) == list(range(1, 14))
+    assert all(fn.__name__.startswith(f"criterion_{n:02d}_")
+               for n, fn in acceptance.ALL_CRITERIA.items())
+    first = acceptance.ALL_CRITERIA[12]
+    with pytest.raises(ParameterError, match="criterion 12 must be registered once"):
+        acceptance._criterion(12, "again")(lambda: (True, {}))
+    assert acceptance.ALL_CRITERIA[12] is first
 
 
 def test_the_reference_tapes_share_one_volume_array():

@@ -119,9 +119,9 @@ def _small_tape():
     return _kyle_tape(eps, np.linspace(1.0, 2.0, eps.size))
 
 
-def _binned():
+def _binned(values=(1.0, 2.0, 3.0)):
     edges = np.geomspace(1.0, 8.0, 4)
-    return ConditionalResponse(edges[:-1], edges[1:], np.array([1.0, 2.0, 3.0]), np.full(3, 10))
+    return ConditionalResponse(edges[:-1], edges[1:], np.array(values), np.full(3, 10))
 
 
 # Each public float parameter, as the call that takes it, and the burn-in
@@ -629,6 +629,19 @@ def test_master_curve_identical_stocks_collapse_to_zero():
     assert master_curve_rescale([(1.0, 1.0, cv), (1.0, 1.0, cv)], delta=0.3) < 1e-12
     with pytest.raises(ParameterError):
         master_curve_rescale([(1.0, 1.0, cv)])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: master_curve_rescale([(1.0, 1.0, _binned()), (2.0, 1.0, _binned((1.0, -2.0, 3.0)))]),
+     "curves must be positive for log-log collapse"),
+    (lambda: master_curve_rescale([(1.0, 1.0, _binned()), (1.0, 100.0, _binned())]),
+     "no overlapping x-support across stocks"),
+    (lambda: fit_barra(_binned((2.0, 2.0, 2.0)), 1.0, 1.0),
+     "degenerate curve: zero variance across bins"),
+], ids=["collapse-nonpositive", "collapse-disjoint", "barra-constant"])
+def test_collapse_and_barra_refuse_curves_they_cannot_fit(call, message):
+    with pytest.raises(EstimationError, match=message):
+        call()
 
 
 def test_fit_barra_recovers_the_prefactor():

@@ -129,6 +129,8 @@ def test_kernel_validation():
         Kernel.tabulated([])
     with pytest.raises(ParameterError):
         Kernel.tabulated([1.0, np.nan])
+    with pytest.raises(ParameterError, match="unknown kernel form 'x'"):
+        Kernel(form="x")
     for bad in ({"beta": np.nan}, {"beta": np.inf}, {"beta": 0.3, "g1": np.nan},
                 {"beta": 0.3, "g1": np.inf}, {"beta": 0.3, "plateau": np.nan}):
         with pytest.raises(ParameterError, match="finite"):

@@ -465,6 +465,36 @@ def test_cli_invert_exits_three_when_the_beta_hat_fit_fails(tmp_path, capsys):
     assert sorted(os.listdir(out)) == ["invert_report.json", "kernel.csv"]
 
 
+def _invert_a_flat_response(tmp_path, autocorr):
+    """invert of R = 1 on lags 1..8 against C = autocorr(l) on lags 1..64,
+    with 8 kernel lags and j_tail 8: the exit code and output directory."""
+    r_lags, c_lags = np.arange(1, 9), np.arange(1, 65)
+    r, c, out = str(tmp_path / "r.csv"), str(tmp_path / "c.csv"), tmp_path / "inv"
+    write_curve(LagCurve(r_lags, np.ones(8), np.full(8, 10), "response"), r)
+    write_curve(LagCurve(c_lags, autocorr(c_lags), np.full(64, 10), "sign_autocorr"), c)
+    rc = cli.main(["invert", "--response", r, "--autocorr", c, "--kernel-lags", "8",
+                   "--j-tail", "8", "--out-dir", str(out)])
+    return rc, out
+
+
+def test_cli_invert_refuses_a_singular_system(tmp_path, capsys):
+    """C = 1 at every lag makes the system's columns equal: exit 3, no output."""
+    rc, out = _invert_a_flat_response(tmp_path, lambda lags: np.ones(lags.size))
+    assert rc == 3
+    assert capsys.readouterr().err == "impactlab: NumericError: inversion matrix is singular\n"
+    assert not out.exists()
+
+
+def test_cli_invert_notes_an_ill_conditioned_system(tmp_path, capsys):
+    """C = 1 - 1e-9 l leaves the columns all but equal: the report flags the
+    condition, about 2.75e10, and the note is printed on stderr."""
+    rc, out = _invert_a_flat_response(tmp_path, lambda lags: 1.0 - 1e-9 * lags)
+    report = read_json(out / "invert_report.json")
+    assert report["ill_conditioned"] is True and report["condition"] > 1e10
+    assert f"invert: {report['note']}" in capsys.readouterr().err.splitlines()
+    assert rc == 3 and list(report["errors"]) == ["beta_fit"]  # the kernel has no power-law fit
+
+
 def test_cli_invert_and_manip_reports_record_provenance(tmp_path):
     """Both reports carry the versions their bytes depend on, as every other
     JSON output does."""
@@ -948,6 +978,24 @@ def test_cli_usage_and_config_errors_exit_one(tmp_path):
     empty.write_text("{}")
     assert cli.main(["report", "--config", str(empty),
                      "--out-dir", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--seed", "abc"], "bad --seed 'abc': use an int or first:last"),
+    (["simulate", "--seed", "1:x"], "bad --seed '1:x': use an int or first:last"),
+    (["manip", "--betas", "x"], "argument --betas: 'x' is not a list of comma-separated numbers"),
+    (["report", "--criteria", "1,x"], "bad --criteria '1,x': use all, none, or numbers"),
+], ids=["seed", "seed-range", "betas", "criteria"])
+def test_cli_usage_errors_name_the_bad_value_and_write_nothing(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"impactlab: error: {message}\n")
+    assert not out.exists()
+
+
+def test_cli_without_a_command_prints_the_usage_and_exits_one(capsys):
+    assert cli.main([]) == 1
+    assert capsys.readouterr().out.startswith("usage: impactlab ")
 
 
 @pytest.mark.parametrize("flags", [

@@ -516,7 +516,11 @@ def test_a_curve_whose_se_is_nan_text_reads_back_as_nan(tmp_path):
 
 @pytest.mark.parametrize("row, what", [("1.5,0.1,10,", "lag '1.5'"),
                                        ("1,0.1,10.9,", "count '10.9'"),
-                                       ("1,0.1,1e300,", "count '1e300'")])
+                                       ("1,0.1,1e300,", "count '1e300'"),
+                                       ("1,0.1,3.0000000000000001,",
+                                        "count '3.0000000000000001'"),
+                                       ("1,0.1,9007199254740993,",
+                                        "count '9007199254740993'")])
 def test_curve_reader_rejects_inexact_integers(tmp_path, row, what):
     path = tmp_path / "curve.csv"
     path.write_text(f"lag,value,count,se\n{row}\n")
