@@ -81,8 +81,8 @@ def _float_list(text: str) -> list:
     return values
 
 
-def _resolve_out_dir(args, config: ExperimentConfig | None = None) -> str:
-    return args.out_dir or (config and config.out_dir) or os.environ.get(ENV_OUT_DIR, ".")
+def _resolve_out_dir(args) -> str:
+    return args.out_dir or os.environ.get(ENV_OUT_DIR, ".")
 
 
 def _flag_sections(args) -> dict:
@@ -122,7 +122,7 @@ def _print_errors(command: str, errors: dict) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
-    out = _resolve_out_dir(args, cfg)
+    out = _resolve_out_dir(args)
     print(json.dumps({"effective_config": cfg.to_dict()}, sort_keys=True))
     seeds = expand_seeds(cfg.seed)
     files = {}
@@ -197,7 +197,7 @@ def cmd_report(args) -> int:
 
     numbers = _parse_criteria(args.criteria)
     cfg = ExperimentConfig.from_dict(iolib.read_json(args.config)) if args.config else None
-    out = _resolve_out_dir(args, cfg)
+    out = _resolve_out_dir(args)
     bundle = run_config(cfg, out) if cfg else {"provenance": provenance()}
     code = _print_errors("report", bundle.get("errors", {}))
     results = run_criteria(numbers)

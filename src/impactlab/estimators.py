@@ -255,22 +255,13 @@ def conditional_response(
         raise EstimationError("volume quantiles do not span a positive range")
     edges = np.exp(np.linspace(np.log(lo), np.log(hi), n_bins + 1))
     idx = np.digitize(vv, edges)
-    blo, bhi, vals, cnts, ses = [], [], [], [], []
-    for b in range(1, edges.size):
-        mask = idx == b
-        c = int(mask.sum())
-        if c < min_count:
-            continue
-        yb = y[mask]
-        blo.append(edges[b - 1])
-        bhi.append(edges[b])
-        vals.append(yb.mean())
-        cnts.append(c)
-        ses.append(yb.std() / np.sqrt(c))
-    if not vals:
+    ys = [y[idx == b] for b in range(1, edges.size)]  # ys[i]: volumes in [edges[i], edges[i+1])
+    kept = np.flatnonzero([yb.size >= min_count for yb in ys])
+    if not kept.size:
         raise EstimationError(f"all volume bins under the occupancy floor {min_count}")
-    return ConditionalResponse(np.array(blo), np.array(bhi), np.array(vals),
-                               np.array(cnts, dtype=np.int64), np.array(ses))
+    cnts = np.array([ys[b].size for b in kept], dtype=np.int64)
+    return ConditionalResponse(edges[kept], edges[kept + 1], np.array([ys[b].mean() for b in kept]),
+                               cnts, np.array([ys[b].std() for b in kept]) / np.sqrt(cnts))
 
 
 def rho(tape: TradeTape, T: int, psi_weight: float = 1.0) -> float:
@@ -355,12 +346,11 @@ def fit_power_law(curve, fit_range) -> PowerLawFit:
     xs, ys = x[mask], y[mask]
     if np.any(ys <= 0):
         raise EstimationError("nonpositive values in fit range; shift the range")
-    slope, intercept = np.polyfit(np.log(xs), np.log(ys), 1)
-    pred = slope * np.log(xs) + intercept
-    ss_res = float(np.sum((np.log(ys) - pred) ** 2))
-    ss_tot = float(np.sum((np.log(ys) - np.log(ys).mean()) ** 2))
+    lx, ly = np.log(xs), np.log(ys)
+    slope, intercept = np.polyfit(lx, ly, 1)
+    ss_res = float(np.sum((ly - (slope * lx + intercept)) ** 2))
+    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 and ss_res < 1e-24 else max(0.0, 1.0 - ss_res / ss_tot) if ss_tot > 0 else 0.0
-    lx = np.log(xs)
     sxx = float(np.sum((lx - lx.mean()) ** 2))
     se = float(np.sqrt(ss_res / (xs.size - 2) / sxx)) if xs.size > 2 and sxx > 0 else float("nan")
     return PowerLawFit(
@@ -399,9 +389,7 @@ def _truncation_bound(kernel: Kernel, c: np.ndarray, lam, psi, v, max_ell: int, 
         return float("nan")
     gam, pref = cfit.exponent, cfit.prefactor
     if kernel.form == "power_law":
-        bg = kernel.beta
-        if bg + gam <= 0:
-            return float("nan")
+        bg = kernel.beta  # > 0, as a constant kernel returned above
         # |G(j)-G(j+l)| <= g1*beta*l*j^(-beta-1); integral remainder past J
         return scale * kernel.g1 * bg * max_ell * pref * j_tail ** (-bg - gam) / (bg + gam)
     # tabulated with j_tail < table length: finite numeric remainder
@@ -539,11 +527,8 @@ def levinson_durbin(C, order: int) -> ArPredictor:
                 f"autocovariance not positive-definite at recursion step {k} "
                 f"(reflection coefficient {kappa:.6g})"
             )
-        a_new = a.copy()
-        a_new[k - 1] = kappa
-        if k > 1:
-            a_new[: k - 1] = a[: k - 1] - kappa * a[: k - 1][::-1]
-        a = a_new
+        a[: k - 1] = a[: k - 1] - kappa * a[: k - 1][::-1]  # right side first: no copy needed
+        a[k - 1] = kappa
         e *= 1.0 - kappa * kappa
         if e <= 0:
             raise NumericError(f"prediction-error variance vanished at step {k}")

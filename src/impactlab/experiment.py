@@ -146,8 +146,9 @@ def _is_integer(x) -> bool:
 def _over_defaults(what: str, defaults: dict, spec: dict | None, ints: dict) -> dict:
     """`defaults` updated by `spec`, whose keys must be among those of the
     defaults and `ints`. Each key of `ints` must hold an exact integer, no
-    less than its least value; one without a default may also be None, which
-    stands for its absence."""
+    less than its least value, and is stored as an int, so 256.0 and 1e7 hash
+    as 256 and 10000000; one without a default may also be None, which stands
+    for its absence."""
     out = {**defaults, **(spec or {})}
     _check_keys(what, out, set(defaults) | set(ints))
     for key, least in ints.items():
@@ -156,6 +157,7 @@ def _over_defaults(what: str, defaults: dict, spec: dict | None, ints: dict) -> 
             continue
         ensure(_is_integer(value), f"{what}: '{key}' must be an integer, got {value!r}")
         ensure(value >= least, f"{what}: '{key}' must be >= {least}, got {value!r}")
+        out[key] = int(value)
     return out
 
 
@@ -195,7 +197,6 @@ class ExperimentConfig:
     model: dict = field(default_factory=_default_model)
     estimator: dict = field(default_factory=_default_estimator)
     manip: dict | None = None  # optional frontier stage for `report`, over _default_manip()
-    out_dir: str | None = None  # None: resolved by the CLI
 
     def __post_init__(self):
         ensure(_is_integer(self.n) and self.n >= 1, f"n must be a positive integer, got {self.n!r}")
@@ -405,13 +406,13 @@ def measure(tape: TradeTape, spec: dict | None = None, burn: int = 0):
     per curve; everything that can be computed still is.
     """
     s = _estimator_spec("estimator spec", spec)
-    post, max_lag = tape.drop(burn), int(s["max_lag"])
-    curves = {"response": (est.response, post, max_lag),
-              "sign_autocorr": (est.sign_autocorr, tape.signs, int(s["sign_max_lag"])),
-              "diffusivity": (est.diffusivity, post, max_lag),
-              "rho": (est.rho, post, int(s["rho_window"]), float(s["rho_psi_weight"])),
-              "conditional": (est.conditional_response, post, int(s["cond_lag"]),
-                              int(s["n_bins"]), int(s["min_count"]))}
+    post = tape.drop(burn)
+    curves = {"response": (est.response, post, s["max_lag"]),
+              "sign_autocorr": (est.sign_autocorr, tape.signs, s["sign_max_lag"]),
+              "diffusivity": (est.diffusivity, post, s["max_lag"]),
+              "rho": (est.rho, post, s["rho_window"], float(s["rho_psi_weight"])),
+              "conditional": (est.conditional_response, post, s["cond_lag"], s["n_bins"],
+                              s["min_count"])}
     results, errors, fits = {}, {}, {}
     if post.n and post.v.min() == post.v.max():
         # constant volumes cannot be binned; a structural skip, not a failure
@@ -547,9 +548,9 @@ def manip_stage(spec: dict, out: str):
     `spec` layered over _default_manip(); writes frontier.csv.
     Returns ({rows, max_len, volume_grid, lam, own_impact}, files)."""
     m = _manip_spec("manip spec", spec)
-    max_len, lam = int(m["max_len"]), float(m["lam"])
+    max_len, lam = m["max_len"], float(m["lam"])
     rows = gatheral_frontier(m["betas"], m["psis"], max_len=max_len, volume_grid=m["grid"],
-                             lam=lam, budget=int(m["budget"]), own_impact=m["own_impact"])
+                             lam=lam, budget=m["budget"], own_impact=m["own_impact"])
     files = {"frontier": "frontier.csv"}
     iolib.write_frontier(rows, os.path.join(out, files["frontier"]))
     return {"rows": rows, "max_len": max_len, "volume_grid": m["grid"], "lam": lam,

@@ -35,8 +35,8 @@ class Kernel:
 
     form="power_law": G(l) = g1 * l^(-beta) + plateau; beta=0 with plateau=0
     degenerates to a flat (permanent) kernel. form="tabulated": explicit
-    values for l = 1..L, held at G(L) beyond the table (plateau hold), so
-    plateau is reported as the last tabulated value.
+    values for l = 1..L, held at G(L) beyond the table; only the power-law
+    form reads beta, g1 and plateau.
     """
 
     form: str
@@ -56,7 +56,6 @@ class Kernel:
             ensure(self.values.ndim == 1 and self.values.size >= 1,
                    "tabulated kernel values must be a nonempty 1-d array")
             ensure(np.isfinite(self.values), "tabulated kernel values must be finite")
-            self.plateau = float(self.values[-1])
         else:
             raise ParameterError(f"unknown kernel form '{self.form}'")
 
@@ -281,14 +280,8 @@ def kernel_from_predictor(predictor: ArPredictor, max_lag: int) -> Kernel:
     With max_lag covering the whole tape, the surprise path and the
     propagator path with this kernel coincide exactly on unit volumes."""
     ensure(max_lag >= 1, "max_lag must be >= 1")
-    a = predictor.coeffs
-    partial = np.zeros(max_lag)
-    upto = min(max_lag - 1, a.size)
-    if upto > 0:
-        partial[1 : upto + 1] = np.cumsum(a[:upto])
-    if upto < max_lag - 1:
-        partial[upto + 1 :] = partial[upto]
-    return Kernel.tabulated(1.0 - partial)
+    partial = np.cumsum(np.concatenate(([0.0], predictor.coeffs[: max_lag - 1])))
+    return Kernel.tabulated(1.0 - np.pad(partial, (0, max_lag - partial.size), mode="edge"))
 
 
 def burn_in_length(kernel: Kernel, predictor: ArPredictor | None = None) -> int:

@@ -201,11 +201,13 @@ def _cells(kind, col):
 
 def _write_csv(path: str, header, kinds, columns, tail: str = ""):
     """CSV of equally long columns, then `tail`; a None column is left blank.
-    Columns are formatted in bulk, 2**16 rows a chunk, which bounds the memory
-    used; the text of a chunk is its byte matrix without the NUL padding."""
+    Columns are formatted in bulk, 2**13 rows a chunk, which bounds the memory
+    used and keeps a chunk's temporaries small enough to reuse the memory the
+    last chunk freed, not fault fresh pages in; the text of a chunk is its byte
+    matrix without the NUL padding."""
     cols = [(kind, None if col is None else np.asarray(col, np.float64 if kind in "fFo" else None))
             for kind, col in zip(kinds, columns)]
-    n, step = len(next(col for _, col in cols if col is not None)), 1 << 16
+    n, step = len(next(col for _, col in cols if col is not None)), 1 << 13
 
     def chunk(lo):
         sep = np.full((1, min(step, n - lo)), 44, np.uint8)

@@ -203,6 +203,11 @@ def test_config_sections_are_stored_resolved():
     partial = ExperimentConfig.from_dict({"n": 100, "manip": {"betas": [0.5]}})
     assert partial.manip == {**experiment._default_manip(), "betas": [0.5]}
     assert partial.sha256() == ExperimentConfig.from_dict(partial.to_dict()).sha256()
+    # an integer setting spelled as a float is stored, and hashes, as the integer
+    as_float = ExperimentConfig.from_dict({"n": 100, "estimator": {"max_lag": 256.0}})
+    assert as_float.estimator["max_lag"] == 256 and as_float.sha256() == bare.sha256()
+    budget = ExperimentConfig.from_dict({"n": 100, "manip": {"budget": 1e7}})
+    assert budget.sha256() == ExperimentConfig.from_dict({"n": 100, "manip": {}}).sha256()
 
 
 def test_experiment_config_round_trips_losslessly():
@@ -972,8 +977,10 @@ def test_cli_usage_and_config_errors_exit_one(tmp_path):
     assert cli.main(["simulate", "--no-such-flag"]) == 1
     assert cli.main(["measure", str(tmp_path / "missing.csv")]) == 1
     assert cli.main(["simulate", "--n", "0", "--out-dir", str(tmp_path)]) == 1
-    assert cli.main(["simulate", "--generator", "metaorder", "--alpha", "1.5",
-                     "--fixed-length", "5", "--n", "50", "--out-dir", str(tmp_path)]) == 1
+    bad_alpha = tmp_path / "bad_alpha"
+    assert cli.main(["simulate", "--generator", "metaorder", "--alpha", "2.5", "--n", "50",
+                     "--out-dir", str(bad_alpha)]) == 1
+    assert not bad_alpha.exists()
     empty = tmp_path / "empty.json"
     empty.write_text("{}")
     assert cli.main(["report", "--config", str(empty),
@@ -1122,6 +1129,7 @@ _REFUSED = {
     "invert-key": ({"estimator": {"invert_lags": 8, "j_tial": 31}}, None),
     "manip-key": ({"manip": {"max_lne": 3}}, None),
     "manip-list": ({"manip": []}, None),
+    "out-dir": ({"out_dir": "x"}, None),
     "fractional-n": ({"n": 300.7}, None),
     "fractional-lag": ({"estimator": {"max_lag": 16.9}}, None),
     "bool-budget": ({"manip": {"budget": True}}, None),

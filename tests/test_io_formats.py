@@ -17,6 +17,7 @@ from impactlab import (
     FormatError,
     Kernel,
     LagCurve,
+    ParameterError,
     SignSeries,
     TradeTape,
     VolumeSeries,
@@ -580,6 +581,13 @@ def test_curve_readers_name_the_line_that_breaks_a_row_rule(tmp_path, read, text
         assert not (tmp_path / "out").exists()
 
 
+def test_a_rule_no_row_breaks_is_a_parameter_error_naming_no_line(tmp_path):
+    path = str(tmp_path / "curve.csv")
+    iolib.write_curve(LagCurve(np.arange(1, 3), [0.5, 0.4], [10, 10], "response"), path)
+    with pytest.raises(ParameterError, match="^unknown role_tag 'bogus'$"):
+        iolib.read_curve(path, "bogus")
+
+
 # ---- atomic writes ----
 
 def test_atomic_write_failures_leave_no_trace(tmp_path, monkeypatch):
@@ -604,6 +612,12 @@ def test_atomic_write_failures_leave_no_trace(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="rename refused"):
         iolib.write_json({"new": 1}, str(tmp_path / "fresh.json"))
     assert os.listdir(tmp_path) == ["out.json"] and not iolib._TEMP_FILES
+
+
+def test_a_json_value_it_cannot_encode_writes_nothing(tmp_path):
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        iolib.write_json({"x": object()}, str(tmp_path / "out.json"))
+    assert os.listdir(tmp_path) == [] and not iolib._TEMP_FILES
 
 
 def test_concurrent_writers_to_one_target_do_not_collide(tmp_path):
