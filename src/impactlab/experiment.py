@@ -143,6 +143,16 @@ def _is_integer(x) -> bool:
     return _is_number(x) and float(x).is_integer()
 
 
+def _as_floats(x):
+    """x with each number in it, in nested lists and objects too, a float,
+    so a float setting spelled 2 is stored, and hashes, as 2.0."""
+    if isinstance(x, (list, tuple)):
+        return [_as_floats(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _as_floats(v) for k, v in x.items()}
+    return float(x) if _is_number(x) else x
+
+
 def _over_defaults(what: str, defaults: dict, spec: dict | None, ints: dict) -> dict:
     """`defaults` updated by `spec`, whose keys must be among those of the
     defaults and `ints`. Each key of `ints` must hold an exact integer, no
@@ -167,7 +177,7 @@ def _estimator_spec(what: str, spec: dict | None) -> dict:
     w = s["rho_psi_weight"]
     ensure(_is_number(w) and np.isfinite(w),
            f"{what}: 'rho_psi_weight' must be a finite number, got {w!r}")
-    return s
+    return {**s, "rho_psi_weight": float(w)}
 
 
 def _manip_spec(what: str, spec: dict | None) -> dict:
@@ -182,7 +192,7 @@ def _manip_spec(what: str, spec: dict | None) -> dict:
         Kernel.power_law(beta)
     for psi in m["psis"]:
         _check_search(m["lam"], psi, m["own_impact"], m["max_len"], m["grid"])
-    return m
+    return {**m, **{key: _as_floats(m[key]) for key in ("lam", "betas", "psis", "grid")}}
 
 
 @dataclass
@@ -210,9 +220,11 @@ class ExperimentConfig:
         for name, (default, tag) in _KINDED_SECTIONS.items():
             base, section = default(), getattr(self, name)
             if section.get(tag, base[tag]) == base[tag]:
-                setattr(self, name, {**base, **section})
+                section = {**base, **section}
+            setattr(self, name, _as_floats(section))
         # stored resolved, so a config hashes the same however many defaults
-        # it spells out, and a mistyped key cannot run at its default unnoticed
+        # it spells out, and a mistyped key cannot run at its default unnoticed;
+        # every number but an integer setting is stored as a float
         self.estimator = _estimator_spec("section 'estimator'", self.estimator)
         if self.manip is not None:
             self.manip = _manip_spec("section 'manip'", self.manip)
@@ -410,7 +422,7 @@ def measure(tape: TradeTape, spec: dict | None = None, burn: int = 0):
     curves = {"response": (est.response, post, s["max_lag"]),
               "sign_autocorr": (est.sign_autocorr, tape.signs, s["sign_max_lag"]),
               "diffusivity": (est.diffusivity, post, s["max_lag"]),
-              "rho": (est.rho, post, s["rho_window"], float(s["rho_psi_weight"])),
+              "rho": (est.rho, post, s["rho_window"], s["rho_psi_weight"]),
               "conditional": (est.conditional_response, post, s["cond_lag"], s["n_bins"],
                               s["min_count"])}
     results, errors, fits = {}, {}, {}

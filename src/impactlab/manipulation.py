@@ -7,6 +7,7 @@ every round trip on a slot grid with volumes from a finite grid, exactly,
 under an explicit candidate budget.
 """
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -55,10 +56,9 @@ def strategy_cost(
     own = _check_search(lam, psi, own_impact)
     if not strategy.trades:
         return 0.0
-    slots = np.array([s for s, _ in strategy.trades], dtype=np.float64)
-    q = np.array([qq for _, qq in strategy.trades])
+    slots, q = np.array(list(zip(*strategy.trades)))
     u = np.sign(q) * np.abs(q) ** psi
-    prices = lam * (_pattern_w(kernel, slots, own * float(kernel.eval(1))) @ u)
+    prices = lam * (_pattern_w(kernel, slots[None], own * float(kernel.eval(1)))[0] @ u)
     return float(np.dot(q, prices))
 
 
@@ -83,18 +83,14 @@ def count_round_trips(max_len: int, volume_grid) -> int:
     # dp over achievable sums, arbitrary-precision counts
     dp = np.zeros(2 * span + 1, dtype=object)
     dp[span] = 1
-    z = [0] * (max_len + 1)
-    z[0] = 1
-    sym = [v for v in vals] + [-v for v in vals]
+    z = [1]  # z[k]: the zero-sum k-tuples of the signed grid
     for k in range(1, max_len + 1):
         nxt = np.zeros_like(dp)
-        for v in sym:
-            if v >= 0:
-                nxt[v:] += dp[: dp.size - v]
-            else:
-                nxt[: dp.size + v] += dp[-v:]
+        for v in vals:
+            nxt[v:] += dp[: dp.size - v]
+            nxt[: dp.size - v] += dp[v:]
         dp = nxt
-        z[k] = int(dp[span])
+        z.append(int(dp[span]))
     return sum(comb(max_len - 1, k - 1) * z[k] for k in range(2, max_len + 1)) // 2
 
 
@@ -106,12 +102,14 @@ def _index_tuples(n_sym: int, length: int, first_positive: bool, values: np.ndar
 
 
 def _pattern_w(kernel: Kernel, slots: np.ndarray, own_g1: float):
-    k = slots.size
-    w = np.zeros((k, k))
-    for i in range(k):
-        w[i, i] = own_g1
-        if i > 0:
-            w[i, :i] = kernel.eval(slots[i] - slots[:i])
+    """Impact matrices of a stack of slot patterns, shape (P, k), from one
+    kernel evaluation: W[p, i, j] = G(slots[p, i] - slots[p, j]) below the
+    diagonal, own_g1 on it and 0 above."""
+    n_pat, k = slots.shape
+    i, j = np.tril_indices(k, -1)
+    w = np.zeros((n_pat, k, k))
+    w[:, i, j] = kernel.eval(slots[:, i] - slots[:, j])
+    w[:, range(k), range(k)] = own_g1
     return w
 
 
@@ -127,7 +125,7 @@ def _sum_groups(sums: np.ndarray, partner: np.ndarray):
     lorder = np.argsort(sums, kind="stable")
     rorder = np.argsort(-partner, kind="stable")
     ls, rs = sums[lorder], -partner[rorder]
-    keys = np.unique(ls)
+    keys = ls[np.concatenate(([True], ls[1:] != ls[:-1]))]
     bounds = np.stack([np.searchsorted(rs, keys, "left"), np.searchsorted(rs, keys, "right"),
                        np.searchsorted(ls, keys, "left"), np.searchsorted(ls, keys, "right")])
     return lorder, rorder, [tuple(b) for b in bounds.T.tolist() if b[1] > b[0]]
@@ -141,6 +139,46 @@ def _tiles(r0: int, r1: int, l0: int, l1: int):
     for r in range(r0, r1, step):
         for c in range(l0, l1, _BLOCK_ENTRIES):
             yield r, min(r + step, r1), c, min(c + _BLOCK_ENTRIES, l1)
+
+
+@functools.lru_cache(maxsize=1)
+def _search_tables(max_len: int, values: tuple, block: int):
+    """Per trade count k with a zero-sum pair, what a search at `max_len` over
+    the signed grid `values` reads whatever its kernel, lam and psi: (kl, the
+    halves' index rows in `_sum_groups`' orders, the slot patterns (P, k), the
+    tiles (r0, r1, l0, l1, patterns per product), patterns per batch, pairs
+    per pattern). `block`, the _BLOCK_ENTRIES `_tiles` reads, keys the cache
+    too. Shared by the next search on the same values; the arrays are read-only."""
+    vals = np.array(values)
+    out = []
+    for k in range(2, max_len + 1):
+        kl = k // 2
+        left = _index_tuples(vals.size, kl, True, vals)
+        right = _index_tuples(vals.size, k - kl, False, vals)
+        lorder, rorder, groups = _sum_groups(vals[left].sum(axis=1), vals[right].sum(axis=1))
+        if not groups:
+            continue
+        tiles = [t for g in groups for t in _tiles(*g)]
+        stack = np.array([(1,) + pat for pat in combinations(range(2, max_len + 1), k - 1)],
+                         dtype=np.float64)
+        arrays = (left[lorder], right[rorder], stack)
+        for a in arrays:
+            a.setflags(write=False)
+        # a product holds at most `block` entries, a batch's half matrices about 4 * block
+        out.append((kl, *arrays,
+                    tuple((*t, max(1, block // ((t[1] - t[0]) * (t[3] - t[2])))) for t in tiles),
+                    max(1, 4 * block // ((len(left) + len(right)) * (kl + 2))),
+                    sum((r1 - r0) * (l1 - l0) for r0, r1, l0, l1 in tiles)))
+    return tuple(out)
+
+
+def _half_costs(qw: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Each row's sum over j of qw[..., j] * u[:, j], added left to right as
+    numpy's `sum(axis=-1)` adds a short row, column by column."""
+    cost = qw[..., 0] * u[:, 0]
+    for j in range(1, u.shape[1]):
+        cost += qw[..., j] * u[:, j]
+    return cost
 
 
 # the share of its own immediate impact a trade pays, by own_impact
@@ -160,15 +198,8 @@ def _check_search(lam: float, psi: float, own_impact: str, max_len: int = 0,
     return _OWN_SHARES[own_impact]
 
 
-def search_round_trips(
-    kernel: Kernel,
-    lam: float,
-    psi: float,
-    max_len: int,
-    volume_grid,
-    budget: int = 10**7,
-    own_impact: str = "full",
-):
+def search_round_trips(kernel: Kernel, lam: float, psi: float, max_len: int, volume_grid,
+                       budget: int = 10**7, own_impact: str = "full"):
     """Exhaustive minimum-cost round trip with at most max_len trades on
     slots 1..max_len and volumes from the signed grid.
 
@@ -186,13 +217,15 @@ def search_round_trips(
     q_r W_x u_l + c_l + c_r, where u = sign(q) |q|^psi, W_x is the block
     of W by which left trades move right prices, and c_l, c_r are each
     half's cost on its own. It is evaluated as one matrix product
-    [q_r W_x | c_r | 1] . [u_l | 1 | c_l] over blocks of at most
-    _BLOCK_ENTRIES pairs.
+    [q_r W_x | c_r | 1] . [u_l | 1 | c_l] per tile of at most
+    _BLOCK_ENTRIES pairs, stacked over a batch of slot patterns to at most
+    _BLOCK_ENTRIES entries, from tables shared by searches on one grid.
 
     The enumeration order is deterministic: trade count, then slot pattern,
     then left sum ascending, then right rows, then left rows. Within a
-    block the first minimum wins; a later block replaces the best only when
-    strictly lower by more than 1e-15.
+    tile the first minimum wins; a later tile replaces the best only when
+    its cost per unit lam is lower by more than 1e-15, and only at a cost
+    below 0, so lam = 0 keeps the empty strategy.
     """
     own = _check_search(lam, psi, own_impact, max_len, volume_grid)
     report = {"evaluated": 0}
@@ -203,49 +236,42 @@ def search_round_trips(
     if n_candidates > budget:
         raise SearchBudgetError(n_candidates, budget)
     values = _symbol_values(volume_grid)
-    n_sym = values.size
     uvals = np.sign(values) * np.abs(values) ** psi
     own_g1 = float(kernel.eval(1)) * own
 
-    best_cost = 0.0
-    best = None
-    for k in range(2, max_len + 1):
-        kl = k // 2
-        kr = k - kl
-        left = _index_tuples(n_sym, kl, True, values)
-        right = _index_tuples(n_sym, kr, False, values)
-        lorder, rorder, groups = _sum_groups(values[left].sum(axis=1),
-                                             values[right].sum(axis=1))
-        if not groups:
-            continue
-        ql, qr = values[left[lorder]], values[right[rorder]]
-        ul, ur = uvals[left[lorder]], uvals[right[rorder]]
-        tiles = [t for g in groups for t in _tiles(*g)]
-        per_pattern = sum((r1 - r0) * (l1 - l0) for r0, r1, l0, l1 in tiles)
-        # cost[r, l] = R[r] . L[l]: the cross term plus each half's own cost
-        lmat = np.ones((ql.shape[0], kl + 2))
-        lmat[:, :kl] = ul
-        rmat = np.ones((qr.shape[0], kl + 2))
-        for pat in combinations(range(2, max_len + 1), k - 1):
-            slots = np.array((1,) + pat, dtype=np.float64)
-            w = _pattern_w(kernel, slots, own_g1)
-            lmat[:, kl + 1] = ((ql @ w[:kl, :kl]) * ul).sum(axis=1)
-            rmat[:, kl] = ((qr @ w[kl:, kl:]) * ur).sum(axis=1)
-            rmat[:, :kl] = qr @ w[kl:, :kl]
-            report["evaluated"] += per_pattern
-            for r0, r1, l0, l1 in tiles:
-                cost = rmat[r0:r1] @ lmat[l0:l1].T
-                am = int(cost.argmin())
-                cmin = float(cost.flat[am])
-                if lam * cmin < best_cost - 1e-15:
-                    ridx, lidx = divmod(am, l1 - l0)
-                    q = np.concatenate([ql[l0 + lidx], qr[r0 + ridx]])
-                    best_cost = lam * cmin
-                    best = Strategy(
-                        tuple((int(s), float(qq)) for s, qq in zip(slots, q)),
-                        max_len,
-                    )
-    return best_cost, best, report
+    best, best_trades = 0.0, None  # the cost per unit lam
+    for kl, lrows, rrows, stack, tiles, batch, pairs in _search_tables(
+            max_len, tuple(values.tolist()), _BLOCK_ENTRIES):
+        ql, qr, ul, ur = values[lrows], values[rrows], uvals[lrows], uvals[rrows]
+        w = _pattern_w(kernel, stack, own_g1)
+        report["evaluated"] += pairs * len(stack)
+        for p0 in range(0, len(stack), batch):
+            wb = w[p0:p0 + batch]
+            # cost[p, r, l] = R[p, r] . L[p, l]: the cross term plus each half's own cost
+            lmat = np.ones((len(wb), len(ql), kl + 2))
+            lmat[:, :, :kl] = ul
+            lmat[:, :, kl + 1] = _half_costs(ql @ wb[:, :kl, :kl], ul)
+            rmat = np.ones((len(wb), len(qr), kl + 2))
+            rmat[:, :, kl] = _half_costs(qr @ wb[:, kl:, kl:], ur)
+            rmat[:, :, :kl] = qr @ wb[:, kl:, :kl]
+            mins = np.empty((len(wb), len(tiles)))
+            args = np.empty((len(wb), len(tiles)), dtype=np.intp)
+            for t, (r0, r1, l0, l1, step) in enumerate(tiles):
+                for s in range(0, len(wb), step):
+                    cost = (rmat[s:s + step, r0:r1] @ lmat[s:s + step, l0:l1].transpose(0, 2, 1)
+                            ).reshape(-1, (r1 - r0) * (l1 - l0))
+                    args[s:s + step, t] = am = cost.argmin(axis=1)
+                    mins[s:s + step, t] = cost[np.arange(len(cost)), am]
+            flat = mins.ravel()  # pattern-major, then tile order
+            for i in np.flatnonzero(flat < best - 1e-15).tolist():
+                if flat[i] < best - 1e-15 and lam * flat[i] < 0:
+                    best = float(flat[i])
+                    p, t = divmod(i, len(tiles))
+                    r0, _, l0, l1, _ = tiles[t]
+                    ridx, lidx = divmod(int(args[p, t]), l1 - l0)
+                    best_trades = tuple(zip(stack[p0 + p],
+                                            np.concatenate([ql[l0 + lidx], qr[r0 + ridx]])))
+    return lam * best, None if best_trades is None else Strategy(best_trades, max_len), report
 
 
 def gatheral_frontier(

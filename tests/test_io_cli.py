@@ -208,6 +208,20 @@ def test_config_sections_are_stored_resolved():
     assert as_float.estimator["max_lag"] == 256 and as_float.sha256() == bare.sha256()
     budget = ExperimentConfig.from_dict({"n": 100, "manip": {"budget": 1e7}})
     assert budget.sha256() == ExperimentConfig.from_dict({"n": 100, "manip": {}}).sha256()
+    # a float setting spelled as an integer is stored, and hashes, as the float
+    for section, as_int, as_float in (
+            ("manip", {"lam": 1}, {}),
+            ("manip", {"grid": [1, 2, 4, 8]}, {}),
+            ("model", {"kind": "kyle", "lam": 1}, {"kind": "kyle", "lam": 1.0}),
+            ("volumes", {"dist": "constant", "value": 2}, {"dist": "constant", "value": 2.0}),
+            ("estimator", {"rho_psi_weight": 1}, {})):
+        cfg = ExperimentConfig.from_dict({"n": 100, section: as_int})
+        assert cfg.sha256() == ExperimentConfig.from_dict({"n": 100, section: as_float}).sha256()
+        assert cfg.to_dict() == ExperimentConfig.from_dict(cfg.to_dict()).to_dict()
+    kernel = {"form": "power_law", "beta": 1, "g1": 2}
+    cfg = ExperimentConfig.from_dict({"n": 100, "model": {"kind": "propagator", "kernel": kernel}})
+    assert cfg.model["kernel"] == {"form": "power_law", "beta": 1.0, "g1": 2.0}
+    assert all(type(v) is float for v in cfg.model["kernel"].values() if v != "power_law")
 
 
 def test_experiment_config_round_trips_losslessly():

@@ -1,6 +1,7 @@
 """Round-trip cost engine and exhaustive search, cross-checked against a
 direct brute-force enumeration at small scale, against the grouped search
-it replaced, and against the psi = 1 positive-definiteness certificate."""
+and the per-pattern search it replaced, and against the psi = 1
+positive-definiteness certificate."""
 
 import tracemalloc
 from itertools import combinations, product
@@ -22,7 +23,8 @@ from impactlab import (
     strategy_cost,
 )
 from impactlab import manipulation
-from impactlab.manipulation import _BLOCK_ENTRIES, _index_tuples, _pattern_w, _symbol_values
+from impactlab.manipulation import (_BLOCK_ENTRIES, _index_tuples, _search_tables, _sum_groups,
+                                    _symbol_values)
 
 
 def _brute_force(kernel, lam, psi, max_len, grid):
@@ -41,6 +43,18 @@ def _brute_force(kernel, lam, psi, max_len, grid):
                 if cost < best - 1e-15:
                     best, best_strategy = cost, tuple(zip(slots, qs))
     return best, best_strategy, n_seen
+
+
+def _per_row_w(kernel, slots, own_g1):
+    """The impact matrix of one slot pattern, built row by row with one
+    kernel evaluation per row: the search's builder before pattern stacking."""
+    k = slots.size
+    w = np.zeros((k, k))
+    for i in range(k):
+        w[i, i] = own_g1
+        if i > 0:
+            w[i, :i] = kernel.eval(slots[i] - slots[:i])
+    return w
 
 
 def _grouped_search(kernel, lam, psi, max_len, volume_grid, budget=10**7,
@@ -84,7 +98,7 @@ def _grouped_search(kernel, lam, psi, max_len, volume_grid, budget=10**7,
             continue
         for pat in combinations(range(2, max_len + 1), k - 1):
             slots = np.array((1,) + pat, dtype=np.float64)
-            w = _pattern_w(kernel, slots, own_g1)
+            w = _per_row_w(kernel, slots, own_g1)
             wl = w[:kl, :kl]
             wr = w[kl:, kl:]
             wx = w[kl:, :kl]
@@ -109,6 +123,71 @@ def _grouped_search(kernel, lam, psi, max_len, volume_grid, budget=10**7,
                             max_len,
                         )
     return best_cost, best, report
+
+
+def _per_pattern_search(kernel, lam, psi, max_len, volume_grid, budget=10**7,
+                        own_impact="full"):
+    """The search before pattern stacking, kept as its bit-exact oracle: one
+    cost product per slot pattern and tile, each pattern's impact matrix
+    built row by row, the tie rule on lam-scaled costs (alike at lam = 1)."""
+    report = {"evaluated": 0}
+    if max_len < 2 or not len(volume_grid):
+        return 0.0, None, report
+    n_candidates = count_round_trips(max_len, volume_grid)
+    report["candidates"] = n_candidates
+    if n_candidates > budget:
+        raise SearchBudgetError(n_candidates, budget)
+    values = _symbol_values(volume_grid)
+    n_sym = values.size
+    uvals = np.sign(values) * np.abs(values) ** psi
+    own_g1 = float(kernel.eval(1)) * (1.0 if own_impact == "full" else 0.5)
+
+    best_cost = 0.0
+    best = None
+    for k in range(2, max_len + 1):
+        kl = k // 2
+        kr = k - kl
+        left = _index_tuples(n_sym, kl, True, values)
+        right = _index_tuples(n_sym, kr, False, values)
+        lorder, rorder, groups = _sum_groups(values[left].sum(axis=1),
+                                             values[right].sum(axis=1))
+        if not groups:
+            continue
+        ql, qr = values[left[lorder]], values[right[rorder]]
+        ul, ur = uvals[left[lorder]], uvals[right[rorder]]
+        tiles = [t for g in groups for t in manipulation._tiles(*g)]
+        per_pattern = sum((r1 - r0) * (l1 - l0) for r0, r1, l0, l1 in tiles)
+        lmat = np.ones((ql.shape[0], kl + 2))
+        lmat[:, :kl] = ul
+        rmat = np.ones((qr.shape[0], kl + 2))
+        for pat in combinations(range(2, max_len + 1), k - 1):
+            slots = np.array((1,) + pat, dtype=np.float64)
+            w = _per_row_w(kernel, slots, own_g1)
+            lmat[:, kl + 1] = ((ql @ w[:kl, :kl]) * ul).sum(axis=1)
+            rmat[:, kl] = ((qr @ w[kl:, kl:]) * ur).sum(axis=1)
+            rmat[:, :kl] = qr @ w[kl:, :kl]
+            report["evaluated"] += per_pattern
+            for r0, r1, l0, l1 in tiles:
+                cost = rmat[r0:r1] @ lmat[l0:l1].T
+                am = int(cost.argmin())
+                cmin = float(cost.flat[am])
+                if lam * cmin < best_cost - 1e-15:
+                    ridx, lidx = divmod(am, l1 - l0)
+                    q = np.concatenate([ql[l0 + lidx], qr[r0 + ridx]])
+                    best_cost = lam * cmin
+                    best = Strategy(
+                        tuple((int(s), float(qq)) for s, qq in zip(slots, q)),
+                        max_len,
+                    )
+    return best_cost, best, report
+
+
+def _assert_matches_per_pattern_search(kernel, psi, max_len, grid, own_impact="full"):
+    """The same cost bits, argmin strategy and report as the per-pattern search."""
+    args = (kernel, 1.0, psi, max_len, grid, 10**7, own_impact)
+    cost, strat, rep = search_round_trips(*args)
+    o_cost, o_strat, o_rep = _per_pattern_search(*args)
+    assert cost == o_cost and strat == o_strat and rep == o_rep
 
 
 def _assert_matches_grouped_search(args, scale, ties=False):
@@ -314,6 +393,98 @@ def test_search_splits_groups_wider_than_a_block(monkeypatch):
         assert all((t1 - t0) * (c1 - c0) <= 4 for t0, t1, c0, c1 in group_tiles)
         if l1 - l0 > 4:
             assert all(t1 - t0 == 1 for t0, t1, _, _ in group_tiles)
+
+
+_DEFAULT_CELLS = [(beta, psi) for beta in (0.0, 0.25, 0.5, 0.75, 1.0)
+                  for psi in (0.25, 0.5, 0.75, 1.0)]
+
+
+@pytest.mark.parametrize("own_impact", ["full", "half"])
+def test_default_frontier_matches_the_per_pattern_search(own_impact):
+    # the 20 cells `manip` runs with default flags, bit for bit
+    for beta, psi in _DEFAULT_CELLS:
+        _assert_matches_per_pattern_search(Kernel.power_law(beta), psi, 8, (1, 2, 4, 8),
+                                           own_impact)
+
+
+@pytest.mark.parametrize("kernel", [Kernel.power_law(0.5), Kernel.power_law(0.3, g1=1.7,
+                                                                            plateau=0.01)])
+def test_search_matches_the_per_pattern_search(kernel):
+    for grid, max_len in (((1, 2), 6), ((1, 3, 5), 7), ((1, 2, 4, 8), 8)):
+        for psi in (0.3, 0.75):
+            for own_impact in ("full", "half"):
+                _assert_matches_per_pattern_search(kernel, psi, max_len, grid, own_impact)
+
+
+def test_search_at_a_block_of_four_matches_the_per_pattern_search(monkeypatch):
+    """At a block of 4 entries tiles split single right rows and each batch
+    holds one slot pattern, as in the per-pattern search."""
+    monkeypatch.setattr(manipulation, "_BLOCK_ENTRIES", 4)
+    grid, max_len = (1, 2, 4), 6
+    tables = _search_tables(max_len, tuple(_symbol_values(grid).tolist()), 4)
+    assert {batch for _, _, _, _, _, batch, _ in tables} == {1}
+    # a right row split across consecutive tiles
+    assert any(a[0] == b[0] for table in tables for a, b in zip(table[4], table[4][1:]))
+    for beta, psi in ((0.5, 0.5), (0.25, 0.3), (1.0, 1.0)):
+        for own_impact in ("full", "half"):
+            _assert_matches_per_pattern_search(Kernel.power_law(beta), psi, max_len, grid,
+                                               own_impact)
+
+
+def test_searches_share_the_tables_of_their_grid(monkeypatch):
+    """Searches alternating grids and lengths match the per-pattern search;
+    a grid spelled with repeats and out of order reuses the tables of its
+    sorted distinct values; a block size other than the one the tables were
+    tiled at builds them anew; the shared arrays are read-only."""
+    kern = Kernel.power_law(0.25)
+    for grid, max_len in (((1, 2, 4, 8), 6), ((1, 2), 8), ((1, 2, 4, 8), 8), ((1, 2), 6),
+                          ((1, 2, 4, 8), 6)):
+        _assert_matches_per_pattern_search(kern, 0.5, max_len, grid)
+    hits = _search_tables.cache_info().hits
+    spelled = search_round_trips(kern, 1.0, 0.5, 6, (2, 1, 1, 4, 8))
+    assert _search_tables.cache_info().hits == hits + 1
+    assert spelled == search_round_trips(kern, 1.0, 0.5, 6, (1, 2, 4, 8))
+    tables = _search_tables(6, tuple(_symbol_values((1, 2, 4, 8)).tolist()), _BLOCK_ENTRIES)
+    for _, lrows, rrows, stack, _, _, _ in tables:
+        for a in (lrows, rrows, stack):
+            with pytest.raises(ValueError):
+                a[0, 0] = 2
+    monkeypatch.setattr(manipulation, "_BLOCK_ENTRIES", 4)
+    tiles, made = manipulation._tiles, []
+
+    def recording(*group):
+        made.extend(tiles(*group))
+        return tiles(*group)
+
+    monkeypatch.setattr(manipulation, "_tiles", recording)
+    _assert_matches_per_pattern_search(kern, 0.5, 6, (1, 2, 4, 8))
+    assert made and all((r1 - r0) * (l1 - l0) <= 4 for r0, r1, l0, l1 in made)
+
+
+def test_the_tie_tolerance_is_per_unit_lam():
+    """Costs are linear in lam, so a cell that manipulates at lam = 1 does at
+    every lam > 0, with the same argmin; lam = 0 keeps the empty strategy."""
+    kern = Kernel.permanent()
+    cost, strat, _ = search_round_trips(kern, 1.0, 0.3, 6, (1, 5))
+    assert cost == -1.8967170165361882
+    assert strat.trades == tuple((s, 1.0) for s in range(1, 6)) + ((6, -5.0),)
+    for lam in (1e-3, 1e-14, 1e-16, 1e-18):
+        assert search_round_trips(kern, lam, 0.3, 6, (1, 5))[:2] == (lam * cost, strat)
+    assert search_round_trips(kern, 0.0, 0.3, 6, (1, 5))[:2] == (0.0, None)
+
+
+def test_frontier_evaluates_the_kernel_once_per_trade_count(monkeypatch):
+    """A default frontier cell calls Kernel.eval for G(1) and once per trade
+    count, 8 times, not once per impact-matrix row."""
+    calls, evaluate = [], Kernel.eval
+
+    def counting(self, lags):
+        calls.append(np.size(lags))
+        return evaluate(self, lags)
+
+    monkeypatch.setattr(Kernel, "eval", counting)
+    rows = gatheral_frontier([0.0, 0.25, 0.5, 0.75, 1.0], [0.25, 0.5, 0.75, 1.0])
+    assert len(rows) == 20 and len(calls) <= 8 * 20
 
 
 def _psi1_form(slots, beta, own=1.0):
