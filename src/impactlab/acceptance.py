@@ -16,13 +16,16 @@ its own, except that criteria 3-6 share the reference and together are one
 worker's task, so it is still built once.
 """
 
+import os
+import tempfile
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, wraps
 
 import numpy as np
 
+from . import io as iolib
 from .exceptions import SearchBudgetError, ensure
-from .experiment import _fork_map
+from .experiment import ExperimentConfig, _fork_map, simulate_stage
 from .impact import (
     ArPredictor,
     ImpactConfig,
@@ -427,11 +430,6 @@ def criterion_13_determinism_round_trips():
     """Identical configs give byte-identical outputs; every file format
     round-trips losslessly."""
     import filecmp
-    import tempfile
-    import os
-
-    from . import io as iolib
-    from .experiment import ExperimentConfig, simulate_stage
 
     cfg = ExperimentConfig(
         n=2000,

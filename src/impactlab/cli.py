@@ -23,6 +23,7 @@ import sys
 
 from . import io as iolib
 from ._version import __version__
+from .acceptance import ALL_CRITERIA, _check_criteria, run_criteria
 from .exceptions import (
     EstimationError,
     FormatError,
@@ -81,10 +82,6 @@ def _float_list(text: str) -> list:
     return values
 
 
-def _resolve_out_dir(args) -> str:
-    return args.out_dir or os.environ.get(ENV_OUT_DIR, ".")
-
-
 def _flag_sections(args) -> dict:
     """{section: {key: value}} of the flags given, from their `section.key`
     dests."""
@@ -122,61 +119,55 @@ def _print_errors(command: str, errors: dict) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
-    out = _resolve_out_dir(args)
     print(json.dumps({"effective_config": cfg.to_dict()}, sort_keys=True))
     seeds = expand_seeds(cfg.seed)
     files = {}
     for s in seeds:
-        tape, meta, files[str(s)] = simulate_stage(cfg, s, out)
+        tape, meta, files[str(s)] = simulate_stage(cfg, s, args.out_dir)
         print(f"simulate: seed {s}: {tape.n} trades, burn {meta['burn']}, "
-              f"wrote {os.path.join(out, files[str(s)]['tape'])}")
+              f"wrote {os.path.join(args.out_dir, files[str(s)]['tape'])}")
     if len(seeds) > 1:
         summary = {"seeds": seeds, "files": files, "provenance": provenance(cfg)}
-        iolib.write_json(summary, os.path.join(out, "simulate_summary.json"))
+        iolib.write_json(summary, os.path.join(args.out_dir, "simulate_summary.json"))
     return 0
 
 
 def cmd_measure(args) -> int:
     tape = iolib.read_tape(args.tape)
-    out = _resolve_out_dir(args)
-    _, errors, files = measure_stage(tape, _flag_sections(args).get("estimator"), out,
-                                     os.path.relpath(args.tape, out), burn=args.burn)
-    print(f"measure: wrote {len(files)} files under {out}")
+    _, errors, files = measure_stage(tape, _flag_sections(args).get("estimator"), args.out_dir,
+                                     os.path.relpath(args.tape, args.out_dir), burn=args.burn)
+    print(f"measure: wrote {len(files)} files under {args.out_dir}")
     return _print_errors("measure", errors)
 
 
 def cmd_invert(args) -> int:
     r = iolib.read_curve(args.response, "response")
     c = iolib.read_curve(args.autocorr, "sign_autocorr")
-    out = _resolve_out_dir(args)
-    rep, errors, files = invert_stage(r, c, args.lam, args.psi, args.v, out, args.kernel_lags,
-                                      j_tail=args.j_tail, ridge=args.ridge)
-    rep.update(inputs={"response": os.path.relpath(args.response, out),
-                       "autocorr": os.path.relpath(args.autocorr, out)},
+    rep, errors, files = invert_stage(r, c, args.lam, args.psi, args.v, args.out_dir,
+                                      args.kernel_lags, j_tail=args.j_tail, ridge=args.ridge)
+    rep.update(inputs={"response": os.path.relpath(args.response, args.out_dir),
+                       "autocorr": os.path.relpath(args.autocorr, args.out_dir)},
                provenance=provenance(), errors=errors)
-    iolib.write_json(rep, os.path.join(out, "invert_report.json"))
+    iolib.write_json(rep, os.path.join(args.out_dir, "invert_report.json"))
     print(f"invert: residual {rep['residual_norm']:.6g}, "
-          f"condition {rep['condition']:.6g}, wrote {os.path.join(out, files['kernel'])}")
+          f"condition {rep['condition']:.6g}, wrote {os.path.join(args.out_dir, files['kernel'])}")
     if rep.get("ill_conditioned"):
         print(f"invert: {rep['note']}", file=sys.stderr)
     return _print_errors("invert", errors)
 
 
 def cmd_manip(args) -> int:
-    out = _resolve_out_dir(args)
-    report, files = manip_stage(_flag_sections(args).get("manip"), out)
+    report, files = manip_stage(_flag_sections(args).get("manip"), args.out_dir)
     report["provenance"] = provenance()
-    iolib.write_json(report, os.path.join(out, "manip_report.json"))
+    iolib.write_json(report, os.path.join(args.out_dir, "manip_report.json"))
     for r in report["rows"]:
         print(f"manip: beta={r['beta']:g} psi={r['psi']:g} "
               f"min_cost={r['min_cost']:.6g}")
-    print(f"manip: wrote {os.path.join(out, files['frontier'])}")
+    print(f"manip: wrote {os.path.join(args.out_dir, files['frontier'])}")
     return 0
 
 
 def _parse_criteria(text: str):
-    from .acceptance import ALL_CRITERIA, _check_criteria
-
     if text == "all":
         return sorted(ALL_CRITERIA)
     if text == "none":
@@ -193,19 +184,16 @@ def cmd_report(args) -> int:
     """With --config, runs its stages first (experiment.run_config); a failing
     stage records its error in report.json and sets exit code 3, keeping the
     other outputs."""
-    from .acceptance import run_criteria
-
     numbers = _parse_criteria(args.criteria)
     cfg = ExperimentConfig.from_dict(iolib.read_json(args.config)) if args.config else None
-    out = _resolve_out_dir(args)
-    bundle = run_config(cfg, out) if cfg else {"provenance": provenance()}
+    bundle = run_config(cfg, args.out_dir) if cfg else {"provenance": provenance()}
     code = _print_errors("report", bundle.get("errors", {}))
     results = run_criteria(numbers)
     bundle["acceptance"] = [r.to_dict() for r in results]
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  criterion {r.number:2d}: {r.name}")
     n_fail = sum(not r.passed for r in results)
-    report_path = os.path.join(out, "report.json")
+    report_path = os.path.join(args.out_dir, "report.json")
     iolib.write_json(bundle, report_path)
     if numbers:
         print(f"report: {len(results) - n_fail}/{len(results)} criteria passed, "
@@ -305,6 +293,7 @@ def main(argv=None) -> int:
         if getattr(args, "command", None) is None:
             parser.print_help()
             return 1
+        args.out_dir = args.out_dir or os.environ.get(ENV_OUT_DIR, ".")
         return args.func(args)
     except _UsageError as exc:
         print(f"impactlab: error: {exc}", file=sys.stderr)

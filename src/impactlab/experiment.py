@@ -143,24 +143,44 @@ def _is_integer(x) -> bool:
     return _is_number(x) and float(x).is_integer()
 
 
-def _as_floats(x):
-    """x with each number in it, in nested lists and objects too, a float,
-    so a float setting spelled 2 is stored, and hashes, as 2.0."""
-    if isinstance(x, (list, tuple)):
-        return [_as_floats(v) for v in x]
-    if isinstance(x, dict):
-        return {k: _as_floats(v) for k, v in x.items()}
-    return float(x) if _is_number(x) else x
+# The rule for every value of a config section but its integer settings: one
+# under _NAME_KEYS is text, one under _SPEC_KEYS an object, checked by the same
+# rule, or null (no spec), and any other a number, or under _LIST_KEYS a list of
+# numbers too. A bool, text or null is not a number.
+_NAME_KEYS = {"kind", "dist", "completion", "form", "own_impact"}
+_SPEC_KEYS = {"kernel", "predictor"}
+_LIST_KEYS = {"values", "coeffs", "betas", "psis", "grid"}
+
+
+def _as_floats(what: str, section: dict, ints=()) -> dict:
+    """`section`, each value but the integer settings `ints` checked, with each number a
+    float, so a float setting spelled 2 is stored, and hashes, as 2.0."""
+    out = {}
+    for key, value in section.items():
+        if key in _NAME_KEYS:
+            ensure(isinstance(value, str), f"{what}: '{key}' must be text, got {value!r}")
+        elif key in _SPEC_KEYS:
+            ensure(value is None or isinstance(value, dict),
+                   f"{what}: '{key}' must be an object or null, got {value!r}")
+            value = value if value is None else _as_floats(f"{what}: '{key}'", value)
+        elif key not in ints:
+            many = key in _LIST_KEYS and isinstance(value, (list, tuple))
+            ensure(all(map(_is_number, value)) if many else _is_number(value),
+                   f"{what}: '{key}' must be {'numbers' if many else 'a number'}, got {value!r}")
+            value = [float(v) for v in value] if many else float(value)
+        out[key] = value
+    return out
 
 
 def _over_defaults(what: str, defaults: dict, spec: dict | None, ints: dict) -> dict:
     """`defaults` updated by `spec`, whose keys must be among those of the
-    defaults and `ints`. Each key of `ints` must hold an exact integer, no
-    less than its least value, and is stored as an int, so 256.0 and 1e7 hash
-    as 256 and 10000000; one without a default may also be None, which stands
-    for its absence."""
+    defaults and `ints`, and whose other values pass _as_floats. Each key of
+    `ints` must hold an exact integer, no less than its least value, and is
+    stored as an int, so 256.0 and 1e7 hash as 256 and 10000000; one without
+    a default may also be None, which stands for its absence."""
     out = {**defaults, **(spec or {})}
     _check_keys(what, out, set(defaults) | set(ints))
+    out = _as_floats(what, out, ints)
     for key, least in ints.items():
         value = out.get(key)
         if value is None and key not in defaults:
@@ -174,10 +194,9 @@ def _over_defaults(what: str, defaults: dict, spec: dict | None, ints: dict) -> 
 def _estimator_spec(what: str, spec: dict | None) -> dict:
     """The estimator settings: `spec` over the defaults, each in its range."""
     s = _over_defaults(what, _default_estimator(), spec, _ESTIMATOR_INTS)
-    w = s["rho_psi_weight"]
-    ensure(_is_number(w) and np.isfinite(w),
-           f"{what}: 'rho_psi_weight' must be a finite number, got {w!r}")
-    return {**s, "rho_psi_weight": float(w)}
+    ensure(np.isfinite(s["rho_psi_weight"]),
+           f"{what}: 'rho_psi_weight' must be a finite number, got {s['rho_psi_weight']!r}")
+    return s
 
 
 def _manip_spec(what: str, spec: dict | None) -> dict:
@@ -185,14 +204,12 @@ def _manip_spec(what: str, spec: dict | None) -> dict:
     kernel and the search accept, so no frontier is refused after its tapes."""
     m = _over_defaults(what, _default_manip(), spec, _MANIP_INTS)
     for key in ("betas", "psis", "grid"):
-        ensure(isinstance(m[key], (list, tuple)) and all(map(_is_number, m[key])),
-               f"{what}: '{key}' must be a list of numbers, got {m[key]!r}")
-    ensure(_is_number(m["lam"]), f"{what}: 'lam' must be a number, got {m['lam']!r}")
+        ensure(isinstance(m[key], list), f"{what}: '{key}' must be a list, got {m[key]!r}")
     for beta in m["betas"]:
         Kernel.power_law(beta)
     for psi in m["psis"]:
         _check_search(m["lam"], psi, m["own_impact"], m["max_len"], m["grid"])
-    return {**m, **{key: _as_floats(m[key]) for key in ("lam", "betas", "psis", "grid")}}
+    return m
 
 
 @dataclass
@@ -221,7 +238,7 @@ class ExperimentConfig:
             base, section = default(), getattr(self, name)
             if section.get(tag, base[tag]) == base[tag]:
                 section = {**base, **section}
-            setattr(self, name, _as_floats(section))
+            setattr(self, name, _as_floats(f"section '{name}'", section))
         # stored resolved, so a config hashes the same however many defaults
         # it spells out, and a mistyped key cannot run at its default unnoticed;
         # every number but an integer setting is stored as a float
@@ -318,9 +335,7 @@ def kernel_from_spec(spec: dict) -> Kernel:
     ensure(form in _KERNEL_SPEC_KEYS, f"unknown kernel form {form!r}")
     required, allowed = _KERNEL_SPEC_KEYS[form]
     _check_keys(f"kernel form '{form}'", d, allowed, required)
-    if form == "power_law":
-        return Kernel.power_law(**d)
-    return Kernel.tabulated(np.asarray(d["values"], dtype=np.float64))
+    return Kernel(form=form, **d)
 
 
 _GENERATORS = {
@@ -375,7 +390,7 @@ def _build_model(model: dict):
         _check_keys("predictor spec", predictor_spec, _PREDICTOR_KEYS, _PREDICTOR_KEYS)
         predictor = ArPredictor(predictor_spec["coeffs"])
     _check_keys("model", d, _IMPACT_KEYS)
-    return ImpactConfig(**kernel_kw, **{k: float(v) for k, v in d.items()}), predictor
+    return ImpactConfig(**kernel_kw, **d), predictor
 
 
 def simulate(config: ExperimentConfig, seed: int):
@@ -398,8 +413,8 @@ def simulate(config: ExperimentConfig, seed: int):
         prices = propagator_path(full, config.impact, seed=noise_seed)
     tape = TradeTape(full.signs, full.volumes, prices).drop(burn)
     meta = {
-        "burn": int(burn),
-        "n": int(config.n),
+        "burn": burn,
+        "n": config.n,
         "model": dict(config.model),
         "generator": dict(config.generator),
         "volumes": dict(config.volumes),
@@ -505,7 +520,7 @@ def measure_stage(tape: TradeTape, spec: dict | None, out: str, source: str, bur
             write = iolib.write_conditional if name == "conditional" else iolib.write_curve
             write(results[name], os.path.join(out, files[name]))
     s = _estimator_spec("estimator spec", spec)
-    estimator = {key: type(default)(s[key]) for key, default in _default_estimator().items()}
+    estimator = {key: s[key] for key in _default_estimator()}
     files["fits"] = f"{stem}_fits.json"
     iolib.write_json({**results["fits"], "input": source, "burn": burn, "estimator": estimator,
                       "errors": errors}, os.path.join(out, files["fits"]))
@@ -560,12 +575,11 @@ def manip_stage(spec: dict, out: str):
     `spec` layered over _default_manip(); writes frontier.csv.
     Returns ({rows, max_len, volume_grid, lam, own_impact}, files)."""
     m = _manip_spec("manip spec", spec)
-    max_len, lam = m["max_len"], float(m["lam"])
-    rows = gatheral_frontier(m["betas"], m["psis"], max_len=max_len, volume_grid=m["grid"],
-                             lam=lam, budget=m["budget"], own_impact=m["own_impact"])
+    rows = gatheral_frontier(m["betas"], m["psis"], max_len=m["max_len"], volume_grid=m["grid"],
+                             lam=m["lam"], budget=m["budget"], own_impact=m["own_impact"])
     files = {"frontier": "frontier.csv"}
     iolib.write_frontier(rows, os.path.join(out, files["frontier"]))
-    return {"rows": rows, "max_len": max_len, "volume_grid": m["grid"], "lam": lam,
+    return {"rows": rows, "max_len": m["max_len"], "volume_grid": m["grid"], "lam": m["lam"],
             "own_impact": m["own_impact"]}, files
 
 
@@ -661,7 +675,7 @@ def run_config(config: ExperimentConfig, out: str) -> dict:
     # them copy-on-write instead of each whitening again
     total, completion = _drawn(config)
     if completion is not None:
-        _embedding_eigenvalues(float(config.generator["gamma"]), total, completion)
+        _embedding_eigenvalues(config.generator["gamma"], total, completion)
     mean_volumes, measured, seed_errors, files = zip(
         *_fork_map(functools.partial(_seed_run, config, out=out), seeds, "seed {}".format))
     keys = [str(s) for s in seeds]

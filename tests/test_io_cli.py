@@ -224,6 +224,13 @@ def test_config_sections_are_stored_resolved():
     assert all(type(v) is float for v in cfg.model["kernel"].values() if v != "power_law")
 
 
+@pytest.mark.parametrize("key", ["kernel", "predictor"])
+def test_a_null_spec_stands_for_no_spec(key):
+    cfg = ExperimentConfig.from_dict({"n": 100, "model": {"kind": "kyle", key: None}})
+    assert cfg.model[key] is None and cfg.predictor is None
+    assert cfg.impact == ExperimentConfig(n=100).impact
+
+
 def test_experiment_config_round_trips_losslessly():
     cfg = ExperimentConfig(
         n=100, seed=[1, 3],
@@ -1177,6 +1184,34 @@ _REFUSED = {
     "manip-text-lam": ({"manip": {"lam": "1"}}, None),
     "metaorder-fixed-length": ({"generator": {"kind": "metaorder", "alpha": 1.5,
                                               "fixed_length": 5}}, None),
+    # a name is text, a kernel or predictor spec an object or null, and every
+    # other setting a number: a bool, text or null is not one
+    "text-lam": ({"model": {"kind": "kyle", "lam": "abc"}}, None),
+    "numeric-text-lam": ({"model": {"kind": "kyle", "lam": "1.5"}}, None),
+    "bool-lam": ({"model": {"kind": "kyle", "lam": True}}, None),
+    "list-lam": ({"model": {"kind": "kyle", "lam": [1.0]}}, None),
+    "null-psi": ({"model": {"kind": "kyle", "psi": None}}, None),
+    "text-beta": ({"model": {"kind": "propagator", "kernel": {**_POWER_LAW, "beta": "0.3"}}},
+                  None),
+    "bool-beta": ({"model": {"kind": "propagator", "kernel": {**_POWER_LAW, "beta": True}}},
+                  None),
+    "list-beta": ({"model": {"kind": "propagator", "kernel": {**_POWER_LAW, "beta": [0.3]}}},
+                  None),
+    "text-in-values": ({"model": {"kind": "propagator", "kernel": {
+        "form": "tabulated", "values": [1, "a"]}}}, None),
+    "numeric-text-values": ({"model": {"kind": "propagator", "kernel": {
+        "form": "tabulated", "values": ["1", "0.5"]}}}, None),
+    "list-form": ({"model": {"kind": "propagator", "kernel": {
+        "form": ["power_law"], "beta": 0.3}}}, None),
+    "number-kernel": ({"model": {"kind": "propagator", "kernel": 5}}, None),
+    "text-kernel": ({"model": {"kind": "propagator", "kernel": "x"}}, None),
+    "list-kernel": ({"model": {"kind": "propagator", "kernel": [0.3]}}, None),
+    "number-predictor": ({"model": {"kind": "surprise", "predictor": 5}}, None),
+    "text-coeffs": ({"model": {"kind": "surprise", "predictor": {"coeffs": "0.5"}}}, None),
+    "list-kind": ({"generator": {"kind": ["iid"]}}, None),
+    "bool-p-buy": ({"generator": {"kind": "iid", "p_buy": True}}, None),
+    "text-volume": ({"volumes": {"dist": "constant", "value": "2"}}, None),
+    "bool-sigma": ({"volumes": {"dist": "lognormal", "sigma": True}}, None),
 }
 
 

@@ -307,6 +307,8 @@ def _mutate(text: str, kind: str, i: int) -> str:
         fields[2] = "+" + fields[2]
     elif kind == "long_digits":  # int64 would saturate: 20 digits in n or volume
         fields[2 * (i % 2)] = "12345678901234567890"
+    elif kind == "long_fraction":  # 22 digits, 21 after the point: float() reads it
+        fields[3] = "0." + "0" * 20 + "1"
     elif kind == "two_points":
         fields[3] = "12.34.5"
     elif kind == "bare_point":
@@ -343,8 +345,8 @@ MUTATIONS = ["none", "bad_eps", "not_a_number", "neg_volume", "nan_volume", "nan
              "inf_price", "gap_in_n", "n_as_float", "short_row", "quoted", "comment",
              "underscore", "spaces", "rows_after_final", "crlf", "lone_cr", "cr_blank_line",
              "drop_final", "blank_line", "no_trailing_newline", "exp_notation", "minus_zero",
-             "plus_sign", "long_digits", "two_points", "bare_point", "lone_minus", "leading_point",
-             "trailing_point", "leading_zeros", "point_minus"]
+             "plus_sign", "long_digits", "long_fraction", "two_points", "bare_point", "lone_minus",
+             "leading_point", "trailing_point", "leading_zeros", "point_minus"]
 
 
 def _bulk(path):
