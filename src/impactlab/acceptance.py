@@ -11,9 +11,9 @@ Everything is deterministic: seeds are pinned here, and the expensive
 reference simulation (a 2^20-trade long-memory tape priced under the
 decaying-kernel model) is computed once and shared by criteria 4, 5 and 6;
 criterion 3 draws from the same long-memory process, whose eigenvalues are
-cached. run_criteria runs the criteria in forked workers, each one a task of
-its own, except that criteria 3-6 share the reference and together are one
-worker's task, so it is still built once.
+cached until the reference signs are drawn. run_criteria runs the criteria in
+forked workers, each one a task of its own, except that criteria 3-6 share the
+reference and together are one worker's task, so it is still built once.
 """
 
 import os
@@ -39,6 +39,7 @@ from .orderflow import (
     SignSeries,
     TradeTape,
     VolumeSeries,
+    _embedding_eigenvalues,
     gen_clipped_fractional_signs,
     gen_iid_signs,
     gen_markov_signs,
@@ -95,12 +96,16 @@ def _priced_tape(signs: SignSeries, volumes: VolumeSeries, cfg: ImpactConfig,
 
 
 def _unit_volumes(n: int) -> VolumeSeries:
-    return VolumeSeries(np.ones(n))
+    """n unit volumes: a read-only view of one double."""
+    return VolumeSeries(np.broadcast_to(np.float64(1.0), (n,)))
 
 
 @lru_cache(maxsize=1)
 def _reference_signs() -> SignSeries:
-    return gen_clipped_fractional_signs(REFERENCE_N, 0.5, seed=REFERENCE_SEED)
+    signs = gen_clipped_fractional_signs(REFERENCE_N, 0.5, seed=REFERENCE_SEED)
+    # criterion 3, run before, has drawn the process's other signs: nothing whitens again
+    _embedding_eigenvalues.cache_clear()
+    return signs
 
 
 @lru_cache(maxsize=1)
@@ -200,6 +205,7 @@ def criterion_04_martingale_exponent():
     r = np.diff(tape.prices)
     ac = est.normalized_autocorr(r, 32)[1:]
     bound = 3.0 / np.sqrt(r.size)
+    del r  # freed before the controls are priced
     ok_white = np.max(np.abs(ac)) <= bound
     d0 = est.diffusivity(_priced_reference(0.0), 256)
     trend_ratio = float(d0.values[-1] / d0.values[0])

@@ -330,7 +330,9 @@ _KERNEL_SPEC_KEYS = {
 
 
 def kernel_from_spec(spec: dict) -> Kernel:
-    d = dict(spec)
+    """The Kernel a config's kernel spec names, checked by the config rule."""
+    ensure(isinstance(spec, dict), f"kernel spec must be an object, got {spec!r}")
+    d = _as_floats("kernel spec", spec)
     form = d.pop("form", None)
     ensure(form in _KERNEL_SPEC_KEYS, f"unknown kernel form {form!r}")
     required, allowed = _KERNEL_SPEC_KEYS[form]
@@ -429,8 +431,9 @@ def measure(tape: TradeTape, spec: dict | None = None, burn: int = 0):
     """All standard curves and fits from one priced tape: the sign
     autocorrelation over every trade, the other curves over tape.drop(burn).
 
-    Returns (results dict, errors dict). Estimation failures are collected
-    per curve; everything that can be computed still is.
+    Returns (results dict, errors dict); results["estimator"] holds the
+    settings used. Estimation failures are collected per curve; everything
+    that can be computed still is.
     """
     s = _estimator_spec("estimator spec", spec)
     post = tape.drop(burn)
@@ -459,6 +462,7 @@ def measure(tape: TradeTape, spec: dict | None = None, burn: int = 0):
     if "rho" in results:
         fits["rho"] = float(results["rho"])
     results["fits"] = fits
+    results["estimator"] = {key: s[key] for key in _default_estimator()}
     return results, errors
 
 
@@ -519,11 +523,10 @@ def measure_stage(tape: TradeTape, spec: dict | None, out: str, source: str, bur
             files[name] = f"{stem}_{name}.csv"
             write = iolib.write_conditional if name == "conditional" else iolib.write_curve
             write(results[name], os.path.join(out, files[name]))
-    s = _estimator_spec("estimator spec", spec)
-    estimator = {key: s[key] for key in _default_estimator()}
     files["fits"] = f"{stem}_fits.json"
-    iolib.write_json({**results["fits"], "input": source, "burn": burn, "estimator": estimator,
-                      "errors": errors}, os.path.join(out, files["fits"]))
+    iolib.write_json({**results["fits"], "input": source, "burn": burn,
+                      "estimator": results["estimator"], "errors": errors},
+                     os.path.join(out, files["fits"]))
     return results, errors, files
 
 

@@ -126,17 +126,37 @@ def test_only_the_shared_group_reads_the_reference():
     _run_fresh(_GUARD)
 
 
+# Runs criteria 3-6 in a fresh process under tracemalloc, counting the
+# whitenings: latent_autocorr is called once per eigenvalue computation.
 _SHARED = """
-from impactlab import acceptance
+import tracemalloc
+from impactlab import acceptance, orderflow
 
+whitenings = []
+latent_autocorr = orderflow.latent_autocorr
+orderflow.latent_autocorr = lambda *a: whitenings.append(a) or latent_autocorr(*a)
+tracemalloc.start()
 assert all(r.passed for r in acceptance._run_task(acceptance._SHARED_REFERENCE))
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
 info = acceptance._reference_tape.cache_info()
 assert (info.currsize, info.misses) == (1, 1), info
+assert len(whitenings) == 1, whitenings
+info = orderflow._embedding_eigenvalues.cache_info()
+assert (info.currsize, info.hits, info.misses) == (0, 0, 0), info
+volumes = acceptance._reference_volumes().volumes
+assert volumes.strides == (0,) and not volumes.flags.writeable
+assert peak <= 60 * 2**20, peak / 2**20
 """
 
 
 def test_the_shared_group_caches_the_matched_tape_alone():
     """Criterion 4's control tapes are priced uncached, so after criteria 3-6
     run in one process the cache holds one tape, built once; a cached control
-    would stay resident for the rest of the group's task."""
+    would stay resident for the rest of the group's task. The group whitens
+    once, and the eigenvalues are freed once the reference signs are drawn
+    (cache_clear resets the counts, so none is left). The unit volumes are
+    one double, and the traced peak is 56.7 MiB: three 8 MiB arrays above it
+    (the eigenvalues, a column of ones, criterion 4's returns) used to stay
+    resident while criterion 4 priced its controls."""
     _run_fresh(_SHARED)

@@ -423,6 +423,14 @@ def test_measure_notes_a_psi_fit_with_fewer_than_four_positive_bins():
         "skipped: 3 positive bins at the top of the curve, fewer than 4")
 
 
+def test_measure_returns_the_settings_it_used():
+    """measure_stage writes these to the fits JSON rather than resolving the spec again."""
+    spec = {"max_lag": 8, "sign_max_lag": 8.0, "n_bins": 3}
+    results, _ = experiment.measure(_priced_tape(n=2000), spec)
+    assert results["estimator"] == {**experiment._default_estimator(), **spec}
+    assert type(results["estimator"]["sign_max_lag"]) is int
+
+
 def test_cli_report_on_prices_that_never_move_writes_valid_json(tmp_path):
     """D(1) = 0 leaves no diffusion ratio to take: an error, not a NaN (which
     JSON cannot hold) and not a 'diffusive' flag."""
@@ -1233,6 +1241,17 @@ def test_a_refused_config_writes_nothing(tmp_path, capsys, command, case):
     captured = capsys.readouterr()
     assert captured.out == "" and "impactlab: ParameterError" in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"form": ["power_law"]}, "'form' must be text"),
+    ({"form": "power_law", "beta": "0.3"}, "'beta' must be a number"),
+    (5, "kernel spec must be an object"),
+], ids=["list-form", "text-beta", "number"])
+def test_kernel_from_spec_applies_the_config_rule(spec, message):
+    """A spec given to kernel_from_spec directly is checked as a config's is."""
+    with pytest.raises(ParameterError, match=message):
+        experiment.kernel_from_spec(spec)
 
 
 def _curve_files(tmp_path):
