@@ -485,7 +485,8 @@ def criterion_13_determinism_round_trips():
 
 # the criteria that read the lru-cached reference signs, tapes and sign
 # autocorrelation, and criterion 3 the eigenvalues of the reference process:
-# one worker runs them, so each is built once
+# one worker runs them in this order, so each is built once (criterion 3
+# draws before _reference_signs frees the eigenvalues)
 _SHARED_REFERENCE = (3, 4, 5, 6)
 
 
@@ -507,10 +508,11 @@ def _run_task(task: tuple) -> list:
 def run_criteria(numbers=None) -> list:
     """Run the selected criteria (all by default), returning their results in
     the order asked. Each criterion is a task of its own, but those of
-    _SHARED_REFERENCE asked for form one; the tasks run in forked workers
-    through experiment._fork_map."""
+    _SHARED_REFERENCE asked for form one, run in that tuple's order whatever
+    the order asked, so that the group whitens once; the tasks run in forked
+    workers through experiment._fork_map."""
     numbers = sorted(ALL_CRITERIA) if numbers is None else _check_criteria(numbers)
-    shared = tuple(n for n in numbers if n in _SHARED_REFERENCE)
+    shared = tuple(n for n in _SHARED_REFERENCE if n in numbers)
     tasks = [shared if n in shared else (n,) for n in numbers if n not in shared[1:]]
     done = _fork_map(_run_task, tasks, lambda task: f"criteria {', '.join(map(str, task))}")
     by_number = {r.number: r for results in done for r in results}

@@ -112,21 +112,50 @@ def _fast_len(need: int) -> int:
     return best
 
 
-def _fft_convolve(x: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
-    """First n terms of the full convolution x*h, from one real FFT padded to
-    the 2·3·5-smooth length _fast_len(x.size + h.size - 1), so nothing wraps.
+_BLOCK = 1 << 17  # longest operand block transformed at once
 
-    h is transformed first, then x, and the inverse transform last; when the
-    caller holds no other reference to an input, it is freed as soon as its
-    spectrum exists."""
-    size = _fast_len(x.size + h.size - 1)
-    kernel = rfft(h, size)
+
+def _fft_convolve(x: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
+    """First n <= x.size + h.size - 1 terms of the full convolution x*h, by
+    overlap-add over blocks of at most _BLOCK terms, each transformed at
+    _fast_len(bx + bh - 1) for block lengths bx and bh, so nothing wraps.
+    The products X_i·H_j of one diagonal d = i + j are summed, inverted once
+    and added into the output d blocks in. Operands of at most _BLOCK terms
+    are one diagonal: the one product of their padded spectra.
+
+    h's blocks are transformed first, then x's; when the caller holds no
+    other reference to an input, it is freed as soon as its spectra exist.
+    The diagonals run last-first, so X_d and H_d meet H_0 and X_0 for the
+    last time at diagonal d: its sum accumulates in place in X_d, and each
+    spectrum is freed after its last use. The output is allocated once the
+    first diagonal is summed, never beside every spectrum and a product."""
+    bx, bh = min(x.size, _BLOCK), min(h.size, _BLOCK)
+    step, size = max(bx, bh), _fast_len(bx + bh - 1)
+    hs = [rfft(h[lo:lo + bh], size) for lo in range(0, min(h.size, n), bh)]
     del h
-    spec = rfft(x, size)
+    xs = [rfft(x[lo:lo + bx], size) for lo in range(0, min(x.size, n), bx)]
     del x
-    spec *= kernel
-    del kernel
-    return irfft(spec, size)[:n]
+    out, filled = None, n  # out[filled:] holds the diagonals above d
+    for d in range(min(len(xs) + len(hs) - 2, (n - 1) // step), -1, -1):
+        first, last = max(0, d - len(hs) + 1), min(d, len(xs) - 1)
+        if last == d:
+            acc, xs[d] = xs[d], None
+            acc *= hs[0]
+        else:
+            acc = xs[last] * hs[d - last]
+        for i in range(first, last):
+            acc += xs[i] * hs[d - i]
+        if d < len(hs):
+            hs[d] = None
+        y = irfft(acc, size)
+        del acc
+        if out is None:
+            out = np.empty(n)
+        lo, hi = d * step, min(n, d * step + bx + bh - 1)
+        out[lo:filled] = y[:filled - lo]
+        out[filled:hi] += y[filled - lo:hi - lo]
+        filled = lo
+    return out
 
 
 @dataclass
@@ -208,7 +237,10 @@ def propagator_path(tape: TradeTape, cfg: ImpactConfig, seed: int = 0) -> np.nda
     """Decaying-impact path: p_n = p0 + lam * sum_{m<n} G(n-m) u_m + noise walk.
 
     A constant kernel, such as the default flat one (permanent impact), takes
-    a cumulative sum, so no convolution round-off enters."""
+    a cumulative sum, so no convolution round-off enters. Any other kernel
+    takes _fft_convolve: one product of spectra for tapes of at most _BLOCK
+    trades, and products of _BLOCK-term block spectra, added block by block,
+    for longer ones, so no transform is longer than _fast_len(2 * _BLOCK)."""
     _check_nonempty(tape)
     kernel = cfg.kernel
     n = tape.n
@@ -222,7 +254,7 @@ def propagator_path(tape: TradeTape, cfg: ImpactConfig, seed: int = 0) -> np.nda
     prices[0] = cfg.p0
     cum = prices[1:]
     np.multiply(cfg.lam, s, out=cum)
-    del s  # frees the padded convolution buffer it views before the noise is drawn
+    del s  # frees the convolution before the noise is drawn
     eta = _noise_increments(n, cfg, seed)
     if eta is not None:
         cum += np.cumsum(eta)

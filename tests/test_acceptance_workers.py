@@ -51,6 +51,26 @@ def test_the_shared_reference_criteria_run_in_one_worker(monkeypatch):
     assert len(set(pids.values())) == 2
 
 
+def test_the_shared_group_runs_in_its_own_order_whatever_the_order_asked(monkeypatch):
+    """Criterion 3 draws before criterion 4 frees the eigenvalues, so asked
+    as 4, 3 the group still runs as (3, 4) and whitens once. The task is
+    placed once, where its first criterion was asked, and the results come
+    back in the order asked."""
+    tasks = []
+
+    def recorder(fn, items, name):
+        tasks.extend(items)
+        return [[acceptance.CriterionResult(n, "recorded", True, {}) for n in task]
+                for task in items]
+
+    monkeypatch.setattr(acceptance, "_fork_map", recorder)
+    assert [r.number for r in acceptance.run_criteria([4, 3])] == [4, 3]
+    assert tasks == [(3, 4)]
+    tasks.clear()
+    assert [r.number for r in acceptance.run_criteria([6, 7, 4, 3])] == [6, 7, 4, 3]
+    assert tasks == [(7,), (3, 4, 6)]
+
+
 @_fork
 @pytest.mark.parametrize("error", [NumericError("criterion 12 failed"),
                                    SearchBudgetError(10**8, 10**7)],

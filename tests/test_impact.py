@@ -3,6 +3,7 @@ convolution against the direct sums it computes, quote arithmetic, and the
 model-config validity rules."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from impactlab import (
     quotes,
     surprise_path,
 )
+from impactlab import impact
 from impactlab.impact import _fast_len, _fft_convolve
 
 
@@ -314,6 +316,87 @@ def test_propagator_path_is_the_one_product_of_spectra_bitwise(n):
     s = np.fft.irfft(np.fft.rfft(u, size) * np.fft.rfft(g, size), size)[:n]
     want = np.concatenate([[5.0], 0.3 * s + 5.0])
     assert propagator_path(tape, cfg).tobytes() == want.tobytes()
+
+
+# ---- the block path: overlap-add of block spectra, against one product ----
+
+def _one_product_convolve(x, h, n):
+    """The convolution as one product of the operands' spectra padded to
+    _fast_len(x.size + h.size - 1), inverted once: the block path's oracle,
+    and its bits where both operands fit in one block."""
+    size = _fast_len(x.size + h.size - 1)
+    kernel = np.fft.rfft(h, size)
+    spec = np.fft.rfft(x, size)
+    spec *= kernel
+    return np.fft.irfft(spec, size)[:n]
+
+
+def _assert_block_convolution(x, h, n):
+    got = _fft_convolve(x, h, n)
+    bound = 1e-12 * np.convolve(np.abs(x), np.abs(h))[:n].max()
+    assert got.shape == (n,)
+    assert np.all(np.abs(got - np.convolve(x, h)[:n]) <= bound)
+    assert np.all(np.abs(got - _one_product_convolve(x, h, n)) <= bound)
+
+
+# (x.size, h.size, n) at a block of 64 terms
+_BLOCK_CASES = {
+    "2 blocks": (128, 128, 128),
+    "3 blocks, n not a multiple": (150, 150, 150),
+    "many blocks": (1000, 1000, 1000),
+    "n short of the operands": (1000, 1000, 333),
+    "x longer than h, predict_series": (1000, 5, 999),
+    "x longer than h, both in blocks": (1000, 200, 999),
+    "h longer than x": (30, 500, 500),
+    "h longer than x, both in blocks": (100, 500, 500),
+    "the whole convolution": (500, 100, 599),
+}
+
+
+@pytest.mark.parametrize("nx, nh, n", _BLOCK_CASES.values(), ids=_BLOCK_CASES.keys())
+def test_block_convolution_matches_the_one_product_and_the_direct_sums(monkeypatch, nx, nh, n):
+    monkeypatch.setattr(impact, "_BLOCK", 64)
+    rng = np.random.default_rng(nx + nh + n)
+    _assert_block_convolution(rng.standard_normal(nx), rng.standard_normal(nh), n)
+
+
+@PROPERTY
+@given(st.integers(1, 300), st.integers(1, 300), st.integers(1, 80), st.floats(0.0, 1.0))
+def test_block_convolution_matches_the_direct_sums_at_any_sizes(nx, nh, block, frac):
+    n = 1 + int(frac * (nx + nh - 2))
+    rng = np.random.default_rng(nx * 1000 + nh)
+    with mock.patch.object(impact, "_BLOCK", block):
+        _assert_block_convolution(rng.standard_normal(nx), rng.uniform(-1.0, 1.0, nh), n)
+
+
+@pytest.mark.parametrize("nx, nh", [(64, 64), (64, 5), (3, 64), (40, 50)])
+def test_operands_in_one_block_are_the_one_product_bitwise(monkeypatch, nx, nh):
+    monkeypatch.setattr(impact, "_BLOCK", 64)
+    rng = np.random.default_rng(nx + nh)
+    x, h = rng.standard_normal(nx), rng.standard_normal(nh)
+    for n in {1, max(nx, nh), nx + nh - 1}:
+        assert _fft_convolve(x, h, n).tobytes() == _one_product_convolve(x, h, n).tobytes()
+
+
+def test_block_convolution_calls_no_transform_longer_than_two_blocks(monkeypatch):
+    """Each block is transformed once, at _fast_len of two blocks, and each
+    diagonal that reaches the first n terms is inverted once."""
+    events = []
+
+    def recorded(name, transform):
+        def call(a, *args, **kwargs):
+            out = transform(a, *args, **kwargs)
+            events.append((name, max(a.shape[-1], out.shape[-1])))
+            return out
+        return call
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(impact, name, recorded(name, getattr(impact, name)))
+    monkeypatch.setattr(impact, "_BLOCK", 64)
+    rng = np.random.default_rng(5)
+    _fft_convolve(rng.standard_normal(1000), rng.standard_normal(1000), 1000)
+    assert max(length for _, length in events) == _fast_len(2 * 64 - 1) == 128
+    assert [name for name, _ in events] == ["rfft"] * 32 + ["irfft"] * 16
 
 
 def test_quotes_worked_examples():

@@ -14,7 +14,6 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -769,18 +768,48 @@ def test_the_build_reads_the_package_version():
     assert config["project"]["version"] == impactlab.__version__
 
 
-def test_provenance_records_a_missing_scipy_as_none():
-    real = importlib.metadata.version
-
-    def version(dist):
-        if dist == "scipy":
-            raise importlib.metadata.PackageNotFoundError(dist)
-        return real(dist)
-
-    with mock.patch.object(importlib.metadata, "version", version):
-        prov = provenance()
+def test_provenance_records_a_missing_scipy_as_none(monkeypatch, tmp_path):
+    monkeypatch.setattr(sys, "path", [str(tmp_path), str(tmp_path / "missing")])
+    with pytest.raises(importlib.metadata.PackageNotFoundError):
+        importlib.metadata.version("scipy")
+    prov = provenance()
     assert prov["scipy"] is None
     assert prov["numpy"] == np.__version__
+
+
+# a scipy distribution in each layout importlib.metadata reads, the version
+# field's key in any case and its value with trailing blanks kept
+_SCIPY_METADATA = {
+    "scipy-9.1.dist-info/METADATA": "Metadata-Version: 2.1\nName: scipy\nVersion: 9.1\n\n"
+                                    "Version: 0 (in the body)\n",
+    "SciPy-9.2.egg-info/PKG-INFO": "Name: SciPy\nversion:  9.2 \n",
+    "scipy-9.3.egg-info": "Name: scipy\nVERSION: 9.3\n",
+    "scipy-9.4.dist-info/METADATA": "Name: scipy\n",
+}
+
+
+def test_provenance_reads_the_scipy_version_importlib_metadata_reads(monkeypatch, tmp_path):
+    assert provenance()["scipy"] == importlib.metadata.version("scipy")
+    for i, (name, text) in enumerate(_SCIPY_METADATA.items()):
+        path = tmp_path / str(i) / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+        # the first distribution on the path wins
+        monkeypatch.setattr(sys, "path", [str(tmp_path / str(i)), *sys.path])
+        assert provenance()["scipy"] == importlib.metadata.version("scipy"), name
+    assert provenance()["scipy"] is None
+
+
+def test_provenance_imports_neither_scipy_nor_importlib_metadata():
+    code = ("import sys\nimport impactlab.cli\nfrom impactlab.experiment import provenance\n"
+            "assert provenance()['scipy']\n"
+            "late = {'scipy', 'importlib.metadata', 'email'} & set(sys.modules)\n"
+            "assert not late, late\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_config_file_overrides_flags(tmp_path):
