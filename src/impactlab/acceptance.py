@@ -108,16 +108,11 @@ def _reference_signs() -> SignSeries:
     return signs
 
 
-@lru_cache(maxsize=1)
-def _reference_volumes() -> VolumeSeries:  # one array that every reference tape shares
-    return _unit_volumes(REFERENCE_N)
-
-
 def _priced_reference(beta: float) -> TradeTape:
     """The shared long-memory tape priced under a power-law kernel,
     lam=1, psi=1, unit volumes, noiseless, after its first BURN trades."""
     cfg = ImpactConfig(lam=1.0, psi=1.0, kernel=Kernel.power_law(beta))
-    return _priced_tape(_reference_signs(), _reference_volumes(), cfg).drop(BURN)
+    return _priced_tape(_reference_signs(), _unit_volumes(REFERENCE_N), cfg).drop(BURN)
 
 
 @lru_cache(maxsize=1)

@@ -24,7 +24,6 @@ import dataclasses
 import functools
 import os
 import platform
-import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -303,46 +302,11 @@ def expand_seeds(seed) -> list:
     raise ParameterError(f"seed must be a non-negative int or [first, last], got {seed!r}")
 
 
-def _scipy_version() -> str | None:
-    """The version of the first scipy distribution on sys.path, found as
-    importlib.metadata finds it, or None where there is none. No output
-    depends on scipy, so it is not imported, and neither is
-    importlib.metadata: its import (email's parser) costs 15 ms, over 20
-    times this search."""
-    for entry in sys.path:
-        try:
-            names = os.listdir(entry or ".")
-        except OSError:  # a missing directory or a zip archive
-            continue
-        for name in names:
-            stem, _, kind = name.lower().rpartition(".")
-            if stem.partition("-")[0] == "scipy" and kind in ("dist-info", "egg-info"):
-                return _metadata_version(os.path.join(entry or ".", name))
-    return None
-
-
-def _metadata_version(path: str) -> str | None:
-    """The Version header of a distribution's metadata, read as
-    importlib.metadata reads it: the first nonempty of METADATA, PKG-INFO
-    and the path itself (an egg-info file)."""
-    for meta in ("METADATA", "PKG-INFO", ""):
-        try:
-            with open(os.path.join(path, meta) if meta else path, encoding="utf-8") as f:
-                text = f.read()
-        except OSError:
-            continue
-        if text:
-            fields = (line.partition(":") for line in text.split("\n\n", 1)[0].splitlines())
-            return next((value.lstrip(" \t") for key, colon, value in fields
-                         if colon and key.lower() == "version"), None)
-    return None
-
-
 def provenance(config: ExperimentConfig | None = None, seed: int | None = None) -> dict:
     """Package and library versions, since outputs are byte-identical only
     per version, plus the config hash and seed when given."""
     out = {"version": __version__, "python": platform.python_version(),
-           "numpy": np.__version__, "scipy": _scipy_version()}
+           "numpy": np.__version__}
     if config is not None:
         out["config_sha256"] = config.sha256()
     if seed is not None:

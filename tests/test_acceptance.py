@@ -82,8 +82,7 @@ def test_each_criterion_number_is_registered_once():
 
 def test_the_reference_tapes_share_one_volume_array():
     """The cached reference tape and criterion 4's two control tapes each hold
-    a view of one unit-volume array, not a copy of their own."""
-    volumes = acceptance._reference_volumes().volumes
+    a read-only broadcast of one unit volume, not a column of ones of their own."""
     tapes = [acceptance._reference_tape()]
     tapes += [acceptance._priced_reference(beta) for beta in (0.0, 0.45)]
-    assert all(np.shares_memory(tape.v, volumes) for tape in tapes)
+    assert all(tape.v.strides == (0,) and not tape.v.flags.writeable for tape in tapes)

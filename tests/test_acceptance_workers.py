@@ -112,7 +112,7 @@ def test_an_unknown_or_repeated_criterion_is_refused(numbers, message):
 _GUARD = """
 from impactlab import acceptance, experiment, orderflow
 
-caches = [acceptance._reference_signs, acceptance._reference_volumes, acceptance._reference_tape,
+caches = [acceptance._reference_signs, acceptance._reference_tape,
           acceptance._reference_sign_autocorr, orderflow._embedding_eigenvalues]
 
 def guarded(number, criterion):
@@ -164,7 +164,7 @@ assert (info.currsize, info.misses) == (1, 1), info
 assert len(whitenings) == 1, whitenings
 info = orderflow._embedding_eigenvalues.cache_info()
 assert (info.currsize, info.hits, info.misses) == (0, 0, 0), info
-volumes = acceptance._reference_volumes().volumes
+volumes = acceptance._reference_tape().v
 assert volumes.strides == (0,) and not volumes.flags.writeable
 assert peak <= 60 * 2**20, peak / 2**20
 """
