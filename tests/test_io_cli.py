@@ -797,6 +797,21 @@ def test_provenance_imports_neither_scipy_nor_importlib_metadata():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_simulate_provenance_is_the_versions_plus_the_config_hash_and_seed(tmp_path):
+    """Each seed's meta and the multi-seed summary record provenance() and
+    nothing else beyond the config hash and, per seed, the seed."""
+    cfg_path = str(tmp_path / "cfg.json")
+    write_json({"n": 300, "seed": [1, 2]}, cfg_path)
+    out = str(tmp_path / "sim")
+    assert cli.main(["simulate", "--config", cfg_path, "--out-dir", out]) == 0
+    sha = ExperimentConfig.from_dict(read_json(cfg_path)).sha256()
+    for seed in (1, 2):
+        meta = read_json(os.path.join(out, f"meta_seed{seed}.json"))
+        assert meta["provenance"] == {**provenance(), "config_sha256": sha, "seed": seed}
+    summary = read_json(os.path.join(out, "simulate_summary.json"))
+    assert summary["provenance"] == {**provenance(), "config_sha256": sha}
+
+
 def test_cli_config_file_overrides_flags(tmp_path):
     cfg_path = str(tmp_path / "cfg.json")
     write_json({"generator": {"kind": "markov", "c1": 0.6}, "n": 64}, cfg_path)
