@@ -95,33 +95,17 @@ class Kernel:
         return out if out.ndim else float(out)
 
 
-def _fast_len(need: int) -> int:
-    """Smallest FFT length 2^a 3^b 5^c >= need with a >= 1, never longer than
-    the power of two at or above need (which is also the answer for need 1).
-
-    Even lengths keep every length up to 4 a power of two, where the
-    transforms of tiny convolutions round exactly."""
-    best = 1 << (need - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        odd = p5
-        while odd < best:
-            best = min(best, odd << max(1, (-(-need // odd) - 1).bit_length()))
-            odd *= 3
-        p5 *= 5
-    return best
-
-
 _BLOCK = 1 << 17  # longest operand block transformed at once
 
 
 def _fft_convolve(x: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
     """First n <= x.size + h.size - 1 terms of the full convolution x*h, by
-    overlap-add over blocks of at most _BLOCK terms, each transformed at
-    _fast_len(bx + bh - 1) for block lengths bx and bh, so nothing wraps.
-    The products X_i·H_j of one diagonal d = i + j are summed, inverted once
-    and added into the output d blocks in. Operands of at most _BLOCK terms
-    are one diagonal: the one product of their padded spectra.
+    overlap-add over blocks of at most _BLOCK terms, each transformed at the
+    power of two at or above bx + bh - 1 for block lengths bx and bh, so
+    nothing wraps. The products X_i·H_j of one diagonal d = i + j are
+    summed, inverted once and added into the output d blocks in. Operands
+    of at most _BLOCK terms are one diagonal: the one product of their
+    padded spectra.
 
     h's blocks are transformed first, then x's; when the caller holds no
     other reference to an input, it is freed as soon as its spectra exist.
@@ -130,7 +114,7 @@ def _fft_convolve(x: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
     spectrum is freed after its last use. The output is allocated once the
     first diagonal is summed, never beside every spectrum and a product."""
     bx, bh = min(x.size, _BLOCK), min(h.size, _BLOCK)
-    step, size = max(bx, bh), _fast_len(bx + bh - 1)
+    step, size = max(bx, bh), 1 << (bx + bh - 2).bit_length()
     hs = [rfft(h[lo:lo + bh], size) for lo in range(0, min(h.size, n), bh)]
     del h
     xs = [rfft(x[lo:lo + bx], size) for lo in range(0, min(x.size, n), bx)]
@@ -240,7 +224,7 @@ def propagator_path(tape: TradeTape, cfg: ImpactConfig, seed: int = 0) -> np.nda
     a cumulative sum, so no convolution round-off enters. Any other kernel
     takes _fft_convolve: one product of spectra for tapes of at most _BLOCK
     trades, and products of _BLOCK-term block spectra, added block by block,
-    for longer ones, so no transform is longer than _fast_len(2 * _BLOCK)."""
+    for longer ones, so no transform is longer than 2 * _BLOCK = 2^18 points."""
     _check_nonempty(tape)
     kernel = cfg.kernel
     n = tape.n

@@ -30,7 +30,7 @@ from impactlab import (
     surprise_path,
 )
 from impactlab import impact
-from impactlab.impact import _fast_len, _fft_convolve
+from impactlab.impact import _fft_convolve
 
 
 def _tape(eps, vols=None):
@@ -239,40 +239,17 @@ def test_predict_series_of_no_trades_is_empty():
     assert ArPredictor([0.5]).predict_series(np.array([])).size == 0
 
 
-# ---- the FFT length: even 2·3·5-smooth, never past the power of two ----
+# ---- the FFT length: the power of two at or above x.size + h.size - 1 ----
 
-def _pow2_convolve(x, h, n):
-    """The convolution padded to the power of two at or above
-    x.size + h.size - 1: the oracle where _fast_len picks that length."""
+def _one_product_convolve(x, h, n):
+    """The convolution as one product of the operands' spectra padded to the
+    power of two at or above x.size + h.size - 1, inverted once: the block
+    path's oracle, and its bits where both operands fit in one block."""
     size = 1 << (x.size + h.size - 2).bit_length()
+    kernel = np.fft.rfft(h, size)
     spec = np.fft.rfft(x, size)
-    spec *= np.fft.rfft(h, size)
+    spec *= kernel
     return np.fft.irfft(spec, size)[:n]
-
-
-def _is_5_smooth(m):
-    for p in (2, 3, 5):
-        while m % p == 0:
-            m //= p
-    return m == 1
-
-
-def test_fast_len_is_the_smallest_even_5_smooth_length():
-    want = 1  # a power of two or an even 5-smooth number
-    for need in range(1, 5001):
-        want = max(want, need)
-        while not (want == 1 or (want % 2 == 0 and _is_5_smooth(want))):
-            want += 1
-        assert _fast_len(need) == want, need
-
-
-def test_fast_len_never_passes_the_power_of_two():
-    for k in range(25):
-        for need in {max(1, 2**k - 1), 2**k, 2**k + 1}:
-            size = _fast_len(need)
-            assert need <= size <= 1 << (need - 1).bit_length()
-            assert size == 1 or (size % 2 == 0 and _is_5_smooth(size))
-        assert _fast_len(2**k) == 2**k
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 1000, 4095, 4096, 4097, 2**10 + 3, 2**13 + 3])
@@ -285,13 +262,13 @@ def test_fft_convolve_matches_the_direct_sums(n):
     assert np.all(np.abs(got - want) <= 1e-12 * np.convolve(np.abs(x), h)[:n].max())
 
 
-@pytest.mark.parametrize("nx, nh", [(1, 1), (1, 2), (2, 2), (2, 3), (512, 512),
-                                    (2048, 2049), (2**14, 2**14)])
+@pytest.mark.parametrize("nx, nh", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (100, 100),
+                                    (512, 512), (1000, 1000), (2048, 2049), (3000, 3000),
+                                    (2**14, 2**14)])
 def test_fft_convolve_at_a_power_of_two_is_the_old_convolution(nx, nh):
-    assert _fast_len(nx + nh - 1) == 1 << (nx + nh - 2).bit_length()
     rng = np.random.default_rng(nx + nh)
     x, h = rng.standard_normal(nx), rng.standard_normal(nh)
-    assert np.array_equal(_fft_convolve(x, h, nx), _pow2_convolve(x, h, nx))
+    assert np.array_equal(_fft_convolve(x, h, nx), _one_product_convolve(x, h, nx))
 
 
 def test_decaying_propagator_is_the_scaled_convolution_plus_the_walk_bitwise():
@@ -312,24 +289,13 @@ def test_propagator_path_is_the_one_product_of_spectra_bitwise(n):
     cfg = ImpactConfig(0.3, 0.7, Kernel.power_law(0.4), p0=5.0)
     u = impact_sizes(tape, 0.7)
     g = cfg.kernel.eval(np.arange(1, n + 1))
-    size = _fast_len(2 * n - 1)
+    size = 1 << (2 * n - 2).bit_length()
     s = np.fft.irfft(np.fft.rfft(u, size) * np.fft.rfft(g, size), size)[:n]
     want = np.concatenate([[5.0], 0.3 * s + 5.0])
     assert propagator_path(tape, cfg).tobytes() == want.tobytes()
 
 
 # ---- the block path: overlap-add of block spectra, against one product ----
-
-def _one_product_convolve(x, h, n):
-    """The convolution as one product of the operands' spectra padded to
-    _fast_len(x.size + h.size - 1), inverted once: the block path's oracle,
-    and its bits where both operands fit in one block."""
-    size = _fast_len(x.size + h.size - 1)
-    kernel = np.fft.rfft(h, size)
-    spec = np.fft.rfft(x, size)
-    spec *= kernel
-    return np.fft.irfft(spec, size)[:n]
-
 
 def _assert_block_convolution(x, h, n):
     got = _fft_convolve(x, h, n)
@@ -378,25 +344,26 @@ def test_operands_in_one_block_are_the_one_product_bitwise(monkeypatch, nx, nh):
         assert _fft_convolve(x, h, n).tobytes() == _one_product_convolve(x, h, n).tobytes()
 
 
-def test_block_convolution_calls_no_transform_longer_than_two_blocks(monkeypatch):
-    """Each block is transformed once, at _fast_len of two blocks, and each
-    diagonal that reaches the first n terms is inverted once."""
+@pytest.mark.parametrize("block, blocks", [(64, 16), (60, 17)])
+def test_block_convolution_calls_no_transform_longer_than_two_blocks(monkeypatch, block, blocks):
+    """Each block is transformed once, at the power of two at or above two
+    blocks, and each diagonal that reaches the first n terms is inverted
+    once."""
     events = []
 
     def recorded(name, transform):
-        def call(a, *args, **kwargs):
-            out = transform(a, *args, **kwargs)
-            events.append((name, max(a.shape[-1], out.shape[-1])))
-            return out
+        def call(a, size):
+            events.append((name, size))
+            return transform(a, size)
         return call
 
     for name in ("rfft", "irfft"):
         monkeypatch.setattr(impact, name, recorded(name, getattr(impact, name)))
-    monkeypatch.setattr(impact, "_BLOCK", 64)
+    monkeypatch.setattr(impact, "_BLOCK", block)
     rng = np.random.default_rng(5)
     _fft_convolve(rng.standard_normal(1000), rng.standard_normal(1000), 1000)
-    assert max(length for _, length in events) == _fast_len(2 * 64 - 1) == 128
-    assert [name for name, _ in events] == ["rfft"] * 32 + ["irfft"] * 16
+    assert {size for _, size in events} == {128}
+    assert [name for name, _ in events] == ["rfft"] * 2 * blocks + ["irfft"] * blocks
 
 
 def test_quotes_worked_examples():
