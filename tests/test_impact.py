@@ -262,15 +262,6 @@ def test_fft_convolve_matches_the_direct_sums(n):
     assert np.all(np.abs(got - want) <= 1e-12 * np.convolve(np.abs(x), h)[:n].max())
 
 
-@pytest.mark.parametrize("nx, nh", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (100, 100),
-                                    (512, 512), (1000, 1000), (2048, 2049), (3000, 3000),
-                                    (2**14, 2**14)])
-def test_fft_convolve_at_a_power_of_two_is_the_old_convolution(nx, nh):
-    rng = np.random.default_rng(nx + nh)
-    x, h = rng.standard_normal(nx), rng.standard_normal(nh)
-    assert np.array_equal(_fft_convolve(x, h, nx), _one_product_convolve(x, h, nx))
-
-
 def test_decaying_propagator_is_the_scaled_convolution_plus_the_walk_bitwise():
     tape = _tape(gen_markov_signs(3000, 0.5, 11).signs)
     cfg = ImpactConfig(0.3, 0.7, Kernel.power_law(0.4), noise_sigma=0.5, p0=5.0)
@@ -335,12 +326,15 @@ def test_block_convolution_matches_the_direct_sums_at_any_sizes(nx, nh, block, f
         _assert_block_convolution(rng.standard_normal(nx), rng.uniform(-1.0, 1.0, nh), n)
 
 
-@pytest.mark.parametrize("nx, nh", [(64, 64), (64, 5), (3, 64), (40, 50)])
+@pytest.mark.parametrize("nx, nh", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (100, 100),
+                                    (512, 512), (1000, 1000), (2048, 2049), (3000, 3000),
+                                    (2**14, 2**14), (64, 64), (64, 5), (3, 64), (40, 50)])
 def test_operands_in_one_block_are_the_one_product_bitwise(monkeypatch, nx, nh):
-    monkeypatch.setattr(impact, "_BLOCK", 64)
+    """The longer operand fills exactly one block: one product of spectra."""
+    monkeypatch.setattr(impact, "_BLOCK", max(nx, nh))
     rng = np.random.default_rng(nx + nh)
     x, h = rng.standard_normal(nx), rng.standard_normal(nh)
-    for n in {1, max(nx, nh), nx + nh - 1}:
+    for n in {1, nx, max(nx, nh), nx + nh - 1}:
         assert _fft_convolve(x, h, n).tobytes() == _one_product_convolve(x, h, n).tobytes()
 
 
